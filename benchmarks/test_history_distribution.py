@@ -69,7 +69,8 @@ def _distributed_run():
 
     detect_time = _run_threads(target_for)
     merge_start = time.perf_counter()
-    merged = global_history.merge_transaction(1)
+    global_history.merge_transaction(1)
+    merged = global_history.drain()
     merge_time = time.perf_counter() - merge_start
     return detect_time, merge_time, merged, global_history
 

@@ -24,17 +24,12 @@ Public API highlights:
   simulated closed commercial OODBMS.
 
 ``__all__`` below is the supported surface.  Engine internals (the event
-service, scheduler, composer, transaction manager, ...) can still be
-reached through this package for migration purposes, but such reach-ins
-emit :class:`DeprecationWarning` — import them from their defining
-modules instead.
+service, scheduler, composer, transaction manager, ...) live in their
+defining modules.
 """
-
-import warnings as _warnings
 
 from repro.clock import Clock, SystemClock, VirtualClock
 from repro.config import (
-    ConcurrencyConfig,
     ExecutionConfig,
     ExecutionMode,
     ServerConfig,
@@ -87,7 +82,6 @@ __all__ = [
     "Clock",
     "SystemClock",
     "VirtualClock",
-    "ConcurrencyConfig",
     "ExecutionConfig",
     "ExecutionMode",
     "ServerConfig",
@@ -138,38 +132,3 @@ __all__ = [
     "is_sentried",
     "__version__",
 ]
-
-#: Engine internals resolvable from the top level for migration only;
-#: each access emits a DeprecationWarning pointing at the home module.
-_DEPRECATED_INTERNALS = {
-    "EventService": "repro.core.eca_manager",
-    "PrimitiveECAManager": "repro.core.eca_manager",
-    "CompositeECAManager": "repro.core.eca_manager",
-    "ReachRulePolicyManager": "repro.core.eca_manager",
-    "Composer": "repro.core.composer",
-    "RuleScheduler": "repro.core.scheduler",
-    "LocalHistory": "repro.core.history",
-    "GlobalHistory": "repro.core.history",
-    "TemporalEventSource": "repro.core.temporal",
-    "Transaction": "repro.oodb.transactions",
-    "TransactionManager": "repro.oodb.transactions",
-    "LockManager": "repro.oodb.locks",
-    "SentryRegistry": "repro.oodb.sentry",
-    "MetaArchitecture": "repro.oodb.meta",
-    "StorageManager": "repro.storage.storage_manager",
-    "WriteAheadLog": "repro.storage.wal",
-    "BufferPool": "repro.storage.buffer",
-}
-
-
-def __getattr__(name: str):
-    module_path = _DEPRECATED_INTERNALS.get(name)
-    if module_path is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _warnings.warn(
-        f"importing {name!r} from {__name__!r} is deprecated; it is an "
-        f"engine internal — import it from {module_path!r} if you really "
-        "need it, or use the ReachDatabase facade",
-        DeprecationWarning, stacklevel=2)
-    import importlib
-    return getattr(importlib.import_module(module_path), name)

@@ -10,7 +10,7 @@ run; tests default to the deterministic synchronous mode.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -33,53 +33,6 @@ class TieBreakPolicy(Enum):
 
     OLDEST_FIRST = "oldest_first"   #: default: rule defined earliest fires first
     NEWEST_FIRST = "newest_first"   #: optional: most recently defined fires first
-
-
-@dataclass
-class ConcurrencyConfig:
-    """The curated concurrency surface of the kernel.
-
-    One grouped knob set for everything that decides how N concurrent
-    sessions share the engine's hot structures; nested in
-    :class:`ExecutionConfig` as ``config.concurrency``.
-
-    Attributes:
-        lock_stripes: number of independently locked stripes the
-            :class:`~repro.oodb.locks.LockManager` hashes resources
-            over.  Each stripe has its own mutex, table and wait queue,
-            so sessions touching disjoint resources never serialize on
-            one global table mutex.  1 restores the single-table
-            behaviour.
-        history_segments: number of append segments inside each
-            ECA-manager's :class:`~repro.core.history.LocalHistory`.
-            Recording threads hash onto a segment, so 16 sessions
-            emitting the same event type do not serialize on one
-            history lock.  1 restores the single-list behaviour.
-        seqlock_stats: keep the per-commit counters (transaction
-            manager and scheduler stats) in seqlock-snapshot counters
-            so ``db.statistics()`` readers never contend with
-            committers.  False restores plain dicts (readers may then
-            observe torn multi-key snapshots under load).
-        lazy_history_merge: defer the global-history merge that used to
-            run under one lock at *every* commit: finishing a
-            transaction now enqueues an O(1) pending marker, and the
-            scan-merge runs at read/detection time, batched over every
-            commit since the last read.  Safe because every occurrence
-            carries a global sequence number (see
-            ``docs/performance.md``).  False restores eager per-commit
-            merging.
-    """
-
-    lock_stripes: int = 16
-    history_segments: int = 8
-    seqlock_stats: bool = True
-    lazy_history_merge: bool = True
-
-    def __post_init__(self) -> None:
-        if self.lock_stripes < 1:
-            raise ValueError("lock_stripes must be >= 1")
-        if self.history_segments < 1:
-            raise ValueError("history_segments must be >= 1")
 
 
 @dataclass
@@ -291,14 +244,6 @@ class ExecutionConfig:
             (``repro.obs.admin``, loopback only) on this port; 0 picks an
             ephemeral port (``engine.admin_address`` has the real one).
             ``None`` (default) starts no server.
-        concurrency: the grouped concurrency knobs
-            (:class:`ConcurrencyConfig`): lock striping, history
-            segmentation, seqlock stats, lazy history merge.  ``None``
-            (default) builds the defaults.  The flat constructor kwargs
-            ``lock_stripes=`` / ``history_segments=`` /
-            ``seqlock_stats=`` / ``lazy_history_merge=`` from before the
-            grouping were deprecated for one release and are now
-            rejected with a ``TypeError`` naming this field.
         sharding: the horizontal scale-out knobs
             (:class:`ShardingConfig`): shard count, OID block width, WAL
             shipping to read replicas.  ``None`` (default) builds the
@@ -339,38 +284,10 @@ class ExecutionConfig:
     telemetry_queue_capacity: int = 4096
     telemetry_jsonl: Optional[str] = None
     admin_port: Optional[int] = None
-    concurrency: Optional[ConcurrencyConfig] = None
     sharding: Optional[ShardingConfig] = None
     server: Optional[ServerConfig] = None
-    #: removed flat aliases for the ``concurrency`` group.  They were
-    #: deprecated (with a mapping) for one release; passing any of them
-    #: now raises a ``TypeError`` that names the replacement, which beats
-    #: the bare "unexpected keyword argument" a plain removal would give.
-    lock_stripes: InitVar[Optional[int]] = None
-    history_segments: InitVar[Optional[int]] = None
-    seqlock_stats: InitVar[Optional[bool]] = None
-    lazy_history_merge: InitVar[Optional[bool]] = None
 
-    def __post_init__(self, lock_stripes: Optional[int],
-                      history_segments: Optional[int],
-                      seqlock_stats: Optional[bool],
-                      lazy_history_merge: Optional[bool]) -> None:
-        legacy = {"lock_stripes": lock_stripes,
-                  "history_segments": history_segments,
-                  "seqlock_stats": seqlock_stats,
-                  "lazy_history_merge": lazy_history_merge}
-        passed = sorted(name for name, value in legacy.items()
-                        if value is not None)
-        if passed:
-            raise TypeError(
-                "ExecutionConfig({}) was removed: the flat concurrency "
-                "kwargs were deprecated for one release and have been "
-                "dropped; pass ExecutionConfig("
-                "concurrency=ConcurrencyConfig({})) instead".format(
-                    ", ".join(f"{k}=..." for k in passed),
-                    ", ".join(f"{k}=..." for k in passed)))
-        if self.concurrency is None:
-            self.concurrency = ConcurrencyConfig()
+    def __post_init__(self) -> None:
         if self.sharding is None:
             self.sharding = ShardingConfig()
         if self.worker_threads < 1:

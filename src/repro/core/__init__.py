@@ -43,8 +43,6 @@ from repro.core.database import ReachDatabase
 from repro.core.engine import ReachEngine
 from repro.core.session import Session
 
-import warnings as _warnings
-
 __all__ = [
     "EventCategory",
     "EventOccurrence",
@@ -78,29 +76,3 @@ __all__ = [
     "ReachEngine",
     "Session",
 ]
-
-#: Engine internals reachable here for migration only (deprecated).
-_DEPRECATED_INTERNALS = {
-    "EventService": "repro.core.eca_manager",
-    "PrimitiveECAManager": "repro.core.eca_manager",
-    "CompositeECAManager": "repro.core.eca_manager",
-    "ReachRulePolicyManager": "repro.core.eca_manager",
-    "Composer": "repro.core.composer",
-    "RuleScheduler": "repro.core.scheduler",
-    "FiringRecord": "repro.core.scheduler",
-    "LocalHistory": "repro.core.history",
-    "GlobalHistory": "repro.core.history",
-    "TemporalEventSource": "repro.core.temporal",
-}
-
-
-def __getattr__(name: str):
-    module_path = _DEPRECATED_INTERNALS.get(name)
-    if module_path is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _warnings.warn(
-        f"importing {name!r} from {__name__!r} is deprecated; import it "
-        f"from {module_path!r} or use the ReachDatabase facade",
-        DeprecationWarning, stacklevel=2)
-    import importlib
-    return getattr(importlib.import_module(module_path), name)

@@ -43,7 +43,7 @@ from repro.core.events import (
     TemporalEventSpec,
 )
 from repro.core.algebra import CompositeEventSpec
-from repro.core.history import GlobalHistory, LocalHistory
+from repro.core.history import HISTORY_SEGMENTS, GlobalHistory, LocalHistory
 from repro.core.rules import Rule
 from repro.core.scheduler import RuleScheduler
 from repro.clock import Clock
@@ -73,8 +73,7 @@ class PrimitiveECAManager:
                  global_history: GlobalHistory,
                  tracer: Tracer = NULL_TRACER,
                  metrics: MetricsRegistry = NULL_METRICS,
-                 history_capacity: Optional[int] = None,
-                 history_segments: int = 1):
+                 history_capacity: Optional[int] = None):
         self.spec = spec
         self.key = spec.key()
         self.scheduler = scheduler
@@ -85,7 +84,7 @@ class PrimitiveECAManager:
         self.listeners: list[Callable[[EventOccurrence], None]] = []
         self.history = LocalHistory(name=str(self.key),
                                     capacity=history_capacity,
-                                    segments=history_segments)
+                                    segments=HISTORY_SEGMENTS)
         global_history.attach_source(self.history)
         self.handled = 0
         self._span_name = f"eca:{spec.describe()}"
@@ -145,8 +144,7 @@ class CompositeECAManager:
                  global_history: GlobalHistory, name: str = "",
                  tracer: Tracer = NULL_TRACER,
                  metrics: MetricsRegistry = NULL_METRICS,
-                 history_capacity: Optional[int] = None,
-                 history_segments: int = 1):
+                 history_capacity: Optional[int] = None):
         self.spec = spec
         self.composer = Composer(spec, name=name, tracer=tracer,
                                  metrics=metrics)
@@ -155,7 +153,7 @@ class CompositeECAManager:
         self.rules: list[Rule] = []
         self.history = LocalHistory(name=f"composite:{self.composer.name}",
                                     capacity=history_capacity,
-                                    segments=history_segments)
+                                    segments=HISTORY_SEGMENTS)
         global_history.attach_source(self.history)
         self._span_name = f"eca:composite:{self.composer.name}"
         self.handled = 0
@@ -255,16 +253,7 @@ class EventService:
         self.composer_checkpoint_fallbacks = 0
         self.composer_suffix_replayed = 0
         self._detect_span_names: dict[Hashable, str] = {}
-        # Concurrency knobs (ConcurrencyConfig): lazy merge turns the
-        # per-commit history merge into an O(1) enqueue; segments shard
-        # each manager's local log across recording threads.
-        concurrency = getattr(config, "concurrency", None)
-        self._history_segments = (concurrency.history_segments
-                                  if concurrency is not None else 1)
-        self.global_history = GlobalHistory(
-            metrics=metrics,
-            lazy=(concurrency.lazy_history_merge
-                  if concurrency is not None else False))
+        self.global_history = GlobalHistory(metrics=metrics)
         self._primitive: dict[Hashable, PrimitiveECAManager] = {}
         self._composite: dict[Hashable, CompositeECAManager] = {}
         self._subscriptions: list[Subscription] = []
@@ -299,8 +288,7 @@ class EventService:
                 manager = PrimitiveECAManager(
                     spec, self.scheduler, self.global_history,
                     tracer=self.tracer, metrics=self.metrics,
-                    history_capacity=self.config.history_capacity,
-                    history_segments=self._history_segments)
+                    history_capacity=self.config.history_capacity)
                 self._primitive[key] = manager
                 self._install_detector(spec)
             return manager
@@ -315,8 +303,7 @@ class EventService:
             manager = CompositeECAManager(
                 spec, self.scheduler, self.global_history, name=name,
                 tracer=self.tracer, metrics=self.metrics,
-                history_capacity=self.config.history_capacity,
-                history_segments=self._history_segments)
+                history_capacity=self.config.history_capacity)
             self._composite[key] = manager
         # Durable-detection recovery: if the WAL carried checkpointed
         # state for this composite, rebuild the half-matched graphs now —

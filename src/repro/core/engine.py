@@ -217,17 +217,14 @@ class ReachEngine:
 
         # -- meta-architecture and support modules (Figure 1) ------------
         self.meta = MetaArchitecture()
-        concurrency = self.config.concurrency
         self.locks = LockManager(
-            stripes=concurrency.lock_stripes,
             metrics=self.metrics_registry, faults=self.faults,
             flight=self.flight,
             flight_wait_threshold=self.config.flight_lock_wait_threshold,
             tracer=self.tracer)
         self.tx_manager = TransactionManager(
             self.meta, self.locks, clock=self.clock, tracer=self.tracer,
-            metrics=self.metrics_registry,
-            seqlock_stats=concurrency.seqlock_stats)
+            metrics=self.metrics_registry)
         self.storage = StorageManager(directory,
                                       buffer_capacity=buffer_capacity,
                                       metrics=self.metrics_registry,
@@ -808,7 +805,7 @@ class ReachEngine:
     #: merge.  Same contract as :attr:`STATISTICS_KEYS`: tests assert
     #: equality, so additions are deliberate API changes.
     CONCURRENCY_STATS_KEYS = frozenset({
-        "locks", "wal", "history", "config",
+        "locks", "wal", "history",
     })
 
     def statistics(self) -> dict[str, Any]:
@@ -868,7 +865,7 @@ class ReachEngine:
         # committing session on self._lock.
         sessions = {"created": self._sessions_created,
                     "active": len(self._sessions)}
-        scheduler = self._stats_view(self.scheduler.stats)
+        scheduler = self.scheduler.stats.snapshot()
         scheduler["errors_depth"] = len(self.scheduler.errors)
         scheduler["errors_dropped"] = self.scheduler.errors.dropped
         scheduler["dead_letters"] = self.scheduler.dead_letter_count()
@@ -878,7 +875,7 @@ class ReachEngine:
             rule.name for rule, __ in list(self._rules.values())
             if rule.quarantined)
         return {
-            "transactions": self._stats_view(self.tx_manager.stats),
+            "transactions": self.tx_manager.stats.snapshot(),
             "scheduler": scheduler,
             "events": {
                 "detected": self.events.events_detected,
@@ -940,14 +937,6 @@ class ReachEngine:
             "composer_checkpoints_written", 0)
         return stats
 
-    @staticmethod
-    def _stats_view(stats: dict) -> dict[str, Any]:
-        """A coherent copy of a counters dict: seqlock snapshot when the
-        counters are :class:`~repro.obs.metrics.SeqlockCounters`, plain
-        copy otherwise."""
-        snapshot = getattr(stats, "snapshot", None)
-        return snapshot() if snapshot is not None else dict(stats)
-
     def concurrency_stats(self) -> dict[str, Any]:
         """The curated concurrency introspection surface.
 
@@ -964,32 +953,23 @@ class ReachEngine:
           per-stripe wait-latency aggregates (count, p50/p99/max in ms);
         * ``wal`` — the write-ahead log's stats (group-commit machinery,
           queue depth, LSNs);
-        * ``history`` — global-history merge machinery: lazy flag, merge
+        * ``history`` — global-history merge machinery: merge
           operations run, deferred requests, current merge lag (pending
-          un-applied merges), merged entry count;
-        * ``config`` — the effective :class:`~repro.config.ConcurrencyConfig`
-          knob values.
+          un-applied merges), merged entry count.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
-        concurrency = self.config.concurrency
         return {
             "locks": self.locks.wait_stats(),
             "wal": self.storage.wal_stats(),
             "history": self.events.global_history.stats(),
-            "config": {
-                "lock_stripes": concurrency.lock_stripes,
-                "history_segments": concurrency.history_segments,
-                "seqlock_stats": concurrency.seqlock_stats,
-                "lazy_history_merge": concurrency.lazy_history_merge,
-            },
         }
 
     def shard_summary(self) -> dict[str, Any]:
         """This kernel's row in a shard topology listing: identity, OID
         allocation position, and the per-shard hot counters (transactions,
         events, storage, WAL)."""
-        tx_stats = self._stats_view(self.tx_manager.stats)
+        tx_stats = self.tx_manager.stats.snapshot()
         return {
             "shard_id": self.shard_id,
             "directory": self.directory,

@@ -16,15 +16,15 @@ detection path — that absence is what benchmark E7 measures.
 
 Two scaling refinements ride on that same sequence-number property:
 
-* **Segmented local histories** — a :class:`LocalHistory` constructed
-  with ``segments > 1`` shards its append log by recording thread, so
+* **Segmented local histories** — a :class:`LocalHistory` with
+  ``segments > 1`` (the ECA-managers build theirs with
+  :data:`HISTORY_SEGMENTS`) shards its append log by recording thread, so
   sessions recording into the same manager do not serialize on one lock.
   ``entries()`` re-establishes the total order by sorting on ``seq``.
-* **Lazy global merge** — a :class:`GlobalHistory` constructed with
-  ``lazy=True`` turns ``merge_transaction``/``merge_transactionless``
-  into O(1) enqueue operations; the O(total-history) gather-and-filter
+* **Lazy global merge** — ``merge_transaction``/``merge_transactionless``
+  are O(1) enqueue operations; the O(total-history) gather-and-filter
   runs batched at the next *read* (``entries``, ``__len__``,
-  ``iter_transaction``, ``merge_all``, ``prune_before``).  This is safe
+  ``iter_transaction``, ``drain``, ``prune_before``).  This is safe
   precisely because occurrences carry global sequence numbers: merging
   late cannot lose, duplicate, or reorder anything — the merged view is
   a pure function of which occurrences exist, not of when the merge ran
@@ -39,6 +39,9 @@ from typing import Callable, Iterator, Optional
 
 from repro.core.events import EventOccurrence
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+
+#: Append segments in each ECA-manager's local history.
+HISTORY_SEGMENTS = 8
 
 
 class _Segment:
@@ -119,29 +122,23 @@ class LocalHistory:
 class GlobalHistory:
     """The merged, totally ordered history of all managers.
 
-    ``merge_transaction(tx_id)`` pulls every not-yet-merged occurrence that
-    originated (at least partly) in the finished transaction;
-    ``merge_transactionless()`` pulls temporal/no-transaction occurrences.
-    Both run off the detection path — in threaded mode on a background
-    worker, in synchronous mode right after commit/abort.
-
-    In **lazy** mode both calls merely enqueue the request (O(1) under a
-    short lock) and return 0; the actual gather-and-filter is batched at
-    the next read.  ``merge_lag`` exposes how many requests are pending.
-    Eager mode (the default, and what the unit tests exercise) keeps the
-    original merge-now semantics including meaningful return counts.
+    ``merge_transaction(tx_id)`` asks for every not-yet-merged occurrence
+    that originated (at least partly) in the finished transaction;
+    ``merge_transactionless()`` for temporal/no-transaction occurrences.
+    Both merely enqueue the request (O(1) under a short lock); the actual
+    gather-and-filter is batched at the next read, or at an explicit
+    :meth:`drain`, which returns how many entries it added.
+    ``merge_lag`` exposes how many requests are pending.
     """
 
-    def __init__(self, metrics: MetricsRegistry = NULL_METRICS,
-                 lazy: bool = False) -> None:
-        self.lazy = lazy
+    def __init__(self, metrics: MetricsRegistry = NULL_METRICS) -> None:
         self._lock = threading.Lock()
         self._entries: list[EventOccurrence] = []
         self._merged_seqs: set[int] = set()
         self._sources: list[LocalHistory] = []
         self.merge_operations = 0
         self.deferred_requests = 0
-        # Pending lazy-merge requests; tiny critical section (commit path).
+        # Pending merge requests; tiny critical section (commit path).
         self._pending_lock = threading.Lock()
         self._pending_txs: set[int] = set()
         self._pending_txless = False
@@ -160,30 +157,21 @@ class GlobalHistory:
 
     # ------------------------------------------------------------------
 
-    def merge_transaction(self, tx_id: int) -> int:
-        """Merge all occurrences involving top-level transaction ``tx_id``.
+    def merge_transaction(self, tx_id: int) -> None:
+        """Request the merge of all occurrences involving top-level
+        transaction ``tx_id``; applied at the next read or drain."""
+        with self._pending_lock:
+            self._pending_txs.add(tx_id)
+            self.deferred_requests += 1
+        self._m_deferred.inc()
 
-        Lazy mode defers the scan and returns 0 (the count materializes
-        at the next read); eager mode merges now and returns how many
-        entries were added.
-        """
-        if self.lazy:
-            with self._pending_lock:
-                self._pending_txs.add(tx_id)
-                self.deferred_requests += 1
-            self._m_deferred.inc()
-            return 0
-        return self._merge(lambda occ: tx_id in occ.tx_ids)
-
-    def merge_transactionless(self) -> int:
-        """Merge occurrences that originated in no transaction."""
-        if self.lazy:
-            with self._pending_lock:
-                self._pending_txless = True
-                self.deferred_requests += 1
-            self._m_deferred.inc()
-            return 0
-        return self._merge(lambda occ: not occ.tx_ids)
+    def merge_transactionless(self) -> None:
+        """Request the merge of occurrences that originated in no
+        transaction; applied at the next read or drain."""
+        with self._pending_lock:
+            self._pending_txless = True
+            self.deferred_requests += 1
+        self._m_deferred.inc()
 
     def merge_all(self) -> int:
         """Merge everything (maintenance / shutdown)."""
@@ -194,13 +182,13 @@ class GlobalHistory:
 
     @property
     def merge_lag(self) -> int:
-        """Deferred merge requests not yet applied (0 in eager mode)."""
+        """Merge requests not yet applied."""
         with self._pending_lock:
             return len(self._pending_txs) + (1 if self._pending_txless
                                              else 0)
 
     def drain(self) -> int:
-        """Apply all pending lazy-merge requests in one batched scan.
+        """Apply all pending merge requests in one batched scan.
 
         Readers call this implicitly; it is also the hook a background
         maintenance thread would use.  Returns entries added.
@@ -264,7 +252,6 @@ class GlobalHistory:
     def stats(self) -> dict:
         """Merge-machinery counters for ``db.concurrency_stats()``."""
         return {
-            "lazy": self.lazy,
             "merge_operations": self.merge_operations,
             "deferred_requests": self.deferred_requests,
             "merge_lag": self.merge_lag,

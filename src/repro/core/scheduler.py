@@ -44,7 +44,6 @@ from repro.faults.registry import NULL_FAULTS, SCHEDULER_WORKER, FaultRegistry
 from repro.obs.flight import NULL_FLIGHT, FlightRecorder
 from repro.obs.metrics import (
     NULL_METRICS,
-    Counters,
     MetricsRegistry,
     SeqlockCounters,
 )
@@ -207,11 +206,7 @@ class RuleScheduler:
         # Seqlock-backed counters let db.statistics() readers copy the
         # dict without ever contending with the firing hot path (and
         # make concurrent increments lose-free).
-        concurrency = getattr(config, "concurrency", None)
-        if concurrency is not None and concurrency.seqlock_stats:
-            self.stats: Counters = SeqlockCounters(counters)
-        else:
-            self.stats = Counters(counters)
+        self.stats = SeqlockCounters(counters)
 
     def _bound_scope(self):
         """Bind the owning engine's sentry scope on the calling thread

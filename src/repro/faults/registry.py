@@ -71,7 +71,7 @@ KNOWN_POINTS = {
     SCHEDULER_WORKER: "at the start of a detached worker's run",
     COMPOSER_DISPATCH: "before composition listeners are invoked",
     SERVER_ACCEPT: "after a client connection is accepted (server/server.py)",
-    SERVER_READ: "before a request frame is read off a connection",
+    SERVER_READ: "after a request frame arrived, before it is processed",
     SERVER_WRITE: "before a response frame is written to a connection",
     SERVER_AUTH: "during the hello handshake's token check",
 }

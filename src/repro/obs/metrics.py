@@ -202,33 +202,16 @@ class Histogram:
                 f"mean={self.mean * 1e6:.1f}us>")
 
 
-class Counters(dict):
-    """A plain counters dict with an :meth:`inc` mutation hook.
-
-    ``inc`` is the one write operation stats owners use; keeping it a
-    method (rather than ``stats[key] += 1`` at every call site) lets
-    :class:`SeqlockCounters` harden the exact same call sites without
-    touching them.  This base class does the legacy unlocked increment.
-    """
-
-    __slots__ = ()
-
-    def inc(self, key: Any, n: int = 1) -> None:
-        self[key] += n
-
-    def snapshot(self) -> dict[str, Any]:
-        return dict(self)
-
-
-class SeqlockCounters(Counters):
+class SeqlockCounters(dict):
     """A counters dict whose readers never contend with writers.
 
-    ``inc`` takes a writer-side mutex — increments are read-modify-write
-    and concurrent committers would otherwise lose updates (``begun``
-    must equal ``committed`` when the system is idle; these counters ARE
-    ledgers, unlike histogram reservoirs) — and brackets the write with
-    a version bump to odd/even (the classic seqlock discipline, same
-    family as :meth:`Histogram.snapshot`).  :meth:`snapshot` copies the
+    ``inc`` is the one write operation stats owners use; it takes a
+    writer-side mutex — increments are read-modify-write and concurrent
+    committers would otherwise lose updates (``begun`` must equal
+    ``committed`` when the system is idle; these counters ARE ledgers,
+    unlike histogram reservoirs) — and brackets the write with a version
+    bump to odd/even (the classic seqlock discipline, same family as
+    :meth:`Histogram.snapshot`).  :meth:`snapshot` copies the
     dict with NO lock and retries while a writer is mid-flight or
     interleaved, so a ``db.statistics()`` poller never blocks the commit
     path, yet its multi-key view is coherent.  The final attempt is

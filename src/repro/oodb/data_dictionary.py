@@ -12,7 +12,8 @@ Tracks:
 * **OIDs** — allocation, and the OID -> class-name map.
 
 The dictionary itself is persisted as a catalog record under a reserved
-OID, written by the persistence policy manager at every top-level commit.
+OID, written by the persistence policy manager at the first top-level
+commit after it changed.
 """
 
 from __future__ import annotations
@@ -52,7 +53,15 @@ class DataDictionary(SupportModule):
         #: definitions are database objects; the DDL text is their stored
         #: form, recompiled at load time by the application).
         self._rule_ddl: list[str] = []
-        self.dirty = False
+        #: ``_version`` counts catalog mutations; ``_durable_version`` is
+        #: the version of the newest image known to be on disk.
+        self._version = 0
+        self._durable_version = 0
+
+    @property
+    def dirty(self) -> bool:
+        """True while the catalog holds a change no durable image has."""
+        return self._version != self._durable_version
 
     # -- types -----------------------------------------------------------------
 
@@ -90,7 +99,7 @@ class DataDictionary(SupportModule):
             oid = self.allocator.allocate()
             self._classes_of[oid] = cls.__name__
             self._extents.setdefault(cls.__name__, set()).add(oid)
-            self.dirty = True
+            self._version += 1
             return oid
 
     def adopt_oid(self, oid: OID, class_name: str) -> None:
@@ -99,6 +108,7 @@ class DataDictionary(SupportModule):
             self._classes_of[oid] = class_name
             self._extents.setdefault(class_name, set()).add(oid)
             self.allocator.ensure_above(oid.value)
+            self._version += 1
 
     def drop_oid(self, oid: OID) -> None:
         with self._lock:
@@ -107,7 +117,7 @@ class DataDictionary(SupportModule):
                 self._extents.get(class_name, set()).discard(oid)
             for name in [n for n, o in self._names.items() if o == oid]:
                 del self._names[name]
-            self.dirty = True
+            self._version += 1
 
     def class_of(self, oid: OID) -> str:
         with self._lock:
@@ -146,12 +156,12 @@ class DataDictionary(SupportModule):
                 raise DuplicateNameError(
                     f"name {name!r} already bound to {existing}")
             self._names[name] = oid
-            self.dirty = True
+            self._version += 1
 
     def unbind_name(self, name: str) -> None:
         with self._lock:
             self._names.pop(name, None)
-            self.dirty = True
+            self._version += 1
 
     def resolve_name(self, name: str) -> OID:
         with self._lock:
@@ -174,13 +184,13 @@ class DataDictionary(SupportModule):
         with self._lock:
             if ddl not in self._rule_ddl:
                 self._rule_ddl.append(ddl)
-                self.dirty = True
+                self._version += 1
 
     def remove_rule_ddl(self, ddl: str) -> None:
         with self._lock:
             if ddl in self._rule_ddl:
                 self._rule_ddl.remove(ddl)
-                self.dirty = True
+                self._version += 1
 
     def rule_ddl_blocks(self) -> list[str]:
         with self._lock:
@@ -200,6 +210,16 @@ class DataDictionary(SupportModule):
                 "rule_ddl": list(self._rule_ddl),
             }
 
+    def snapshot(self) -> tuple[int, dict[str, Any]]:
+        """The catalog image together with the version it captures."""
+        with self._lock:
+            return self._version, self.to_catalog()
+
+    def mark_durable(self, version: int) -> None:
+        """Record that the image taken at ``version`` reached the disk."""
+        with self._lock:
+            self._durable_version = version
+
     def load_catalog(self, catalog: dict[str, Any]) -> None:
         with self._lock:
             for value, class_name in catalog.get("classes_of", {}).items():
@@ -210,7 +230,7 @@ class DataDictionary(SupportModule):
             for ddl in catalog.get("rule_ddl", []):
                 if ddl not in self._rule_ddl:
                     self._rule_ddl.append(ddl)
-            self.dirty = False
+            self._durable_version = self._version
 
     def describe(self) -> str:
         with self._lock:

@@ -34,8 +34,7 @@ from repro.faults.registry import LOCK_ACQUIRE, NULL_FAULTS, FaultRegistry
 from repro.obs.flight import NULL_FLIGHT, FlightRecorder
 from repro.obs.metrics import NULL_METRICS, Histogram, MetricsRegistry
 
-#: Default stripe count; overridden through
-#: ``ConcurrencyConfig(lock_stripes=...)``.
+#: Stripe count of every engine's lock table.
 DEFAULT_LOCK_STRIPES = 16
 
 

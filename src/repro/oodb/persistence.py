@@ -56,6 +56,9 @@ class PersistencePolicyManager(PolicyManager):
         #: objects modified outside any transaction; flushed with the next
         #: top-level commit (documented relaxation — prefer transactions).
         self._untracked_dirty: set[Any] = set()
+        #: held from taking a catalog image until the storage transaction
+        #: carrying it has committed (see :meth:`_commit_storage`).
+        self._catalog_mutex = threading.Lock()
         tx_manager.pre_commit_hooks.append(self._flush)
         self._detached = False
         self._load_catalog()
@@ -182,8 +185,7 @@ class PersistencePolicyManager(PolicyManager):
             try:
                 if storage.exists(-oid.value, oid):
                     storage.delete(-oid.value, oid)
-                self._write_catalog(-oid.value)
-                storage.commit(-oid.value)
+                self._commit_storage(-oid.value)
             except BaseException:
                 storage.abort(-oid.value)
                 raise
@@ -219,6 +221,9 @@ class PersistencePolicyManager(PolicyManager):
     # ------------------------------------------------------------------
 
     def _flush(self, tx: Transaction) -> None:
+        if not (tx.dirty_objects or tx.deleted_objects
+                or self._untracked_dirty or self.dictionary.dirty):
+            return
         with self._lock:
             dirty = set(tx.dirty_objects) | self._untracked_dirty
             self._untracked_dirty.clear()
@@ -249,8 +254,7 @@ class PersistencePolicyManager(PolicyManager):
             for oid in deleted:
                 if storage.exists(tx.id, oid):
                     self.passive.delete(tx.id, oid)
-            self._write_catalog(tx.id)
-            storage.commit(tx.id)
+            self._commit_storage(tx.id)
         except BaseException:
             storage.abort(tx.id)
             raise
@@ -260,10 +264,29 @@ class PersistencePolicyManager(PolicyManager):
         with self.tx_manager.transaction():
             pass  # the pre-commit hook performs the flush
 
-    def _write_catalog(self, storage_tx_id: int) -> None:
-        catalog = self.dictionary.to_catalog()
-        self.passive.write(storage_tx_id, CATALOG_OID, serialize(catalog))
-        self.dictionary.dirty = False
+    def _commit_storage(self, storage_tx_id: int) -> None:
+        """Commit a storage transaction, adding the catalog image first
+        when the dictionary changed since its last durable image.
+
+        The mutex is held from taking the image until ``storage.commit``
+        has returned, so images reach the log and the pages in the order
+        they were taken.  The dictionary stays dirty until then: a
+        committer whose name bindings sit in another committer's in-flight
+        image waits here until that image is durable — or, if that commit
+        failed, writes its own — before it acknowledges.  Commits against
+        a clean catalog never take the mutex.
+        """
+        storage = self.passive.storage
+        if self.dictionary.dirty:
+            with self._catalog_mutex:
+                if self.dictionary.dirty:
+                    version, catalog = self.dictionary.snapshot()
+                    self.passive.write(storage_tx_id, CATALOG_OID,
+                                       serialize(catalog))
+                    storage.commit(storage_tx_id)
+                    self.dictionary.mark_durable(version)
+                    return
+        storage.commit(storage_tx_id)
 
     # ------------------------------------------------------------------
     # Translation (swizzling)

@@ -43,7 +43,6 @@ from repro.errors import (
 )
 from repro.obs.metrics import (
     NULL_METRICS,
-    Counters,
     MetricsRegistry,
     SeqlockCounters,
 )
@@ -170,8 +169,7 @@ class TransactionManager:
     def __init__(self, meta: MetaArchitecture, locks: LockManager,
                  clock: Any = None,
                  tracer: Tracer = NULL_TRACER,
-                 metrics: MetricsRegistry = NULL_METRICS,
-                 seqlock_stats: bool = False):
+                 metrics: MetricsRegistry = NULL_METRICS):
         self.meta = meta
         self.locks = locks
         self.clock = clock
@@ -192,8 +190,7 @@ class TransactionManager:
         counters = {"begun": 0, "committed": 0, "aborted": 0}
         # Seqlock counters keep db.statistics() reads off the commit path
         # and make concurrent session commits increment lose-free.
-        self.stats: Counters = (SeqlockCounters(counters) if seqlock_stats
-                                else Counters(counters))
+        self.stats = SeqlockCounters(counters)
 
     # -- current-transaction contexts -----------------------------------------
 

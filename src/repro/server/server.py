@@ -474,9 +474,11 @@ class ReachServer:
                 return
             while True:
                 try:
-                    self._fp_read.hit(conn=conn.id)
                     payload = protocol.read_frame(conn.sock,
                                                   max_bytes=max_bytes)
+                    # The request arrived; a fault here cuts the
+                    # connection before it is processed.
+                    self._fp_read.hit(conn=conn.id)
                 except (ConnectionClosedError, OSError, InjectedFault):
                     return
                 except (FrameTooLargeError, ProtocolError) as exc:

@@ -52,8 +52,6 @@ class _TxWriteSet:
 
     #: oid value -> image bytes, or None for a pending delete
     writes: dict[int, Optional[bytes]] = field(default_factory=dict)
-    #: log records already appended for this transaction
-    logged: list[int] = field(default_factory=list)
 
 
 class StorageManager:
@@ -200,13 +198,10 @@ class StorageManager:
             ws = self._require_tx(tx_id)
             existed = (oid.value in self._object_table
                        or ws.writes.get(oid.value) is not None)
-            before = self._read_committed(oid.value) if existed else None
             rec_type = (LogRecordType.UPDATE if existed
                         else LogRecordType.INSERT)
-            lsn = self._wal.append(LogRecord(
-                rec_type, tx_id=tx_id, oid_value=oid.value,
-                before=before, after=data))
-            ws.logged.append(lsn)
+            self._wal.append(LogRecord(
+                rec_type, tx_id=tx_id, oid_value=oid.value, after=data))
             ws.writes[oid.value] = data
 
     def delete(self, tx_id: int, oid: OID) -> None:
@@ -215,11 +210,8 @@ class StorageManager:
             in_ws = ws.writes.get(oid.value)
             if in_ws is None and oid.value not in self._object_table:
                 raise RecordNotFoundError(f"no object with {oid}")
-            before = self._read_committed_or_ws(tx_id, oid.value)
-            lsn = self._wal.append(LogRecord(
-                LogRecordType.DELETE, tx_id=tx_id, oid_value=oid.value,
-                before=before))
-            ws.logged.append(lsn)
+            self._wal.append(LogRecord(
+                LogRecordType.DELETE, tx_id=tx_id, oid_value=oid.value))
             ws.writes[oid.value] = None
 
     def read(self, tx_id: Optional[int], oid: OID) -> bytes:
@@ -303,12 +295,6 @@ class StorageManager:
             self._require_tx(tx_id)
             self._wal.append(LogRecord(LogRecordType.ABORT, tx_id=tx_id))
             del self._active[tx_id]
-
-    def _read_committed_or_ws(self, tx_id: int, oid_value: int) -> Optional[bytes]:
-        ws = self._active.get(tx_id)
-        if ws is not None and oid_value in ws.writes:
-            return ws.writes[oid_value]
-        return self._read_committed(oid_value)
 
     # ------------------------------------------------------------------
     # Page-level mechanics (committed state only)

@@ -1,8 +1,10 @@
 """Write-ahead log.
 
-The storage manager logs logical, OID-level operations: object insert,
-update (with before and after images), and delete, bracketed by transaction
-begin/commit/abort records.  Recovery is ARIES-lite over logical records:
+The storage manager logs logical, OID-level operations: object insert and
+update (each with the full after-image) and delete, bracketed by transaction
+begin/commit/abort records.  The log is redo-only: no before-image is
+written, because nothing ever undoes from it.  Recovery is ARIES-lite over
+logical records:
 
 1. *Analysis*: scan the log to classify transactions as winners (commit
    record present) or losers.
@@ -84,18 +86,19 @@ def _coerce_record_type(value: str) -> "LogRecordType | str":
 class LogRecord:
     """One logical log record.
 
-    ``oid_value`` and the image fields are meaningful only for the data
-    operations (INSERT/UPDATE/DELETE).  ``payload`` carries checkpoint
-    metadata for CHECKPOINT records and the composer snapshot for
-    COMPOSER_CHECKPOINT records.  ``type`` is a plain string for records
-    framed by a newer writer (see :func:`_coerce_record_type`).
+    ``oid_value`` is meaningful only for the data operations
+    (INSERT/UPDATE/DELETE) and ``after`` — the full new image — only for
+    INSERT/UPDATE.  ``payload`` carries checkpoint metadata for CHECKPOINT
+    records and the composer snapshot for COMPOSER_CHECKPOINT records.
+    ``type`` is a plain string for records framed by a newer writer (see
+    :func:`_coerce_record_type`).  Logs written before the log became
+    redo-only carry a before-image under ``"b"``; :meth:`decode` ignores it.
     """
 
     type: "LogRecordType | str"
     tx_id: int
     lsn: int = 0
     oid_value: int = 0
-    before: Optional[bytes] = None
     after: Optional[bytes] = None
     payload: dict[str, Any] = field(default_factory=dict)
 
@@ -111,7 +114,6 @@ class LogRecord:
             "x": self.tx_id,
             "l": self.lsn,
             "o": self.oid_value,
-            "b": self.before,
             "a": self.after,
             "p": self.payload,
         })
@@ -124,7 +126,6 @@ class LogRecord:
             tx_id=fields["x"],
             lsn=fields["l"],
             oid_value=fields["o"],
-            before=fields["b"],
             after=fields["a"],
             payload=fields["p"],
         )

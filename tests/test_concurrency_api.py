@@ -1,61 +1,55 @@
 """The curated concurrency API (ISSUE 6).
 
-``ConcurrencyConfig`` groups every knob that decides how N concurrent
-sessions share the kernel's hot structures, nested in
-``ExecutionConfig`` as ``config.concurrency``; the legacy flat kwargs
-keep working one release with a ``DeprecationWarning``.  The read side
-is ``db.concurrency_stats()`` — a frozen-key snapshot tested the same
-way as ``db.statistics()``.
+The concurrency mechanisms (striped lock table, segmented local
+histories, seqlock counters, lazy global-history merge) are not
+configurable: the engine always builds them.  The read side is
+``db.concurrency_stats()`` — a frozen-key snapshot tested the same way
+as ``db.statistics()``.
 """
-
-import warnings
 
 import pytest
 
 from repro import (
-    ConcurrencyConfig,
     ExecutionConfig,
     ReachDatabase,
     ReachEngine,
+    SignalEventSpec,
 )
+from repro.core.history import HISTORY_SEGMENTS, LocalHistory
+from repro.oodb.locks import DEFAULT_LOCK_STRIPES, LockManager
 
 
 class TestConcurrencyConfig:
-    def test_defaults(self):
-        concurrency = ConcurrencyConfig()
-        assert concurrency.lock_stripes == 16
-        assert concurrency.history_segments == 8
-        assert concurrency.seqlock_stats is True
-        assert concurrency.lazy_history_merge is True
+    """There is no concurrency group and there are no flat aliases:
+    passing one fails with Python's own ``TypeError``.  What remains
+    are two structure sizes, fixed for every engine."""
+
+    def test_defaults(self, tmp_path):
+        assert DEFAULT_LOCK_STRIPES == 16
+        assert HISTORY_SEGMENTS == 8
+        engine = ReachEngine(directory=str(tmp_path / "eng"))
+        try:
+            manager = engine.events.primitive_manager(
+                SignalEventSpec("ping"))
+            assert manager.history.segments == HISTORY_SEGMENTS
+        finally:
+            engine.close()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ConcurrencyConfig(lock_stripes=0)
+            LockManager(stripes=0)
         with pytest.raises(ValueError):
-            ConcurrencyConfig(history_segments=0)
-
-    def test_nested_config_passes_through_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = ExecutionConfig(
-                concurrency=ConcurrencyConfig(lock_stripes=4))
-        assert config.concurrency.lock_stripes == 4
-
-    def test_default_execution_config_normalizes_the_group(self):
-        # No knobs passed: the group is materialized with its defaults,
-        # so engine code never needs a None check.
-        assert ExecutionConfig().concurrency == ConcurrencyConfig()
+            LocalHistory("h", segments=0)
 
     @pytest.mark.parametrize("kwarg,value", [
         ("lock_stripes", 4),
         ("history_segments", 2),
         ("seqlock_stats", False),
         ("lazy_history_merge", False),
+        ("concurrency", None),
     ])
     def test_legacy_flat_kwargs_are_removed(self, kwarg, value):
-        # The flat kwargs were deprecated (with mapping) for one release;
-        # they now fail fast with a pointer at the nested group.
-        with pytest.raises(TypeError, match="ConcurrencyConfig"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             ExecutionConfig(**{kwarg: value})
 
     def test_removal_error_names_the_offending_kwarg(self):
@@ -64,29 +58,10 @@ class TestConcurrencyConfig:
 
 
 class TestEngineWiring:
-    def test_config_reaches_the_lock_manager(self, tmp_path):
-        config = ExecutionConfig(
-            concurrency=ConcurrencyConfig(lock_stripes=4))
-        engine = ReachEngine(directory=str(tmp_path / "eng"), config=config)
-        try:
-            assert engine.locks.stripe_count == 4
-        finally:
-            engine.close()
-
     def test_defaults_apply_without_explicit_config(self, tmp_path):
         engine = ReachEngine(directory=str(tmp_path / "eng"))
         try:
-            assert engine.locks.stripe_count == 16
-            assert engine.history.lazy is True
-        finally:
-            engine.close()
-
-    def test_lazy_merge_can_be_disabled(self, tmp_path):
-        config = ExecutionConfig(
-            concurrency=ConcurrencyConfig(lazy_history_merge=False))
-        engine = ReachEngine(directory=str(tmp_path / "eng"), config=config)
-        try:
-            assert engine.history.lazy is False
+            assert engine.locks.stripe_count == DEFAULT_LOCK_STRIPES
         finally:
             engine.close()
 
@@ -102,12 +77,6 @@ class TestConcurrencyStats:
         stats = db.concurrency_stats()
         assert set(stats) == ReachDatabase.CONCURRENCY_STATS_KEYS
 
-    def test_config_echo(self, db):
-        config = db.concurrency_stats()["config"]
-        assert config == {"lock_stripes": 16, "history_segments": 8,
-                          "seqlock_stats": True,
-                          "lazy_history_merge": True}
-
     def test_lock_stats_shape(self, db):
         locks = db.concurrency_stats()["locks"]
         assert locks["stripes"] == 16
@@ -117,7 +86,6 @@ class TestConcurrencyStats:
 
     def test_history_stats_track_merge_lag(self, db):
         history = db.concurrency_stats()["history"]
-        assert history["lazy"] is True
         assert history["merge_lag"] == 0
 
     def test_statistics_embeds_concurrency(self, db):

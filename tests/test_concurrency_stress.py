@@ -331,18 +331,12 @@ class TestMultiSessionIsolation:
 
 
 class TestLazyHistoryIntegrity:
-    """ISSUE 6: lazy global-history merge must be observationally
-    equivalent to the eager per-commit merge — no lost occurrences, no
-    duplicates, one total order by global sequence number — while 16
-    sessions commit concurrently."""
+    """ISSUE 6: the lazy global-history merge loses no occurrence,
+    duplicates none and yields one total order by global sequence number
+    while 16 sessions commit concurrently."""
 
-    def _run_workload(self, tmp_path, name, lazy):
-        from repro import ConcurrencyConfig
-
-        config = ExecutionConfig(
-            concurrency=ConcurrencyConfig(lazy_history_merge=lazy,
-                                          history_segments=8))
-        engine = ReachEngine(directory=str(tmp_path / name), config=config)
+    def _run_workload(self, tmp_path, name):
+        engine = ReachEngine(directory=str(tmp_path / name))
         try:
             engine.register_class(Counter)
             engine.rule("observe", HIT, action=lambda ctx: None,
@@ -380,12 +374,10 @@ class TestLazyHistoryIntegrity:
             engine.close()
 
     def test_lazy_merge_loses_and_duplicates_nothing(self, tmp_path):
-        lazy_hits, lag, stats = self._run_workload(tmp_path, "lazy",
-                                                   lazy=True)
+        lazy_hits, lag, stats = self._run_workload(tmp_path, "lazy")
         expected = SESSIONS * SESSION_ROUNDS
         # Commits only enqueued pending markers; the scan-merge ran at
         # read time, batched over every commit since the last read.
-        assert stats["lazy"] is True
         assert stats["deferred_requests"] > 0
         assert stats["merge_lag"] == 0   # drained by the read
 
@@ -395,9 +387,3 @@ class TestLazyHistoryIntegrity:
         assert len(set(seqs)) == expected          # no duplicates
         # ...in one total order by global sequence number.
         assert seqs == sorted(seqs)
-
-        # And observationally equivalent to the eager reference run.
-        eager_hits, __, eager_stats = self._run_workload(
-            tmp_path, "eager", lazy=False)
-        assert eager_stats["lazy"] is False
-        assert len(eager_hits) == len(lazy_hits) == expected

@@ -51,8 +51,8 @@ class TestGlobalHistory:
         local_a.record(in_tx1_a)
         local_a.record(in_tx2)
         local_b.record(in_tx1_b)
-        added = global_history.merge_transaction(1)
-        assert added == 2
+        global_history.merge_transaction(1)
+        assert global_history.drain() == 2
         assert set(global_history.entries()) == {in_tx1_a, in_tx1_b}
 
     def test_merge_is_idempotent(self):
@@ -60,8 +60,10 @@ class TestGlobalHistory:
         local = LocalHistory("a")
         global_history.attach_source(local)
         local.record(occ(1.0, tx=1))
-        assert global_history.merge_transaction(1) == 1
-        assert global_history.merge_transaction(1) == 0
+        global_history.merge_transaction(1)
+        assert global_history.drain() == 1
+        global_history.merge_transaction(1)
+        assert global_history.drain() == 0
         assert len(global_history) == 1
 
     def test_global_order_is_by_sequence(self):
@@ -85,8 +87,10 @@ class TestGlobalHistory:
         global_history.attach_source(local)
         temporal = occ(5.0, tx=None)
         local.record(temporal)
-        assert global_history.merge_transaction(1) == 0
-        assert global_history.merge_transactionless() == 1
+        global_history.merge_transaction(1)
+        assert global_history.drain() == 0
+        global_history.merge_transactionless()
+        assert global_history.drain() == 1
 
     def test_iter_transaction_view(self):
         global_history = GlobalHistory()
@@ -127,7 +131,8 @@ class TestConcurrency:
             thread.start()
         for thread in threads:
             thread.join()
-        assert global_history.merge_transaction(1) == 800
+        global_history.merge_transaction(1)
+        assert global_history.drain() == 800
 
     def test_central_history_is_equivalent_functionally(self):
         central = CentralHistory()

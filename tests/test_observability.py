@@ -9,10 +9,8 @@ Covers the PR-1 acceptance criteria:
 * zero-cost disabled path: a disabled registry/tracer hands out shared
   null instruments and records nothing;
 * the frozen ``statistics()`` key set, consistent before any transaction;
-* the fluent rule builder and the deprecation shims of the API redesign.
+* the fluent rule builder and the curated package surface.
 """
-
-import warnings
 
 import pytest
 
@@ -495,25 +493,8 @@ class TestFluentBuilder:
 
 
 class TestDeprecatedReachIns:
-    def test_top_level_internal_import_warns(self):
-        import repro
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            service_cls = repro.EventService
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        from repro.core.eca_manager import EventService
-        assert service_cls is EventService
-
-    def test_core_internal_import_warns(self):
-        import repro.core
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            composer_cls = repro.core.Composer
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        from repro.core.composer import Composer
-        assert composer_cls is Composer
+    """Engine internals are not attributes of the package; the curated
+    ``__all__`` is the surface."""
 
     def test_unknown_attribute_still_raises(self):
         import repro

@@ -422,7 +422,8 @@ class TestCutMidCommit:
             client = connect(server)
             client.begin()
             client.put("Ghost", {"v": 1})
-            # Cut the connection before the commit request is read.
+            # The commit request arrives; the connection is cut before
+            # it is processed.
             db.engine.faults.arm("server.read", nth=1)
             with pytest.raises(ConnectionClosedError):
                 client.commit()

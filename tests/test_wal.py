@@ -36,7 +36,7 @@ class TestAppendAndScan:
 
     def test_records_round_trip(self, wal):
         record = LogRecord(LogRecordType.UPDATE, tx_id=9, oid_value=4,
-                           before=b"old", after=b"new")
+                           after=b"new")
         wal.append(record)
         wal.flush()
         scanned = list(wal.iter_records())
@@ -45,8 +45,18 @@ class TestAppendAndScan:
         assert got.type is LogRecordType.UPDATE
         assert got.tx_id == 9
         assert got.oid_value == 4
-        assert got.before == b"old"
         assert got.after == b"new"
+
+    def test_frame_with_a_before_image_still_decodes(self):
+        # Logs written before the log became redo-only carry a "b" key.
+        from repro.storage.serializer import serialize
+        old = serialize({"t": "update", "x": 9, "l": 3, "o": 4,
+                         "b": b"old", "a": b"new", "p": {}})
+        got = LogRecord.decode(old)
+        assert got.type is LogRecordType.UPDATE
+        assert (got.tx_id, got.lsn, got.oid_value) == (9, 3, 4)
+        assert got.after == b"new"
+        assert not hasattr(got, "before")
 
     def test_unflushed_records_are_not_durable(self, wal, tmp_path):
         wal.append(LogRecord(LogRecordType.BEGIN, tx_id=1))
