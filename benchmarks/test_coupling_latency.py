@@ -13,7 +13,7 @@ import pytest
 from repro import (
     CouplingMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 
@@ -30,7 +30,7 @@ MODES = list(CouplingMode)
 
 
 def _database(tmp_path, mode):
-    db = ReachDatabase(directory=str(tmp_path))
+    db = ReachEngine(directory=str(tmp_path))
     db.register_class(Gauge)
     db.rule("probe", READ, action=lambda ctx: None, coupling=mode)
     return db
@@ -52,7 +52,7 @@ def test_coupling_mode_cost(benchmark, tmp_path, mode):
 
 
 def test_baseline_no_rules(benchmark, tmp_path):
-    db = ReachDatabase(directory=str(tmp_path / "none"))
+    db = ReachEngine(directory=str(tmp_path / "none"))
     db.register_class(Gauge)
     gauge = Gauge()
 

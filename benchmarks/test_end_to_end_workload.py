@@ -21,7 +21,7 @@ from repro import (
     ExecutionConfig,
     ExecutionMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
 )
 from repro.bench.workloads import PowerPlantWorkload, Reactor, River
 
@@ -33,7 +33,7 @@ def _database(tmp_path, threaded=False):
     config = ExecutionConfig(
         mode=ExecutionMode.THREADED if threaded
         else ExecutionMode.SYNCHRONOUS)
-    db = ReachDatabase(directory=str(tmp_path), config=config)
+    db = ReachEngine(directory=str(tmp_path), config=config)
     db.register_class(River)
     db.register_class(Reactor)
     return db

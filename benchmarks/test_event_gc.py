@@ -21,7 +21,7 @@ import pytest
 from repro import (
     CouplingMode,
     EventScope,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     sentried,
@@ -36,7 +36,7 @@ class Spout:
 
 def _database(tmp_path, validity):
     from repro import MethodEventSpec
-    db = ReachDatabase(directory=str(tmp_path))
+    db = ReachEngine(directory=str(tmp_path))
     db.register_class(Spout)
     spec = Sequence(MethodEventSpec("Spout", "drip"),
                     SignalEventSpec("never")) \
@@ -94,7 +94,7 @@ def test_unbounded_growth_without_gc(benchmark, tmp_path, results_report):
 
 def test_single_tx_composites_die_at_eot(benchmark, tmp_path):
     from repro import MethodEventSpec
-    db = ReachDatabase(directory=str(tmp_path / "eot"))
+    db = ReachEngine(directory=str(tmp_path / "eot"))
     db.register_class(Spout)
     spec = Sequence(MethodEventSpec("Spout", "drip"),
                     SignalEventSpec("never"))

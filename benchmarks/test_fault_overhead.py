@@ -19,7 +19,7 @@ hits both sides equally, and the comparison uses each side's best round.
 
 import time
 
-from repro import ExecutionConfig, MethodEventSpec, ReachDatabase, sentried
+from repro import ExecutionConfig, MethodEventSpec, ReachEngine, sentried
 
 EVENTS_PER_ROUND = 100
 ROUNDS = 40
@@ -50,8 +50,8 @@ class _Tally:
 
 
 def _database(tmp_path, fault_injection, probe_cls, tally):
-    db = ReachDatabase(directory=str(tmp_path),
-                       config=ExecutionConfig(fault_injection=fault_injection,
+    db = ReachEngine(directory=str(tmp_path),
+                     config=ExecutionConfig(fault_injection=fault_injection,
                                               history_capacity=256))
     db.register_class(probe_cls)
 

@@ -10,7 +10,7 @@ is present.  The benchmark times a cold boot of the whole architecture.
 
 import pytest
 
-from repro import ReachDatabase
+from repro import ReachEngine
 
 
 EXPECTED_POLICY_MANAGERS = [
@@ -32,7 +32,7 @@ EXPECTED_SUPPORT_MODULES = [
 
 
 def test_figure1_reproduction(benchmark, tmp_path, results_report):
-    db = ReachDatabase(directory=str(tmp_path / "f1"))
+    db = ReachEngine(directory=str(tmp_path / "f1"))
     inventory = db.architecture_inventory()
     managers = inventory["policy_managers"]
     support = inventory["support_modules"]
@@ -59,7 +59,7 @@ def test_figure1_reproduction(benchmark, tmp_path, results_report):
 
     def boot_and_close():
         import tempfile
-        instance = ReachDatabase(directory=tempfile.mkdtemp(prefix="f1b-"))
+        instance = ReachEngine(directory=tempfile.mkdtemp(prefix="f1b-"))
         instance.close()
 
     benchmark(boot_and_close)

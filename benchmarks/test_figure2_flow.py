@@ -17,7 +17,7 @@ import pytest
 from repro import (
     CouplingMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     sentried,
@@ -67,7 +67,7 @@ def _traced_database(tmp_path, trace):
     CompositeECAManager.feed = traced_feed
     CompositeECAManager.handle_composite = traced_handle_composite
 
-    db = ReachDatabase(directory=str(tmp_path))
+    db = ReachEngine(directory=str(tmp_path))
     db.register_class(Boiler)
     db.rule("direct", HEAT,
             action=lambda ctx: trace.append("fire -> Rule('direct')"))
@@ -123,15 +123,15 @@ def test_figure2_reproduction(benchmark, tmp_path, results_report):
     # (close the traced database first so its detectors are gone).
     db.close()
     import tempfile
-    db2 = ReachDatabase(directory=tempfile.mkdtemp(prefix="f2b-"))
+    db2 = ReachEngine(directory=tempfile.mkdtemp(prefix="f2b-"))
     db2.register_class(Boiler)
     db2.rule("direct", HEAT, action=lambda ctx: None)
     db2.rule("on-composite", Sequence(HEAT, SignalEventSpec("confirm")),
              action=lambda ctx: None, coupling=CouplingMode.DEFERRED)
     boiler = Boiler()
-    tx = db2.begin()
+    tx = db2.tx_manager.begin()
 
     benchmark(boiler.heat, 10)
 
-    db2.abort(tx)
+    db2.tx_manager.abort(tx)
     db2.close()

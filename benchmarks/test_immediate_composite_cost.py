@@ -30,7 +30,7 @@ from repro import (
     ExecutionConfig,
     ExecutionMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     sentried,
@@ -50,7 +50,7 @@ PUSH = MethodEventSpec("Feed", "push")
 
 def _database(tmp_path, wait_for_composers: bool):
     config = ExecutionConfig(mode=ExecutionMode.THREADED, worker_threads=2)
-    db = ReachDatabase(directory=str(tmp_path), config=config)
+    db = ReachEngine(directory=str(tmp_path), config=config)
     db.register_class(Feed)
     # Composers whose evaluation is deliberately non-trivial: each guards
     # a deferred rule on (push ; signal-i).
@@ -91,9 +91,9 @@ def _caller_latency(db, rounds=30):
 def test_reach_go_ahead(benchmark, tmp_path):
     db = _database(tmp_path / "async", wait_for_composers=False)
     feed = Feed()
-    tx = db.begin()
+    tx = db.tx_manager.begin()
     benchmark.pedantic(feed.push, args=(1,), rounds=50, iterations=1)
-    db.abort(tx)
+    db.tx_manager.abort(tx)
     db.wait_for_composition()
     db.close()
 
@@ -101,9 +101,9 @@ def test_reach_go_ahead(benchmark, tmp_path):
 def test_rejected_wait_for_negative_ack(benchmark, tmp_path):
     db = _database(tmp_path / "sync", wait_for_composers=True)
     feed = Feed()
-    tx = db.begin()
+    tx = db.tx_manager.begin()
     benchmark.pedantic(feed.push, args=(1,), rounds=50, iterations=1)
-    db.abort(tx)
+    db.tx_manager.abort(tx)
     db.close()
 
 

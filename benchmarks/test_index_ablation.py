@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro import ReachDatabase, sentried
+from repro import ReachEngine, sentried
 
 
 @sentried
@@ -36,7 +36,7 @@ def _populate(db, count):
 
 
 def _database(tmp_path, count, hash_index=False, ordered_index=False):
-    db = ReachDatabase(directory=str(tmp_path), buffer_capacity=512)
+    db = ReachEngine(directory=str(tmp_path), buffer_capacity=512)
     db.register_class(Part)
     _populate(db, count)
     if hash_index:

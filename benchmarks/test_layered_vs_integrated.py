@@ -22,7 +22,7 @@ Reported:
 
 import pytest
 
-from repro import CouplingMode, MethodEventSpec, ReachDatabase, sentried
+from repro import CouplingMode, MethodEventSpec, ReachEngine, sentried
 from repro.bench.workloads import PowerPlantWorkload
 from repro.core.coupling import SUPPORT_MATRIX
 from repro.layered import ClosedOODB, LayeredActiveDBMS, LayeredRule
@@ -48,7 +48,7 @@ class IntegratedRiver:
 
 
 def _integrated_db(tmp_path):
-    db = ReachDatabase(directory=str(tmp_path))
+    db = ReachEngine(directory=str(tmp_path))
     db.register_class(IntegratedRiver)
     fired = []
     db.rule("wl", MethodEventSpec("IntegratedRiver", "update_water_level",

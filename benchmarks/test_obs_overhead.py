@@ -27,7 +27,7 @@ Methodology, tuned for a noisy shared machine:
 import threading
 import time
 
-from repro import ExecutionConfig, MethodEventSpec, ReachDatabase, sentried
+from repro import ExecutionConfig, MethodEventSpec, ReachEngine, sentried
 from repro.obs.export import TelemetryExporter
 from repro.obs.flight import NULL_FLIGHT
 
@@ -80,8 +80,8 @@ class _Tally:
 
 
 def _database(tmp_path, observability, probe_cls, tally, **config_kwargs):
-    db = ReachDatabase(directory=str(tmp_path),
-                       config=ExecutionConfig(observability=observability,
+    db = ReachEngine(directory=str(tmp_path),
+                     config=ExecutionConfig(observability=observability,
                                               history_capacity=256,
                                               **config_kwargs))
     db.register_class(probe_cls)

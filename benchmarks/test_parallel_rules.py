@@ -22,7 +22,7 @@ from repro import (
     ExecutionConfig,
     ExecutionMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 
@@ -43,7 +43,7 @@ def _database(tmp_path, parallel: bool, rules: int, action_cost: float,
         else ExecutionMode.SYNCHRONOUS,
         parallel_rules=parallel, worker_threads=max(4, rules),
         observability=observability)
-    db = ReachDatabase(directory=str(tmp_path), config=config)
+    db = ReachEngine(directory=str(tmp_path), config=config)
     db.register_class(Trigger)
 
     def action(ctx):

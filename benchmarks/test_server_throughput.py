@@ -28,7 +28,7 @@ hardware.
 import threading
 import time
 
-from repro import ExecutionConfig, ReachDatabase
+from repro import ExecutionConfig, ReachEngine
 from repro.config import ServerConfig
 from repro.server import ReachClient, ReachServer
 
@@ -45,9 +45,9 @@ def _percentile(values, fraction):
 
 def test_server_throughput_concurrent_clients(tmp_path,
                                               bench_server_report):
-    db = ReachDatabase(directory=str(tmp_path / "bench-db"))
+    db = ReachEngine(directory=str(tmp_path / "bench-db"))
     server = ReachServer(
-        db.engine,
+        db,
         ServerConfig(accept_backlog=max(256, CLIENTS * 2))).start()
     host, port = server.address
     errors = []

@@ -20,7 +20,7 @@ from repro import (
     EventCategory,
     EventScope,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     SignalEventSpec,
     sentried,
 )
@@ -50,7 +50,7 @@ def _behavioural_matrix() -> dict:
     """Try to register a rule for every cell; record what the DB allows."""
     observed = {}
     counter = 0
-    db = ReachDatabase()
+    db = ReachEngine()
     db.register_class(Widget)
     try:
         for mode in CouplingMode:

@@ -28,7 +28,7 @@ ratios was stable within about one percent across repeated runs.
 
 import time
 
-from repro import ExecutionConfig, MethodEventSpec, ReachDatabase, sentried
+from repro import ExecutionConfig, MethodEventSpec, ReachEngine, sentried
 
 EVENTS_PER_ROUND = 100
 ROUNDS = 50
@@ -61,8 +61,8 @@ class _Tally:
 
 
 def _database(tmp_path, observability, probe_cls, tally, **config_kwargs):
-    db = ReachDatabase(directory=str(tmp_path),
-                       config=ExecutionConfig(observability=observability,
+    db = ReachEngine(directory=str(tmp_path),
+                     config=ExecutionConfig(observability=observability,
                                               history_capacity=256,
                                               **config_kwargs))
     db.register_class(probe_cls)
@@ -182,7 +182,7 @@ def test_detection_latency_slo_records_p50_p99(
     assert slo["exemplars"], "slow buckets must carry trace-id exemplars"
     exemplar = slo["exemplars"][0]
     assert exemplar["trace_id"] is not None
-    assert db.engine.trace(exemplar["trace_id"]) is not None
+    assert db.trace(exemplar["trace_id"]) is not None
     # The labelled series exists alongside the headline one.
     labelled = histograms["slo.detection_latency.probe-rule.immediate"]
     assert labelled["count"] == events

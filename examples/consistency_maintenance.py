@@ -26,7 +26,7 @@ from repro import (
     FlowEventKind,
     FlowEventSpec,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     StateChangeEventSpec,
     sentried,
 )
@@ -51,7 +51,7 @@ class Part:
 
 
 def main():
-    db = ReachDatabase()
+    db = ReachEngine()
     db.register_class(Supplier)
     db.register_class(Part)
 

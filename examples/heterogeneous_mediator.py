@@ -25,7 +25,7 @@ from repro import (
     CouplingMode,
     EventScope,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     SignalEventSpec,
     sentried,
 )
@@ -54,11 +54,11 @@ class SouthPlantLegacy:
 
 
 def main():
-    north_db = ReachDatabase()
+    north_db = ReachEngine()
     north_db.register_class(NorthPlant)
     legacy = LayeredActiveDBMS(ClosedOODB(license_seats=2))
     ActiveSouth = legacy.activate_class(SouthPlantLegacy)
-    mediator = ReachDatabase()
+    mediator = ReachEngine()
 
     # -- links: one per source, heterogeneous adapters -------------------
     link_events(

@@ -29,7 +29,7 @@ from repro import (
     ExecutionMode,
     History,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 from repro.core.rule_library import AuditRule, ConstraintRule, \
@@ -63,7 +63,7 @@ LINK_FAIL = MethodEventSpec("Link", "fail")
 
 def main():
     config = ExecutionConfig(mode=ExecutionMode.THREADED, worker_threads=4)
-    db = ReachDatabase(config=config)
+    db = ReachEngine(config=config)
     db.register_class(Link)
     db.register_class(StatusBoard)
 

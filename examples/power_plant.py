@@ -26,7 +26,7 @@ from repro import (
     MethodEventSpec,
     MilestoneEventSpec,
     Negation,
-    ReachDatabase,
+    ReachEngine,
     SignalEventSpec,
     sentried,
 )
@@ -55,7 +55,7 @@ class ControlRoom:
 
 
 def main():
-    db = ReachDatabase()
+    db = ReachEngine()
     db.register_class(River)
     db.register_class(Reactor)
     db.register_class(ControlRoom)
@@ -87,10 +87,10 @@ def main():
             action=lambda ctx: ctx.db.fetch("ControlRoom").alert(
                 f"milestone {ctx['label']!r} missed - invoke contingency"),
             coupling=CouplingMode.DETACHED)
-    tx = db.begin(deadline=db.clock.now() + 100)
+    tx = db.tx_manager.begin(deadline=db.clock.now() + 100)
     db.set_milestone("pump-swap", at=db.clock.now() + 40)
     db.clock.advance(50)                       # deadline passes mid-work
-    db.commit(tx)
+    db.tx_manager.commit(tx)
     db.drain_detached()
 
     # --- 3. Negation: unacknowledged alert escalates -------------------

@@ -21,7 +21,7 @@ from repro import (
     CouplingMode,
     ExecutionConfig,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 
@@ -45,7 +45,7 @@ class Thermostat:
 def main():
     # Transient database in a temp directory; observability on so the
     # session can be inspected with db.trace() afterwards.
-    db = ReachDatabase(config=ExecutionConfig(observability=True))
+    db = ReachEngine(config=ExecutionConfig(observability=True))
     db.register_class(Thermostat)
 
     # ECA rule: Event  = after Thermostat.read_temperature

@@ -24,7 +24,7 @@ from repro import (
     EventScope,
     History,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     sentried,
@@ -35,7 +35,7 @@ TICK = MethodEventSpec("Stock", "tick", param_names=("price",))
 
 
 def main():
-    db = ReachDatabase()
+    db = ReachEngine()
     db.register_class(Stock)
 
     signals = []

@@ -27,7 +27,7 @@ from repro import (
     CouplingMode,
     EventScope,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     sentried,
 )
@@ -57,7 +57,7 @@ APPROVE = MethodEventSpec("OrderDesk", "approve",
 
 
 def main():
-    db = ReachDatabase()
+    db = ReachEngine()
     db.register_class(OrderDesk)
     desk = OrderDesk()
     with db.transaction():

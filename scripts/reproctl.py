@@ -3,7 +3,7 @@
 
 Start the engine with an admin port::
 
-    db = ReachDatabase(config=ExecutionConfig(admin_port=8787))
+    engine = ReachEngine(config=ExecutionConfig(admin_port=8787))
 
 then, from any shell (stdlib + the repro wire codec — the script adds
 ``src/`` to its path, no install needed)::

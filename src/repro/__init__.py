@@ -3,11 +3,11 @@ Zimmermann, Blakeley & Wells (ICDE 1995).
 
 Public API highlights:
 
-* :class:`ReachDatabase` — the integrated active OODBMS facade: one
-  :class:`ReachEngine` plus one default :class:`Session`.
-* :class:`ReachEngine` / :class:`Session` — the layered kernel and the
-  per-client scope; open many sessions over one engine for concurrent
-  clients.
+* :class:`ReachEngine` — the integrated active OODBMS: one kernel owning
+  every subsystem; ``engine.transaction()`` serves an embedded client.
+* :class:`Session` — the per-client scope; open many sessions over one
+  engine for concurrent clients.  A sharded topology is
+  ``repro.core.sharding.ShardedEngine``, serving :class:`ShardedSession`.
 * :func:`sentried` — the sentry mechanism (transparent event detection).
 * Event specs (:class:`MethodEventSpec`, temporal specs, ...), the event
   algebra (:class:`Sequence`, :class:`Conjunction`, ...), consumption
@@ -15,11 +15,11 @@ Public API highlights:
 * :class:`ExecutionConfig` / :class:`ExecutionMode` — synchronous vs
   threaded execution.
 * Observability (``repro.obs``): :class:`Tracer`/:class:`Trace`/
-  :class:`Span` and :class:`MetricsRegistry`, surfaced on the facade as
-  ``db.trace()`` and ``db.metrics()`` when
+  :class:`Span` and :class:`MetricsRegistry`, surfaced on the engine as
+  ``engine.trace()`` and ``engine.metrics()`` when
   ``ExecutionConfig(observability=True)``.
 * :class:`RuleBuilder` — the fluent form of rule definition, started
-  with ``db.on(event)``.
+  with ``engine.on(event)``.
 * ``repro.layered`` — the Section 4 baseline: an active layer on top of a
   simulated closed commercial OODBMS.
 
@@ -50,7 +50,6 @@ from repro.core.algebra import (
 )
 from repro.core.consumption import ConsumptionPolicy
 from repro.core.coupling import CouplingMode, is_supported, supported_modes
-from repro.core.database import ReachDatabase
 from repro.core.engine import ReachEngine
 from repro.core.session import Session, ShardedSession
 from repro.core.events import (
@@ -101,7 +100,6 @@ __all__ = [
     "CouplingMode",
     "is_supported",
     "supported_modes",
-    "ReachDatabase",
     "ReachEngine",
     "Session",
     "ShardedSession",

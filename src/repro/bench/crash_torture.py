@@ -15,7 +15,7 @@ Two levels:
 * :func:`run_storage_torture` drives the :class:`StorageManager`
   directly — raw OID images, interleaved commits and in-flight writes,
   a deliberate abort;
-* :func:`run_database_torture` drives a full :class:`ReachDatabase` —
+* :func:`run_database_torture` drives a full :class:`ReachEngine` —
   named sentried objects across user transactions, checking fetch-by-
   name, ``ObjectNotFoundError`` for not-yet-committed state, OID
   allocator monotonicity, and index consistency after each recovery.
@@ -48,7 +48,8 @@ from repro.core.algebra import (
 from repro.core.composer import Composer
 from repro.core.consumption import ConsumptionPolicy
 from repro.core.coupling import CouplingMode
-from repro.core.database import ReachDatabase
+from repro.core.engine import ReachEngine
+from repro.core.sharding import ShardedEngine
 from repro.core.events import EventOccurrence, SignalEventSpec
 from repro.errors import ObjectNotFoundError, RecordNotFoundError
 from repro.obs.flight import FlightRecorder, latest_dump, load_dump
@@ -590,7 +591,7 @@ def run_database_torture(root: str, group_commit: bool = False) -> TortureReport
     """
     config = ExecutionConfig(group_commit=group_commit, commit_wait_us=0.0)
     base_dir = os.path.join(root, "db-base")
-    db = ReachDatabase(directory=base_dir, config=config)
+    db = ReachEngine(directory=base_dir, config=config)
     db.register_class(TortureRecord)
     objs = {name: TortureRecord(name) for name in ("alpha", "beta", "gamma")}
     with db.transaction():
@@ -653,7 +654,7 @@ def run_database_torture(root: str, group_commit: bool = False) -> TortureReport
         committed = len(_winner_ids(records))
         state = expected[committed]
         directory = _materialize(root, index, base_image, prefix)
-        recovered = ReachDatabase(directory=directory, config=config)
+        recovered = ReachEngine(directory=directory, config=config)
         try:
             recovered.register_class(TortureRecord)
             survivors = []
@@ -845,7 +846,7 @@ def _run_composer_case(root: str, case: str, spec, stream: list[str],
     Returns the workload's base directory (its files are the crash image).
     """
     base_dir = os.path.join(root, f"ct-{case.replace(':', '-')}")
-    db = ReachDatabase(directory=base_dir)
+    db = ReachEngine(directory=base_dir)
     db.rule(f"ct-{case}", spec, action=lambda ctx: None,
             coupling=CouplingMode.DETACHED)
 
@@ -856,21 +857,21 @@ def _run_composer_case(root: str, case: str, spec, stream: list[str],
         live_seq_to_index[occurrence.seq] = cursor["index"]
 
     for leaf in set(spec.leaves()):
-        db.engine.events.primitive_manager(leaf).add_listener(live_listener)
+        db.events.primitive_manager(leaf).add_listener(live_listener)
 
     # The pre-stream checkpoint: compaction emits the (empty) composer
     # snapshot, and its LSN marks "zero events covered".
     db.checkpoint()
     base_image = _read_file(os.path.join(base_dir, StorageManager.DATA_FILE))
     lsn_to_index = {
-        db.engine.storage.wal_stats()["last_composer_checkpoint_lsn"]: 0}
+        db.storage.wal_stats()["last_composer_checkpoint_lsn"]: 0}
 
     for index, kind in enumerate(stream, 1):
         cursor["index"] = index
         with db.transaction():
             db.signal(_CT_NAMES[kind])
         db.drain_detached()
-        lsn = db.engine.storage.wal_stats()["last_composer_checkpoint_lsn"]
+        lsn = db.storage.wal_stats()["last_composer_checkpoint_lsn"]
         if lsn in lsn_to_index:
             raise AssertionError(
                 f"{case}: commit of event {index} emitted no composer "
@@ -904,7 +905,7 @@ def _run_composer_case(root: str, case: str, spec, stream: list[str],
         directory = _materialize(
             os.path.join(root, f"ct-cuts-{case.replace(':', '-')}"),
             cut_index, base_image, prefix)
-        recovered = ReachDatabase(directory=directory)
+        recovered = ReachEngine(directory=directory)
         fired: list[EventOccurrence] = []
         try:
             recovered.rule(f"ct-{case}", spec,
@@ -920,7 +921,7 @@ def _run_composer_case(root: str, case: str, spec, stream: list[str],
                 __map[occurrence.seq] = __cur["index"]
 
             for leaf in set(spec.leaves()):
-                recovered.engine.events.primitive_manager(
+                recovered.events.primitive_manager(
                     leaf).add_listener(recovery_listener)
             for index in range(covered + 1, len(stream) + 1):
                 recovery_cursor["index"] = index
@@ -990,19 +991,19 @@ def _run_sharded_composer_case(root: str,
     base_dir = os.path.join(root, "ct-sharded-base")
     crash_dir = os.path.join(root, "ct-sharded-crash")
     fired: list[str] = []
-    db = ReachDatabase(directory=base_dir, config=config)
-    a_name, b_name = _sharded_signal_names(db.engine.shard_map, [0, 1])
+    db = ShardedEngine(directory=base_dir, config=config)
+    a_name, b_name = _sharded_signal_names(db.shard_map, [0, 1])
     spec = Sequence(SignalEventSpec(a_name), SignalEventSpec(b_name))
     db.rule("ct-sharded", spec, action=lambda ctx: fired.append("live"),
             coupling=CouplingMode.DEFERRED)
-    victim = db.engine.create_session("ct-victim")
-    witness = db.engine.create_session("ct-witness")
+    victim = db.create_session("ct-victim")
+    witness = db.create_session("ct-witness")
     victim_tx = victim.transaction()
     victim_tx.__enter__()
-    db.engine.signal(a_name)           # half-match inside the open group
+    db.signal(a_name)                  # half-match inside the open group
     with witness.transaction():
         pass                           # commit boundary -> checkpoint
-    for shard in db.engine.shards:
+    for shard in db.shards:
         shard.storage.flush()
     # The on-disk state *is* the crash image: copy it while the victim
     # transaction is still open, exactly what a power cut preserves.
@@ -1014,12 +1015,12 @@ def _run_sharded_composer_case(root: str,
     if fired:
         raise AssertionError("sharded half-match completed prematurely")
 
-    recovered = ReachDatabase(directory=crash_dir, config=config)
+    engine = ShardedEngine(directory=crash_dir, config=config)
     try:
-        recovered.rule("ct-sharded", spec,
-                       action=lambda ctx: fired.append("recovered"),
-                       coupling=CouplingMode.DEFERRED)
-        engine = recovered.engine
+        engine.rule("ct-sharded", spec,
+                    action=lambda ctx: fired.append("recovered"),
+                    coupling=CouplingMode.DEFERRED)
+        session = engine.create_session("ct-recovered")
         home = engine.shards[engine.shard_for_key(spec.key())]
         composer = home.events.composite_manager(
             spec, wire_leaves=False).composer
@@ -1033,16 +1034,16 @@ def _run_sharded_composer_case(root: str,
         # (b) the ghost's terminator arrives in a *new* transaction: the
         # dead group must not complete, and same-tx scope keeps the new
         # transaction from pairing with it.
-        with recovered.transaction():
-            recovered.signal(b_name)
+        with session.transaction():
+            session.signal(b_name)
         if fired:
             raise AssertionError(
                 "a dead pre-crash group completed after recovery")
         # (c) a fresh same-transaction pair must compose exactly once
         # alongside the restored ghost.
-        with recovered.transaction():
-            recovered.signal(a_name)
-            recovered.signal(b_name)
+        with session.transaction():
+            session.signal(a_name)
+            session.signal(b_name)
         report.sharded_recovered_fired = len(fired)
         if report.sharded_recovered_fired != 1:
             raise AssertionError(
@@ -1054,7 +1055,7 @@ def _run_sharded_composer_case(root: str,
         if any(isinstance(group, frozenset) for group in composer.groups()):
             raise AssertionError("ghost group survived the group sweep")
     finally:
-        recovered.close()
+        engine.close()
 
 
 def run_composer_torture(

@@ -41,12 +41,13 @@ class ShardingConfig:
 
     Attributes:
         shards: number of :class:`~repro.core.engine.ReachEngine` kernels
-            the database runs.  1 (the default) builds the classic
+            the database runs.  1 (the default) is the classic
             single-kernel engine with no coordinator in the path.  Above
-            1, :class:`~repro.core.sharding.ShardedEngine` owns one kernel
-            per shard with disjoint OID ranges, routes object access by
-            OID block and events by spec home, and sessions become
-            :class:`~repro.core.session.ShardedSession`.
+            1, build a :class:`~repro.core.sharding.ShardedEngine`: it owns
+            one kernel per shard with disjoint OID ranges, routes object
+            access by OID block and events by spec home, and its sessions
+            are :class:`~repro.core.session.ShardedSession`.  A plain
+            ``ReachEngine`` given ``shards > 1`` raises ``ValueError``.
         oid_range_size: width of one contiguous OID block owned by a
             single shard (see :func:`repro.oodb.oid.route`).  Changing it
             on an existing on-disk database re-homes every object, so it
@@ -142,7 +143,8 @@ class ServerConfig:
 
 @dataclass
 class ExecutionConfig:
-    """Tunable knobs for a :class:`~repro.core.database.ReachDatabase`.
+    """Tunable knobs for a :class:`~repro.core.engine.ReachEngine` or
+    :class:`~repro.core.sharding.ShardedEngine`.
 
     Attributes:
         mode: synchronous (deterministic) or threaded execution.
@@ -253,7 +255,7 @@ class ExecutionConfig:
             idempotency-cache capacity, frame bound, drain timeout.
             ``None`` (default) describes no server; pass a config and
             construct :class:`repro.server.ReachServer` over the
-            database (or run ``reproserve``) to serve it.
+            engine (or run ``reproserve``) to serve it.
     """
 
     mode: ExecutionMode = ExecutionMode.SYNCHRONOUS

@@ -39,7 +39,6 @@ from repro.core.coupling import (
 )
 from repro.core.rule_builder import RuleBuilder
 from repro.core.rules import Rule, RuleContext
-from repro.core.database import ReachDatabase
 from repro.core.engine import ReachEngine
 from repro.core.session import Session
 
@@ -72,7 +71,6 @@ __all__ = [
     "Rule",
     "RuleBuilder",
     "RuleContext",
-    "ReachDatabase",
     "ReachEngine",
     "Session",
 ]

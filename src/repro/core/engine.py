@@ -16,8 +16,34 @@ and nothing a session does leaks into another session — or into another
 engine in the same process (each engine has its own scoped
 :class:`~repro.oodb.sentry.SentryRegistry`).
 
-:class:`~repro.core.database.ReachDatabase` remains the friendly entry
-point: a thin facade over one engine plus one default session.
+Typical use::
+
+    from repro import CouplingMode, MethodEventSpec, ReachEngine, sentried
+
+    @sentried
+    class River:
+        def __init__(self):
+            self.level = 50
+        def update_water_level(self, x):
+            self.level = x
+
+    engine = ReachEngine()
+    engine.register_class(River)
+    engine.rule("WaterLevel",
+                event=MethodEventSpec("River", "update_water_level",
+                                      param_names=("x",)),
+                condition=lambda ctx: ctx["x"] < 37,
+                action=lambda ctx: print("reduce planned power"),
+                coupling=CouplingMode.IMMEDIATE, priority=5)
+
+    river = River()
+    with engine.transaction():
+        engine.persist(river, "Rhein")
+        river.update_water_level(30)   # fires WaterLevel
+
+A sharded topology is built by :class:`~repro.core.sharding.ShardedEngine`
+instead; both engines serve concurrent clients through
+:meth:`ReachEngine.create_session`.
 """
 
 from __future__ import annotations
@@ -26,13 +52,13 @@ import itertools
 import tempfile
 import threading
 import weakref
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Type, Union
 
 from repro.clock import Clock, VirtualClock
 from repro.config import ExecutionConfig
 from repro.core.algebra import CompositeEventSpec
-from repro.core.coupling import CouplingMode, check_supported
+from repro.core.coupling import check_supported
 from repro.core.eca_manager import (
     EventService,
     ReachRulePolicyManager,
@@ -44,8 +70,8 @@ from repro.core.events import (
     TemporalEventSpec,
     advance_occurrence_seq,
 )
-from repro.core.rule_builder import RuleBuilder
-from repro.core.rules import Action, Condition, Rule
+from repro.core.rule_builder import RuleDefinitions
+from repro.core.rules import Rule
 from repro.core.scheduler import RuleScheduler
 from repro.core.session import Session
 from repro.core.temporal import TemporalEventSource
@@ -74,11 +100,7 @@ from repro.oodb.oid import OID, ShardedOIDAllocator
 from repro.oodb.persistence import PersistencePolicyManager
 from repro.oodb.query import QueryProcessor
 from repro.oodb.sentry import SentryRegistry
-from repro.oodb.transactions import (
-    Transaction,
-    TransactionContext,
-    TransactionManager,
-)
+from repro.oodb.transactions import Transaction, TransactionManager
 
 _engine_ids = itertools.count(1)
 
@@ -116,7 +138,7 @@ class _NamedSupportModule(SupportModule):
         self.name = name
 
 
-class ReachEngine:
+class ReachEngine(RuleDefinitions):
     """The shared kernel of an integrated active OODBMS instance.
 
     Args:
@@ -158,6 +180,12 @@ class ReachEngine:
         self.directory = directory
         self.shard_id = shard_id
         self.shard_map = shard_map or ShardMap(shard_count=1)
+        if self.config.sharding.shards != self.shard_map.shard_count:
+            raise ValueError(
+                f"ExecutionConfig.sharding.shards is "
+                f"{self.config.sharding.shards}, but a ReachEngine is one "
+                f"kernel of a {self.shard_map.shard_count}-shard topology; "
+                f"build a ShardedEngine to shard the engine")
 
         # -- observability (repro.obs) -----------------------------------
         # Built first so every subsystem can bind its instruments at
@@ -363,8 +391,7 @@ class ReachEngine:
     # Sessions and scope
     # ------------------------------------------------------------------
 
-    def create_session(self, name: Optional[str] = None,
-                       thread_affine: bool = False) -> Session:
+    def create_session(self, name: Optional[str] = None) -> Session:
         """Open a new client session over this engine.
 
         Each session owns its current-transaction stack (an explicit
@@ -372,17 +399,12 @@ class ReachEngine:
         cache, and a view of the firing log; use
         ``with session.transaction():`` (or ``session.use()``) to serve
         the client from any thread.
-
-        ``thread_affine=True`` creates a session without its own context:
-        transactions resolve through the per-thread default stacks, the
-        legacy one-client-per-thread behaviour the facade's default
-        session keeps for backwards compatibility.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
             self._sessions_created += 1
-            session = Session(self, name=name, thread_affine=thread_affine)
+            session = Session(self, name=name)
             self._sessions.append(session)
         return session
 
@@ -444,19 +466,6 @@ class ReachEngine:
                     "requests": {"served": 0}}
         return server.stats()
 
-    @contextmanager
-    def activate(self, context: Optional[TransactionContext] = None) \
-            -> Iterator["ReachEngine"]:
-        """Bind this engine (and optionally a transaction context) to the
-        calling thread: sentried calls in the ``with`` body deliver to
-        this engine only, and the current transaction resolves through
-        ``context`` when one is given."""
-        with ExitStack() as stack:
-            if context is not None:
-                stack.enter_context(self.tx_manager.activate(context))
-            stack.enter_context(self.sentry_registry.bound())
-            yield self
-
     # ------------------------------------------------------------------
     # Schema
     # ------------------------------------------------------------------
@@ -487,9 +496,13 @@ class ReachEngine:
     @contextmanager
     def transaction(self, nested: Optional[bool] = None,
                     deadline: Optional[float] = None) -> Iterator[Transaction]:
-        with self.tx_manager.transaction(nested=nested,
-                                         deadline=deadline) as tx:
-            yield tx
+        """``with engine.transaction() as tx:`` on the calling thread's
+        transaction stack — commits on success, aborts on exception, and
+        binds this engine's event scope for the body."""
+        with self.sentry_registry.bound():
+            with self.tx_manager.transaction(nested=nested,
+                                             deadline=deadline) as tx:
+                yield tx
 
     def current_transaction(self) -> Optional[Transaction]:
         return self.tx_manager.current()
@@ -522,37 +535,6 @@ class ReachEngine:
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
-
-    def rule(self, name: str, event: EventSpec,
-             action: Optional[Action] = None,
-             condition: Optional[Condition] = None,
-             condition_query: Optional[str] = None,
-             coupling: CouplingMode = CouplingMode.IMMEDIATE,
-             cond_coupling: Optional[CouplingMode] = None,
-             action_coupling: Optional[CouplingMode] = None,
-             priority: int = 0, critical: bool = False,
-             enabled: bool = True, transfer_locks: bool = False,
-             description: str = "") -> Rule:
-        """Define and register one ECA rule.
-
-        The (event category, coupling mode) combination is validated
-        against Table 1 for both the condition and the action coupling;
-        unsupported combinations raise
-        :class:`~repro.errors.UnsupportedCouplingError` here, at
-        definition time.
-        """
-        rule = Rule(name=name, event=event, action=action,
-                    condition=condition, condition_query=condition_query,
-                    coupling=coupling, cond_coupling=cond_coupling,
-                    action_coupling=action_coupling, priority=priority,
-                    critical=critical, enabled=enabled,
-                    transfer_locks=transfer_locks,
-                    description=description)
-        return self.register_rule(rule)
-
-    def on(self, event: EventSpec) -> RuleBuilder:
-        """Start a fluent rule definition (terminal ``.named(name)``)."""
-        return RuleBuilder(self, event)
 
     def register_rule(self, rule: Rule, manager: Any = None) -> Rule:
         """Register a rule, building (or reusing) its ECA-manager.
@@ -590,49 +572,10 @@ class ReachEngine:
     def _subscribe_anchor(self, spec, callback) -> None:
         self.events.primitive_manager(spec).add_listener(callback)
 
-    def define_rules(self, ddl: str, persist: bool = False) -> list[Rule]:
-        """Parse REACH rule DDL (the paper's textual syntax, Section 6.1)
-        and register every rule found.
-
-        With ``persist=True`` the DDL text is stored in the catalog —
-        REACH's "rules are objects too" — and recompiled on the next open
-        by :meth:`load_persistent_rules`.
-        """
-        from repro.core.rule_language import compile_rules
-        rules = compile_rules(ddl, self)
-        for rule in rules:
-            self.register_rule(rule)
-        if persist:
-            self.dictionary.add_rule_ddl(ddl)
-            if self.tx_manager.current() is None:
-                self.persistence.flush_now()
-        return rules
-
-    def load_persistent_rules(self) -> list[Rule]:
-        """Recompile and register every rule-DDL block stored in the
-        catalog.  Application classes referenced by the rules must be
-        registered first.  Already-registered rule names are skipped."""
-        from repro.core.rule_language import compile_rules
-        loaded: list[Rule] = []
-        for ddl in self.dictionary.rule_ddl_blocks():
-            for rule in compile_rules(ddl, self):
-                if rule.name in self._rules:
-                    continue
-                self.register_rule(rule)
-                loaded.append(rule)
-        return loaded
-
     def drop_rule(self, name: str) -> None:
         with self._lock:
             rule, manager = self._rules.pop(name)
             manager.remove_rule(rule)
-
-    def get_rule(self, name: str) -> Rule:
-        return self._rules[name][0]
-
-    def rules(self) -> list[Rule]:
-        with self._lock:
-            return [rule for rule, __ in self._rules.values()]
 
     # ------------------------------------------------------------------
     # Events

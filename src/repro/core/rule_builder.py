@@ -1,11 +1,10 @@
-"""Fluent rule definition: ``db.on(event).when(...).do(...).named(...)``.
+"""Fluent rule definition: ``engine.on(event).when(...).do(...).named(...)``.
 
-The keyword form :meth:`~repro.core.database.ReachDatabase.rule` mirrors
-the paper's DDL block one argument per clause; the builder reads like the
-DDL itself::
+The keyword form :meth:`RuleDefinitions.rule` mirrors the paper's DDL
+block one argument per clause; the builder reads like the DDL itself::
 
-    db.on(MethodEventSpec("River", "update_water_level",
-                          param_names=("x",))) \
+    engine.on(MethodEventSpec("River", "update_water_level",
+                              param_names=("x",))) \
       .when(lambda ctx: ctx["x"] < 37) \
       .do(lambda ctx: reduce_power(ctx)) \
       .coupling(CouplingMode.IMMEDIATE) \
@@ -15,28 +14,110 @@ DDL itself::
 Every clause method returns the builder; :meth:`RuleBuilder.named` is the
 terminal operation — it validates the (event category, coupling mode)
 combination against Table 1 and registers the rule, exactly as
-``db.rule(...)`` would.  Nothing is registered until it is called, so an
-abandoned builder has no effect.
+``engine.rule(...)`` would.  Nothing is registered until it is called, so
+an abandoned builder has no effect.
+
+:class:`RuleDefinitions` is the one definition of ``rule`` / ``on`` /
+``define_rules`` / ``load_persistent_rules`` / ``get_rule`` / ``rules``
+that both
+:class:`~repro.core.engine.ReachEngine` and
+:class:`~repro.core.sharding.ShardedEngine` inherit.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.coupling import CouplingMode
 from repro.core.events import EventSpec
+from repro.core.rule_language import compile_rules
 from repro.core.rules import Action, Condition, Rule
 
-if TYPE_CHECKING:
-    from repro.core.database import ReachDatabase
+__all__ = ["RuleBuilder", "RuleDefinitions"]
 
-__all__ = ["RuleBuilder"]
+
+class RuleDefinitions:
+    """Rule definition shared by both engines.
+
+    Written against the host's ``register_rule``, ``_rules``, ``_lock``,
+    ``dictionary``, ``persistence`` and ``tx_manager``.  On a sharded
+    engine the last three are shard 0's: persisted rule DDL lives in shard
+    0's catalog, like the other engine-wide services.
+    """
+
+    def rule(self, name: str, event: EventSpec,
+             action: Optional[Action] = None,
+             condition: Optional[Condition] = None,
+             condition_query: Optional[str] = None,
+             coupling: CouplingMode = CouplingMode.IMMEDIATE,
+             cond_coupling: Optional[CouplingMode] = None,
+             action_coupling: Optional[CouplingMode] = None,
+             priority: int = 0, critical: bool = False,
+             enabled: bool = True, transfer_locks: bool = False,
+             description: str = "") -> Rule:
+        """Define and register one ECA rule.
+
+        The (event category, coupling mode) combination is validated
+        against Table 1 for both the condition and the action coupling;
+        unsupported combinations raise
+        :class:`~repro.errors.UnsupportedCouplingError` here, at
+        definition time.
+        """
+        rule = Rule(name=name, event=event, action=action,
+                    condition=condition, condition_query=condition_query,
+                    coupling=coupling, cond_coupling=cond_coupling,
+                    action_coupling=action_coupling, priority=priority,
+                    critical=critical, enabled=enabled,
+                    transfer_locks=transfer_locks,
+                    description=description)
+        return self.register_rule(rule)
+
+    def on(self, event: EventSpec) -> "RuleBuilder":
+        """Start a fluent rule definition (terminal ``.named(name)``)."""
+        return RuleBuilder(self, event)
+
+    def define_rules(self, ddl: str, persist: bool = False) -> list[Rule]:
+        """Parse REACH rule DDL (the paper's textual syntax, Section 6.1)
+        and register every rule found.
+
+        With ``persist=True`` the DDL text is stored in the catalog —
+        REACH's "rules are objects too" — and recompiled on the next open
+        by :meth:`load_persistent_rules`.
+        """
+        rules = compile_rules(ddl, self)
+        for rule in rules:
+            self.register_rule(rule)
+        if persist:
+            self.dictionary.add_rule_ddl(ddl)
+            if self.tx_manager.current() is None:
+                self.persistence.flush_now()
+        return rules
+
+    def load_persistent_rules(self) -> list[Rule]:
+        """Recompile and register every rule-DDL block stored in the
+        catalog.  Application classes referenced by the rules must be
+        registered first.  Already-registered rule names are skipped."""
+        loaded: list[Rule] = []
+        for ddl in self.dictionary.rule_ddl_blocks():
+            for rule in compile_rules(ddl, self):
+                if rule.name in self._rules:
+                    continue
+                self.register_rule(rule)
+                loaded.append(rule)
+        return loaded
+
+    def get_rule(self, name: str) -> Rule:
+        return self._rules[name][0]
+
+    def rules(self) -> list[Rule]:
+        with self._lock:
+            return [rule for rule, __ in self._rules.values()]
 
 
 class RuleBuilder:
     """Accumulates one rule's clauses; terminal :meth:`named` registers it."""
 
-    def __init__(self, db: "ReachDatabase", event: EventSpec):
+    def __init__(self, db: RuleDefinitions, event: EventSpec):
         self._db = db
         self._event = event
         self._condition: Optional[Condition] = None

@@ -394,7 +394,8 @@ def compile_rules(text: str, db: Any) -> list[Rule]:
 
     ``db`` is referenced by the compiled closures for ``named`` fetches;
     registration (and Table 1 validation) is the caller's job — use
-    :meth:`~repro.core.database.ReachDatabase.define_rules` normally.
+    :meth:`~repro.core.rule_builder.RuleDefinitions.define_rules`
+    normally.
     """
     rules = []
     for parsed in parse_rules(text):

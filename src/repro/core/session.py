@@ -46,25 +46,16 @@ class Session:
     Args:
         engine: the owning :class:`~repro.core.engine.ReachEngine`.
         name: label used in diagnostics; defaults to ``session-<id>``.
-        thread_affine: when True the session has *no* context of its own
-            and transactions resolve through the per-thread default
-            stacks — the legacy one-client-per-thread behaviour the
-            facade's default session keeps.  Pinning is disabled in this
-            mode (the thread-level stacks are outside the session's
-            visibility, so cache invalidation would be unreliable).
     """
 
-    def __init__(self, engine: Any, name: Optional[str] = None,
-                 thread_affine: bool = False):
+    def __init__(self, engine: Any, name: Optional[str] = None):
         self.engine = engine
         self.id = next(_session_ids)
         self.name = name or f"session-{self.id}"
-        self.thread_affine = thread_affine
-        self.context: Optional[TransactionContext] = None if thread_affine \
-            else TransactionContext(name=self.name, session_id=self.id)
+        self.context = TransactionContext(name=self.name,
+                                          session_id=self.id)
         #: fetch target -> object, held only while a transaction is open.
         self._pins: dict[Any, Any] = {}
-        self._pinning = not thread_affine
         #: serializes serving threads: a session is one client, so two
         #: threads using it concurrently queue up instead of interleaving
         #: (reentrant — transaction() binds, then fetch() binds again).
@@ -80,20 +71,13 @@ class Session:
     @contextmanager
     def use(self) -> Iterator["Session"]:
         """Bind this session to the calling thread for the ``with`` body:
-        the engine's sentry scope plus (unless thread-affine) this
-        session's transaction context."""
+        the engine's sentry scope plus this session's transaction
+        context."""
         if self._closed:
             raise RuntimeError(f"{self.name} is closed")
-        with ExitStack() as stack:
-            if self.context is not None:
-                # Thread-affine sessions skip the serving lock: they are
-                # explicitly multi-threaded (each thread has its own
-                # default transaction stack), so serializing them here
-                # would strangle legacy concurrent clients.
-                stack.enter_context(self._serving)
-                stack.enter_context(
-                    self.engine.tx_manager.activate(self.context))
-            stack.enter_context(self.engine.sentry_registry.bound())
+        with self._serving, \
+                self.engine.tx_manager.activate(self.context), \
+                self.engine.sentry_registry.bound():
             yield self
 
     # ------------------------------------------------------------------
@@ -142,9 +126,7 @@ class Session:
                 self._pins.clear()
 
     def current_transaction(self) -> Optional[Transaction]:
-        if self.context is not None:
-            return self.context.current()
-        return self.engine.tx_manager.current()
+        return self.context.current()
 
     # ------------------------------------------------------------------
     # Objects and queries
@@ -163,20 +145,14 @@ class Session:
         """
         self.stats["fetches"] += 1
         with self.use():
-            in_tx = self.current_transaction() is not None
-            if self._pinning and in_tx:
-                key = self._pin_key(target)
-                if key in self._pins:
+            if self.current_transaction() is not None:
+                if target in self._pins:
                     self.stats["pin_hits"] += 1
-                    return self._pins[key]
+                    return self._pins[target]
                 obj = self.engine.fetch(target)
-                self._pins[key] = obj
+                self._pins[target] = obj
                 return obj
             return self.engine.fetch(target)
-
-    @staticmethod
-    def _pin_key(target: Union[str, OID]) -> Any:
-        return target
 
     def delete(self, target: Union[str, OID, Any]) -> None:
         with self.use():
@@ -212,16 +188,15 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        if self.context is not None:
-            while self.context.stack:
-                tx = self.context.stack[-1]
-                try:
-                    with self.engine.tx_manager.activate(self.context):
-                        self.engine.tx_manager.abort(tx)
-                except Exception:
-                    # Already finishing elsewhere; drop it from the stack.
-                    if tx in self.context.stack:
-                        self.context.stack.remove(tx)
+        while self.context.stack:
+            tx = self.context.stack[-1]
+            try:
+                with self.engine.tx_manager.activate(self.context):
+                    self.engine.tx_manager.abort(tx)
+            except Exception:
+                # Already finishing elsewhere; drop it from the stack.
+                if tx in self.context.stack:
+                    self.context.stack.remove(tx)
         self._pins.clear()
         self.engine._forget_session(self)
 

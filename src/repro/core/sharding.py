@@ -30,9 +30,9 @@ splits the global concerns explicitly:
   (:class:`~repro.storage.replication.ReadReplica`), bounded by the
   acked (fsynced) prefix.
 
-``ShardingConfig(shards=N)`` under ``ExecutionConfig`` turns this on;
-``ReachDatabase`` builds the coordinator transparently and serves
-sharded sessions from ``create_session``.
+Build one with ``ShardedEngine(config=ExecutionConfig(
+sharding=ShardingConfig(shards=N)))`` and serve clients from
+``create_session``.
 """
 
 from __future__ import annotations
@@ -41,22 +41,19 @@ import dataclasses
 import itertools
 import os
 import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Type, Union
+from typing import Any, Callable, Optional, Type, Union
 
 from repro.clock import Clock, VirtualClock
 from repro.config import ExecutionConfig
 from repro.core.algebra import CompositeEventSpec
-from repro.core.coupling import CouplingMode
 from repro.core.engine import ReachEngine
 from repro.core.events import (
     EventOccurrence,
-    EventSpec,
     SignalEventSpec,
     TemporalEventSpec,
 )
-from repro.core.rule_builder import RuleBuilder
-from repro.core.rules import Action, Condition, Rule
+from repro.core.rule_builder import RuleDefinitions
+from repro.core.rules import Rule
 from repro.core.session import ShardedSession
 from repro.errors import ObjectNotFoundError, RuleDefinitionError
 from repro.obs.admin import AdminServer
@@ -152,15 +149,15 @@ def _merge_stats(values: list[Any]) -> Any:
     return first
 
 
-class ShardedEngine:
+class ShardedEngine(RuleDefinitions):
     """Coordinator over N OID-range-sharded :class:`ReachEngine` kernels.
 
-    Exposes the engine surface :class:`~repro.core.database.ReachDatabase`
-    and the admin endpoint expect; single-object subsystem attributes
-    (``tx_manager``, ``storage``, ``locks``, ...) delegate to shard 0 so
-    existing introspection keeps working, while the genuinely multi-shard
-    surfaces (``statistics()``, ``shard_stats()``, sessions, rules,
-    events) aggregate or route across the topology.
+    Exposes the engine surface the wire server and the admin endpoint
+    expect.  The genuinely multi-shard surfaces (``statistics()``,
+    ``shard_stats()``, sessions, rules, events) aggregate or route across
+    the topology; the few single-object services those callers read
+    (observability, catalog, the ``/locks`` and ``/wal`` views) are shard
+    0's.
 
     Args:
         directory: root directory; shard *k* lives in
@@ -247,10 +244,11 @@ class ShardedEngine:
         self._server: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    # Shard-0 delegation: the single-object subsystem surface the facade
-    # and admin endpoint wire up.  Aggregate views exist alongside
-    # (statistics, shard_stats); these keep one canonical object per
-    # attribute for callers that predate sharding.
+    # Shard-0 services.  Observability and fault points are read by the
+    # wire server and the admin endpoint; locks and storage by the admin
+    # ``/locks`` and ``/wal`` views; the catalog triple (dictionary,
+    # persistence, tx_manager) by the shared rule definitions, which keep
+    # persisted DDL in shard 0's catalog.
     # ------------------------------------------------------------------
 
     @property
@@ -274,16 +272,8 @@ class ShardedEngine:
         return self.shards[0].telemetry_pipeline
 
     @property
-    def meta(self):
-        return self.shards[0].meta
-
-    @property
     def locks(self):
         return self.shards[0].locks
-
-    @property
-    def tx_manager(self):
-        return self.shards[0].tx_manager
 
     @property
     def storage(self):
@@ -294,48 +284,12 @@ class ShardedEngine:
         return self.shards[0].dictionary
 
     @property
-    def active_space(self):
-        return self.shards[0].active_space
-
-    @property
-    def passive_space(self):
-        return self.shards[0].passive_space
-
-    @property
     def persistence(self):
         return self.shards[0].persistence
 
     @property
-    def change(self):
-        return self.shards[0].change
-
-    @property
-    def indexes(self):
-        return self.shards[0].indexes
-
-    @property
-    def query_processor(self):
-        return self.shards[0].query_processor
-
-    @property
-    def scheduler(self):
-        return self.shards[0].scheduler
-
-    @property
-    def events(self):
-        return self.shards[0].events
-
-    @property
-    def rule_pm(self):
-        return self.shards[0].rule_pm
-
-    @property
-    def temporal(self):
-        return self.shards[0].temporal
-
-    @property
-    def history(self):
-        return self.shards[0].history
+    def tx_manager(self):
+        return self.shards[0].tx_manager
 
     # ------------------------------------------------------------------
     # Routing
@@ -362,15 +316,9 @@ class ShardedEngine:
     # ------------------------------------------------------------------
 
     def create_session(self, name: Optional[str] = None,
-                       thread_affine: bool = False,
                        shards: Optional[list[int]] = None) -> ShardedSession:
-        """Open a :class:`~repro.core.session.ShardedSession`.
-
-        ``thread_affine`` is accepted for signature compatibility and
-        ignored: a sharded session always owns explicit per-shard
-        contexts (per-thread default stacks cannot span shards).
-        ``shards=[...]`` restricts the session to a subset of shards.
-        """
+        """Open a :class:`~repro.core.session.ShardedSession`;
+        ``shards=[...]`` restricts it to a subset of shards."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
@@ -409,18 +357,6 @@ class ShardedEngine:
             return {"enabled": False, "connections": {"active": 0},
                     "requests": {"served": 0}}
         return server.stats()
-
-    @contextmanager
-    def activate(self, context: Any = None) -> Iterator["ShardedEngine"]:
-        """Bind the shared sentry scope (and optionally a shard-0
-        transaction context) to the calling thread."""
-        if context is not None:
-            with self.shards[0].tx_manager.activate(context):
-                with self.sentry_registry.bound():
-                    yield self
-        else:
-            with self.sentry_registry.bound():
-                yield self
 
     # ------------------------------------------------------------------
     # Transaction groups (cross-shard composite scope)
@@ -531,28 +467,6 @@ class ShardedEngine:
     # Rules and events
     # ------------------------------------------------------------------
 
-    def rule(self, name: str, event: EventSpec,
-             action: Optional[Action] = None,
-             condition: Optional[Condition] = None,
-             condition_query: Optional[str] = None,
-             coupling: CouplingMode = CouplingMode.IMMEDIATE,
-             cond_coupling: Optional[CouplingMode] = None,
-             action_coupling: Optional[CouplingMode] = None,
-             priority: int = 0, critical: bool = False,
-             enabled: bool = True, transfer_locks: bool = False,
-             description: str = "") -> Rule:
-        rule = Rule(name=name, event=event, action=action,
-                    condition=condition, condition_query=condition_query,
-                    coupling=coupling, cond_coupling=cond_coupling,
-                    action_coupling=action_coupling, priority=priority,
-                    critical=critical, enabled=enabled,
-                    transfer_locks=transfer_locks,
-                    description=description)
-        return self.register_rule(rule)
-
-    def on(self, event: EventSpec) -> RuleBuilder:
-        return RuleBuilder(self, event)
-
     def register_rule(self, rule: Rule) -> Rule:
         """Home the rule's event on one shard and register it there.
 
@@ -599,13 +513,6 @@ class ShardedEngine:
             rule, home = self._rules.pop(name)
             home.drop_rule(name)
 
-    def get_rule(self, name: str) -> Rule:
-        return self._rules[name][0]
-
-    def rules(self) -> list[Rule]:
-        with self._lock:
-            return [rule for rule, __ in self._rules.values()]
-
     def rule_home(self, name: str) -> int:
         """The shard id a rule's event is homed on."""
         return self._rules[name][1].shard_id
@@ -614,8 +521,8 @@ class ShardedEngine:
         """Raise an explicit user signal on the signal's home shard.
 
         Span stacks are per-shard-tracer thread locals, so a caller's
-        open span (an adopted wire request lives on the facade tracer,
-        shard 0) is invisible to another shard's tracer; a hop span
+        open span (an adopted wire request lives on the coordinator's
+        tracer, shard 0's) is invisible to another shard's tracer; a hop span
         re-pins the caller's trace on the home shard so the detection
         cascade lands in the same tree :meth:`trace` later merges.
         """

@@ -16,7 +16,7 @@ attempt.  This package reproduces that experiment quantitatively:
   by polling, and no detached or causally dependent modes.
 
 Benchmark E2 runs the same rule workload against this baseline and the
-integrated :class:`~repro.core.database.ReachDatabase`.
+integrated :class:`~repro.core.engine.ReachEngine`.
 """
 
 from repro.layered.closed_oodb import ClosedOODB, ClosedTransaction

@@ -3,7 +3,7 @@
 The paper's ongoing work includes "the implementation of a GUI for rule
 definition and management" (Section 7).  This module is the
 reproduction's equivalent: an inspector producing human-readable reports
-over a live :class:`~repro.core.database.ReachDatabase` — rules and their
+over a live :class:`~repro.core.engine.ReachEngine` — rules and their
 firing statistics, ECA-managers and composers with their semi-composed
 state, the merged event history — plus a small CLI for examining a
 database directory offline (``python -m repro.management <dir>``).

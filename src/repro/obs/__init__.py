@@ -4,12 +4,12 @@ This package is the measurement substrate the ROADMAP's performance work
 builds on.  It follows the event pipeline end to end — sentry detection,
 ECA-manager handling, event composition, rule scheduling in all six
 coupling modes, and transaction commit/abort — and exposes the result
-through two handles on the database facade:
+through two handles on the engine:
 
-* ``db.trace()`` — span trees (:class:`Trace`/:class:`Span`) answering
+* ``engine.trace()`` — span trees (:class:`Trace`/:class:`Span`) answering
   "which primitive events contributed to this composite, which rules
   fired, in which transaction, and how long each phase took";
-* ``db.metrics()`` — the :class:`MetricsRegistry` with counters, gauges
+* ``engine.metrics()`` — the :class:`MetricsRegistry` with counters, gauges
   and latency histograms for every pipeline stage.
 
 Both are disabled by default (``ExecutionConfig(observability=True)``

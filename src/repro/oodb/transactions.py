@@ -25,8 +25,8 @@ session owns a :class:`TransactionContext` (its current-transaction
 stack) and binds it to whichever thread is serving it via
 :meth:`TransactionManager.activate`.  Threads with no bound context fall
 back to a per-thread default context, which preserves the historical
-one-client-per-thread behaviour (detached rule workers and legacy
-facade-only code rely on it).
+one-client-per-thread behaviour (detached rule workers and
+``engine.transaction()`` rely on it).
 """
 
 from __future__ import annotations

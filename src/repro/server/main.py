@@ -1,7 +1,8 @@
 """``reproserve`` console entry point.
 
-Boots a REACH database, serves it over the wire protocol, and drains
-gracefully on SIGTERM/SIGINT::
+Boots a REACH engine (a ``ShardedEngine`` with ``--shards N`` > 1),
+serves it over the wire protocol, and drains gracefully on
+SIGTERM/SIGINT::
 
     reproserve --port 7707 --data-dir /var/lib/reach \\
                --token s3cret=acme --token hunter2=globex \\
@@ -73,11 +74,14 @@ def main(argv: Optional[list] = None) -> int:
         config_kwargs["sharding"] = ShardingConfig(shards=args.shards)
     config = ExecutionConfig(**config_kwargs)
 
-    from repro.core.database import ReachDatabase
     from repro.server.server import ReachServer
 
-    db = ReachDatabase(directory=args.data_dir, config=config)
-    server = ReachServer(db.engine, server_config)
+    if config.sharding.shards > 1:
+        from repro.core.sharding import ShardedEngine as Engine
+    else:
+        from repro.core.engine import ReachEngine as Engine
+    engine = Engine(directory=args.data_dir, config=config)
+    server = ReachServer(engine, server_config)
     try:
         server.start()
         server.install_signal_handlers()
@@ -89,7 +93,7 @@ def main(argv: Optional[list] = None) -> int:
         print("reproserve draining...", file=sys.stderr)
     finally:
         server.close()
-        db.close()
+        engine.close()
     print("reproserve stopped.", file=sys.stderr)
     return 0
 

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro import ExecutionConfig, ExecutionMode, ReachDatabase, VirtualClock
+from repro import ExecutionConfig, ExecutionMode, ReachEngine, VirtualClock
 from repro.bench.workloads import Reactor, River
 
 
@@ -79,7 +79,7 @@ def pytest_runtest_makereport(item, call):
 @pytest.fixture
 def db(tmp_path):
     """A synchronous-mode database on a temporary directory."""
-    database = ReachDatabase(directory=str(tmp_path / "db"))
+    database = ReachEngine(directory=str(tmp_path / "db"))
     yield database
     database.close()
 
@@ -88,7 +88,7 @@ def db(tmp_path):
 def threaded_db(tmp_path):
     """A threaded-mode database (worker pool, async composition)."""
     config = ExecutionConfig(mode=ExecutionMode.THREADED, worker_threads=4)
-    database = ReachDatabase(directory=str(tmp_path / "tdb"), config=config)
+    database = ReachEngine(directory=str(tmp_path / "tdb"), config=config)
     yield database
     database.close()
 

@@ -23,7 +23,7 @@ import pytest
 from repro import (
     ExecutionConfig,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     SignalEventSpec,
     sentried,
 )
@@ -48,7 +48,7 @@ ADVANCE = MethodEventSpec("Meter", "advance", param_names=("by",))
 
 @pytest.fixture
 def db(tmp_path):
-    database = ReachDatabase(
+    database = ReachEngine(
         directory=str(tmp_path / "admin-db"),
         config=ExecutionConfig(observability=True, admin_port=0))
     database.register_class(Meter)
@@ -71,7 +71,7 @@ def get(db, path):
 
 class TestEndpoints:
     def test_no_admin_port_means_no_server(self, tmp_path):
-        database = ReachDatabase(directory=str(tmp_path / "plain-db"))
+        database = ReachEngine(directory=str(tmp_path / "plain-db"))
         assert database.admin_address is None
         database.close()
 
@@ -86,7 +86,7 @@ class TestEndpoints:
 
     def test_stats_serves_the_frozen_key_snapshot(self, db):
         __, __, body = get(db, "/stats")
-        assert set(json.loads(body)) == set(ReachDatabase.STATISTICS_KEYS)
+        assert set(json.loads(body)) == set(ReachEngine.STATISTICS_KEYS)
 
     def test_metrics_is_prometheus_text(self, db):
         line = re.compile(
@@ -172,7 +172,7 @@ class TestEndpoints:
 
 class TestReproctl:
     def test_stats_against_a_live_sixteen_session_engine(self, tmp_path):
-        database = ReachDatabase(
+        database = ReachEngine(
             directory=str(tmp_path / "fleet-db"),
             config=ExecutionConfig(observability=True, admin_port=0))
         database.register_class(Meter)
@@ -250,10 +250,10 @@ class TestServerRoute:
 
     def test_server_route_reports_the_live_front_end(self, tmp_path):
         from repro.server import ReachClient, ReachServer
-        database = ReachDatabase(
+        database = ReachEngine(
             directory=str(tmp_path / "srv-db"),
             config=ExecutionConfig(admin_port=0))
-        server = ReachServer(database.engine).start()
+        server = ReachServer(database).start()
         try:
             client = ReachClient(*server.address)
             client.ping()
@@ -268,10 +268,10 @@ class TestServerRoute:
 
     def test_reproctl_server_summarizes_the_front_end(self, tmp_path):
         from repro.server import ReachClient, ReachServer
-        database = ReachDatabase(
+        database = ReachEngine(
             directory=str(tmp_path / "ctl-db"),
             config=ExecutionConfig(admin_port=0))
-        server = ReachServer(database.engine).start()
+        server = ReachServer(database).start()
         try:
             client = ReachClient(*server.address)
             client.ping()
@@ -296,9 +296,9 @@ class TestServerRoute:
     def test_wire_ping_good_and_bad_token(self, tmp_path):
         from repro.config import ServerConfig
         from repro.server import ReachServer
-        database = ReachDatabase(directory=str(tmp_path / "ping-db"))
+        database = ReachEngine(directory=str(tmp_path / "ping-db"))
         server = ReachServer(
-            database.engine,
+            database,
             ServerConfig(auth_tokens={"s3cret": "acme"})).start()
         try:
             host, port = server.address

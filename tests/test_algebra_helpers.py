@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ReachDatabase, CouplingMode, SignalEventSpec
+from repro import ReachEngine, CouplingMode, SignalEventSpec
 from repro.core.algebra import (
     Conjunction,
     Disjunction,
@@ -48,7 +48,7 @@ class TestBuilders:
 class TestBehaviour:
     @pytest.fixture
     def hdb(self, tmp_path):
-        database = ReachDatabase(directory=str(tmp_path / "hdb"))
+        database = ReachEngine(directory=str(tmp_path / "hdb"))
         yield database
         database.close()
 

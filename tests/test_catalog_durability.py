@@ -15,7 +15,6 @@ import pytest
 from repro import (
     ExecutionConfig,
     InjectedFault,
-    ReachDatabase,
     ReachEngine,
     sentried,
 )
@@ -34,8 +33,8 @@ class Blob:
 
 
 def _open(directory, **config):
-    db = ReachDatabase(directory=str(directory),
-                       config=ExecutionConfig(**config))
+    db = ReachEngine(directory=str(directory),
+                     config=ExecutionConfig(**config))
     db.register_class(Blob)
     return db
 
@@ -80,7 +79,7 @@ class TestNamesSurviveCatalogCleanCommits:
             with db.transaction():
                 for blob in blobs:
                     blob.touch()
-        assert not db.engine.dictionary.dirty
+        assert not db.dictionary.dirty
         db.storage.crash()
         db.close()
 
@@ -92,7 +91,7 @@ class TestNamesSurviveCatalogCleanCommits:
             with reopened.transaction():
                 fresh = reopened.persist(Blob("fresh"), "fresh")
             assert fresh.value > max(
-                reopened.engine.dictionary.resolve_name(b.label).value
+                reopened.dictionary.resolve_name(b.label).value
                 for b in blobs)
         finally:
             reopened.close()
@@ -220,17 +219,17 @@ class TestFailedCatalogCommit:
         kept = Blob("kept")
         with db.transaction():
             db.persist(kept, "kept")
-        assert not db.engine.dictionary.dirty
+        assert not db.dictionary.dirty
 
         db.faults.arm("storage.commit", nth=1)
         with pytest.raises(InjectedFault):
             with db.transaction():
                 db.persist(Blob("lost"), "lost")
-        assert db.engine.dictionary.dirty
+        assert db.dictionary.dirty
 
         with db.transaction():
             db.persist(Blob("next"), "next")
-        assert not db.engine.dictionary.dirty
+        assert not db.dictionary.dirty
         db.storage.crash()
         db.close()
 

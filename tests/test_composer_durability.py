@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ReachDatabase
+from repro import ReachEngine
 from repro.errors import ComposerStateError
 from repro.core.algebra import EventScope, Sequence
 from repro.core.composer import Composer
@@ -156,7 +156,7 @@ class TestEngineReopen:
             .scoped(EventScope.MULTI_TX).within(1e9))
 
     def _open(self, path, fired):
-        db = ReachDatabase(directory=str(path))
+        db = ReachEngine(directory=str(path))
         db.rule("dur-rule", self.SPEC,
                 action=lambda ctx: fired.append(
                     len(ctx.event.all_primitive_components())),

@@ -11,7 +11,6 @@ import pytest
 
 from repro import (
     ExecutionConfig,
-    ReachDatabase,
     ReachEngine,
     SignalEventSpec,
 )
@@ -69,13 +68,13 @@ class TestEngineWiring:
 class TestConcurrencyStats:
     @pytest.fixture
     def db(self, tmp_path):
-        database = ReachDatabase(directory=str(tmp_path / "db"))
+        database = ReachEngine(directory=str(tmp_path / "db"))
         yield database
         database.close()
 
     def test_frozen_keys(self, db):
         stats = db.concurrency_stats()
-        assert set(stats) == ReachDatabase.CONCURRENCY_STATS_KEYS
+        assert set(stats) == ReachEngine.CONCURRENCY_STATS_KEYS
 
     def test_lock_stats_shape(self, db):
         locks = db.concurrency_stats()["locks"]
@@ -90,12 +89,12 @@ class TestConcurrencyStats:
 
     def test_statistics_embeds_concurrency(self, db):
         stats = db.statistics()
-        assert set(stats) == ReachDatabase.STATISTICS_KEYS
+        assert set(stats) == ReachEngine.STATISTICS_KEYS
         assert set(stats["concurrency"]) == \
-            ReachDatabase.CONCURRENCY_STATS_KEYS
+            ReachEngine.CONCURRENCY_STATS_KEYS
 
     def test_closed_database_refuses(self, tmp_path):
-        database = ReachDatabase(directory=str(tmp_path / "db2"))
+        database = ReachEngine(directory=str(tmp_path / "db2"))
         database.close()
         with pytest.raises(RuntimeError):
             database.concurrency_stats()

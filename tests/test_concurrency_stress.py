@@ -23,7 +23,6 @@ from repro import (
     ExecutionConfig,
     ExecutionMode,
     MethodEventSpec,
-    ReachDatabase,
     ReachEngine,
     Sequence,
     SignalEventSpec,
@@ -54,8 +53,8 @@ HIT = MethodEventSpec("Counter", "hit")
 @pytest.fixture
 def sdb(tmp_path):
     config = ExecutionConfig(mode=ExecutionMode.THREADED, worker_threads=4)
-    database = ReachDatabase(directory=str(tmp_path / "sdb"),
-                             config=config)
+    database = ReachEngine(directory=str(tmp_path / "sdb"),
+                           config=config)
     database.register_class(Counter)
     yield database
     database.close()

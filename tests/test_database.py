@@ -1,4 +1,4 @@
-"""ReachDatabase integration: composites, milestones, signals, history."""
+"""ReachEngine integration: composites, milestones, signals, history."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro import (
     FlowEventSpec,
     MethodEventSpec,
     MilestoneEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     StateChangeEventSpec,
@@ -38,7 +38,7 @@ SET_RPM = MethodEventSpec("Pump", "set_rpm", param_names=("rpm",))
 
 @pytest.fixture
 def pdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "pdb"))
+    database = ReachEngine(directory=str(tmp_path / "pdb"))
     database.register_class(Pump)
     yield database
     database.close()
@@ -243,10 +243,10 @@ class TestSignalsAndMilestones:
         pdb.rule("contingency", MilestoneEventSpec("halfway"),
                  action=lambda ctx: fired.append(ctx["label"]),
                  coupling=CouplingMode.DETACHED)
-        tx = pdb.begin()
+        tx = pdb.tx_manager.begin()
         pdb.set_milestone("halfway", at=pdb.clock.now() + 10)
         pdb.clock.advance(20)       # deadline passes, tx still running
-        pdb.commit(tx)
+        pdb.tx_manager.commit(tx)
         pdb.drain_detached()
         assert fired == ["halfway"]
 
@@ -255,9 +255,9 @@ class TestSignalsAndMilestones:
         pdb.rule("contingency", MilestoneEventSpec("halfway"),
                  action=lambda ctx: fired.append(1),
                  coupling=CouplingMode.DETACHED)
-        tx = pdb.begin()
+        tx = pdb.tx_manager.begin()
         pdb.set_milestone("halfway", at=pdb.clock.now() + 10)
-        pdb.commit(tx)              # finishes before the deadline
+        pdb.tx_manager.commit(tx)   # finishes before the deadline
         pdb.clock.advance(20)
         pdb.drain_detached()
         assert fired == []

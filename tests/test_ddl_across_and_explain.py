@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CouplingMode, ReachDatabase, sentried
+from repro import CouplingMode, ReachEngine, sentried
 from repro import management
 from repro.core.algebra import EventScope
 from repro.core.rule_language import parse_rules
@@ -17,7 +17,7 @@ class Conveyor:
 
 @pytest.fixture
 def cdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "cdb"))
+    database = ReachEngine(directory=str(tmp_path / "cdb"))
     database.register_class(Conveyor)
     yield database
     database.close()

@@ -7,7 +7,7 @@ import pytest
 from repro import (
     CouplingMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 
@@ -34,7 +34,7 @@ def opener():
     opened = []
 
     def _open(directory):
-        db = ReachDatabase(directory=directory)
+        db = ReachEngine(directory=directory)
         db.register_class(Ledger)
         opened.append(db)
         return db

@@ -5,7 +5,7 @@ import pytest
 from repro import (
     CouplingMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     sentried,
@@ -24,7 +24,7 @@ TURN = MethodEventSpec("Dial", "turn", param_names=("degrees",))
 
 @pytest.fixture
 def edb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "edb"))
+    database = ReachEngine(directory=str(tmp_path / "edb"))
     database.register_class(Dial)
     yield database
     database.close()

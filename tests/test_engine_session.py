@@ -1,10 +1,9 @@
 """Engine/session split: layering, scoping, and lifecycle behaviour.
 
-Covers the contracts introduced by the kernel refactor: the facade is a
-thin layer over one engine plus a default session; engines are isolated
-from each other inside one process (the cross-instance sentry leakage
-fix); sessions own their pin cache and firing-log slice; and shutdown is
-idempotent and usable as a context manager.
+Covers the contracts introduced by the kernel refactor: engines are
+isolated from each other inside one process (the cross-instance sentry
+leakage fix); sessions own their pin cache and firing-log slice; and
+shutdown is idempotent and usable as a context manager.
 """
 
 import pytest
@@ -12,11 +11,9 @@ import pytest
 from repro import (
     CouplingMode,
     MethodEventSpec,
-    ReachDatabase,
     ReachEngine,
     sentried,
 )
-from repro.core.session import Session
 from repro.errors import TransactionStateError
 
 
@@ -34,93 +31,55 @@ FILL = MethodEventSpec("Tank", "fill", param_names=("amount",))
 
 
 class TestFacadeLayering:
-    def test_facade_is_engine_plus_default_session(self, tmp_path):
-        db = ReachDatabase(directory=str(tmp_path / "f"))
+    def test_statistics_reports_sessions(self, tmp_path):
+        engine = ReachEngine(directory=str(tmp_path / "s"))
         try:
-            assert isinstance(db.engine, ReachEngine)
-            assert isinstance(db.default_session, Session)
-            # The facade's subsystem attributes are the engine's objects.
-            assert db.tx_manager is db.engine.tx_manager
-            assert db.scheduler is db.engine.scheduler
-            assert db.events is db.engine.events
-            assert db.storage is db.engine.storage
-            assert db.sentry_registry is db.engine.sentry_registry
-            assert db.sessions() == [db.default_session]
-        finally:
-            db.close()
-
-    def test_facade_over_existing_engine(self, tmp_path):
-        engine = ReachEngine(directory=str(tmp_path / "shared"))
-        db = ReachDatabase(engine=engine)
-        try:
-            assert db.engine is engine
-            db.register_class(Tank)
-            tank = Tank("t1")
-            with db.transaction():
-                db.persist(tank, "t1")
-            assert engine.fetch("t1") is tank
-        finally:
-            db.close()
-        assert engine.closed
-
-    def test_engine_kwarg_excludes_construction_args(self, tmp_path):
-        engine = ReachEngine(directory=str(tmp_path / "e"))
-        try:
-            with pytest.raises(ValueError):
-                ReachDatabase(directory=str(tmp_path / "other"),
-                              engine=engine)
+            stats = engine.statistics()
+            assert set(stats) == ReachEngine.STATISTICS_KEYS
+            assert stats["sessions"] == {"created": 0, "active": 0}
+            extra = engine.create_session("extra")
+            assert engine.statistics()["sessions"] == {"created": 1,
+                                                       "active": 1}
+            extra.close()
+            assert engine.statistics()["sessions"] == {"created": 1,
+                                                       "active": 0}
         finally:
             engine.close()
-
-    def test_statistics_reports_sessions(self, tmp_path):
-        db = ReachDatabase(directory=str(tmp_path / "s"))
-        try:
-            stats = db.statistics()
-            assert set(stats) == ReachDatabase.STATISTICS_KEYS
-            assert stats["sessions"] == {"created": 1, "active": 1}
-            extra = db.create_session("extra")
-            assert db.statistics()["sessions"] == {"created": 2,
-                                                   "active": 2}
-            extra.close()
-            assert db.statistics()["sessions"] == {"created": 2,
-                                                   "active": 1}
-        finally:
-            db.close()
 
 
 class TestCrossInstanceIsolation:
     def test_two_databases_do_not_leak_events(self, tmp_path):
-        """The historical bug: two instances shared the module-level
-        sentry registry, so one instance's transactions fired the other
-        instance's rules.  Scoped per-engine registries fix it."""
-        db1 = ReachDatabase(directory=str(tmp_path / "db1"))
-        db2 = ReachDatabase(directory=str(tmp_path / "db2"))
+        """Two engines in one process each own a scoped sentry registry:
+        ``engine.transaction()`` binds its engine's scope, so one
+        engine's transactions never fire the other engine's rules."""
+        engine1 = ReachEngine(directory=str(tmp_path / "db1"))
+        engine2 = ReachEngine(directory=str(tmp_path / "db2"))
         try:
-            db1.register_class(Tank)
-            db2.register_class(Tank)
-            fired = {"db1": 0, "db2": 0}
-            db1.rule("watch1", FILL,
-                     action=lambda ctx: fired.__setitem__(
-                         "db1", fired["db1"] + 1),
-                     coupling=CouplingMode.IMMEDIATE)
-            db2.rule("watch2", FILL,
-                     action=lambda ctx: fired.__setitem__(
-                         "db2", fired["db2"] + 1),
-                     coupling=CouplingMode.IMMEDIATE)
+            engine1.register_class(Tank)
+            engine2.register_class(Tank)
+            fired = {"1": 0, "2": 0}
+            engine1.rule("watch1", FILL,
+                         action=lambda ctx: fired.__setitem__(
+                             "1", fired["1"] + 1),
+                         coupling=CouplingMode.IMMEDIATE)
+            engine2.rule("watch2", FILL,
+                         action=lambda ctx: fired.__setitem__(
+                             "2", fired["2"] + 1),
+                         coupling=CouplingMode.IMMEDIATE)
             tank1, tank2 = Tank("a"), Tank("b")
-            with db1.transaction():
-                db1.persist(tank1, "a")
+            with engine1.transaction():
+                engine1.persist(tank1, "a")
                 tank1.fill(10)
-            with db2.transaction():
-                db2.persist(tank2, "b")
+            with engine2.transaction():
+                engine2.persist(tank2, "b")
                 tank2.fill(5)
                 tank2.fill(5)
-            assert fired == {"db1": 1, "db2": 2}
-            assert db1.events.events_detected == 1
-            assert db2.events.events_detected == 2
+            assert fired == {"1": 1, "2": 2}
+            assert engine1.events.events_detected == 1
+            assert engine2.events.events_detected == 2
         finally:
-            db1.close()
-            db2.close()
+            engine1.close()
+            engine2.close()
 
     def test_sessions_of_different_engines_are_isolated(self, tmp_path):
         engine1 = ReachEngine(directory=str(tmp_path / "e1"))
@@ -226,19 +185,19 @@ class TestSessionState:
 
 class TestLifecycle:
     def test_close_is_idempotent(self, tmp_path):
-        db = ReachDatabase(directory=str(tmp_path / "idem"))
+        db = ReachEngine(directory=str(tmp_path / "idem"))
         db.close()
         db.close()   # second close is a no-op, not an error
         assert db.closed
 
     def test_database_as_context_manager(self, tmp_path):
-        with ReachDatabase(directory=str(tmp_path / "with")) as db:
+        with ReachEngine(directory=str(tmp_path / "with")) as db:
             db.register_class(Tank)
             with db.transaction():
                 db.persist(Tank("w"), "w")
         assert db.closed
         # Shutdown flushed through: a fresh database sees the data.
-        with ReachDatabase(directory=str(tmp_path / "with")) as db2:
+        with ReachEngine(directory=str(tmp_path / "with")) as db2:
             db2.register_class(Tank)
             assert db2.fetch("w").name == "w"
 
@@ -246,8 +205,8 @@ class TestLifecycle:
         from repro import ExecutionConfig, ExecutionMode
         config = ExecutionConfig(mode=ExecutionMode.THREADED,
                                  worker_threads=2)
-        db = ReachDatabase(directory=str(tmp_path / "pool"),
-                           config=config)
+        db = ReachEngine(directory=str(tmp_path / "pool"),
+                         config=config)
         assert db.scheduler._pool is not None
         db.close()
         assert db.scheduler._pool is None

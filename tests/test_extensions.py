@@ -11,7 +11,7 @@ from repro import (
     ExecutionConfig,
     ExecutionMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 from repro.errors import RuleDefinitionError
@@ -36,7 +36,7 @@ FILL = MethodEventSpec("Tank", "fill", param_names=("amount",))
 
 @pytest.fixture
 def xdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "xdb"))
+    database = ReachEngine(directory=str(tmp_path / "xdb"))
     database.register_class(Tank)
     yield database
     database.close()
@@ -135,7 +135,7 @@ class TestAutomaticWriteLocks:
 
     def test_concurrent_increments_are_serialized(self, tmp_path):
         config = ExecutionConfig(mode=ExecutionMode.THREADED)
-        db = ReachDatabase(directory=str(tmp_path / "conc"), config=config)
+        db = ReachEngine(directory=str(tmp_path / "conc"), config=config)
         db.register_class(Tank)
         tank = Tank("shared")
         with db.transaction():

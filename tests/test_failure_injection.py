@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro import (
     CouplingMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 
@@ -44,7 +44,7 @@ class FlakyError(RuntimeError):
 
 def _build_db(tmp_path, seed, rule_count):
     rng = random.Random(seed)
-    db = ReachDatabase(directory=str(tmp_path))
+    db = ReachEngine(directory=str(tmp_path))
     db.register_class(Machine)
     for index in range(rule_count):
         mode = rng.choice(MODES)
@@ -97,14 +97,14 @@ def test_invariants_hold_under_flaky_rules(tmp_path, seed):
     # 6. The durable state equals the in-memory committed state.
     directory = db.directory
     db.close()
-    reopened = ReachDatabase(directory=directory)
+    reopened = ReachEngine(directory=directory)
     reopened.register_class(Machine)
     assert reopened.fetch("m").counter == committed
     reopened.close()
 
 
 def test_failing_condition_counts_as_error_not_firing(tmp_path):
-    db = ReachDatabase(directory=str(tmp_path / "c"))
+    db = ReachEngine(directory=str(tmp_path / "c"))
     db.register_class(Machine)
     db.rule("bad-cond", TICK,
             condition=lambda ctx: 1 / 0,
@@ -121,7 +121,7 @@ def test_failing_condition_counts_as_error_not_firing(tmp_path):
 
 
 def test_error_in_one_rule_does_not_starve_others(tmp_path):
-    db = ReachDatabase(directory=str(tmp_path / "s"))
+    db = ReachEngine(directory=str(tmp_path / "s"))
     db.register_class(Machine)
     fired = []
 
@@ -139,7 +139,7 @@ def test_error_in_one_rule_does_not_starve_others(tmp_path):
 
 
 def test_failing_detached_rule_leaves_no_live_transaction(tmp_path):
-    db = ReachDatabase(directory=str(tmp_path / "d"))
+    db = ReachEngine(directory=str(tmp_path / "d"))
     db.register_class(Machine)
 
     def explode(ctx):

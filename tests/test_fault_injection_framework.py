@@ -15,7 +15,7 @@ from repro import (
     CouplingMode,
     ExecutionConfig,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 from repro.errors import InjectedFault, TransactionAborted
@@ -47,8 +47,8 @@ FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
 def make_db(tmp_path, **config):
-    db = ReachDatabase(directory=str(tmp_path / "fidb"),
-                       config=ExecutionConfig(fault_injection=True,
+    db = ReachEngine(directory=str(tmp_path / "fidb"),
+                     config=ExecutionConfig(fault_injection=True,
                                               fault_seed=FAULT_SEED,
                                               **config))
     db.register_class(Gauge)
@@ -172,7 +172,7 @@ class TestRegistry:
 
 class TestEngineWiring:
     def test_default_config_disables_injection(self, tmp_path):
-        db = ReachDatabase(directory=str(tmp_path / "plain"))
+        db = ReachEngine(directory=str(tmp_path / "plain"))
         try:
             assert db.faults.enabled is False
             stats = db.statistics()

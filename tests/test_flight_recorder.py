@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro import ExecutionConfig, MethodEventSpec, ReachDatabase, sentried
+from repro import ExecutionConfig, MethodEventSpec, ReachEngine, sentried
 from repro.core.coupling import CouplingMode
 from repro.errors import DeadlockError
 from repro.obs.flight import (
@@ -46,8 +46,8 @@ SPIN = MethodEventSpec("Pump", "spin", param_names=("rpm",))
 
 
 def make_db(tmp_path, **config_kwargs):
-    database = ReachDatabase(directory=str(tmp_path / "flight-db"),
-                             config=ExecutionConfig(**config_kwargs))
+    database = ReachEngine(directory=str(tmp_path / "flight-db"),
+                           config=ExecutionConfig(**config_kwargs))
     database.register_class(Pump)
     return database
 
@@ -234,7 +234,7 @@ class TestEngineIntegration:
     def test_unhandled_abort_dumps_the_ring(self, tmp_path):
         directory = str(tmp_path / "abort-db")
         with pytest.raises(RuntimeError):
-            with ReachDatabase(directory=directory) as db:
+            with ReachEngine(directory=directory) as db:
                 db.register_class(Pump)
                 with db.transaction():
                     db.persist(Pump(), "p")

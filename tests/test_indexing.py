@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ReachDatabase, sentried
+from repro import ReachEngine, sentried
 from repro.errors import IndexError_
 
 
@@ -18,7 +18,7 @@ class Device:
 
 @pytest.fixture
 def idb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "idb"))
+    database = ReachEngine(directory=str(tmp_path / "idb"))
     database.register_class(Device)
     yield database
     database.close()

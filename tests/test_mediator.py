@@ -7,7 +7,7 @@ from repro import (
     CouplingMode,
     EventScope,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     SignalEventSpec,
     sentried,
 )
@@ -32,9 +32,9 @@ REPORT = MethodEventSpec("Pump", "report", param_names=("pressure",))
 @pytest.fixture
 def plants(tmp_path):
     """Two source databases and one mediator."""
-    north = ReachDatabase(directory=str(tmp_path / "north"))
-    south = ReachDatabase(directory=str(tmp_path / "south"))
-    mediator = ReachDatabase(directory=str(tmp_path / "mediator"))
+    north = ReachEngine(directory=str(tmp_path / "north"))
+    south = ReachEngine(directory=str(tmp_path / "south"))
+    mediator = ReachEngine(directory=str(tmp_path / "mediator"))
     north.register_class(Pump)
     south.register_class(Pump)
     yield north, south, mediator

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ReachDatabase, sentried
+from repro import ReachEngine, sentried
 from repro.oodb.meta import (
     MetaArchitecture,
     PolicyManager,

@@ -1,4 +1,4 @@
-"""Observability subsystem (``repro.obs``): traces, metrics, facade.
+"""Observability subsystem (``repro.obs``): traces, metrics, engine handles.
 
 Covers the PR-1 acceptance criteria:
 
@@ -20,7 +20,7 @@ from repro import (
     ExecutionMode,
     MethodEventSpec,
     MetricsRegistry,
-    ReachDatabase,
+    ReachEngine,
     RuleBuilder,
     Sequence,
     Tracer,
@@ -56,7 +56,7 @@ HEAT = MethodEventSpec("Boiler", "heat", param_names=("amount",))
 
 
 def make_db(tmp_path, observability=True, **config_kwargs):
-    database = ReachDatabase(
+    database = ReachEngine(
         directory=str(tmp_path / "obs-db"),
         config=ExecutionConfig(observability=observability,
                                **config_kwargs))
@@ -270,7 +270,7 @@ class TestDisabledPath:
 class TestStatistics:
     def test_key_set_is_frozen(self, tmp_path):
         db = make_db(tmp_path)
-        assert set(db.statistics()) == ReachDatabase.STATISTICS_KEYS
+        assert set(db.statistics()) == ReachEngine.STATISTICS_KEYS
         boiler = Boiler()
         db.on(Sequence(PRESSURIZE, HEAT)).do(lambda ctx: None) \
             .coupling(CouplingMode.DEFERRED).named("C")
@@ -278,7 +278,7 @@ class TestStatistics:
             db.persist(boiler, "b")
             boiler.pressurize(1)
             boiler.heat(1)
-        assert set(db.statistics()) == ReachDatabase.STATISTICS_KEYS
+        assert set(db.statistics()) == ReachEngine.STATISTICS_KEYS
         db.close()
 
     def test_consistent_before_any_transaction(self, tmp_path):
@@ -503,7 +503,7 @@ class TestDeprecatedReachIns:
 
     def test_public_all_covers_obs_handles(self):
         import repro
-        for name in ("ReachDatabase", "sentried", "MethodEventSpec",
+        for name in ("ReachEngine", "sentried", "MethodEventSpec",
                      "CouplingMode", "ConsumptionPolicy", "Tracer",
                      "Trace", "Span", "MetricsRegistry", "RuleBuilder"):
             assert name in repro.__all__, name

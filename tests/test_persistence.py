@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ReachDatabase, sentried
+from repro import ReachEngine, sentried
 from repro.errors import (
     DuplicateNameError,
     NotPersistentError,
@@ -22,7 +22,7 @@ class Node:
 
 @pytest.fixture
 def ndb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "pdb"))
+    database = ReachEngine(directory=str(tmp_path / "pdb"))
     database.register_class(Node)
     yield database
     database.close()
@@ -72,7 +72,7 @@ class TestDurability:
         directory = ndb.directory
         ndb.close()
 
-        reopened = ReachDatabase(directory=directory)
+        reopened = ReachEngine(directory=directory)
         reopened.register_class(Node)
         restored = reopened.fetch("root")
         assert restored.label == "updated"
@@ -87,7 +87,7 @@ class TestDurability:
         directory = ndb.directory
         ndb.close()
 
-        reopened = ReachDatabase(directory=directory)
+        reopened = ReachEngine(directory=directory)
         reopened.register_class(Node)
         restored = reopened.fetch("head")
         assert restored.next_node.label == "tail"
@@ -110,7 +110,7 @@ class TestDurability:
             ndb.persist(b)
         directory = ndb.directory
         ndb.close()
-        reopened = ReachDatabase(directory=directory)
+        reopened = ReachEngine(directory=directory)
         reopened.register_class(Node)
         loaded = reopened.fetch("a")
         assert loaded.next_node.next_node is loaded
@@ -124,7 +124,7 @@ class TestDurability:
             ndb.persist(node, "holder")
         directory = ndb.directory
         ndb.close()
-        reopened = ReachDatabase(directory=directory)
+        reopened = ReachEngine(directory=directory)
         reopened.register_class(Node)
         loaded = reopened.fetch("holder")
         assert loaded.tags == ["x", "y"]
@@ -169,7 +169,7 @@ class TestAbortSemantics:
             pass
         directory = ndb.directory
         ndb.close()
-        reopened = ReachDatabase(directory=directory)
+        reopened = ReachEngine(directory=directory)
         reopened.register_class(Node)
         assert reopened.fetch("n").label == "v1"
         reopened.close()
@@ -193,7 +193,7 @@ class TestDelete:
             ndb.delete("n")
         directory = ndb.directory
         ndb.close()
-        reopened = ReachDatabase(directory=directory)
+        reopened = ReachEngine(directory=directory)
         reopened.register_class(Node)
         with pytest.raises(ObjectNotFoundError):
             reopened.fetch("n")

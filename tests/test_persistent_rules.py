@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ReachDatabase, sentried
+from repro import ReachEngine, sentried
 from repro.bench.workloads import Reactor, River
 from repro import management
 from repro.core.algebra import Conjunction, Sequence
@@ -30,7 +30,7 @@ def opener():
     opened = []
 
     def _open(directory):
-        db = ReachDatabase(directory=directory)
+        db = ReachEngine(directory=directory)
         db.register_class(River)
         db.register_class(Reactor)
         opened.append(db)
@@ -130,7 +130,7 @@ class TestFiringLogCap:
             def click(self):
                 pass
 
-        db = ReachDatabase(directory=str(tmp_path / "cap"))
+        db = ReachEngine(directory=str(tmp_path / "cap"))
         db.register_class(Clicker)
         db.scheduler.MAX_FIRING_LOG = 50
         db.rule("r", MethodEventSpec("Clicker", "click"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ReachDatabase, sentried
+from repro import ReachEngine, sentried
 from repro.errors import QueryError
 from repro.oodb.query import parse_query
 
@@ -26,7 +26,7 @@ class Thermometer(Instrument):
 
 @pytest.fixture
 def qdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "qdb"))
+    database = ReachEngine(directory=str(tmp_path / "qdb"))
     database.register_class(Instrument)
     database.register_class(Thermometer)
     with database.transaction():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ReachDatabase, sentried
+from repro import ReachEngine, sentried
 from repro.errors import QueryError
 from repro.oodb.indexing import OrderedIndex
 from repro.oodb.oid import OID
@@ -18,7 +18,7 @@ class Reading:
 
 @pytest.fixture
 def qdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "qx"))
+    database = ReachEngine(directory=str(tmp_path / "qx"))
     database.register_class(Reading)
     with database.transaction():
         for index in range(10):

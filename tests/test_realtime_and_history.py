@@ -5,7 +5,7 @@ import pytest
 from repro import (
     CouplingMode,
     MilestoneEventSpec,
-    ReachDatabase,
+    ReachEngine,
     sentried,
 )
 from repro.errors import RuleDefinitionError
@@ -22,7 +22,7 @@ class Job:
 
 @pytest.fixture
 def rdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "rdb"))
+    database = ReachEngine(directory=str(tmp_path / "rdb"))
     database.register_class(Job)
     yield database
     database.close()
@@ -36,12 +36,12 @@ class TestProgressMilestones:
                      MilestoneEventSpec(f"batch@{fraction}"),
                      action=lambda ctx: fired.append(ctx["label"]),
                      coupling=CouplingMode.DETACHED)
-        tx = rdb.begin(deadline=rdb.clock.now() + 100)
+        tx = rdb.tx_manager.begin(deadline=rdb.clock.now() + 100)
         labels = rdb.arm_progress_milestones("batch")
         assert labels == ["batch@0.5", "batch@0.8"]
         rdb.clock.advance(60)    # past the 50% checkpoint
         rdb.clock.advance(30)    # past the 80% checkpoint
-        rdb.commit(tx)
+        rdb.tx_manager.commit(tx)
         rdb.drain_detached()
         assert fired == ["batch@0.5", "batch@0.8"]
 
@@ -50,9 +50,9 @@ class TestProgressMilestones:
         rdb.rule("plan", MilestoneEventSpec("quick@0.5"),
                  action=lambda ctx: fired.append(1),
                  coupling=CouplingMode.DETACHED)
-        tx = rdb.begin(deadline=rdb.clock.now() + 100)
+        tx = rdb.tx_manager.begin(deadline=rdb.clock.now() + 100)
         rdb.arm_progress_milestones("quick", fractions=(0.5,))
-        rdb.commit(tx)           # finishes before any checkpoint
+        rdb.tx_manager.commit(tx)  # finishes before any checkpoint
         rdb.clock.advance(200)
         rdb.drain_detached()
         assert fired == []
@@ -63,10 +63,10 @@ class TestProgressMilestones:
                 rdb.arm_progress_milestones("no-deadline")
 
     def test_fraction_validation(self, rdb):
-        tx = rdb.begin(deadline=rdb.clock.now() + 10)
+        tx = rdb.tx_manager.begin(deadline=rdb.clock.now() + 10)
         with pytest.raises(ValueError):
             rdb.arm_progress_milestones("bad", fractions=(1.5,))
-        rdb.abort(tx)
+        rdb.tx_manager.abort(tx)
 
 
 class TestHistoryPruning:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CouplingMode, ReachDatabase
+from repro import CouplingMode, ReachEngine
 from repro.bench.workloads import Reactor, River
 from repro.core.algebra import Conjunction, Disjunction, Sequence
 from repro.core.events import (
@@ -127,7 +127,7 @@ class TestParsing:
 class TestCompiledBehaviour:
     @pytest.fixture
     def plant_db(self, tmp_path):
-        database = ReachDatabase(directory=str(tmp_path / "ddl"))
+        database = ReachEngine(directory=str(tmp_path / "ddl"))
         database.register_class(River)
         database.register_class(Reactor)
         yield database

@@ -5,7 +5,7 @@ import pytest
 from repro import (
     CouplingMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     StateChangeEventSpec,
     sentried,
 )
@@ -37,7 +37,7 @@ DEPOSIT = MethodEventSpec("Account", "deposit", param_names=("amount",))
 
 @pytest.fixture
 def adb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "adb"))
+    database = ReachEngine(directory=str(tmp_path / "adb"))
     database.register_class(Account)
     yield database
     database.close()

@@ -7,7 +7,7 @@ from repro import (
     CouplingMode,
     ExecutionConfig,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     TieBreakPolicy,
@@ -34,7 +34,7 @@ BUMP = MethodEventSpec("Meter", "bump")
 
 @pytest.fixture
 def mdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "mdb"))
+    database = ReachEngine(directory=str(tmp_path / "mdb"))
     database.register_class(Meter)
     yield database
     database.close()
@@ -162,8 +162,8 @@ class TestDeferred:
 
     def test_newest_first_tie_break(self, tmp_path):
         config = ExecutionConfig(tie_break=TieBreakPolicy.NEWEST_FIRST)
-        database = ReachDatabase(directory=str(tmp_path / "nf"),
-                                 config=config)
+        database = ReachEngine(directory=str(tmp_path / "nf"),
+                               config=config)
         database.register_class(Meter)
         order = []
         database.rule("first-defined", BUMP,
@@ -322,8 +322,8 @@ class TestSplitCoupling:
 class TestRecursionBound:
     def test_self_triggering_rule_is_bounded(self, tmp_path):
         config = ExecutionConfig(max_rule_recursion=5)
-        database = ReachDatabase(directory=str(tmp_path / "rec"),
-                                 config=config)
+        database = ReachEngine(directory=str(tmp_path / "rec"),
+                               config=config)
         database.register_class(Meter)
         database.rule("loop", BUMP,
                       action=lambda ctx: ctx["instance"].bump())

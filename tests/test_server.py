@@ -23,13 +23,14 @@ import time
 
 import pytest
 
-from repro import ExecutionConfig, ReachDatabase, ServerConfig, ShardingConfig
+from repro import ExecutionConfig, ReachEngine, ServerConfig, ShardingConfig
 from repro.errors import (
     AuthenticationError,
     ConnectionClosedError,
     RateLimitedError,
     ReachClientError,
 )
+from repro.core.sharding import ShardedEngine
 from repro.server import ReachClient, ReachServer, protocol
 from tests.conftest import wait_until
 
@@ -39,10 +40,10 @@ FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 def make_served(tmp_path, server_config=None, **config_kwargs):
     config_kwargs.setdefault("fault_injection", True)
     config_kwargs.setdefault("fault_seed", FAULT_SEED)
-    db = ReachDatabase(directory=str(tmp_path / "sdb"),
-                       config=ExecutionConfig(server=server_config,
+    db = ReachEngine(directory=str(tmp_path / "sdb"),
+                     config=ExecutionConfig(server=server_config,
                                               **config_kwargs))
-    server = ReachServer(db.engine, server_config).start()
+    server = ReachServer(db, server_config).start()
     return db, server
 
 
@@ -101,7 +102,7 @@ class TestAuth:
         try:
             with pytest.raises(AuthenticationError):
                 connect(server, token="nope")
-            rejects = [e for e in db.engine.flight.entries("server")
+            rejects = [e for e in db.flight.entries("server")
                        if e.get("action") == "auth_reject"]
             assert rejects
         finally:
@@ -193,7 +194,7 @@ class TestRateLimit:
                     client.ping()
                 stats = server.stats()
                 assert stats["requests"]["rate_limited"] >= 1
-                limited = [e for e in db.engine.flight.entries("server")
+                limited = [e for e in db.flight.entries("server")
                            if e.get("action") == "rate_limited"]
                 assert limited
         finally:
@@ -298,7 +299,7 @@ class TestDrain:
             client.ping()
         server.drain(timeout=5.0)
         actions = [e.get("action")
-                   for e in db.engine.flight.entries("server")]
+                   for e in db.flight.entries("server")]
         assert "drain_begin" in actions
         assert "drain_end" in actions
 
@@ -391,7 +392,7 @@ class TestCutMidCommit:
         client.begin()
         client.put("Durable", {"v": 42})
         # Cut the connection exactly at the commit-ack write.
-        db.engine.faults.arm("server.write", nth=1)
+        db.faults.arm("server.write", nth=1)
         with pytest.raises(ConnectionClosedError):
             client.commit(idem=key)
         # The client never saw an ack — but the commit happened; retry
@@ -407,7 +408,7 @@ class TestCutMidCommit:
 
         # Ack-implies-durable: the acked commit survives restart.
         from repro.server import Document
-        reopened = ReachDatabase(directory=str(tmp_path / "sdb"))
+        reopened = ReachEngine(directory=str(tmp_path / "sdb"))
         try:
             reopened.register_class(Document)
             assert reopened.fetch("Durable").v == 42
@@ -424,7 +425,7 @@ class TestCutMidCommit:
             client.put("Ghost", {"v": 1})
             # The commit request arrives; the connection is cut before
             # it is processed.
-            db.engine.faults.arm("server.read", nth=1)
+            db.faults.arm("server.read", nth=1)
             with pytest.raises(ConnectionClosedError):
                 client.commit()
             wait_until(
@@ -439,10 +440,10 @@ class TestCutMidCommit:
     def test_accept_and_auth_faults_do_not_wedge_the_server(self, tmp_path):
         db, server = make_served(tmp_path)
         try:
-            db.engine.faults.arm("server.accept", nth=1)
+            db.faults.arm("server.accept", nth=1)
             with pytest.raises((ConnectionClosedError, OSError)):
                 connect(server)
-            db.engine.faults.arm("server.auth", nth=1)
+            db.faults.arm("server.auth", nth=1)
             with pytest.raises(AuthenticationError):
                 connect(server)
             # The server keeps serving afterwards.
@@ -517,7 +518,7 @@ class TestTeardown:
         assert not closer.is_alive()
         assert db.closed
         from repro.server import Document
-        reopened = ReachDatabase(directory=str(tmp_path / "sdb"))
+        reopened = ReachEngine(directory=str(tmp_path / "sdb"))
         try:
             reopened.register_class(Document)
             assert reopened.fetch("Last").v == 9
@@ -536,7 +537,7 @@ class TestIntrospection:
         with connect(server) as client:
             client.ping()
             stats = client.statistics()
-        assert set(stats) == set(ReachDatabase.STATISTICS_KEYS)
+        assert set(stats) == set(ReachEngine.STATISTICS_KEYS)
         section = stats["server"]
         assert section["enabled"] is True
         assert section["connections"]["accepted"] >= 1
@@ -566,10 +567,10 @@ class TestIntrospection:
             assert client.drop_rule("HighWater") == "HighWater"
 
     def test_sharded_engine_serves_the_wire(self, tmp_path):
-        db = ReachDatabase(
+        db = ShardedEngine(
             directory=str(tmp_path / "shdb"),
             config=ExecutionConfig(sharding=ShardingConfig(shards=2)))
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with connect(server) as client:
                 with client.transaction():
@@ -580,6 +581,24 @@ class TestIntrospection:
                 stats = client.statistics()
                 assert stats["server"]["enabled"] is True
                 assert stats["shards"]["count"] == 2
+        finally:
+            server.close()
+            db.close()
+
+    def test_sharded_engine_accepts_wire_rule_definitions(self, tmp_path):
+        db = ShardedEngine(
+            directory=str(tmp_path / "shrules"),
+            config=ExecutionConfig(sharding=ShardingConfig(shards=2)))
+        server = ReachServer(db).start()
+        try:
+            with connect(server) as client:
+                assert client.define_rules(
+                    'rule Ping { event signal "ping"; action imm n; };') \
+                    == ["Ping"]
+                with client.transaction():
+                    client.signal("ping", n=1)
+                assert client.firing_log()["count"] == 1
+            assert db.get_rule("Ping").fired_count == 1
         finally:
             server.close()
             db.close()

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import ReachDatabase
+from repro import ReachEngine
 from repro.errors import (
     ConnectionClosedError,
     FrameTooLargeError,
@@ -126,8 +126,8 @@ def test_non_json_native_values_encode_via_repr():
 
 @pytest.fixture
 def served_db(tmp_path):
-    db = ReachDatabase(directory=str(tmp_path / "db"))
-    server = ReachServer(db.engine).start()
+    db = ReachEngine(directory=str(tmp_path / "db"))
+    server = ReachServer(db).start()
     yield db, server
     server.close()
     db.close()
@@ -259,9 +259,9 @@ def test_first_frame_must_be_hello(served_db):
 
 
 def test_oversized_frame_from_client_gets_error_then_hangup(tmp_path):
-    db = ReachDatabase(directory=str(tmp_path / "db"))
+    db = ReachEngine(directory=str(tmp_path / "db"))
     from repro.config import ServerConfig
-    server = ReachServer(db.engine, ServerConfig(max_frame_bytes=512))
+    server = ReachServer(db, ServerConfig(max_frame_bytes=512))
     server.start()
     try:
         sock = _raw_connection(server)

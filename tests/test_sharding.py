@@ -20,7 +20,7 @@ import urllib.request
 
 import pytest
 
-from repro import CouplingMode, ReachDatabase, SignalEventSpec, sentried
+from repro import CouplingMode, SignalEventSpec, sentried
 from repro.config import ExecutionConfig, ShardingConfig
 from repro.core.algebra import Sequence
 from repro.core.consumption import ConsumptionPolicy
@@ -54,39 +54,40 @@ def _signal_names_homed_on(shard_map, wanted_shards):
 
 @pytest.fixture
 def sdb(tmp_path):
-    database = ReachDatabase(
+    engine = ShardedEngine(
         directory=str(tmp_path / "sdb"),
         config=ExecutionConfig(sharding=ShardingConfig(shards=4)))
-    database.register_class(Crate, monitor_state=False)
-    yield database
-    database.close()
+    engine.register_class(Crate, monitor_state=False)
+    yield engine
+    engine.close()
 
 
 class TestFacadeAndPlacement:
     def test_facade_builds_the_sharded_engine(self, sdb):
-        assert isinstance(sdb.engine, ShardedEngine)
-        assert sdb.engine.shard_count == 4
-        assert len(sdb.engine.shards) == 4
+        assert sdb.shard_count == 4
+        assert len(sdb.shards) == 4
         assert all(isinstance(shard, ReachEngine)
-                   for shard in sdb.engine.shards)
+                   for shard in sdb.shards)
 
     def test_round_robin_placement_covers_every_shard(self, sdb):
-        with sdb.transaction():
-            oids = [sdb.persist(Crate(f"c{i}"), f"c{i}") for i in range(8)]
-        homes = [sdb.engine.shard_of(oid) for oid in oids]
+        session = sdb.create_session()
+        with session.transaction():
+            oids = [session.persist(Crate(f"c{i}"), f"c{i}")
+                    for i in range(8)]
+        homes = [sdb.shard_of(oid) for oid in oids]
         assert sorted(set(homes)) == [0, 1, 2, 3]
         # Each OID routes to the shard whose dictionary actually holds it.
         for i, oid in enumerate(oids):
-            shard = sdb.engine.shard_for(oid)
+            shard = sdb.shard_for(oid)
             assert shard.dictionary.has_name(f"c{i}")
 
     def test_explicit_shard_wins_and_residents_stay(self, sdb):
         crate = Crate("pinned")
-        session = sdb.engine.create_session("placer")
+        session = sdb.create_session("placer")
         with session.transaction():
             oid = session.persist(crate, "pinned", shard=2)
-        assert sdb.engine.shard_of(oid) == 2
-        assert sdb.engine.owning_shard(crate) == 2
+        assert sdb.shard_of(oid) == 2
+        assert sdb.owning_shard(crate) == 2
         # Re-persisting a resident object ignores round-robin placement.
         with session.transaction():
             again = session.persist(crate)
@@ -94,27 +95,29 @@ class TestFacadeAndPlacement:
         session.close()
 
     def test_fetch_and_delete_route_across_shards(self, sdb):
-        with sdb.transaction():
-            oid = sdb.persist(Crate("x"), "x")
+        session = sdb.create_session()
+        with session.transaction():
+            oid = session.persist(Crate("x"), "x")
         assert sdb.fetch("x").label == "x"
         assert sdb.fetch(oid).label == "x"
-        with sdb.transaction():
-            sdb.delete("x")
+        with session.transaction():
+            session.delete("x")
         with pytest.raises(ObjectNotFoundError):
             sdb.fetch("x")
 
     def test_query_concatenates_shard_results(self, sdb):
-        with sdb.transaction():
+        session = sdb.create_session()
+        with session.transaction():
             for i in range(8):
-                sdb.persist(Crate(f"q{i}"), f"q{i}")
+                session.persist(Crate(f"q{i}"), f"q{i}")
         rows = sdb.query("select c from Crate c")
         assert len(rows) == 8
 
     def test_session_restricted_to_one_shard(self, sdb):
-        session = sdb.engine.create_session("local", shards=[1])
+        session = sdb.create_session("local", shards=[1])
         with session.transaction(shards=[1]):
             oid = session.persist(Crate("near"), shard=1)
-        assert sdb.engine.shard_of(oid) == 1
+        assert sdb.shard_of(oid) == 1
         with pytest.raises(ValueError):
             session.transaction(shards=[3]).__enter__()
         session.close()
@@ -136,17 +139,18 @@ class TestStatisticsAndAdmin:
         sdb.rule("only", SignalEventSpec("sig-lonely"),
                  action=lambda ctx: None,
                  coupling=CouplingMode.DEFERRED)
+        sdb.create_session()
         stats = sdb.statistics()
         assert stats["rules"] == 1
-        assert stats["sessions"]["active"] >= 1
+        assert stats["sessions"] == {"created": 1, "active": 1}
 
     def test_admin_serves_the_topology(self, tmp_path):
-        database = ReachDatabase(
+        database = ShardedEngine(
             directory=str(tmp_path / "adb"),
             config=ExecutionConfig(observability=True, admin_port=0,
                                    sharding=ShardingConfig(shards=2)))
         try:
-            host, port = database.engine.admin_address
+            host, port = database.admin_address
             with urllib.request.urlopen(
                     f"http://{host}:{port}/shards", timeout=5.0) as response:
                 assert response.status == 200
@@ -155,34 +159,33 @@ class TestStatisticsAndAdmin:
             assert len(payload["per_shard"]) == 2
             # Shards themselves must not have opened their own servers.
             assert all(shard.admin is None
-                       for shard in database.engine.shards)
+                       for shard in database.shards)
         finally:
             database.close()
 
 
 class TestCrossShardComposites:
     def _database(self, tmp_path, tag):
-        return ReachDatabase(
+        return ShardedEngine(
             directory=str(tmp_path / tag),
             config=ExecutionConfig(sharding=ShardingConfig(shards=2)))
 
     def test_leaves_home_on_distinct_shards(self, tmp_path):
         db = self._database(tmp_path, "homes")
         try:
-            engine = db.engine
-            a_name, b_name = _signal_names_homed_on(engine.shard_map, [0, 1])
+            a_name, b_name = _signal_names_homed_on(db.shard_map, [0, 1])
             spec = Sequence(SignalEventSpec(a_name), SignalEventSpec(b_name))
             db.rule("pair", spec, action=lambda ctx: None,
                     coupling=CouplingMode.DEFERRED)
-            assert engine.bus.stats()["cross_shard_connections"] >= 1
+            assert db.bus.stats()["cross_shard_connections"] >= 1
         finally:
             db.close()
 
     def test_cross_shard_composite_fires_exactly_once(self, tmp_path):
         db = self._database(tmp_path, "once")
         try:
-            engine = db.engine
-            a_name, b_name = _signal_names_homed_on(engine.shard_map, [0, 1])
+            session = db.create_session()
+            a_name, b_name = _signal_names_homed_on(db.shard_map, [0, 1])
             fired = []
             db.rule("pair",
                     Sequence(SignalEventSpec(a_name),
@@ -191,22 +194,22 @@ class TestCrossShardComposites:
                         sorted(c.seq for c in
                                ctx.event.all_primitive_components())),
                     coupling=CouplingMode.DEFERRED)
-            with db.transaction():
-                db.signal(a_name)
-                db.signal(b_name)
+            with session.transaction():
+                session.signal(a_name)
+                session.signal(b_name)
             assert len(fired) == 1
             assert len(fired[0]) == 2
-            assert engine.bus.forwarded >= 1
+            assert db.bus.forwarded >= 1
             # The composite is still armed for the next transaction...
-            with db.transaction():
-                db.signal(a_name)
-                db.signal(b_name)
+            with session.transaction():
+                session.signal(a_name)
+                session.signal(b_name)
             assert len(fired) == 2
             # ...but never pairs across transactions (single-tx scope).
-            with db.transaction():
-                db.signal(a_name)
-            with db.transaction():
-                db.signal(b_name)
+            with session.transaction():
+                session.signal(a_name)
+            with session.transaction():
+                session.signal(b_name)
             assert len(fired) == 2
         finally:
             db.close()
@@ -214,17 +217,17 @@ class TestCrossShardComposites:
     def test_tx_group_sweep_leaves_no_semi_composed_garbage(self, tmp_path):
         db = self._database(tmp_path, "sweep")
         try:
-            engine = db.engine
-            a_name, b_name = _signal_names_homed_on(engine.shard_map, [0, 1])
+            session = db.create_session()
+            a_name, b_name = _signal_names_homed_on(db.shard_map, [0, 1])
             db.rule("pair",
                     Sequence(SignalEventSpec(a_name),
                              SignalEventSpec(b_name)),
                     action=lambda ctx: None,
                     coupling=CouplingMode.DEFERRED)
             for _ in range(3):
-                with db.transaction():
-                    db.signal(a_name)      # initiator left dangling
-            for shard in engine.shards:
+                with session.transaction():
+                    session.signal(a_name)  # initiator left dangling
+            for shard in db.shards:
                 for manager in shard.events.composite_managers():
                     assert manager.composer.pending_count() == 0
                     assert manager.composer._graphs == {}
@@ -240,8 +243,8 @@ class TestCrossShardComposites:
         """
         db = self._database(tmp_path, f"ref-{policy.name.lower()}")
         try:
-            engine = db.engine
-            a_name, b_name = _signal_names_homed_on(engine.shard_map, [0, 1])
+            session = db.create_session()
+            a_name, b_name = _signal_names_homed_on(db.shard_map, [0, 1])
             a_spec = SignalEventSpec(a_name)
             b_spec = SignalEventSpec(b_name)
             fired = []
@@ -257,7 +260,7 @@ class TestCrossShardComposites:
             # home shard, appending in detection order (single thread).
             detected = []
             for name, home in ((a_name, 0), (b_name, 1)):
-                manager = engine.shards[home].events.primitive_manager(
+                manager = db.shards[home].events.primitive_manager(
                     SignalEventSpec(name))
                 manager.add_listener(detected.append)
 
@@ -279,9 +282,9 @@ class TestCrossShardComposites:
                 [b_name, a_name, b_name],
             ]
             for stream in streams:
-                with db.transaction():
+                with session.transaction():
                     for name in stream:
-                        db.signal(name)
+                        session.signal(name)
 
             expected = []
             for occurrence in detected:
@@ -293,3 +296,36 @@ class TestCrossShardComposites:
             assert expected, "stream produced no composites — vacuous test"
         finally:
             db.close()
+
+
+class TestRuleDefinitionsAndConfig:
+    DDL = 'rule Ping { event signal "ping"; action imm n; };'
+
+    def test_define_rules_persist_and_reload(self, tmp_path):
+        directory = str(tmp_path / "ddl")
+        config = ExecutionConfig(sharding=ShardingConfig(shards=2))
+        engine = ShardedEngine(directory=directory, config=config)
+        try:
+            assert [rule.name for rule in
+                    engine.define_rules(self.DDL, persist=True)] == ["Ping"]
+        finally:
+            engine.close()
+        reopened = ShardedEngine(directory=directory, config=config)
+        try:
+            assert reopened.rules() == []
+            loaded = reopened.load_persistent_rules()
+            assert [rule.name for rule in loaded] == ["Ping"]
+            session = reopened.create_session()
+            with session.transaction():
+                session.signal("ping", n=1)
+            assert reopened.get_rule("Ping").fired_count == 1
+        finally:
+            reopened.close()
+
+    def test_reach_engine_rejects_a_sharded_config(self, tmp_path):
+        with pytest.raises(ValueError,
+                           match=r"ExecutionConfig\.sharding\.shards.*"
+                                 r"ShardedEngine"):
+            ReachEngine(
+                directory=str(tmp_path / "one"),
+                config=ExecutionConfig(sharding=ShardingConfig(shards=2)))

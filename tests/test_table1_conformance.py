@@ -26,7 +26,7 @@ from repro import (
     EventCategory,
     EventScope,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     SignalEventSpec,
     sentried,
 )
@@ -101,7 +101,7 @@ def _drive(db, category, abort=False):
 
 @pytest.fixture
 def db(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "t1"))
+    database = ReachEngine(directory=str(tmp_path / "t1"))
     database.register_class(Widget)
     yield database
     database.close()

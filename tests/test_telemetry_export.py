@@ -20,7 +20,7 @@ import re
 import threading
 import time
 
-from repro import ExecutionConfig, MethodEventSpec, ReachDatabase, sentried
+from repro import ExecutionConfig, MethodEventSpec, ReachEngine, sentried
 from repro.obs.export import (
     CallbackExporter,
     InMemoryExporter,
@@ -46,8 +46,8 @@ HEAT = MethodEventSpec("Boiler", "heat", param_names=("amount",))
 
 def make_db(tmp_path, **config_kwargs):
     config_kwargs.setdefault("observability", True)
-    database = ReachDatabase(directory=str(tmp_path / "telemetry-db"),
-                             config=ExecutionConfig(**config_kwargs))
+    database = ReachEngine(directory=str(tmp_path / "telemetry-db"),
+                           config=ExecutionConfig(**config_kwargs))
     database.register_class(Boiler)
     return database
 

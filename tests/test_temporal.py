@@ -7,7 +7,7 @@ from repro import (
     CouplingMode,
     MethodEventSpec,
     PeriodicEventSpec,
-    ReachDatabase,
+    ReachEngine,
     RelativeEventSpec,
     VirtualClock,
     sentried,
@@ -23,7 +23,7 @@ class Probe:
 
 @pytest.fixture
 def tdb(tmp_path):
-    database = ReachDatabase(directory=str(tmp_path / "tdb"))
+    database = ReachEngine(directory=str(tmp_path / "tdb"))
     database.register_class(Probe)
     yield database
     database.close()

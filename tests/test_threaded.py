@@ -14,7 +14,7 @@ from repro import (
     ExecutionConfig,
     ExecutionMode,
     MethodEventSpec,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     SignalEventSpec,
     sentried,
@@ -36,7 +36,7 @@ SPIN = MethodEventSpec("Turbine", "spin")
 @pytest.fixture
 def tdb(tmp_path):
     config = ExecutionConfig(mode=ExecutionMode.THREADED, worker_threads=4)
-    database = ReachDatabase(directory=str(tmp_path / "tdb"), config=config)
+    database = ReachEngine(directory=str(tmp_path / "tdb"), config=config)
     database.register_class(Turbine)
     yield database
     database.close()
@@ -150,8 +150,8 @@ class TestParallelRules:
     def test_parallel_siblings_share_the_trigger_family(self, tmp_path):
         config = ExecutionConfig(mode=ExecutionMode.THREADED,
                                  parallel_rules=True, worker_threads=4)
-        database = ReachDatabase(directory=str(tmp_path / "par"),
-                                 config=config)
+        database = ReachEngine(directory=str(tmp_path / "par"),
+                               config=config)
         database.register_class(Turbine)
         families = []
         threads = set()

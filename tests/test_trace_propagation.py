@@ -33,12 +33,13 @@ from repro import (
     CouplingMode,
     EventScope,
     ExecutionConfig,
-    ReachDatabase,
+    ReachEngine,
     Sequence,
     ShardingConfig,
     SignalEventSpec,
     sentried,
 )
+from repro.core.sharding import ShardedEngine
 from repro.obs.tracer import TraceContext
 from repro.server import ReachClient, ReachServer, protocol
 from tests.conftest import wait_until
@@ -55,12 +56,12 @@ class Crate:
         self.location = where
 
 
-def make_traced_db(tmp_path, **config_kwargs):
+def make_traced_db(tmp_path, engine_class=ReachEngine, **config_kwargs):
     config_kwargs.setdefault("fault_injection", True)
     config_kwargs.setdefault("fault_seed", FAULT_SEED)
-    return ReachDatabase(directory=str(tmp_path / "tdb"),
-                         config=ExecutionConfig(observability=True,
-                                                **config_kwargs))
+    return engine_class(directory=str(tmp_path / "tdb"),
+                        config=ExecutionConfig(observability=True,
+                                               **config_kwargs))
 
 
 def http_get(url):
@@ -94,16 +95,18 @@ def _pair_with_remote_completion(engine):
 
 class TestEndToEndTrace:
     def test_one_trace_covers_wire_shards_retry_and_wal(self, tmp_path):
-        db = make_traced_db(tmp_path,
+        db = make_traced_db(tmp_path, ShardedEngine,
                             sharding=ShardingConfig(shards=2),
                             detached_max_retries=2, retry_base_delay=0.001,
                             group_commit=True, admin_port=0)
         db.register_class(Crate)
         crate = Crate()
-        with db.transaction():
-            db.persist(crate, "crate")
+        session = db.create_session("local")
+        lander = db.create_session("lander")
+        with session.transaction():
+            session.persist(crate, "crate")
 
-        a_name, b_name = _pair_with_remote_completion(db.engine)
+        a_name, b_name = _pair_with_remote_completion(db)
         # Each wire signal is its own transaction, so pairing them needs
         # the multi-transaction scope (which requires a validity window).
         spec = (Sequence(SignalEventSpec(a_name), SignalEventSpec(b_name))
@@ -114,12 +117,12 @@ class TestEndToEndTrace:
             attempts.append(1)
             if len(attempts) == 1:
                 raise RuntimeError("transient landing failure")
-            with db.transaction():
+            with lander.transaction():
                 crate.move("landed")
 
         db.rule("pair", spec, action=land,
                 coupling=CouplingMode.DETACHED)
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with ReachClient(*server.address) as client:
                 client.signal(a_name, leg=1)
@@ -129,12 +132,12 @@ class TestEndToEndTrace:
             assert first_tid != completing_tid
 
             wait_until(lambda: len(attempts) >= 2)
-            with db.transaction():
+            with session.transaction():
                 assert crate.location == "landed"
-            wait_until(lambda: (trace := db.engine.trace(completing_tid))
+            wait_until(lambda: (trace := db.trace(completing_tid))
                        is not None and trace.find(name="wal:commit_wait"))
 
-            trace = db.engine.trace(completing_tid)
+            trace = db.trace(completing_tid)
             # Every span in the tree carries the client-minted id.
             assert {s.trace_id for s in trace.spans} == {completing_tid}
             # The adopted wire request roots the trace.
@@ -160,14 +163,14 @@ class TestEndToEndTrace:
 
             # The completing leaf really crossed shards, and the tree
             # above was merged from more than one shard tracer.
-            assert db.engine.bus.forwarded >= 1
-            contributing = [shard for shard in db.engine.shards
+            assert db.bus.forwarded >= 1
+            contributing = [shard for shard in db.shards
                             if shard.trace(completing_tid) is not None]
             assert len(contributing) == 2
 
             # The first request's trace exists too: its own root request
             # span plus the detection of leg a — no bleed into leg b.
-            first = db.engine.trace(first_tid)
+            first = db.trace(first_tid)
             assert first is not None
             assert {s.trace_id for s in first.spans} == {first_tid}
             assert len(first.find(kind="server")) == 1
@@ -198,7 +201,7 @@ class TestEndToEndTrace:
         hits = []
         db.on(SignalEventSpec("ping")).do(lambda ctx: hits.append(1)) \
             .named("ping-rule")
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with ReachClient(*server.address) as client:
                 for __ in range(20):
@@ -210,7 +213,7 @@ class TestEndToEndTrace:
             assert slo["exemplars"], \
                 "wire-driven detections must pin trace-id exemplars"
             for exemplar in slo["exemplars"]:
-                assert db.engine.trace(exemplar["trace_id"]) is not None
+                assert db.trace(exemplar["trace_id"]) is not None
         finally:
             server.close()
             db.close()
@@ -227,7 +230,7 @@ class TestConcurrentClientIsolation:
         hits = []
         db.on(SignalEventSpec("tick")).do(lambda ctx: hits.append(1)) \
             .named("tick-rule")
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         ids = [[] for __ in range(16)]
         errors = []
 
@@ -254,7 +257,7 @@ class TestConcurrentClientIsolation:
             assert len(set(all_ids)) == 80
             wait_until(lambda: len(hits) == 80)
             for tid in all_ids:
-                trace = db.engine.trace(tid)
+                trace = db.trace(tid)
                 assert trace is not None
                 # Every span belongs to this id, and exactly one wire
                 # request roots it: nothing leaked across sessions.
@@ -312,7 +315,7 @@ class TestWireCodec:
 class TestOldClientTolerance:
     def test_untraced_client_is_served_normally(self, tmp_path):
         db = make_traced_db(tmp_path)
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with ReachClient(*server.address,
                              trace_sampling=0.0) as client:
@@ -327,7 +330,7 @@ class TestOldClientTolerance:
 
     def test_garbage_trace_field_is_served_untraced(self, tmp_path):
         db = make_traced_db(tmp_path)
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with ReachClient(*server.address) as client:
                 class _Garbage:
@@ -351,7 +354,7 @@ class TestOldClientTolerance:
 class TestSampling:
     def test_client_fractional_sampling_is_deterministic(self, tmp_path):
         db = make_traced_db(tmp_path)
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with ReachClient(*server.address,
                              trace_sampling=0.25) as client:
@@ -374,13 +377,13 @@ class TestSampling:
         hits = []
         db.on(SignalEventSpec("ping")).do(lambda ctx: hits.append(1)) \
             .named("ping-rule")
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with ReachClient(*server.address) as client:
                 client.signal("ping")
                 tid = client.last_trace.trace_id
             wait_until(lambda: len(hits) == 1)
-            trace = db.engine.trace(tid)
+            trace = db.trace(tid)
             assert trace is not None
             assert trace.find(kind="server")
             assert trace.find(name="detect:")
@@ -394,7 +397,7 @@ class TestSampling:
         hits = []
         db.on(SignalEventSpec("ping")).do(lambda ctx: hits.append(1)) \
             .named("ping-rule")
-        server = ReachServer(db.engine).start()
+        server = ReachServer(db).start()
         try:
             with ReachClient(*server.address,
                              trace_sampling=0.0) as client:
