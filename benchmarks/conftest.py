@@ -20,7 +20,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 BENCH_OBS_PATH = os.path.join(RESULTS_DIR, "BENCH_obs.json")
 BENCH_SESSIONS_PATH = os.path.join(RESULTS_DIR, "BENCH_sessions.json")
 BENCH_FAULTS_PATH = os.path.join(RESULTS_DIR, "BENCH_faults.json")
-BENCH_GROUP_COMMIT_PATH = os.path.join(RESULTS_DIR, "BENCH_group_commit.json")
 BENCH_CONTENTION_PATH = os.path.join(RESULTS_DIR, "BENCH_contention.json")
 BENCH_SHARDS_PATH = os.path.join(RESULTS_DIR, "BENCH_shards.json")
 BENCH_SERVER_PATH = os.path.join(RESULTS_DIR, "BENCH_server.json")
@@ -71,17 +70,6 @@ def faults_report(experiment: str, payload: dict[str, Any]) -> dict[str, Any]:
 @pytest.fixture
 def bench_faults_report():
     return faults_report
-
-
-def group_commit_report(experiment: str,
-                        payload: dict[str, Any]) -> dict[str, Any]:
-    """Merge one experiment's metrics into ``results/BENCH_group_commit.json``."""
-    return merge_bench_json(BENCH_GROUP_COMMIT_PATH, experiment, payload)
-
-
-@pytest.fixture
-def bench_group_commit_report():
-    return group_commit_report
 
 
 def contention_report(experiment: str,

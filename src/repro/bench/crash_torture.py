@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import shutil
 import threading
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -52,6 +53,7 @@ from repro.core.engine import ReachEngine
 from repro.core.sharding import ShardedEngine
 from repro.core.events import EventOccurrence, SignalEventSpec
 from repro.errors import ObjectNotFoundError, RecordNotFoundError
+from repro.faults.registry import WAL_FSYNC, FaultRegistry
 from repro.obs.flight import FlightRecorder, latest_dump, load_dump
 from repro.obs.metrics import MetricsRegistry
 from repro.oodb.oid import OID
@@ -64,6 +66,7 @@ __all__ = [
     "ComposerTortureReport",
     "CutResult",
     "TortureReport",
+    "hold_next_force",
     "run_composer_torture",
     "run_database_torture",
     "run_group_commit_torture",
@@ -165,9 +168,9 @@ class TortureReport:
     max_commit_batch_observed: int = 0
     #: the flight dump the simulated crash wrote (None: no recorder ran)
     flight_dump_path: Optional[str] = None
-    #: True iff the dump's final wal.flush/wal.group_flush record names
-    #: the same LSN as the last record of the full WAL image — i.e. the
-    #: post-mortem record agrees with what recovery will actually see.
+    #: True iff the dump's final wal.flush record names the same LSN as
+    #: the last record of the full WAL image — i.e. the post-mortem
+    #: record agrees with what recovery will actually see.
     flight_lsn_matches: Optional[bool] = None
 
     @property
@@ -218,8 +221,7 @@ def _validate_flight_dump(base_dir: str, wal_image: bytes,
     if path is None:
         return
     __, records = load_dump(path)
-    flushes = [r for r in records
-               if r["category"] in ("wal.flush", "wal.group_flush")]
+    flushes = [r for r in records if r["category"] == "wal.flush"]
     full_records = parse_wal_prefix(wal_image)
     last_lsn = full_records[-1].lsn if full_records else 0
     flight_lsn = flushes[-1]["lsn"] if flushes else 0
@@ -232,8 +234,7 @@ def _validate_flight_dump(base_dir: str, wal_image: bytes,
 
 def _check_storage_cuts(root: str, base_image: bytes,
                         base_state: dict[int, bytes], wal_image: bytes,
-                        all_oids: set[int], report: TortureReport,
-                        group_commit: bool = False) -> None:
+                        all_oids: set[int], report: TortureReport) -> None:
     """Recover from every cut of ``wal_image`` and assert the invariants:
     winners replayed byte-for-byte, losers absent, allocator consistent."""
     for index, (offset, kind) in enumerate(_all_cuts(wal_image)):
@@ -241,7 +242,7 @@ def _check_storage_cuts(root: str, base_image: bytes,
         records = parse_wal_prefix(prefix)
         expected = _replay_expected(base_state, records)
         directory = _materialize(root, index, base_image, prefix)
-        recovered = StorageManager(directory, group_commit=group_commit)
+        recovered = StorageManager(directory)
         try:
             for oid_value, image in expected.items():
                 got = recovered.read(None, OID(oid_value))
@@ -270,20 +271,17 @@ def _check_storage_cuts(root: str, base_image: bytes,
                                      winners=len(_winner_ids(records))))
 
 
-def run_storage_torture(root: str, group_commit: bool = False) -> TortureReport:
+def run_storage_torture(root: str) -> TortureReport:
     """Exhaustive crash-point check over a raw StorageManager workload.
 
     The workload interleaves three winners (insert, update, delete) with
     two in-flight losers and one explicit abort, so every truncated
-    prefix exercises a different winner/loser partition.  With
-    ``group_commit`` the same workload runs through the commit barrier
-    (single-threaded, so every committer leads its own flush) and every
-    recovered instance is opened with the feature on.
+    prefix exercises a different winner/loser partition.  It runs on one
+    thread, so every committer leads its own force.
     """
     base_dir = os.path.join(root, "sm-base")
     flight = FlightRecorder(capacity=512, directory=base_dir)
-    sm = StorageManager(base_dir, group_commit=group_commit,
-                        commit_wait_us=0.0, flight=flight)
+    sm = StorageManager(base_dir, flight=flight)
 
     # Committed pre-state, made the checkpoint image.
     sm.begin(1)
@@ -326,7 +324,7 @@ def run_storage_torture(root: str, group_commit: bool = False) -> TortureReport:
     all_oids = {11, 12, 13, 14, 15}
     _validate_flight_dump(base_dir, wal_image, report)
     _check_storage_cuts(root, base_image, base_state, wal_image, all_oids,
-                        report, group_commit=group_commit)
+                        report)
     return report
 
 
@@ -334,23 +332,46 @@ def run_storage_torture(root: str, group_commit: bool = False) -> TortureReport:
 # Group-commit torture: concurrent committers sharing WAL forces
 # ---------------------------------------------------------------------------
 
+def hold_next_force(faults: FaultRegistry, storage: StorageManager,
+                    committers: int, timeout: float = 30.0) -> None:
+    """Arm a one-shot ``wal.fsync`` handshake on the next log force.
+
+    The force's leader has already dropped the log lock when the point
+    fires; the callback holds it there until ``committers`` commits
+    (the leader's own included) are queued on the commit barrier.  The
+    commits queued behind the leader then share the next force, so
+    batching is deterministic rather than a matter of thread timing.
+    """
+    def hold(ctx: dict) -> None:
+        deadline = time.monotonic() + timeout
+        while storage.wal_stats()["commit_queue_depth"] < committers:
+            if time.monotonic() > deadline:
+                raise AssertionError(
+                    f"only {storage.wal_stats()['commit_queue_depth']} of "
+                    f"{committers} commits queued behind the held force")
+            time.sleep(0.0005)
+
+    faults.arm(WAL_FSYNC, callback=hold)
+
+
 def run_group_commit_torture(root: str, threads: int = 8,
                              rounds: int = 2) -> TortureReport:
     """Crash-point torture over a *concurrently batched* commit workload.
 
-    ``threads`` committers rendezvous on a barrier each round so their
-    COMMIT records land in shared group flushes; two in-flight losers and
-    one abort are interleaved.  The final WAL image therefore contains
-    runs of COMMIT records that were covered by a single fsync, and the
-    cut loop exercises torn tails *mid-batch* — a crash between the
+    ``threads`` committers rendezvous on a barrier each round, and
+    :func:`hold_next_force` holds the round's first force until all of
+    them have queued, so the rest share the next force; two in-flight
+    losers and one abort are interleaved.  The final WAL image therefore
+    contains runs of COMMIT records that were covered by a single fsync,
+    and the cut loop exercises torn tails *mid-batch* — a crash between the
     ``os.write`` and the ``fsync`` of a shared force must lose or keep
     each covered transaction exactly according to the surviving prefix.
     """
     base_dir = os.path.join(root, "gc-base")
     metrics = MetricsRegistry()
+    faults = FaultRegistry()
     flight = FlightRecorder(capacity=1024, directory=base_dir)
-    sm = StorageManager(base_dir, metrics=metrics, group_commit=True,
-                        commit_wait_us=2000.0, max_commit_batch=threads,
+    sm = StorageManager(base_dir, metrics=metrics, faults=faults,
                         flight=flight)
 
     sm.begin(1)
@@ -364,7 +385,8 @@ def run_group_commit_torture(root: str, threads: int = 8,
     sm.write(_LOSER_TX_1, OID(900_101), b"loser-1")
 
     all_oids = {1, 900_101, 900_102, 900_103}
-    barrier = threading.Barrier(threads)
+    barrier = threading.Barrier(
+        threads, action=lambda: hold_next_force(faults, sm, threads))
     failures: list[BaseException] = []
 
     def worker(tid: int) -> None:
@@ -409,7 +431,7 @@ def run_group_commit_torture(root: str, threads: int = 8,
         max_commit_batch_observed=int(batch_hist.get("max") or 0))
     _validate_flight_dump(base_dir, wal_image, report)
     _check_storage_cuts(root, base_image, base_state, wal_image, all_oids,
-                        report, group_commit=True)
+                        report)
     return report
 
 
@@ -438,8 +460,8 @@ def run_replica_torture(root: str, threads: int = 8,
     """
     base_dir = os.path.join(root, "rt-base")
     metrics = MetricsRegistry()
-    sm = StorageManager(base_dir, metrics=metrics, group_commit=True,
-                        commit_wait_us=2000.0, max_commit_batch=threads)
+    faults = FaultRegistry()
+    sm = StorageManager(base_dir, metrics=metrics, faults=faults)
 
     sm.begin(1)
     sm.write(1, OID(1), b"seed-0")
@@ -455,7 +477,8 @@ def run_replica_torture(root: str, threads: int = 8,
     # The seed transaction's durability is the checkpoint *image*, not
     # the log, so it is not part of the acked-in-log set under test.
     acked: set[int] = set()
-    barrier = threading.Barrier(threads)
+    barrier = threading.Barrier(
+        threads, action=lambda: hold_next_force(faults, sm, threads))
     failures: list[BaseException] = []
 
     def worker(tid: int) -> None:
@@ -577,7 +600,7 @@ _LOSER_TX_1 = 900_001
 _LOSER_TX_2 = 900_002
 
 
-def run_database_torture(root: str, group_commit: bool = False) -> TortureReport:
+def run_database_torture(root: str) -> TortureReport:
     """Exhaustive crash-point check over a full active-database workload.
 
     Four user transactions (winners) mutate and create named objects,
@@ -586,12 +609,9 @@ def run_database_torture(root: str, group_commit: bool = False) -> TortureReport
     after the k committed transactions the prefix retains: fetch-by-name
     values, ``ObjectNotFoundError`` for later objects, a fresh OID above
     every replayed one, and a consistent index over the survivors.
-    With ``group_commit`` every commit (including each recovered
-    instance's fresh persist) goes through the commit barrier.
     """
-    config = ExecutionConfig(group_commit=group_commit, commit_wait_us=0.0)
     base_dir = os.path.join(root, "db-base")
-    db = ReachEngine(directory=base_dir, config=config)
+    db = ReachEngine(directory=base_dir)
     db.register_class(TortureRecord)
     objs = {name: TortureRecord(name) for name in ("alpha", "beta", "gamma")}
     with db.transaction():
@@ -654,7 +674,7 @@ def run_database_torture(root: str, group_commit: bool = False) -> TortureReport
         committed = len(_winner_ids(records))
         state = expected[committed]
         directory = _materialize(root, index, base_image, prefix)
-        recovered = ReachEngine(directory=directory, config=config)
+        recovered = ReachEngine(directory=directory)
         try:
             recovered.register_class(TortureRecord)
             survivors = []

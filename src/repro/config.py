@@ -212,18 +212,6 @@ class ExecutionConfig:
             null point and pays one no-op call.
         fault_seed: seed for the fault registry's RNG so probabilistic
             schedules replay deterministically.
-        group_commit: batch concurrent committers into one shared WAL
-            force (ARIES-style group commit).  Off by default: every
-            commit then pays its own serialized ``fsync`` exactly as
-            before.  Durability semantics are unchanged — a commit is
-            acknowledged only after the fsync covering its COMMIT record
-            returns (see ``docs/performance.md``).
-        commit_wait_us: how long a group-commit leader lingers, in
-            microseconds, for more committers to join its batch before
-            forcing the log.  0 flushes immediately (batching then relies
-            purely on arrival concurrency).
-        max_commit_batch: once this many committers are queued the leader
-            stops lingering and forces the log at once.
         flight_recorder: keep the always-on flight recorder
             (``repro.obs.flight``) — a fixed-cost ring of recent pipeline
             happenings dumped to ``<dbdir>/flight/`` on crash, unhandled
@@ -277,9 +265,6 @@ class ExecutionConfig:
     error_log_capacity: int = 1000
     fault_injection: bool = False
     fault_seed: Optional[int] = None
-    group_commit: bool = False
-    commit_wait_us: float = 200.0
-    max_commit_batch: int = 32
     flight_recorder: bool = True
     flight_capacity: int = 4096
     flight_lock_wait_threshold: float = 0.010
@@ -315,10 +300,6 @@ class ExecutionConfig:
             raise ValueError("dead_letter_capacity must be >= 1")
         if self.error_log_capacity < 1:
             raise ValueError("error_log_capacity must be >= 1")
-        if self.commit_wait_us < 0:
-            raise ValueError("commit_wait_us must be >= 0")
-        if self.max_commit_batch < 1:
-            raise ValueError("max_commit_batch must be >= 1")
         if self.flight_capacity < 1:
             raise ValueError("flight_capacity must be >= 1")
         if self.flight_lock_wait_threshold < 0:

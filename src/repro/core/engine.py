@@ -257,9 +257,6 @@ class ReachEngine(RuleDefinitions):
                                       buffer_capacity=buffer_capacity,
                                       metrics=self.metrics_registry,
                                       faults=self.faults,
-                                      group_commit=self.config.group_commit,
-                                      commit_wait_us=self.config.commit_wait_us,
-                                      max_commit_batch=self.config.max_commit_batch,
                                       flight=self.flight,
                                       tracer=self.tracer)
         if self.shard_map.shard_count > 1:
@@ -894,8 +891,8 @@ class ReachEngine(RuleDefinitions):
 
         * ``locks`` — stripe count, total waits/deadlocks/timeouts, and
           per-stripe wait-latency aggregates (count, p50/p99/max in ms);
-        * ``wal`` — the write-ahead log's stats (group-commit machinery,
-          queue depth, LSNs);
+        * ``wal`` — the write-ahead log's stats (commit queue depth,
+          force in flight, LSNs);
         * ``history`` — global-history merge machinery: merge
           operations run, deferred requests, current merge lag (pending
           un-applied merges), merged entry count.

@@ -221,6 +221,10 @@ class ShardedEngine(RuleDefinitions):
         self._placement = itertools.count()
         self._lock = threading.RLock()
         self._closed = False
+        # Sessions register here, not on a shard, so every shard's
+        # per-tenant SLO attribution resolves through the coordinator.
+        for shard in self.shards:
+            shard.scheduler.tenant_resolver = self.tenant_of_session
 
         self.replicas: list[ReadReplica] = []
         self.shippers: list[WALShipper] = []
@@ -330,6 +334,8 @@ class ShardedEngine(RuleDefinitions):
     def sessions(self) -> list[ShardedSession]:
         with self._lock:
             return list(self._sessions)
+
+    tenant_of_session = ReachEngine.tenant_of_session
 
     def _forget_session(self, session: ShardedSession) -> None:
         with self._lock:
@@ -753,8 +759,9 @@ class ShardedEngine(RuleDefinitions):
     def __enter__(self) -> "ShardedEngine":
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    # Records ``engine.abort`` and dumps shard 0's flight ring (the
+    # coordinator's ``flight``) before closing, as on one kernel.
+    __exit__ = ReachEngine.__exit__
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -63,17 +63,13 @@ class StorageManager:
     def __init__(self, directory: str, buffer_capacity: int = 128,
                  metrics: MetricsRegistry = NULL_METRICS,
                  faults: FaultRegistry = NULL_FAULTS,
-                 group_commit: bool = False,
-                 commit_wait_us: float = 200.0,
-                 max_commit_batch: int = 32,
                  flight: FlightRecorder = NULL_FLIGHT,
                  tracer: Any = None):
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
-        #: optional tracer: the WAL commit wait (flush or group-commit
-        #: barrier) gets its own child span under the committing thread's
-        #: open ``tx:commit`` span, so a trace tree shows how much of a
-        #: commit was fsync.
+        #: optional tracer: the WAL commit barrier gets its own child span
+        #: under the committing thread's open ``tx:commit`` span, so a
+        #: trace tree shows how much of a commit was fsync.
         self._tracer = tracer
         self._fp_commit = faults.point(STORAGE_COMMIT)
         self._fp_checkpoint = faults.point(STORAGE_CHECKPOINT)
@@ -82,9 +78,6 @@ class StorageManager:
         self._flight = flight
         self._wal = WriteAheadLog(os.path.join(directory, self.LOG_FILE),
                                   metrics=metrics, faults=faults,
-                                  group_commit=group_commit,
-                                  commit_wait_us=commit_wait_us,
-                                  max_commit_batch=max_commit_batch,
                                   flight=flight)
         self._file = PageFile(os.path.join(directory, self.DATA_FILE))
         self._pool = BufferPool(self._file, capacity=buffer_capacity,
@@ -245,50 +238,32 @@ class StorageManager:
     def commit(self, tx_id: int) -> None:
         """Make the transaction durable, then apply its writes to pages.
 
-        With group commit enabled, the commit barrier (``wal.sync``) runs
-        *outside* the storage mutex so concurrent committers can share one
-        log force; the transaction stays in ``_active`` until its pages are
-        applied, which keeps ``checkpoint`` from truncating a log the
-        commit still depends on.  Page application is safe to defer past
-        the lock release because the lock manager above serializes
-        conflicting transactions until after commit returns.
+        The commit barrier (``wal.sync``) runs *outside* the storage mutex
+        so concurrent committers can share one log force; the transaction
+        stays in ``_active`` until its pages are applied, which keeps
+        ``checkpoint`` from truncating a log the commit still depends on.
+        Page application is safe to defer past the lock release because
+        the lock manager above serializes conflicting transactions until
+        after commit returns.
         """
-        tracer = self._tracer
         with self._lock:
             ws = self._require_tx(tx_id)
             self._fp_commit.hit(tx_id=tx_id)
             lsn = self._wal.append(LogRecord(LogRecordType.COMMIT,
                                              tx_id=tx_id))
-            if not self._wal.group_commit:
-                # The commit wait (inline fsync here, the group-commit
-                # barrier below) gets its own child span under the
-                # committing thread's tx:commit span, so a trace tree
-                # shows how much of a commit was durability wait.
-                if tracer is not None and tracer.enabled:
-                    with tracer.child_span("wal:commit_wait", "wal",
-                                           lsn=lsn):
-                        self._wal.flush()
-                else:
-                    self._wal.flush()
-                self._apply_committed(tx_id, ws)
-                return
+        tracer = self._tracer
         if tracer is not None and tracer.enabled:
-            with tracer.child_span("wal:commit_wait", "wal", lsn=lsn,
-                                   group=True):
+            with tracer.child_span("wal:commit_wait", "wal", lsn=lsn):
                 self._wal.sync(lsn)
         else:
             self._wal.sync(lsn)
         with self._lock:
-            self._apply_committed(tx_id, ws)
-
-    def _apply_committed(self, tx_id: int, ws: _TxWriteSet) -> None:
-        """Apply a durably committed write set to pages (lock held)."""
-        for oid_value, image in ws.writes.items():
-            if image is None:
-                self._apply_delete(oid_value)
-            else:
-                self._apply_write(oid_value, image)
-        del self._active[tx_id]
+            for oid_value, image in ws.writes.items():
+                if image is None:
+                    self._apply_delete(oid_value)
+                else:
+                    self._apply_write(oid_value, image)
+            del self._active[tx_id]
 
     def abort(self, tx_id: int) -> None:
         with self._lock:

@@ -30,7 +30,6 @@ import enum
 import os
 import struct
 import threading
-import time
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -132,30 +131,28 @@ class LogRecord:
 
 
 class WriteAheadLog:
-    """Append-only log file with group flush and group commit.
+    """Append-only log file with one force path and a group-commit barrier.
 
-    ``append`` buffers in memory and assigns the LSN; ``flush`` forces the
-    buffer (and the OS cache) to disk.  ``flush_to(lsn)`` is the WAL-rule
-    hook used by the buffer pool before writing a data page.
+    ``append`` buffers in memory and assigns the LSN.  Every physical write
+    of the log is one *force* — one ``os.write`` + ``fsync`` covering every
+    buffered record — and three entry points wait for one: ``flush()``
+    (everything appended so far), ``flush_to(lsn)`` (the WAL-rule hook the
+    buffer pool calls before writing a data page) and ``sync(lsn)`` (the
+    commit barrier, which also counts the commits each force acknowledges).
 
-    When ``group_commit`` is enabled, :meth:`sync` is the commit barrier:
-    concurrent committers enqueue their COMMIT LSN, the first waiter becomes
-    the *leader* (leader/follower handoff — no dedicated flusher thread),
-    optionally lingers up to ``commit_wait_us`` for more committers to join
-    (early-out once ``max_commit_batch`` are queued), then performs one
-    ``os.write`` + ``fsync`` covering every buffered record and releases
-    all followers whose LSN <= ``flushed_lsn``.  A follower is never
-    released with success before that shared fsync has completed; if the
-    flush fails, every committer covered by the failed round observes the
-    leader's exception instead of a durable-commit acknowledgment.
+    The barrier is leader/follower group commit with no linger and no
+    flusher thread: a caller whose LSN is not yet durable either finds no
+    force in flight and leads one, or waits for the one in flight and then
+    re-checks.  The leader drops the log lock for the I/O, so commits that
+    arrive meanwhile append, queue, and share the next force.  A caller is
+    never released with success before a completed fsync covers its LSN;
+    if a force fails, every waiter it covered observes the leader's
+    exception instead of a durable-commit acknowledgment.
     """
 
     def __init__(self, path: str,
                  metrics: MetricsRegistry = NULL_METRICS,
                  faults: FaultRegistry = NULL_FAULTS,
-                 group_commit: bool = False,
-                 commit_wait_us: float = 200.0,
-                 max_commit_batch: int = 32,
                  flight: FlightRecorder = NULL_FLIGHT):
         self.path = path
         self._fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
@@ -167,16 +164,13 @@ class WriteAheadLog:
         self._buffer: list[bytes] = []
         self._next_lsn = 1
         self._flushed_lsn = 0
-        self.group_commit = bool(group_commit)
-        self._commit_wait_s = max(0.0, float(commit_wait_us)) / 1_000_000.0
-        self._max_commit_batch = max(1, int(max_commit_batch))
+        #: COMMIT LSNs of committers waiting in :meth:`sync`
         self._commit_queue: list[int] = []
-        self._flush_in_progress = False
-        # Failure hand-off from leader to followers: committers whose LSN
-        # falls at or below ``_failed_lsn`` (and is not yet durable) re-raise
-        # the stored exception rather than spinning forever.
-        self._failed_lsn = 0
-        self._flush_exc: Optional[BaseException] = None
+        self._forcing = False
+        # Failure hand-off from leader to followers: ``(target LSN,
+        # exception)`` of the last failed force, a fresh tuple each time,
+        # so a waiter can tell whether a force failed while it waited.
+        self._failure: Optional[tuple[int, BaseException]] = None
         # Robustness counters (surfaced via stats()): lenient scans that
         # discarded a corrupt suffix, well-framed records of unknown type
         # scanned past, and composer-checkpoint bookkeeping.
@@ -186,7 +180,6 @@ class WriteAheadLog:
         self.last_composer_checkpoint_lsn = 0
         self._m_appends = metrics.counter("wal.appends")
         self._m_flushes = metrics.counter("wal.flushes")
-        self._m_group_flushes = metrics.counter("wal.group_flushes")
         self._m_commits_per_flush = metrics.histogram("wal.commits_per_flush")
         self._fp_append = faults.point(WAL_APPEND)
         self._fp_fsync = faults.point(WAL_FSYNC)
@@ -219,123 +212,66 @@ class WriteAheadLog:
             self._m_appends.inc()
             return record.lsn
 
-    def _flush_locked(self) -> None:
-        """One physical flush of the current buffer (caller holds the lock).
-
-        Fault points fire exactly once per physical flush.  The buffer is
-        drained only *after* ``fsync`` succeeds: a failed fsync leaves the
-        records in memory (and ``flushed_lsn`` stale) so a retry can force
-        them again.  A retried batch may rewrite frames that already reached
-        the file — harmless, because redo applies full after-images and is
-        idempotent.  The injected torn tail is the exception: it simulates a
-        crash mid-write, so it deliberately discards the batch.
-        """
-        if self._buffer:
-            torn = self._fp_torn.hit()
-            data = b"".join(self._buffer)
-            if torn is not None:
-                # Simulated crash mid-write: persist the batch minus
-                # the final ``drop`` bytes (a torn tail for recovery
-                # to discard), then fail the flush.
-                drop = min(torn.payload.get("drop", _FRAME.size + 1),
-                           len(data) - 1)
-                os.write(self._fd, data[:len(data) - drop])
-                os.fsync(self._fd)
-                self._buffer.clear()
-                raise InjectedFault(
-                    f"torn tail injected: dropped final {drop} bytes "
-                    "of the flush batch")
-            os.write(self._fd, data)
-        self._fp_fsync.hit()
-        os.fsync(self._fd)
-        self._buffer.clear()
-        self._flushed_lsn = self._next_lsn - 1
-        self._m_flushes.inc()
-        if self._flight.enabled:
-            self._flight.record("wal.flush", lsn=self._flushed_lsn)
-
-    def _await_no_group_flush(self) -> None:
-        """Wait out an in-flight group flush (caller holds the lock).
-
-        The group leader drops the lock during its write+fsync; any other
-        physical flush must not interleave with it, or frames written by
-        both would be double-drained from the buffer.
-        """
-        while self._flush_in_progress:
-            self._barrier.wait()
-
     def flush(self) -> None:
-        """Force all buffered records to stable storage."""
+        """Force every record appended so far to stable storage."""
         with self._lock:
-            self._await_no_group_flush()
-            self._flush_locked()
+            self._await_durable(self._next_lsn - 1)
 
     def flush_to(self, lsn: int) -> None:
         """Ensure every record up to ``lsn`` is durable (WAL rule)."""
         with self._lock:
-            if lsn <= self._flushed_lsn:
-                return
-            self._await_no_group_flush()
-            if lsn > self._flushed_lsn:
-                self._flush_locked()
+            self._await_durable(lsn)
 
     def sync(self, lsn: int) -> None:
-        """Commit barrier: block until ``lsn`` is durable.
-
-        Without group commit this is exactly ``flush_to``.  With group
-        commit, the caller enqueues its COMMIT LSN and either becomes the
-        leader (performing the shared write+fsync for every queued record)
-        or waits for a leader's flush to cover it.  Returns only once the
-        record is on stable storage; raises the flush failure otherwise.
-        """
-        if not self.group_commit:
-            self.flush_to(lsn)
-            return
-        with self._barrier:
+        """Commit barrier: block until the COMMIT record at ``lsn`` is
+        durable, leading a force or sharing one in flight.  Raises the
+        failure of the force that covered it instead of returning."""
+        with self._lock:
             if lsn <= self._flushed_lsn:
                 return
             self._commit_queue.append(lsn)
-            if len(self._commit_queue) >= self._max_commit_batch:
-                self._barrier.notify_all()  # full batch: end the linger now
-            while True:
-                if lsn <= self._flushed_lsn:
-                    return
-                if self._flush_exc is not None and lsn <= self._failed_lsn:
-                    raise self._flush_exc
-                if not self._flush_in_progress:
-                    self._lead_flush()
-                    continue
-                self._barrier.wait()
+            self._await_durable(lsn)
 
-    def _lead_flush(self) -> None:
-        """Leader role: linger for joiners, then run one shared flush.
+    def _await_durable(self, lsn: int) -> None:
+        """Leader/follower loop shared by every entry point (caller holds
+        the lock): lead a force when none is in flight, otherwise wait for
+        the one in flight and re-check."""
+        while lsn > self._flushed_lsn:
+            if not self._forcing:
+                self._force()
+                continue
+            failure = self._failure
+            self._barrier.wait()
+            if (self._failure is not failure
+                    and self._flushed_lsn < lsn <= self._failure[0]):
+                raise self._failure[1]
 
-        Caller holds the lock exactly once (``sync`` never nests).  The
-        linger ``wait`` releases the lock so joiners can append + enqueue;
-        the physical write/fsync also runs with the lock *dropped* so that
-        other sessions' appends and page work overlap the I/O —
-        ``_flush_in_progress`` keeps every other physical flush out while
-        the leader is in flight, and the leader drains only the frames it
-        snapshotted.
+    def _force(self) -> None:
+        """The log's one physical write: every buffered frame, one fsync.
+
+        The caller holds the lock and no force is in flight.  The lock is
+        dropped (one recursion level) for the I/O so other sessions keep
+        appending and queueing; ``_forcing`` keeps a second force out, and
+        only the frames snapshotted here are drained.  Fault points fire
+        exactly once per force.  Frames are drained only *after* ``fsync``
+        succeeds: a failed fsync leaves them buffered (and ``flushed_lsn``
+        stale) so the next force writes them again — harmless, because
+        redo applies full after-images and is idempotent.  The injected
+        torn tail is the exception: it simulates a crash mid-write, so it
+        deliberately discards the batch.
         """
-        self._flush_in_progress = True
+        self._forcing = True
         try:
-            if self._commit_wait_s > 0.0:
-                deadline = time.monotonic() + self._commit_wait_s
-                while len(self._commit_queue) < self._max_commit_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        break
-                    self._barrier.wait(remaining)
             count = len(self._buffer)
             target = self._next_lsn - 1
-            released = [q for q in self._commit_queue if q <= target]
             torn = self._fp_torn.hit() if count else None
-            data = b"".join(self._buffer[:count])
+            data = b"".join(self._buffer)
             try:
                 self._lock.release()
                 try:
                     if torn is not None:
+                        # Persist the batch minus its final ``drop`` bytes
+                        # (a torn tail for recovery to discard), then fail.
                         drop = min(torn.payload.get("drop", _FRAME.size + 1),
                                    len(data) - 1)
                         os.write(self._fd, data[:len(data) - drop])
@@ -350,29 +286,26 @@ class WriteAheadLog:
                 finally:
                     self._lock.acquire()
             except BaseException as exc:
-                if torn is not None and isinstance(exc, InjectedFault):
-                    # The torn tail simulates a crash mid-write: the batch
-                    # is gone, exactly as in the single-flush path.
+                if torn is not None:
                     del self._buffer[:count]
-                self._failed_lsn = target
-                self._flush_exc = exc
+                self._failure = (target, exc)
                 self._commit_queue = [q for q in self._commit_queue
                                       if q > target]
                 raise
             del self._buffer[:count]
-            self._flushed_lsn = max(self._flushed_lsn, target)
-            self._flush_exc = None
+            self._flushed_lsn = target
+            commits = len(self._commit_queue)
             self._commit_queue = [q for q in self._commit_queue
                                   if q > self._flushed_lsn]
+            commits -= len(self._commit_queue)
             self._m_flushes.inc()
-            self._m_group_flushes.inc()
-            self._m_commits_per_flush.observe(float(len(released)))
+            if commits:
+                self._m_commits_per_flush.observe(float(commits))
             if self._flight.enabled:
-                self._flight.record("wal.group_flush",
-                                    lsn=self._flushed_lsn,
-                                    commits=len(released))
+                self._flight.record("wal.flush", lsn=self._flushed_lsn,
+                                    commits=commits)
         finally:
-            self._flush_in_progress = False
+            self._forcing = False
             self._barrier.notify_all()
 
     @property
@@ -398,9 +331,8 @@ class WriteAheadLog:
                 "next_lsn": self._next_lsn,
                 "flushed_lsn": self._flushed_lsn,
                 "buffered_records": len(self._buffer),
-                "group_commit": self.group_commit,
                 "commit_queue_depth": len(self._commit_queue),
-                "flush_in_progress": self._flush_in_progress,
+                "flush_in_progress": self._forcing,
                 "recovery_truncations": self.recovery_truncations,
                 "unknown_records_skipped": self.unknown_records_skipped,
                 "composer_checkpoints_written":

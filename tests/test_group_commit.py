@@ -1,18 +1,23 @@
 """Group commit: durability equivalence, ack ordering, torn mid-batch.
 
-Group commit (``ExecutionConfig(group_commit=True)``) changes *when*
-fsyncs happen — one shared force per batch of concurrent committers —
-but must not change durability semantics.  These tests pin that claim:
+Every COMMIT goes through one barrier, ``WriteAheadLog.sync``: a
+committer leads a force when none is in flight, or waits for the one in
+flight and shares the next.  Batching changes *when* fsyncs happen but
+must not change durability semantics.  These tests pin that claim:
 
 * the crash-torture harness passes at every WAL-record and torn-tail
-  crash point with group commit enabled, including torn tails that cut
-  through the middle of a shared batch;
-* a committer is acknowledged only after the shared fsync covering its
-  COMMIT record has completed — never before (proved by injecting
-  ``wal.fsync`` faults and observing that the whole covered round raises
-  instead of returning success);
-* the PR 3 fault points (``wal.fsync``, ``wal.torn_tail``) fire exactly
-  once per *physical* flush, batched or not.
+  crash point of a workload whose commits really shared forces,
+  including torn tails that cut through the middle of a shared batch;
+* a committer is acknowledged only after the fsync covering its COMMIT
+  record has completed — never before (proved by injecting ``wal.fsync``
+  faults and observing that the whole covered round raises instead of
+  returning success);
+* the fault points (``wal.fsync``, ``wal.torn_tail``) fire exactly once
+  per *physical* force, batched or not.
+
+Batches are made deterministic by :func:`hold_next_force`, a
+``wal.fsync`` callback that holds a force's leader until the other
+committers have queued behind it — no linger, no timing luck.
 """
 
 import os
@@ -23,10 +28,9 @@ import pytest
 from repro.bench.crash_torture import (
     _replay_expected,
     _winner_ids,
+    hold_next_force,
     parse_wal_prefix,
-    run_database_torture,
     run_group_commit_torture,
-    run_storage_torture,
 )
 from repro.config import ExecutionConfig
 from repro.core.engine import ReachEngine
@@ -36,18 +40,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.oodb.oid import OID
 from repro.oodb.sentry import sentried
 from repro.storage.storage_manager import StorageManager
+from repro.storage.wal import WriteAheadLog
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
-def _group_sm(directory, **kwargs):
-    kwargs.setdefault("group_commit", True)
-    kwargs.setdefault("commit_wait_us", 2000.0)
-    kwargs.setdefault("max_commit_batch", 4)
-    return StorageManager(str(directory), **kwargs)
-
-
-def _run_committers(sm, count, base_tx=0, body=None):
+def _run_committers(sm, count):
     """``count`` threads begin+write then rendezvous and commit together.
 
     Returns ``{tx_id: "ok" | exception}`` keyed by transaction id.
@@ -56,11 +54,9 @@ def _run_committers(sm, count, base_tx=0, body=None):
     results = {}
 
     def worker(tid):
-        tx = base_tx + tid + 1
+        tx = tid + 1
         sm.begin(tx)
         sm.write(tx, OID(1000 + tx), b"payload-%d" % tx)
-        if body is not None:
-            body(tx)
         barrier.wait(timeout=30)
         try:
             sm.commit(tx)
@@ -77,23 +73,13 @@ def _run_committers(sm, count, base_tx=0, body=None):
     return results
 
 
+def _winners_on_disk(directory):
+    with open(os.path.join(directory, StorageManager.LOG_FILE), "rb") as fh:
+        return _winner_ids(parse_wal_prefix(fh.read()))
+
+
 class TestDurabilityEquivalence:
-    """The PR 3 torture invariants hold with group commit enabled."""
-
-    def test_storage_torture_with_group_commit(self, tmp_path):
-        report = run_storage_torture(str(tmp_path), group_commit=True)
-        assert report.total_winners >= 3
-        assert report.total_losers >= 3
-        assert report.boundary_cuts >= 10
-        assert report.torn_cuts >= 10
-        winner_counts = {cut.winners for cut in report.cuts}
-        assert winner_counts == set(range(report.total_winners + 1))
-
-    def test_database_torture_with_group_commit(self, tmp_path):
-        report = run_database_torture(str(tmp_path), group_commit=True)
-        assert report.total_winners >= 4
-        assert report.boundary_cuts >= 10
-        assert report.torn_cuts >= 10
+    """The crash-torture invariants hold through shared forces."""
 
     def test_concurrent_batch_torture(self, tmp_path):
         """Cuts through genuinely batched commits, incl. torn mid-batch."""
@@ -112,16 +98,9 @@ class TestAckOrdering:
     """Success from commit() implies the shared fsync already covered it."""
 
     def test_ack_implies_commit_record_written(self, tmp_path):
-        sm = _group_sm(tmp_path / "sm", max_commit_batch=8)
-        wal_path = os.path.join(str(tmp_path / "sm"), StorageManager.LOG_FILE)
+        directory = str(tmp_path / "sm")
+        sm = StorageManager(directory)
         stale = []
-
-        def check_durable(tx):
-            with open(wal_path, "rb") as fh:
-                image = fh.read()
-            if tx not in _winner_ids(parse_wal_prefix(image)):
-                stale.append(tx)
-
         barrier = threading.Barrier(8)
         results = {}
 
@@ -132,7 +111,8 @@ class TestAckOrdering:
                 sm.write(tx, OID(1000 + tx), b"x")
                 barrier.wait(timeout=30)
                 sm.commit(tx)
-                check_durable(tx)
+                if tx not in _winners_on_disk(directory):
+                    stale.append(tx)
                 results[tx] = "ok"
 
         threads = [threading.Thread(target=worker, args=(t,))
@@ -149,45 +129,43 @@ class TestAckOrdering:
 
     def test_no_ack_when_shared_fsync_fails(self, tmp_path):
         """An injected wal.fsync failure fails the *whole* covered round."""
+        directory = str(tmp_path / "sm")
         faults = FaultRegistry(seed=FAULT_SEED)
-        sm = _group_sm(tmp_path / "sm", faults=faults)
-        faults.arm(WAL_FSYNC, nth=1, times=1)
+        sm = StorageManager(directory, faults=faults)
+        # The first force waits for all four committers; the shared force
+        # behind it is the one that fails.
+        hold_next_force(faults, sm, 4)
+        faults.arm(WAL_FSYNC, nth=2, times=1)
         results = _run_committers(sm, 4)
         faulted = [tx for tx, r in results.items()
                    if isinstance(r, InjectedFault)]
         acked = [tx for tx, r in results.items() if r == "ok"]
-        # At least the leader's round observed the failure, and nobody in
-        # it was released with success before the fsync.
         assert faulted, f"no committer saw the injected fsync fault: {results}"
         unexpected = [tx for tx, r in results.items()
                       if r != "ok" and not isinstance(r, InjectedFault)]
         assert unexpected == []
         sm.flush()  # preserved buffer: a retry forces everything
-        wal_path = os.path.join(str(tmp_path / "sm"), StorageManager.LOG_FILE)
-        with open(wal_path, "rb") as fh:
-            winners = _winner_ids(parse_wal_prefix(fh.read()))
+        winners = _winners_on_disk(directory)
         for tx in acked:
             assert tx in winners
         sm.close()
 
     def test_failed_round_records_survive_in_buffer(self, tmp_path):
-        """After a failed shared fsync the batch is retried, not dropped."""
+        """After a failed fsync the batch is retried, not dropped."""
+        directory = str(tmp_path / "sm")
         faults = FaultRegistry(seed=FAULT_SEED)
-        sm = _group_sm(tmp_path / "sm", faults=faults, commit_wait_us=0.0)
+        sm = StorageManager(directory, faults=faults)
         sm.begin(1)
         sm.write(1, OID(11), b"first")
         faults.arm(WAL_FSYNC, nth=1, times=1)
         with pytest.raises(InjectedFault):
             sm.commit(1)
         # The failed round's records stay buffered; the next commit's
-        # shared force makes both transactions durable.
+        # force makes both transactions durable.
         sm.begin(2)
         sm.write(2, OID(12), b"second")
         sm.commit(2)
-        wal_path = os.path.join(str(tmp_path / "sm"), StorageManager.LOG_FILE)
-        with open(wal_path, "rb") as fh:
-            winners = _winner_ids(parse_wal_prefix(fh.read()))
-        assert {1, 2} <= winners
+        assert {1, 2} <= _winners_on_disk(directory)
         sm.close()
 
 
@@ -196,8 +174,9 @@ class TestTornMidBatch:
         """A torn tail inside one shared force loses exactly the suffix."""
         faults = FaultRegistry(seed=FAULT_SEED)
         directory = str(tmp_path / "sm")
-        sm = _group_sm(directory, faults=faults)
-        faults.arm(WAL_TORN_TAIL, nth=1, times=1, payload={"drop": 40})
+        sm = StorageManager(directory, faults=faults)
+        hold_next_force(faults, sm, 4)
+        faults.arm(WAL_TORN_TAIL, nth=2, times=1, payload={"drop": 40})
         results = _run_committers(sm, 4)
         torn = [tx for tx, r in results.items()
                 if isinstance(r, InjectedFault)]
@@ -209,7 +188,7 @@ class TestTornMidBatch:
         expected = _replay_expected({}, records)
         sm.crash()
         sm.close()
-        recovered = StorageManager(directory, group_commit=True)
+        recovered = StorageManager(directory)
         try:
             for oid_value, payload in expected.items():
                 assert recovered.read(None, OID(oid_value)) == payload
@@ -224,29 +203,57 @@ class TestTornMidBatch:
 
 class TestFlushAccounting:
     def test_fault_points_fire_once_per_physical_flush(self, tmp_path):
-        """wal.fsync hits == physical flushes, batched or not."""
+        """wal.fsync hits == physical forces, batched or not."""
         faults = FaultRegistry(seed=FAULT_SEED)
         metrics = MetricsRegistry()
         hits = []
-        sm = _group_sm(tmp_path / "sm", faults=faults, metrics=metrics)
+        sm = StorageManager(str(tmp_path / "sm"), faults=faults,
+                            metrics=metrics)
         faults.arm(WAL_FSYNC, times=None, callback=lambda ctx: hits.append(1))
         flush_base = metrics.counter("wal.flushes").value
         _run_committers(sm, 6)
         flushes = metrics.counter("wal.flushes").value - flush_base
-        group_flushes = metrics.counter("wal.group_flushes").value
-        assert group_flushes >= 1
-        # Every physical flush after arming hit the fsync point exactly once.
+        assert metrics.histogram("wal.commits_per_flush").summary()["count"]
+        # Every physical force after arming hit the fsync point exactly once.
         assert len(hits) == flushes
         sm.close()
 
     def test_batching_metrics_exposed(self, tmp_path):
+        faults = FaultRegistry(seed=FAULT_SEED)
         metrics = MetricsRegistry()
-        sm = _group_sm(tmp_path / "sm", metrics=metrics, max_commit_batch=8)
+        sm = StorageManager(str(tmp_path / "sm"), faults=faults,
+                            metrics=metrics)
+        hold_next_force(faults, sm, 8)
         _run_committers(sm, 8)
         summary = metrics.histogram("wal.commits_per_flush").summary()
-        assert summary["count"] >= 1
         assert summary["max"] >= 2          # commits really shared a force
-        assert metrics.counter("wal.group_flushes").value == summary["count"]
+        assert summary["sum"] == 8          # each acked by exactly one force
+        sm.close()
+
+
+class TestOneCommitPath:
+    @pytest.mark.parametrize("knob", ["group_commit", "commit_wait_us",
+                                      "max_commit_batch"])
+    def test_the_group_commit_knobs_are_gone(self, tmp_path, knob):
+        value = {"group_commit": True, "commit_wait_us": 0.0,
+                 "max_commit_batch": 4}[knob]
+        with pytest.raises(TypeError):
+            ExecutionConfig(**{knob: value})
+        with pytest.raises(TypeError):
+            StorageManager(str(tmp_path / "sm"), **{knob: value})
+        with pytest.raises(TypeError):
+            WriteAheadLog(str(tmp_path / "wal.log"), **{knob: value})
+
+    def test_one_committer_still_goes_through_the_barrier(self, tmp_path):
+        metrics = MetricsRegistry()
+        sm = StorageManager(str(tmp_path / "sm"), metrics=metrics)
+        for tx in (1, 2, 3):
+            sm.begin(tx)
+            sm.write(tx, OID(10 + tx), b"solo")
+            sm.commit(tx)
+        summary = metrics.histogram("wal.commits_per_flush").summary()
+        assert (summary["count"], summary["max"]) == (3, 1)
+        assert sm.wal_stats()["commit_queue_depth"] == 0
         sm.close()
 
 
@@ -266,8 +273,8 @@ class Gauge:
 class TestEngineIntegration:
     def test_sessions_share_flushes_end_to_end(self, tmp_path):
         """16 engine sessions commit concurrently through the barrier."""
-        config = ExecutionConfig(group_commit=True, commit_wait_us=1000.0,
-                                 max_commit_batch=16, observability=True)
+        config = ExecutionConfig(observability=True, fault_injection=True,
+                                 fault_seed=FAULT_SEED)
         engine = ReachEngine(directory=str(tmp_path / "eng"), config=config)
         try:
             engine.register_class(Gauge)
@@ -276,7 +283,8 @@ class TestEngineIntegration:
             for session, gauge in zip(sessions, gauges):
                 with session.transaction():
                     session.persist(gauge, gauge.name)
-            barrier = threading.Barrier(16)
+            barrier = threading.Barrier(16, action=lambda: hold_next_force(
+                engine.faults, engine.storage, 16))
             errors = []
 
             def client(session, gauge):
@@ -298,24 +306,7 @@ class TestEngineIntegration:
             for gauge in gauges:
                 assert gauge.value == 10
             registry = engine.metrics_registry
-            assert registry.counter("wal.group_flushes").value >= 1
             summary = registry.histogram("wal.commits_per_flush").summary()
             assert summary["max"] >= 2
-        finally:
-            engine.close()
-
-    def test_group_commit_off_keeps_serial_flushes(self, tmp_path):
-        config = ExecutionConfig(observability=True)
-        engine = ReachEngine(directory=str(tmp_path / "eng"), config=config)
-        try:
-            engine.register_class(Gauge)
-            gauge = Gauge("g")
-            session = engine.create_session("c")
-            with session.transaction():
-                session.persist(gauge, gauge.name)
-            with session.transaction():
-                gauge.bump()
-            registry = engine.metrics_registry
-            assert registry.counter("wal.group_flushes").value == 0
         finally:
             engine.close()

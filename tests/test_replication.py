@@ -18,13 +18,19 @@ The kill-the-primary-mid-batch half of the contract lives in
 
 import os
 import struct
+import threading
 
 import pytest
 
+from repro.config import ExecutionConfig, ShardingConfig
+from repro.core.sharding import ShardedEngine
 from repro.oodb.oid import OID
+from repro.oodb.sentry import sentried
 from repro.storage.replication import ReadReplica, WALShipper
 from repro.storage.storage_manager import StorageManager
 from repro.storage.wal import LogRecordType, WALTailer
+
+from tests.conftest import wait_until
 
 
 def _tx_records(records):
@@ -253,3 +259,87 @@ class TestWALShipper:
             shipper.stop()
             replica.close()
             sm.close()
+
+
+@sentried(track_state=False)
+class Parcel:
+    def __init__(self, label):
+        self.label = label
+
+
+def _images(storage):
+    return {oid.value: storage.read(None, oid) for oid in storage.iter_oids()}
+
+
+class TestShardedWalShip:
+    """``ShardingConfig(wal_ship=True)``: every shard's replica holds
+    exactly its primary's acked commits, bounded by the commit barrier's
+    ``flushed_lsn`` while sessions commit concurrently, and across a
+    checkpoint that truncates the primary logs."""
+
+    def _converged(self, engine):
+        return all(_images(engine.replica(sid).storage) == _images(shard.storage)
+                   for sid, shard in enumerate(engine.shards))
+
+    def _commit_parcels(self, engine, tag, count, acked):
+        session = engine.create_session(tag)
+        for index in range(count):
+            with session.transaction():
+                oids = [session.persist(Parcel(f"{tag}-{index}-{sid}"),
+                                        shard=sid) for sid in (0, 1)]
+            acked.extend(oids)
+        session.close()
+
+    def test_replicas_hold_exactly_the_acked_commits(self, tmp_path):
+        engine = ShardedEngine(
+            directory=str(tmp_path / "ship"),
+            config=ExecutionConfig(sharding=ShardingConfig(
+                shards=2, wal_ship=True, wal_ship_interval=0.002)))
+        try:
+            engine.register_class(Parcel, monitor_state=False)
+            acked = []
+            past_bound = []
+            done = threading.Event()
+
+            def watch_bound():
+                while not done.wait(0.0005):
+                    for sid, shard in enumerate(engine.shards):
+                        applied = engine.replica(sid).last_applied_lsn
+                        flushed = shard.storage.wal_stats()["flushed_lsn"]
+                        if applied > flushed:
+                            past_bound.append((sid, applied, flushed))
+
+            watcher = threading.Thread(target=watch_bound)
+            clients = [threading.Thread(target=self._commit_parcels,
+                                        args=(engine, f"c{n}", 15, acked))
+                       for n in range(2)]
+            watcher.start()
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join()
+            wait_until(lambda: self._converged(engine), timeout=10.0)
+            done.set()
+            watcher.join()
+            assert past_bound == []
+            assert len(acked) == 60
+            for oid in acked:
+                assert engine.replica(engine.shard_of(oid)).exists(oid)
+
+            engine.checkpoint()
+            # The shippers see each primary log shrink and rewind.
+            wait_until(lambda: all(
+                engine.replica(sid).stats()["tailer"]["truncations"] >= 1
+                for sid in (0, 1)), timeout=10.0)
+            self._commit_parcels(engine, "after", 5, acked)
+            wait_until(lambda: self._converged(engine), timeout=10.0)
+            for oid in acked:
+                assert engine.replica(engine.shard_of(oid)).exists(oid)
+
+            replication = engine.statistics()["shards"]["replication"]
+            assert len(replication["replicas"]) == 2
+            assert len(replication["shippers"]) == 2
+            assert all(row["applied_txs"] > 0
+                       for row in replication["replicas"])
+        finally:
+            engine.close()

@@ -16,6 +16,7 @@ The ISSUE 7 acceptance criteria pinned here:
 """
 
 import json
+import os
 import urllib.request
 
 import pytest
@@ -27,6 +28,7 @@ from repro.core.consumption import ConsumptionPolicy
 from repro.core.engine import ReachEngine
 from repro.core.sharding import ShardedEngine
 from repro.errors import ObjectNotFoundError
+from repro.obs.flight import latest_dump, load_dump
 from repro.oodb.address_space import ShardMap
 
 from tests.test_algebra_properties import RefEvaluator, RefSeq, _seqs
@@ -162,6 +164,53 @@ class TestStatisticsAndAdmin:
                        for shard in database.shards)
         finally:
             database.close()
+
+
+def _tenant_histograms(engine):
+    shards = getattr(engine, "shards", [engine])
+    return {name for shard in shards
+            for name in shard.metrics_registry.snapshot()["histograms"]
+            if name.startswith("slo.tenant.")}
+
+
+class TestCoordinatorServices:
+    """What a session or an exception means must not depend on the shard
+    count: the coordinator owns the sessions and the abort dump."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_per_tenant_slo_records_on_every_topology(self, tmp_path, shards):
+        config = ExecutionConfig(observability=True,
+                                 sharding=ShardingConfig(shards=shards))
+        engine_class = ShardedEngine if shards > 1 else ReachEngine
+        engine = engine_class(directory=str(tmp_path / "slo"), config=config)
+        try:
+            engine.rule("watch", SignalEventSpec("ping"),
+                        action=lambda ctx: None,
+                        coupling=CouplingMode.IMMEDIATE)
+            session = engine.create_session("acme/c1")
+            with session.transaction():
+                session.signal("ping")
+            assert _tenant_histograms(engine) == {
+                "slo.tenant.acme.detection_latency"}
+        finally:
+            engine.close()
+
+    def test_unhandled_exception_dumps_the_flight_ring(self, tmp_path):
+        directory = str(tmp_path / "abort")
+        with pytest.raises(RuntimeError):
+            with ShardedEngine(directory=directory, config=ExecutionConfig(
+                    sharding=ShardingConfig(shards=2))) as engine:
+                session = engine.create_session()
+                with session.transaction():
+                    session.persist(Crate("x"), "x")
+                raise RuntimeError("operator error")
+        assert engine.closed
+        path = latest_dump(os.path.join(directory, "shard-0"))
+        assert path is not None
+        header, records = load_dump(path)
+        assert header["reason"] == "unhandled-abort"
+        aborts = [r for r in records if r["category"] == "engine.abort"]
+        assert aborts and "operator error" in aborts[0]["error"]
 
 
 class TestCrossShardComposites:

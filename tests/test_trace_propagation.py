@@ -98,7 +98,7 @@ class TestEndToEndTrace:
         db = make_traced_db(tmp_path, ShardedEngine,
                             sharding=ShardingConfig(shards=2),
                             detached_max_retries=2, retry_base_delay=0.001,
-                            group_commit=True, admin_port=0)
+                            admin_port=0)
         db.register_class(Crate)
         crate = Crate()
         session = db.create_session("local")
@@ -153,7 +153,7 @@ class TestEndToEndTrace:
             outcomes = [s.attributes.get("outcome") for s in fires]
             assert "error" in outcomes and "executed" in outcomes
             assert trace.find(name="retry:pair")
-            # The action's transaction and its group-commit WAL wait.
+            # The action's transaction and its WAL commit barrier wait.
             assert trace.find(name="tx:commit")
             assert trace.find(name="wal:commit_wait")
             # Every span is finished, with a measurable duration.
