@@ -66,7 +66,39 @@ from repro.oodb.sentry import (
 from repro.oodb.transactions import Transaction, TransactionManager
 
 
-class PrimitiveECAManager:
+class _RuleSet:
+    """The rules of one ECA-manager, with their firing order cached.
+
+    ``rules`` is replaced on every change, never mutated in place, so an
+    order computed on one thread for a list another thread has since
+    replaced is recognised as stale by identity.
+    """
+
+    def __init__(self, scheduler: RuleScheduler):
+        self.scheduler = scheduler
+        self.rules: list[Rule] = []
+        self._order: tuple[list[Rule], tuple[Rule, ...]] = (self.rules, ())
+
+    def add_rule(self, rule: Rule) -> None:
+        self.rules = [*self.rules, rule]
+
+    def remove_rule(self, rule: Rule) -> None:
+        if rule in self.rules:
+            self.rules = [kept for kept in self.rules if kept is not rule]
+
+    def _firing_order(self) -> tuple[Rule, ...]:
+        """``rules`` in firing order, sorted on the first firing after a
+        change rather than on every ``add_rule``, so defining N rules
+        costs one sort, not N."""
+        rules = self.rules
+        source, ordered = self._order
+        if source is not rules:
+            ordered = self.scheduler.order_for_firing(rules)
+            self._order = (rules, ordered)
+        return ordered
+
+
+class PrimitiveECAManager(_RuleSet):
     """ECA-manager dedicated to one primitive event type."""
 
     def __init__(self, spec: EventSpec, scheduler: RuleScheduler,
@@ -74,11 +106,10 @@ class PrimitiveECAManager:
                  tracer: Tracer = NULL_TRACER,
                  metrics: MetricsRegistry = NULL_METRICS,
                  history_capacity: Optional[int] = None):
+        super().__init__(scheduler)
         self.spec = spec
         self.key = spec.key()
-        self.scheduler = scheduler
         self.tracer = tracer
-        self.rules: list[Rule] = []
         #: composite managers (and other listeners) interested in this
         #: primitive event; populated by the event service.
         self.listeners: list[Callable[[EventOccurrence], None]] = []
@@ -89,13 +120,6 @@ class PrimitiveECAManager:
         self.handled = 0
         self._span_name = f"eca:{spec.describe()}"
         self._m_handled = metrics.counter("eca.primitive.handled")
-
-    def add_rule(self, rule: Rule) -> None:
-        self.rules.append(rule)
-
-    def remove_rule(self, rule: Rule) -> None:
-        if rule in self.rules:
-            self.rules.remove(rule)
 
     def add_listener(self,
                      listener: Callable[[EventOccurrence], None]) -> None:
@@ -132,12 +156,12 @@ class PrimitiveECAManager:
                 occ.span_id = span.span_id
             self.history.record(occ)
             if self.rules:
-                self.scheduler.fire_rules(self.rules, occ)
+                self.scheduler.fire_rules(self._firing_order(), occ)
             if self.listeners:
                 propagate(occ, list(self.listeners))
 
 
-class CompositeECAManager:
+class CompositeECAManager(_RuleSet):
     """ECA-manager owning one composer and the rules on its composite."""
 
     def __init__(self, spec: CompositeEventSpec, scheduler: RuleScheduler,
@@ -145,12 +169,11 @@ class CompositeECAManager:
                  tracer: Tracer = NULL_TRACER,
                  metrics: MetricsRegistry = NULL_METRICS,
                  history_capacity: Optional[int] = None):
+        super().__init__(scheduler)
         self.spec = spec
         self.composer = Composer(spec, name=name, tracer=tracer,
                                  metrics=metrics)
-        self.scheduler = scheduler
         self.tracer = tracer
-        self.rules: list[Rule] = []
         self.history = LocalHistory(name=f"composite:{self.composer.name}",
                                     capacity=history_capacity,
                                     segments=HISTORY_SEGMENTS)
@@ -158,13 +181,6 @@ class CompositeECAManager:
         self._span_name = f"eca:composite:{self.composer.name}"
         self.handled = 0
         self._m_handled = metrics.counter("eca.composite.handled")
-
-    def add_rule(self, rule: Rule) -> None:
-        self.rules.append(rule)
-
-    def remove_rule(self, rule: Rule) -> None:
-        if rule in self.rules:
-            self.rules.remove(rule)
 
     def feed(self, occ: EventOccurrence) -> None:
         """Listener hook: feed a primitive occurrence to the composer and
@@ -188,7 +204,7 @@ class CompositeECAManager:
                 occ.span_id = span.span_id
             self.history.record(occ)
             if self.rules:
-                self.scheduler.fire_rules(self.rules, occ)
+                self.scheduler.fire_rules(self._firing_order(), occ)
 
 
 class EventService:
@@ -773,7 +789,8 @@ class ReachRulePolicyManager(PolicyManager):
         if kind in (SystemEventKind.TX_BEGIN, SystemEventKind.TX_PRE_COMMIT,
                     SystemEventKind.TX_COMMIT, SystemEventKind.TX_ABORT):
             # Flow events are raised for top-level *user* transactions only;
-            # rule subtransactions would flood the event system and recurse.
+            # transactions begun for rules would flood the event system and
+            # recurse.
             if tx is not None and tx.is_top_level and tx.rule_depth == 0:
                 self.service.dispatch_flow(self._FLOW_OF[kind], event)
         else:

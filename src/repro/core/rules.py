@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.coupling import CouplingMode
 from repro.core.events import EventOccurrence, EventSpec
@@ -135,6 +135,11 @@ class Rule:
         self.transfer_locks = transfer_locks
         self.description = description
         self.created_seq = next(Rule._creation_counter)
+        #: the fixed inputs of :func:`sort_for_firing`, taken once at
+        #: definition so ordering never walks the event spec again.
+        self.firing_key = (-priority,
+                           1 if event.category().is_composite else 0,
+                           self.created_seq)
         self.fired_count = 0
         self.condition_rejections = 0
         #: consecutive failed executions (reset by any success); at the
@@ -227,7 +232,22 @@ class Rule:
                 f"prio={self.priority}>")
 
 
-def sort_for_firing(rules: list[Rule], newest_first: bool = False,
+def firing_sort_key(newest_first: bool = False,
+                    simple_events_first: bool = False
+                    ) -> Callable[[Rule], tuple]:
+    """The sort key of :func:`sort_for_firing`, for sorting other items
+    (queued firings) by their rule."""
+    def sort_key(rule: Rule) -> tuple:
+        neg_priority, composite, seq = rule.firing_key
+        tie = -seq if newest_first else seq
+        if simple_events_first:
+            return (neg_priority, composite, tie)
+        return (neg_priority, tie)
+
+    return sort_key
+
+
+def sort_for_firing(rules: Iterable[Rule], newest_first: bool = False,
                     simple_events_first: bool = False) -> list[Rule]:
     """Order rules for execution (paper, Section 6.4).
 
@@ -236,11 +256,5 @@ def sort_for_firing(rules: list[Rule], newest_first: bool = False,
     optionally.  The third policy — rules with simple events ahead of rules
     with complex events — applies to the deferred queue.
     """
-    def sort_key(rule: Rule):
-        composite = 1 if rule.event.category().is_composite else 0
-        tie = -rule.created_seq if newest_first else rule.created_seq
-        if simple_events_first:
-            return (-rule.priority, composite, tie)
-        return (-rule.priority, tie)
-
-    return sorted(rules, key=sort_key)
+    return sorted(rules,
+                  key=firing_sort_key(newest_first, simple_events_first))

@@ -3,11 +3,14 @@
 Implements Section 3.2's six coupling modes and Section 6.4's firing
 policies:
 
-* **immediate** rules run as subtransactions at the detection point;
+* **immediate** rules run at the detection point, at a savepoint of the
+  triggering transaction (in a fresh top-level transaction when there is
+  none);
 * **deferred** rules queue on the triggering transaction and drain at the
   *top-level* EOT (control over deferred execution "resides with the
-  transaction policy manager"), ordered by priority with the configured
-  tie-break and the optional simple-events-first policy;
+  transaction policy manager"), each at a savepoint, ordered by priority
+  with the configured tie-break and the optional simple-events-first
+  policy;
 * **detached** rules (plain / parallel / sequential / exclusive causally
   dependent) run in new top-level transactions.  In threaded mode they run
   on a worker pool, blocking on the triggering transactions' outcomes
@@ -19,8 +22,15 @@ Parameter passing across the detached boundary follows Section 3.2:
 references to persistent objects pass as references, transient objects
 pass *by value* (a shallow copy detached from the original's identity).
 
-Rule failures abort the rule's own subtransaction and are recorded; a rule
-marked ``critical`` additionally aborts the triggering transaction.
+Serial firing needs only the closed-nested semantics — abort containment,
+and effects that become permanent only with the top level — and a
+savepoint gives both without a transaction object per firing.  Real
+subtransactions remain for what needs them: immediate rules fired as
+parallel siblings (``parallel_rules`` in threaded mode), one thread each.
+
+Rule failures undo the rule's own effects (rollback to its savepoint, or
+abort of its own transaction) and are recorded; a rule marked
+``critical`` additionally aborts the triggering transaction.
 """
 
 from __future__ import annotations
@@ -29,16 +39,22 @@ import copy
 import random
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.config import ExecutionConfig, TieBreakPolicy
 from repro.core.coupling import CouplingMode
 from repro.core.events import EventOccurrence
-from repro.core.rules import Rule, RuleContext, sort_for_firing
+from repro.core.rules import (
+    Rule,
+    RuleContext,
+    firing_sort_key,
+    sort_for_firing,
+)
 from repro.errors import RuleExecutionError, TransactionAborted
 from repro.faults.registry import NULL_FAULTS, SCHEDULER_WORKER, FaultRegistry
 from repro.obs.flight import NULL_FLIGHT, FlightRecorder
@@ -144,6 +160,10 @@ class RuleScheduler:
         self.db = db
         self.tx_manager = tx_manager
         self.config = config
+        self._newest_first = config.tie_break is TieBreakPolicy.NEWEST_FIRST
+        self._deferred_key = firing_sort_key(
+            newest_first=self._newest_first,
+            simple_events_first=config.simple_events_first)
         #: the owning engine's sentry registry; worker and drain threads
         #: bind it so rule actions deliver their events to this engine
         #: only (scoped delivery, see :mod:`repro.oodb.sentry`).
@@ -180,10 +200,15 @@ class RuleScheduler:
             Callable[[int], Optional[str]]] = None
         self.errors: BoundedErrorLog = BoundedErrorLog(
             config.error_log_capacity)
-        self.firing_log: list[FiringRecord] = []
+        self.firing_log: deque[FiringRecord] = deque(
+            maxlen=self.MAX_FIRING_LOG)
         self._log_lock = threading.Lock()
         self._pending: list[DetachedWork] = []
         self._pending_lock = threading.Lock()
+        #: per-thread "a detached drain is running here" flag (synchronous
+        #: mode): each detached commit re-enters drain_detached, which must
+        #: return at once and leave the work to the loop already running.
+        self._draining = threading.local()
         self._dead_letters: list[DeadLetter] = []
         self.dead_letters_dropped = 0
         #: seeded backoff jitter so retry timing replays with the fault
@@ -219,14 +244,18 @@ class RuleScheduler:
     # Entry point from the ECA managers
     # ------------------------------------------------------------------
 
-    def fire_rules(self, rules: list[Rule], occ: EventOccurrence) -> None:
-        """Dispatch every enabled rule triggered by ``occ``."""
-        runnable = [rule for rule in rules if rule.enabled]
-        if not runnable:
+    def order_for_firing(self, rules: Iterable[Rule]) -> tuple[Rule, ...]:
+        """``rules`` in this engine's firing order (Section 6.4); the
+        ECA-managers cache the result until their rule set changes."""
+        return tuple(sort_for_firing(rules, newest_first=self._newest_first))
+
+    def fire_rules(self, rules: Iterable[Rule],
+                   occ: EventOccurrence) -> None:
+        """Dispatch every enabled rule triggered by ``occ``; ``rules``
+        arrive in :meth:`order_for_firing` order."""
+        ordered = [rule for rule in rules if rule.enabled]
+        if not ordered:
             return
-        ordered = sort_for_firing(
-            runnable,
-            newest_first=self.config.tie_break is TieBreakPolicy.NEWEST_FIRST)
         current = self.tx_manager.current()
         depth = current.rule_depth if current is not None else 0
         if depth >= self.config.max_rule_recursion:
@@ -252,21 +281,43 @@ class RuleScheduler:
                 self._fire_parallel(immediate_batch, occ, current)
             else:
                 for rule in immediate_batch:
-                    self._fire_immediate(rule, occ, PHASE_FULL)
+                    self._fire_immediate(rule, occ, PHASE_FULL, current)
 
     # ------------------------------------------------------------------
     # Immediate
     # ------------------------------------------------------------------
 
-    def _fire_immediate(self, rule: Rule, occ: EventOccurrence,
-                        phase: str) -> None:
-        """Run ``rule`` as a subtransaction at the detection point."""
-        tm = self.tx_manager
-        current = tm.current()
-        depth = (current.rule_depth if current is not None else 0) + 1
-        tx = tm.begin(rule_depth=depth)
+    def _fire_immediate(self, rule: Rule, occ: EventOccurrence, phase: str,
+                        current: Optional[Transaction]) -> None:
+        """Run ``rule`` at the detection point: at a savepoint of
+        ``current``, this thread's transaction, or in a fresh top-level
+        transaction when there is none."""
         self.stats.inc("immediate")
+        if current is not None:
+            self._fire_at_savepoint(rule, occ, phase, current,
+                                    CouplingMode.IMMEDIATE)
+            return
+        tx = self.tx_manager.begin(rule_depth=1)
         self._run_in_tx(rule, occ, phase, tx, CouplingMode.IMMEDIATE)
+
+    def _fire_at_savepoint(self, rule: Rule, occ: EventOccurrence,
+                           phase: str, tx: Transaction, mode: CouplingMode,
+                           bindings: Optional[dict[str, Any]] = None) -> None:
+        """Run one unit inside ``tx``, on the thread that owns it.
+
+        A failure rolls ``tx`` back to the savepoint taken here, undoing
+        only this rule's effects; on success they stay ``tx``'s own and
+        become permanent only with its top level.  ``rule_depth`` is
+        raised for the duration, so cascades are bounded as for a
+        subtransaction.
+        """
+        mark = self.tx_manager.savepoint(tx)
+        tx.rule_depth += 1
+        try:
+            self._run_in_tx(rule, occ, phase, tx, mode, bindings=bindings,
+                            mark=mark)
+        finally:
+            tx.rule_depth -= 1
 
     def _fire_parallel(self, rules: list[Rule], occ: EventOccurrence,
                        trigger: Transaction) -> None:
@@ -300,21 +351,27 @@ class RuleScheduler:
 
     def _run_in_tx(self, rule: Rule, occ: EventOccurrence, phase: str,
                    tx: Transaction, mode: CouplingMode,
-                   bindings: Optional[dict[str, Any]] = None) -> None:
-        """Run one unit inside an already-begun transaction ``tx``."""
+                   bindings: Optional[dict[str, Any]] = None,
+                   mark: Optional[tuple[int, int]] = None) -> None:
+        """Run one unit inside ``tx``: a transaction begun for it, which
+        is committed or aborted here, or — given a savepoint ``mark`` —
+        the triggering transaction, rolled back to the mark on failure."""
         tm = self.tx_manager
         with self._fire_span(rule, occ, mode, phase, tx) as span:
             try:
                 outcome = self._run_unit(rule, occ, phase, tx, mode,
                                          bindings=bindings)
-                tm.commit(tx)
+                if mark is None:
+                    tm.commit(tx)
                 self._note_success(rule)
                 self._log(rule, mode, phase, occ, outcome, tx.id,
                           session_id=tx.session_id)
                 if span is not None:
                     span.attributes["outcome"] = outcome
             except RuleExecutionError as exc:
-                if tx.state is TransactionState.ACTIVE:
+                if mark is not None:
+                    tm.rollback_to(tx, mark)
+                elif tx.state is TransactionState.ACTIVE:
                     tm.abort(tx)
                 self.errors.append((rule, exc))
                 # Immediate/deferred failures count toward quarantine but
@@ -419,7 +476,7 @@ class RuleScheduler:
         if tx is None:
             # The trigger already finished (or there never was one): run
             # right away in a fresh transaction (documented relaxation).
-            self._fire_immediate(rule, occ, phase)
+            self._fire_immediate(rule, occ, phase, None)
             return
         tx.deferred_rules.append((rule, occ, phase, bindings))
         self.stats.inc("deferred_enqueued")
@@ -428,42 +485,30 @@ class RuleScheduler:
         """Run the deferred queue at top-level EOT.
 
         Control resides with the transaction policy manager here (Section
-        6.4): rules run as subtransactions of the committing transaction,
-        ordered by priority, tie-break, and optionally simple-events-first.
-        Rules enqueued *by* deferred rules are drained too, bounded by the
-        recursion limit.
+        6.4): rules run at savepoints of the committing transaction, on
+        the thread committing it, ordered by priority, tie-break, and
+        optionally simple-events-first.  Rules enqueued *by* deferred
+        rules are drained too, bounded by the recursion limit.
         """
         executed = 0
         rounds = 0
+        key = self._deferred_key
         while tx.deferred_rules:
             rounds += 1
             if rounds > self.config.max_rule_recursion:
                 self.stats.inc("recursion_limited")
                 tx.deferred_rules.clear()
                 break
-            entries = list(tx.deferred_rules)
+            entries = sorted(tx.deferred_rules,
+                             key=lambda entry: key(entry[0]))
             tx.deferred_rules.clear()
-            entries = self._order_deferred(entries)
             for rule, occ, phase, bindings in entries:
-                sub = self.tx_manager.begin_child_of(
-                    tx, rule_depth=tx.rule_depth + 1)
-                if sub.session_id is None:
-                    sub.session_id = tx.session_id
                 self.stats.inc("deferred_run")
-                self._run_in_tx(rule, occ, phase, sub,
-                                CouplingMode.DEFERRED, bindings=bindings)
+                self._fire_at_savepoint(rule, occ, phase, tx,
+                                        CouplingMode.DEFERRED,
+                                        bindings=bindings)
                 executed += 1
         return executed
-
-    def _order_deferred(self, entries: list) -> list:
-        newest = self.config.tie_break is TieBreakPolicy.NEWEST_FIRST
-        rules = [entry[0] for entry in entries]
-        ordered_rules = sort_for_firing(
-            rules, newest_first=newest,
-            simple_events_first=self.config.simple_events_first)
-        rank = {id(rule): index
-                for index, rule in enumerate(ordered_rules)}
-        return sorted(entries, key=lambda entry: rank[id(entry[0])])
 
     # ------------------------------------------------------------------
     # Detached (+ causal dependencies)
@@ -592,17 +637,27 @@ class RuleScheduler:
     def drain_detached(self) -> int:
         """Synchronous mode: run queued detached work whose dependencies
         are all decided, provided no transaction is active on this thread
-        (a new top-level transaction could deadlock with it otherwise)."""
-        if self.tx_manager.current() is not None:
+        (a new top-level transaction could deadlock with it otherwise).
+
+        Not reentrant per thread: the commit of each detached transaction
+        calls back in here, and that nested call returns at once — the
+        loop already running picks up whatever the commit made ready.
+        """
+        if self.tx_manager.current() is not None or \
+                getattr(self._draining, "active", False):
             return 0
+        self._draining.active = True
         executed = 0
-        while True:
-            work = self._take_ready()
-            if work is None:
-                return executed
-            with self._bound_scope():
-                self._run_detached_resolved(work)
-            executed += 1
+        try:
+            while True:
+                work = self._take_ready()
+                if work is None:
+                    return executed
+                with self._bound_scope():
+                    self._run_detached_resolved(work)
+                executed += 1
+        finally:
+            self._draining.active = False
 
     def _take_ready(self) -> Optional[DetachedWork]:
         with self._pending_lock:
@@ -834,7 +889,8 @@ class RuleScheduler:
         with self._pending_lock:
             return len(self._pending)
 
-    #: bound on the in-memory firing log; older records are dropped.
+    #: bound on the in-memory firing log; older records are dropped.  Read
+    #: once, when the scheduler is built.
     MAX_FIRING_LOG = 10_000
 
     def _log(self, rule: Rule, mode: CouplingMode, phase: str,
@@ -869,9 +925,6 @@ class RuleScheduler:
                 rule_name=rule.name, mode=mode, phase=phase,
                 event_seq=occ.seq, outcome=outcome, tx_id=tx_id,
                 session_id=session_id))
-            if len(self.firing_log) > self.MAX_FIRING_LOG:
-                del self.firing_log[:len(self.firing_log)
-                                    - self.MAX_FIRING_LOG]
 
     def _observe_detection_latency(self, rule: Rule, mode: CouplingMode,
                                    occ: EventOccurrence,

@@ -110,7 +110,7 @@ def describe_history(db: Any, limit: int = 20) -> str:
 
 def describe_firings(db: Any, limit: int = 20) -> str:
     """The tail of the rule firing log."""
-    records = db.scheduler.firing_log[-limit:]
+    records = list(db.scheduler.firing_log)[-limit:]
     if not records:
         return "(no firings recorded)"
     lines = [f"{'rule':24s} {'mode':30s} {'phase':7s} {'outcome':16s} "
@@ -163,7 +163,7 @@ def explain_event(db: Any, seq: int) -> str:
                    if key not in ("instance", "args", "kwargs", "result")}
     if interesting:
         lines.append(f"  parameters: {interesting}")
-    firings = [record for record in db.scheduler.firing_log
+    firings = [record for record in list(db.scheduler.firing_log)
                if record.event_seq == seq]
     if firings:
         lines.append("  rule firings:")

@@ -16,6 +16,7 @@ record (name bindings, extents, OID map) is rewritten when it changed.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Optional, Union
 
@@ -103,7 +104,7 @@ class PersistencePolicyManager(PolicyManager):
             self.active.install(oid, obj)
             tx = self.tx_manager.current()
             if tx is not None:
-                tx.dirty_objects.add(obj)
+                tx.dirty_objects[obj] = None
                 tx.record_undo(lambda o=oid, ob=obj: self._unpersist(o, ob))
             else:
                 with self._lock:
@@ -211,7 +212,7 @@ class PersistencePolicyManager(PolicyManager):
             return
         tx = self.tx_manager.current()
         if tx is not None:
-            tx.dirty_objects.add(obj)
+            tx.dirty_objects[obj] = None
         else:
             with self._lock:
                 self._untracked_dirty.add(obj)
@@ -237,20 +238,22 @@ class PersistencePolicyManager(PolicyManager):
         storage.begin(tx.id)
         try:
             # Serialization may discover reachable transients and persist
-            # them, growing the dirty set: iterate to a fixpoint.
+            # them, appending to the insertion-ordered dirty marks:
+            # iterate to a fixpoint.
             written: set[OID] = set()
             pending = list(dirty)
+            marks = tx.dirty_objects
             while pending:
                 obj = pending.pop()
                 oid = self.active.oid_of(obj)
                 if oid is None or oid in written or oid in deleted:
                     continue
-                before = set(tx.dirty_objects)
+                before = len(marks)
                 image = self._serialize_object(obj)
                 self.passive.write(tx.id, oid, image)
                 written.add(oid)
-                newly = tx.dirty_objects - before
-                pending.extend(newly)
+                if len(marks) != before:
+                    pending.extend(itertools.islice(marks, before, None))
             for oid in deleted:
                 if storage.exists(tx.id, oid):
                     self.passive.delete(tx.id, oid)

@@ -11,7 +11,16 @@ The paper (Sections 2-4) requires:
   dependent modes (this is exactly what the closed commercial systems
   refused to expose).
 
-This module provides all three.  Commit and abort raise flow-control system
+This module provides all three.  Rules fired one after another need
+only the closed-nested *semantics* — abort containment, and effects that
+become permanent only with the top level — which a **savepoint** gives
+without a transaction object: :meth:`TransactionManager.savepoint` marks
+the triggering transaction and :meth:`TransactionManager.rollback_to`
+undoes back to the mark.  Real subtransactions serve what needs them:
+user-nested transactions and parallel sibling rules
+(:meth:`TransactionManager.begin_child_of`).
+
+Commit and abort raise flow-control system
 events on the meta-architecture bus (BOT / EOT / Commit / Abort of Section
 3.2), which the REACH rule policy manager turns into primitive events and
 which the rule scheduler's dependency tracker consumes.
@@ -69,10 +78,13 @@ class Transaction:
       by the rule scheduler; merged into the parent on nested commit so that
       deferral is always relative to the *top-level* user transaction.
     * ``dirty_objects`` — persistent objects whose state must be flushed at
-      top-level commit (maintained by the persistence PM).
+      top-level commit (maintained by the persistence PM).  A dict used as
+      an insertion-ordered set, only ever added to before commit, so a
+      savepoint can drop exactly the marks added after it.
     * ``deadline`` — optional absolute time used by milestone events.
     * ``rule_depth`` — recursion depth of rule-triggered work, bounding
-      cascades.
+      cascades; raised for the duration of each rule fired at a savepoint
+      of this transaction.
     """
 
     _ids = itertools.count(1)
@@ -85,7 +97,7 @@ class Transaction:
         self.state = TransactionState.ACTIVE
         self.undo_log: list[Callable[[], None]] = []
         self.deferred_rules: list[Any] = []
-        self.dirty_objects: set[Any] = set()
+        self.dirty_objects: dict[Any, None] = {}
         self.deleted_objects: set[Any] = set()
         self.deadline = deadline
         self.rule_depth = parent.rule_depth if parent else 0
@@ -265,8 +277,8 @@ class TransactionManager:
         if nested is True and parent is None:
             raise NestedTransactionError(
                 "nested=True requires an enclosing transaction")
-        # COMMITTING parents are allowed: deferred rules execute as
-        # subtransactions at EOT, after work but before commit.
+        # COMMITTING parents are allowed: deferred rules run at EOT, after
+        # work but before commit, and their actions may nest.
         if parent is not None and parent.state not in (
                 TransactionState.ACTIVE, TransactionState.COMMITTING):
             raise TransactionStateError(
@@ -318,6 +330,36 @@ class TransactionManager:
         self.meta.raise_event(SystemEventKind.TX_BEGIN, tx=tx)
         return tx
 
+    def savepoint(self, tx: Transaction) -> tuple[int, int]:
+        """Mark ``tx`` so the work that follows can be undone alone.
+
+        For work that runs on the thread owning ``tx`` (sequential rule
+        firings), a savepoint replaces a subtransaction: no transaction
+        object, stack entry, counter or bus event.  Effects stay ``tx``'s
+        own, so they become permanent only with its top level.
+        """
+        return len(tx.undo_log), len(tx.dirty_objects)
+
+    def rollback_to(self, tx: Transaction, mark: tuple[int, int]) -> None:
+        """Undo what ``tx`` did after ``mark`` — exactly what aborting a
+        subtransaction begun at the mark would undo.
+
+        Undo records after the mark run in reverse (restoring attributes,
+        un-persisting new objects, un-deleting deleted ones) and dirty
+        marks added after it are dropped, so the commit flushes nothing
+        of the undone work.  Deferred rules enqueued after the mark stay
+        queued: they belong to the top level, as they would have after a
+        subtransaction abort.
+        """
+        undo_mark, dirty_mark = mark
+        undo = tx.undo_log
+        for restore in reversed(undo[undo_mark:]):
+            restore()
+        del undo[undo_mark:]
+        dirty = tx.dirty_objects
+        for obj in list(dirty)[dirty_mark:]:
+            del dirty[obj]
+
     def commit(self, tx: Optional[Transaction] = None) -> None:
         """Commit ``tx`` (default: the current transaction).
 
@@ -331,8 +373,8 @@ class TransactionManager:
         """
         tx = tx or self.require_current()
         # Observability: when a span is already current on this thread
-        # (e.g. the scheduler's ``fire:`` span committing a rule's
-        # subtransaction), the commit becomes a child span of it; plain
+        # (e.g. the scheduler's ``fire:`` span committing a detached
+        # rule's transaction), the commit becomes a child span of it; plain
         # user commits open no span at all.
         tracer = self.tracer
         if not tracer.enabled or tracer.current() is None:
@@ -348,8 +390,8 @@ class TransactionManager:
         self._check_completable(tx)
         try:
             tx.state = TransactionState.COMMITTING
-            # EOT: deferred rules run now, as subtransactions of tx.  They
-            # may raise TransactionAborted to veto the commit.
+            # EOT: deferred rules run now, at savepoints of tx.  They may
+            # raise TransactionAborted to veto the commit.
             self.meta.raise_event(SystemEventKind.TX_PRE_COMMIT, tx=tx)
             if tx.is_top_level:
                 for hook in self.pre_commit_hooks:

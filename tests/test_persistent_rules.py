@@ -12,6 +12,7 @@ from repro.core.events import (
     MethodEventSpec,
     SignalEventSpec,
 )
+from repro.core.scheduler import RuleScheduler
 
 DDL = """
 rule WaterLevel {
@@ -124,15 +125,15 @@ class TestEventTreeRendering:
 
 
 class TestFiringLogCap:
-    def test_log_is_bounded(self, tmp_path):
+    def test_log_is_bounded(self, tmp_path, monkeypatch):
         @sentried
         class Clicker:
             def click(self):
                 pass
 
+        monkeypatch.setattr(RuleScheduler, "MAX_FIRING_LOG", 50)
         db = ReachEngine(directory=str(tmp_path / "cap"))
         db.register_class(Clicker)
-        db.scheduler.MAX_FIRING_LOG = 50
         db.rule("r", MethodEventSpec("Clicker", "click"),
                 action=lambda ctx: None)
         clicker = Clicker()

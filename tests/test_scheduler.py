@@ -51,14 +51,16 @@ class TestImmediate:
         assert order == ["rule", "after-call"]
 
     def test_runs_as_subtransaction(self, mdb):
+        """Closed-nested semantics at a savepoint: the rule runs in the
+        triggering transaction itself, one rule level deeper."""
         seen = []
         mdb.rule("sub", BUMP,
                  action=lambda ctx: seen.append(
-                     (ctx.transaction.is_top_level,
-                      ctx.transaction.parent is not None)))
-        with mdb.transaction():
+                     (ctx.transaction, ctx.transaction.rule_depth)))
+        with mdb.transaction() as trigger:
             Meter().bump()
-        assert seen == [(False, True)]
+            assert trigger.rule_depth == 0
+        assert seen == [(trigger, 1)]
 
     def test_rule_failure_isolated_from_trigger(self, mdb):
         def explode(ctx):
@@ -233,6 +235,21 @@ class TestDetached:
         except RuntimeError:
             pass
         assert fired == [1]
+
+    def test_burst_of_detached_firings_all_run(self, mdb):
+        """Each detached commit releases the next queued item; draining it
+        inside that commit would recurse once per item until the stack
+        overflowed and the remaining work was lost."""
+        fired = []
+        mdb.rule("det", BUMP, action=lambda ctx: fired.append(1),
+                 coupling=CouplingMode.DETACHED)
+        meter = Meter()
+        with mdb.transaction():
+            for __ in range(2_000):
+                meter.bump()
+        assert len(fired) == 2_000
+        assert list(mdb.scheduler.errors) == []
+        assert mdb.scheduler.pending_detached_count() == 0
 
 
 class TestCausallyDependent:
