@@ -808,11 +808,11 @@ class ComposerTortureReport:
     #: COMPOSER_CHECKPOINT frames a data-only read replica skipped while
     #: tailing a dead primary's surviving log
     replica_checkpoints_skipped: int = 0
-    #: cross-shard tx-id-frozenset group graphs restored from a crash
-    #: image taken while the group's transaction was still open
-    sharded_ghost_groups: int = 0
+    #: group graphs the sharded topology held right after recovering a
+    #: crash image taken inside an open cross-shard half-match (must be 0)
+    sharded_restored_groups: int = 0
     #: completions a fresh same-transaction pair fired on the recovered
-    #: sharded topology, next to the restored ghost group (must be 1)
+    #: sharded topology (must be 1)
     sharded_recovered_fired: int = 0
 
     @property
@@ -1001,12 +1001,10 @@ def _run_sharded_composer_case(root: str,
                                report: ComposerTortureReport) -> None:
     """Cross-shard group durability: a same-transaction composite whose
     leaves home on different shards is half-composed inside an *open*
-    sharded transaction when another transaction's commit boundary
-    checkpoints the composer — so the tx-id-frozenset group graph is on
-    disk when the power cut lands.  The recovered topology must (a) hold
-    the ghost group, (b) never complete it (its member transactions died
-    with the crash), (c) compose a fresh same-transaction pair exactly
-    once alongside it, and (d) reclaim it through the group sweep."""
+    sharded transaction when another transaction's EOT checkpoints the
+    log, and the power cut lands right after.  The crash ends the open
+    transaction, so the recovered topology must (a) restore no group
+    graph and (b) compose a fresh same-transaction pair exactly once."""
     config = ExecutionConfig(sharding=ShardingConfig(shards=2))
     base_dir = os.path.join(root, "ct-sharded-base")
     crash_dir = os.path.join(root, "ct-sharded-crash")
@@ -1022,7 +1020,7 @@ def _run_sharded_composer_case(root: str,
     victim_tx.__enter__()
     db.signal(a_name)                  # half-match inside the open group
     with witness.transaction():
-        pass                           # commit boundary -> checkpoint
+        pass                           # another transaction's EOT
     for shard in db.shards:
         shard.storage.flush()
     # The on-disk state *is* the crash image: copy it while the victim
@@ -1044,23 +1042,11 @@ def _run_sharded_composer_case(root: str,
         home = engine.shards[engine.shard_for_key(spec.key())]
         composer = home.events.composite_manager(
             spec, wire_leaves=False).composer
-        ghost_groups = [group for group in composer.groups()
-                        if isinstance(group, frozenset)]
-        report.sharded_ghost_groups = len(ghost_groups)
-        if not ghost_groups:
+        report.sharded_restored_groups = composer.graph_instance_count()
+        if report.sharded_restored_groups:
             raise AssertionError(
-                "crash image held a cross-shard group half-match but "
-                "recovery restored no group graph")
-        # (b) the ghost's terminator arrives in a *new* transaction: the
-        # dead group must not complete, and same-tx scope keeps the new
-        # transaction from pairing with it.
-        with session.transaction():
-            session.signal(b_name)
-        if fired:
-            raise AssertionError(
-                "a dead pre-crash group completed after recovery")
-        # (c) a fresh same-transaction pair must compose exactly once
-        # alongside the restored ghost.
+                "recovery restored a group graph of a transaction the "
+                "crash ended")
         with session.transaction():
             session.signal(a_name)
             session.signal(b_name)
@@ -1068,12 +1054,7 @@ def _run_sharded_composer_case(root: str,
         if report.sharded_recovered_fired != 1:
             raise AssertionError(
                 f"fresh pair fired {report.sharded_recovered_fired} "
-                "times next to a restored ghost group, expected 1")
-        # (d) the sharded group sweep reclaims the ghost.
-        for ghost in ghost_groups:
-            engine.unregister_tx_group(ghost)
-        if any(isinstance(group, frozenset) for group in composer.groups()):
-            raise AssertionError("ghost group survived the group sweep")
+                "times after recovery, expected 1")
     finally:
         engine.close()
 
@@ -1094,8 +1075,8 @@ def run_composer_torture(
     half-match.  Torn cuts inside COMPOSER_CHECKPOINT frames exercise the
     fall-back-to-previous-checkpoint path; a final pass checks that a
     data-only read replica tailing a checkpoint-bearing log skips the
-    frames cleanly and that a sharded topology recovers a cross-shard
-    half-match exactly once.
+    frames cleanly and that a sharded topology restores no open
+    cross-shard half-match yet composes a fresh pair exactly once.
 
     ``operators``/``policies`` restrict the matrix (default: all seven
     operator trees x all four policies).

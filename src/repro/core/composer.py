@@ -14,7 +14,8 @@ A composer maintains one *composition graph instance* per **group**:
   simply removed (Section 3.3's lifespan rule);
 * multi-transaction composites use one global graph whose buffered
   occurrences expire after the expression's validity interval, swept by
-  :meth:`Composer.gc`.
+  :meth:`Composer.gc`.  Only this graph can outlive a transaction, so
+  only it is checkpointed into the WAL (:meth:`Composer.snapshot_state`).
 
 Within a graph, each algebra operator is a small node holding
 policy-governed buffers (:class:`~repro.core.consumption.OccurrenceBuffer`);
@@ -133,25 +134,6 @@ class _SnapshotCodec:
         self.max_seq = max(self.max_seq, occ.seq)
         self.tx_ids.update(occ.tx_ids)
         return occ
-
-
-def _encode_group_key(group: Hashable) -> tuple:
-    if group == _GLOBAL_GROUP:
-        return ("global",)
-    if isinstance(group, frozenset):
-        return ("group", tuple(sorted(group)))
-    return ("tx", group)
-
-
-def _decode_group_key(data: tuple) -> Hashable:
-    tag = data[0]
-    if tag == "global":
-        return _GLOBAL_GROUP
-    if tag == "group":
-        return frozenset(data[1])
-    if tag == "tx":
-        return data[1]
-    raise ComposerStateError(f"unknown group-key tag {tag!r}")
 
 
 def _min_seq(occ: EventOccurrence) -> int:
@@ -560,9 +542,9 @@ class Composer:
         #: seq watermark of the last restored checkpoint (0 = none):
         #: recovery feeds only the GlobalHistory suffix past this point.
         self.restored_watermark = 0
-        #: transaction ids referenced by restored half-matches — ghosts
-        #: of the crashed incarnation, which the recovering engine must
-        #: mark decided or causally-dependent rule work waits forever.
+        #: transaction ids referenced by restored half-matches — the
+        #: crashed incarnation's, which the recovering engine must mark
+        #: decided or causally-dependent rule work waits forever.
         self.restored_tx_ids: frozenset[int] = frozenset()
         #: count of parameters dropped from checkpoints because the
         #: storage serializer cannot represent them.
@@ -650,28 +632,20 @@ class Composer:
 
     def on_transaction_end(self, tx_id: int) -> int:
         """Discard the graph instance of a finished transaction."""
-        if self.scope is not EventScope.SINGLE_TX:
-            return 0
-        with self._lock:
-            graph = self._graphs.pop(tx_id, None)
-            if graph is None:
-                return 0
-            self.dirty = True
-            removed = graph.pending()
-            self.gc_removed += removed
-            self._m_gc_removed.inc(removed)
-            return removed
+        return self._discard_group(tx_id)
 
     def on_group_end(self, tx_ids: frozenset) -> int:
         """Discard the graph instance of a finished *sharded* transaction
         (grouped by its full member-id set, see :meth:`_group_of`)."""
+        return self._discard_group(tx_ids)
+
+    def _discard_group(self, group: Hashable) -> int:
         if self.scope is not EventScope.SINGLE_TX:
             return 0
         with self._lock:
-            graph = self._graphs.pop(tx_ids, None)
+            graph = self._graphs.pop(group, None)
             if graph is None:
                 return 0
-            self.dirty = True
             removed = graph.pending()
             self.gc_removed += removed
             self._m_gc_removed.inc(removed)
@@ -701,25 +675,23 @@ class Composer:
         with self._lock:
             return len(self._graphs)
 
-    def groups(self) -> list[Hashable]:
-        """The live composition-group keys: the global marker, single
-        transaction ids, and cross-shard member-id frozensets."""
-        with self._lock:
-            return list(self._graphs)
-
     # ------------------------------------------------------------------
     # Durability: snapshot/restore through the WAL (COMPOSER_CHECKPOINT)
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """A versioned, serializer-friendly image of all partial-match
-        state: every composition-group graph (per-tx, per-sharded-group,
-        or global) with its policy buffers, negation windows, closure
-        accumulators, and history windows.  Clears the dirty flag."""
+        """A versioned, serializer-friendly image of the partial-match
+        state that can outlive a transaction: the global multi-TX graph
+        with its policy buffers, negation windows, closure accumulators,
+        and history windows.  Single-transaction graphs (per tx or per
+        sharded group) end with their transaction — a crash ends every
+        open one — so they are never encoded and ``groups`` holds at
+        most the ``("global",)`` entry.  Clears the dirty flag."""
         codec = _SnapshotCodec(self.spec)
         with self._lock:
-            groups = [(_encode_group_key(group), graph.snapshot(codec))
-                      for group, graph in self._graphs.items()]
+            graph = self._graphs.get(_GLOBAL_GROUP)
+            groups = ([] if graph is None
+                      else [(("global",), graph.snapshot(codec))])
             self.dirty = False
         self.checkpoint_dropped_parameters += codec.dropped_parameters
         return {
@@ -734,7 +706,8 @@ class Composer:
         payload; returns the seq watermark of the restored state.
 
         Raises :class:`ComposerStateError` on any version, spec-key, or
-        structural mismatch so recovery can fall back to the previous
+        structural mismatch — including a group tagged anything but
+        ``"global"`` — so recovery can fall back to the previous
         consistent checkpoint.
         """
         try:
@@ -754,9 +727,12 @@ class Composer:
         restored: dict[Hashable, _Node] = {}
         try:
             for group_key, state in groups:
+                if tuple(group_key) != ("global",):
+                    raise ComposerStateError(
+                        f"unknown group key {group_key!r}")
                 graph = _build(self.spec)
                 graph.restore(state, codec)
-                restored[_decode_group_key(group_key)] = graph
+                restored[_GLOBAL_GROUP] = graph
         except ComposerStateError:
             raise
         except Exception as exc:

@@ -42,7 +42,7 @@ from repro.core.events import (
     StateChangeEventSpec,
     TemporalEventSpec,
 )
-from repro.core.algebra import CompositeEventSpec
+from repro.core.algebra import CompositeEventSpec, EventScope
 from repro.core.history import HISTORY_SEGMENTS, GlobalHistory, LocalHistory
 from repro.core.rules import Rule
 from repro.core.scheduler import RuleScheduler
@@ -253,8 +253,9 @@ class EventService:
         self.composer_checkpoint_sink: Optional[
             Callable[[dict], None]] = None
         #: spec key -> chronological COMPOSER_CHECKPOINT payloads found
-        #: in the log at recovery; applied (newest first, falling back on
-        #: mismatch) when the matching composite manager is re-created.
+        #: in the log at recovery; taken (and applied newest first,
+        #: falling back on mismatch) when the matching composite manager
+        #: is re-created.
         self.recovered_composer_state: dict[Hashable, list[dict]] = {}
         #: engine-installed hook marking pre-crash transaction ids as
         #: decided (``TransactionManager.seed_recovered_outcomes``):
@@ -321,12 +322,12 @@ class EventService:
                 tracer=self.tracer, metrics=self.metrics,
                 history_capacity=self.config.history_capacity)
             self._composite[key] = manager
+            payloads = self.recovered_composer_state.pop(key, None)
         # Durable-detection recovery: if the WAL carried checkpointed
-        # state for this composite, rebuild the half-matched graphs now —
-        # before the leaves are wired, so no live occurrence can race the
-        # restore.
-        payloads = self.recovered_composer_state.get(key)
-        if payloads:
+        # state for this multi-transaction composite, rebuild the
+        # half-matched graph now — before the leaves are wired, so no
+        # live occurrence can race the restore.
+        if payloads and manager.composer.scope is EventScope.MULTI_TX:
             self._restore_composer_state(manager, payloads)
         # Every leaf primitive must be detectable and must propagate here.
         # A sharded coordinator passes wire_leaves=False and connects the
@@ -352,7 +353,7 @@ class EventService:
         them), counted and flight-recorded either way.  Suffix replay
         feeds the composer directly, *not* the manager: any composite
         completed by a replayed occurrence already fired before the
-        crash (checkpoints are cut at commit boundaries, after firing),
+        crash (checkpoints are cut at top-level EOT, after firing),
         so re-emitting it would be a duplicate.
         """
         composer = manager.composer
@@ -384,20 +385,19 @@ class EventService:
             self.flight.record("composer.restore", composer=composer.name,
                                watermark=watermark, suffix_replayed=replayed)
 
-    def emit_composer_checkpoints(self, force: bool = False) -> int:
-        """Snapshot every dirty composer into the WAL (commit boundary).
-
-        ``force`` snapshots clean composers too — used when checkpoint
-        truncation wiped the log and every composer must re-seed it.
-        Returns the number of checkpoints appended.
-        """
+    def emit_composer_checkpoints(self) -> int:
+        """Snapshot every dirty multi-transaction composer into the WAL
+        (top-level EOT); returns the number of checkpoints appended.
+        Single-transaction composers hold nothing that outlives a
+        transaction and are never snapshotted."""
         sink = self.composer_checkpoint_sink
         if sink is None:
             return 0
         emitted = 0
         for manager in self.composite_managers():
             composer = manager.composer
-            if not force and not composer.dirty:
+            if composer.scope is not EventScope.MULTI_TX or \
+                    not composer.dirty:
                 continue
             try:
                 sink(composer.snapshot_state())
@@ -411,22 +411,21 @@ class EventService:
         return emitted
 
     def collect_composer_snapshots(self) -> list[dict]:
-        """Current full snapshots of every composer (checkpoint
-        compaction: N incremental WAL records collapse to these).
+        """Current full snapshots of every multi-transaction composer
+        (checkpoint compaction: N incremental WAL records collapse to
+        these).
 
         Recovered payloads whose composite has not been re-registered
         yet are carried forward verbatim (newest per key) — a storage
         checkpoint must not lose state that is merely waiting for its
         rule to come back.
         """
-        snapshots = []
-        live: set[Hashable] = set()
-        for manager in self.composite_managers():
-            live.add(manager.spec.key())
-            snapshots.append(manager.composer.snapshot_state())
-        for key, payloads in self.recovered_composer_state.items():
-            if key not in live and payloads:
-                snapshots.append(payloads[-1])
+        snapshots = [manager.composer.snapshot_state()
+                     for manager in self.composite_managers()
+                     if manager.composer.scope is EventScope.MULTI_TX]
+        with self._lock:
+            waiting = list(self.recovered_composer_state.values())
+        snapshots.extend(payloads[-1] for payloads in waiting if payloads)
         return snapshots
 
     def composer_stats(self) -> dict[str, Any]:
@@ -797,18 +796,21 @@ class ReachRulePolicyManager(PolicyManager):
             self.service.dispatch_flow(self._FLOW_OF[kind], event)
         if tx is None:
             return
-        if kind is SystemEventKind.TX_PRE_COMMIT and tx.is_top_level:
+        if not tx.is_top_level:
+            return
+        if kind is SystemEventKind.TX_PRE_COMMIT:
             self.scheduler.drain_deferred(tx)
-        elif kind in (SystemEventKind.TX_COMMIT, SystemEventKind.TX_ABORT) \
-                and tx.is_top_level:
+            # EOT: persist every multi-transaction composer whose state
+            # changed.  This runs before the pre-commit hooks append and
+            # force the COMMIT record, so the checkpoint rides the force
+            # that acknowledges the commit rather than paying its own.
+            self.service.emit_composer_checkpoints()
+        elif kind in (SystemEventKind.TX_COMMIT, SystemEventKind.TX_ABORT):
             self.service.on_transaction_end(tx)
             self.service.global_history.merge_transaction(tx.id)
             self.service.global_history.merge_transactionless()
-            # Commit boundary: persist any composer whose partial-match
-            # state changed, after the lifespan sweep above so finished
-            # single-tx graphs are not checkpointed.  The record rides
-            # the next WAL force rather than paying its own fsync.
-            self.service.emit_composer_checkpoints()
+            if kind is SystemEventKind.TX_ABORT:
+                self.service.emit_composer_checkpoints()
             self.scheduler.on_transaction_outcome(tx)
 
     def describe(self) -> str:

@@ -320,7 +320,7 @@ class ReachEngine(RuleDefinitions):
         # oldest first — restore walks them newest-first with fallback),
         # bump the occurrence-seq floor past every checkpointed watermark
         # so post-boot occurrences order strictly after restored ones, and
-        # wire emission (commit boundaries) plus compaction (storage
+        # wire emission (top-level EOTs) plus compaction (storage
         # checkpoints) into the WAL.
         max_watermark = 0
         for payload in self.storage.recovered_composer_checkpoints:
@@ -333,6 +333,7 @@ class ReachEngine(RuleDefinitions):
                 continue  # malformed: the restore path would reject it too
             if isinstance(watermark, int):
                 max_watermark = max(max_watermark, watermark)
+        self.storage.recovered_composer_checkpoints.clear()
         if max_watermark:
             advance_occurrence_seq(max_watermark)
         self.events.composer_checkpoint_sink = \

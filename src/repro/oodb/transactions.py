@@ -556,14 +556,14 @@ class TransactionManager:
     def seed_recovered_outcomes(self, tx_ids: Any) -> int:
         """Mark pre-crash transaction ids as decided (COMMITTED).
 
-        Durable composer checkpoints are cut at commit boundaries, so
-        half-matches restored from them reference transactions of the
-        crashed incarnation.  Those ids can never reach an outcome in
+        Durable composer checkpoints are cut at top-level EOTs, so
+        multi-transaction half-matches restored from them reference
+        transactions of the crashed incarnation.  Those ids can never reach an outcome in
         this incarnation — without seeding, causally-dependent detached
         work triggered by a recovered half-match waits on them forever.
         Ids already decided (or currently live) are left untouched; the
         id counter is advanced past the seeded ids so a fresh process
-        cannot recycle a ghost id for a new transaction.  Returns the
+        cannot recycle a pre-crash id for a new transaction.  Returns the
         number of ids newly seeded.
         """
         seeded = 0

@@ -91,11 +91,12 @@ class StorageManager:
         self._page_count = 0
         self._active: dict[int, _TxWriteSet] = {}
         #: COMPOSER_CHECKPOINT payloads found in the log at recovery, in
-        #: log order (oldest first).  The engine's event service drains
-        #: these when composers are (re)created; they are re-appended to
-        #: the fresh log below so a second crash before the next composer
-        #: checkpoint still finds them.
+        #: log order (oldest first).  The engine takes (and clears) them
+        #: for its event service; they are re-appended to the fresh log
+        #: below so a second crash before the next composer checkpoint
+        #: still finds them.
         self.recovered_composer_checkpoints: list[dict] = []
+        self._composer_checkpoints_recovered = 0
         #: engine-installed hook returning the current full composer
         #: snapshots; used to re-seed the log after checkpoint truncation
         #: (compaction: N incremental checkpoints collapse to the latest).
@@ -142,6 +143,8 @@ class StorageManager:
                 self._wal.append(LogRecord(
                     LogRecordType.COMPOSER_CHECKPOINT, tx_id=0,
                     payload=payload))
+            self._composer_checkpoints_recovered = len(
+                self.recovered_composer_checkpoints)
             self._wal.flush()
 
     def _scan_pages(self) -> None:
@@ -367,10 +370,11 @@ class StorageManager:
     def append_composer_checkpoint(self, payload: dict) -> int:
         """Buffer one composer-state snapshot into the log.
 
-        Rides the next flush (typically the commit force that follows at
-        the same boundary) rather than paying its own fsync; the
-        durability point of composer state is therefore the last
-        committed transaction, exactly the paper's coupling expectation.
+        Rides the next force rather than paying its own fsync.  Appended
+        at a top-level EOT, before the COMMIT record, it is forced with
+        the commit it belongs to; the durability point of composer state
+        is therefore the last committed transaction, exactly the paper's
+        coupling expectation.
         """
         with self._lock:
             return self._wal.append(LogRecord(
@@ -438,6 +442,6 @@ class StorageManager:
     def wal_stats(self) -> dict:
         """The WAL's live view (admin endpoint ``/wal``)."""
         stats = self._wal.stats()
-        stats["composer_checkpoints_recovered"] = len(
-            self.recovered_composer_checkpoints)
+        stats["composer_checkpoints_recovered"] = \
+            self._composer_checkpoints_recovered
         return stats

@@ -35,6 +35,17 @@ def wait_until(condition, timeout=5.0, interval=0.005, message=None):
         time.sleep(interval)
 
 
+def wait_for_waiter(locks, family, resource):
+    """Block until ``family`` is parked waiting on ``resource`` in the
+    lock manager ``locks`` — the handshake a contending thread owes the
+    test before the test makes its own conflicting request."""
+    wait_until(
+        lambda: any(waiter["family"] == family
+                    for waiter in locks.snapshot()["resources"]
+                    .get(repr(resource), {}).get("waiters", ())),
+        message=f"family {family} never waited on {resource!r}")
+
+
 @pytest.fixture
 def wait_for():
     """Fixture view of :func:`wait_until` for tests preferring injection."""

@@ -8,26 +8,31 @@ Three layers of coverage for the COMPOSER_CHECKPOINT protocol:
   WAL does, restore into a fresh composer) and feeding the suffix must
   produce the same emissions as the uninterrupted reference evaluator
   from ``test_algebra_properties`` — never a duplicate, never a
-  forgotten half-match, for all four SNOOP policies and both scopes;
+  forgotten half-match, for all four SNOOP policies and both scopes (a
+  crash ends every open transaction, so single-transaction graphs are
+  dropped at the cut on both sides);
 * engine-level reopen tests — a half-matched multi-transaction sequence
   survives a real crash (flush + torn close), completes exactly once in
-  the next incarnation, and does not complete again on a refeed; a
-  corrupt (future-versioned) checkpoint frame falls back to the previous
+  the next incarnation, and does not complete again on a refeed; the
+  checkpoint is forced with the commit that acknowledged it; an open
+  single-transaction half-match is never restored; a corrupt
+  (future-versioned) checkpoint frame falls back to the previous
   consistent checkpoint and is counted;
-* round-trip pins — cross-shard frozenset group keys and restored ghost
-  transaction ids survive the snapshot codec.
+* codec pins — a single-transaction snapshot carries no group, and a
+  restore accepts only the global group.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ReachEngine
+from repro import ReachEngine, sentried
 from repro.errors import ComposerStateError
 from repro.core.algebra import EventScope, Sequence
 from repro.core.composer import Composer
@@ -105,32 +110,44 @@ class TestCrashRecoverResumeProperty:
         recovered = Composer(build_spec())
         watermark = recovered.restore_state(payload)
         assert watermark == payload["watermark"]
+        if not multi_tx:
+            # The crash ended every open transaction: their graphs die
+            # with it, and later occurrences belong to new transactions.
+            reference.instances.clear()
 
         _feed_and_compare(recovered, reference, occurrences[split:], split)
 
 
 class TestSnapshotCodecPins:
-    def test_frozenset_group_key_survives_round_trip(self):
-        """Cross-shard groups key on the member-id frozenset; the codec
-        must rebuild the exact key so on_group_end can still sweep it."""
-        spec = Sequence(A, B).consumed(ConsumptionPolicy.CHRONICLE)
-        group = frozenset({7, 11})
-        live = Composer(spec)
-        assert live.feed(EventOccurrence(
-            A, A.category(), 0.0, tx_ids=group)) == []
+    def test_single_tx_snapshot_carries_no_group(self):
+        """Only the multi-transaction graph outlives a transaction, so a
+        single-tx composer's snapshot is empty even mid-match — for one
+        transaction and for a cross-shard member-id group alike."""
+        live = Composer(Sequence(A, B).consumed(ConsumptionPolicy.CHRONICLE))
+        for tx_ids in (frozenset({3}), frozenset({7, 11})):
+            assert live.feed(EventOccurrence(
+                A, A.category(), 0.0, tx_ids=tx_ids)) == []
+        assert live.graph_instance_count() == 2
+        payload = deserialize(serialize(live.snapshot_state()))
+        assert payload["groups"] == []
 
         recovered = Composer(
             Sequence(A, B).consumed(ConsumptionPolicy.CHRONICLE))
-        recovered.restore_state(deserialize(serialize(
-            live.snapshot_state())))
-        assert group in recovered.groups()
-        assert recovered.restored_tx_ids == group
+        recovered.restore_state(payload)
+        assert recovered.graph_instance_count() == 0
+        assert recovered.restored_tx_ids == frozenset()
 
-        emitted = recovered.feed(EventOccurrence(
-            B, B.category(), 1.0, tx_ids=group))
-        assert len(emitted) == 1
-        assert len(emitted[0].all_primitive_components()) == 2
-        assert recovered.on_group_end(group) == 0  # consumed, nothing left
+    def test_restore_rejects_a_non_global_group(self):
+        spec = (Sequence(A, B).consumed(ConsumptionPolicy.CHRONICLE)
+                .scoped(EventScope.MULTI_TX).within(1e9))
+        live = Composer(spec)
+        live.feed(EventOccurrence(A, A.category(), 0.0,
+                                  tx_ids=frozenset({3})))
+        payload = live.snapshot_state()
+        [(__, state)] = payload["groups"]
+        payload["groups"] = [(("tx", 3), state)]
+        with pytest.raises(ComposerStateError):
+            Composer(spec).restore_state(payload)
 
     def test_restore_rejects_future_version(self):
         live = Composer(Sequence(A, B))
@@ -146,22 +163,131 @@ def _crash(db):
     db.close()
 
 
+@sentried
+class Ledger:
+    def __init__(self):
+        self.entries = 0
+
+
 class TestEngineReopen:
-    """The full stack: commit boundaries cut checkpoints into the WAL,
-    recovery rebuilds the half-matched state, ghost transactions are
+    """The full stack: top-level EOTs cut checkpoints into the WAL,
+    recovery rebuilds the half-matched state, pre-crash transactions are
     seeded so detached composites can still fire."""
 
     SPEC = (Sequence(SignalEventSpec("dur-a"), SignalEventSpec("dur-b"))
             .consumed(ConsumptionPolicy.CHRONICLE)
             .scoped(EventScope.MULTI_TX).within(1e9))
+    OTHER = (Sequence(SignalEventSpec("dur-x"), SignalEventSpec("dur-y"))
+             .consumed(ConsumptionPolicy.CHRONICLE)
+             .scoped(EventScope.MULTI_TX).within(1e9))
+    SINGLE_TX = Sequence(SignalEventSpec("dur-a"), SignalEventSpec("dur-b"))
 
-    def _open(self, path, fired):
+    def _open(self, path, fired, spec=SPEC):
         db = ReachEngine(directory=str(path))
-        db.rule("dur-rule", self.SPEC,
+        db.register_class(Ledger)
+        db.rule("dur-rule", spec,
                 action=lambda ctx: fired.append(
                     len(ctx.event.all_primitive_components())),
                 coupling=CouplingMode.DETACHED)
         return db
+
+    def test_acknowledged_commit_carries_its_composer_checkpoint(
+            self, tmp_path):
+        """The frame is forced with the COMMIT it belongs to: a copy of
+        the directory taken as soon as ``commit`` returns (what a power
+        cut preserves) already restores the half-match."""
+        fired: list[int] = []
+        db = self._open(tmp_path / "live", fired)
+        with db.transaction():
+            db.persist(Ledger(), "ledger")
+            db.signal("dur-a")
+        shutil.copytree(tmp_path / "live", tmp_path / "image")
+        db.close()
+
+        db = self._open(tmp_path / "image", fired)
+        assert db.wal_statistics()["composer_restores"] == 1
+        with db.transaction():
+            db.signal("dur-b")
+        db.drain_detached()
+        assert fired == [2]
+        db.close()
+
+    def test_open_single_tx_half_match_is_not_restored(self, tmp_path):
+        """A crash ends every open transaction, so a single-transaction
+        graph in the crash image has nothing to resume."""
+        fired: list[int] = []
+        db = self._open(tmp_path / "live", fired, spec=self.SINGLE_TX)
+        victim = db.create_session("victim")
+        witness = db.create_session("witness")
+        victim.begin()
+        victim.signal("dur-a")
+        with witness.transaction():
+            pass                    # another transaction's EOT
+        db.storage.flush()
+        shutil.copytree(tmp_path / "live", tmp_path / "image")
+        victim.commit()
+        db.close()
+
+        db = self._open(tmp_path / "image", fired, spec=self.SINGLE_TX)
+        assert db.composer_stats()["half_matched_groups"] == 0
+        db.checkpoint()
+        _crash(db)
+        db = self._open(tmp_path / "image", fired, spec=self.SINGLE_TX)
+        assert db.composer_stats()["half_matched_groups"] == 0
+        with db.transaction():
+            db.signal("dur-a")
+            db.signal("dur-b")
+        db.drain_detached()
+        assert fired == [2]
+        db.close()
+
+    def test_single_tx_composers_write_no_checkpoint(self, tmp_path):
+        """Signal-only transactions over one single-tx and one multi-tx
+        composite: one composer checkpoint per commit, the multi-tx one."""
+        fired: list[int] = []
+        db = self._open(tmp_path, fired, spec=self.SINGLE_TX)
+        db.rule("multi", self.OTHER, action=lambda ctx: None,
+                coupling=CouplingMode.DETACHED)
+        written = db.statistics()["wal"]["composer_checkpoints_written"]
+        for __ in range(5):
+            with db.transaction():
+                db.signal("dur-a")
+                db.signal("dur-x")
+        assert db.statistics()["wal"][
+            "composer_checkpoints_written"] - written == 5
+        db.close()
+
+    def test_applied_payloads_are_released(self, tmp_path):
+        """A restored key leaves the recovered stash; a key whose rule is
+        not registered yet is carried through a storage checkpoint."""
+        fired: list[int] = []
+        other: list[int] = []
+        db = self._open(tmp_path, fired)
+        db.rule("other", self.OTHER, action=lambda ctx: other.append(1),
+                coupling=CouplingMode.DETACHED)
+        with db.transaction():
+            db.signal("dur-a")
+            db.signal("dur-x")
+        _crash(db)
+
+        db = self._open(tmp_path, fired)
+        recovered = db.events.recovered_composer_state
+        assert self.SPEC.key() not in recovered
+        assert self.OTHER.key() in recovered
+        assert db.wal_statistics()["composer_checkpoints_recovered"] >= 2
+        db.checkpoint()
+        _crash(db)
+
+        db = self._open(tmp_path, fired)
+        db.rule("other", self.OTHER, action=lambda ctx: other.append(1),
+                coupling=CouplingMode.DETACHED)
+        assert db.events.recovered_composer_state == {}
+        with db.transaction():
+            db.signal("dur-b")
+            db.signal("dur-y")
+        db.drain_detached()
+        assert fired == [2] and other == [1]
+        db.close()
 
     def test_half_match_completes_exactly_once_across_crash(self, tmp_path):
         fired: list[int] = []

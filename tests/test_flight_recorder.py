@@ -16,7 +16,6 @@ Covers the PR-5 acceptance criteria:
 """
 
 import threading
-import time
 
 import pytest
 
@@ -31,6 +30,8 @@ from repro.obs.flight import (
     load_dump,
 )
 from repro.oodb.locks import LockManager, LockMode
+
+from tests.conftest import wait_for_waiter
 
 
 @sentried
@@ -279,13 +280,7 @@ class TestLockWaits:
 
         thread = threading.Thread(target=contender)
         thread.start()
-        for __ in range(200):          # wait for 2 to block on r1
-            if locks.holders_of("r1") and any(
-                    w["family"] == 2
-                    for w in locks.snapshot()["resources"]
-                    .get("'r1'", {}).get("waiters", [])):
-                break
-            time.sleep(0.005)
+        wait_for_waiter(locks, 2, "r1")
         with pytest.raises(DeadlockError):
             locks.acquire(1, "r2", LockMode.EXCLUSIVE)
         locks.release_all(1)

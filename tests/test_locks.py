@@ -1,12 +1,13 @@
 """Lock manager: compatibility, upgrades, deadlock detection, transfer."""
 
 import threading
-import time
 
 import pytest
 
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.oodb.locks import LockManager, LockMode
+
+from tests.conftest import wait_for_waiter
 
 
 @pytest.fixture
@@ -63,7 +64,7 @@ class TestRelease:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        time.sleep(0.05)
+        wait_for_waiter(locks, 2, "r")
         assert not acquired.is_set()
         locks.release_all(1)
         thread.join(timeout=2.0)
@@ -74,10 +75,8 @@ class TestDeadlock:
     def test_two_family_cycle_detected(self, locks):
         locks.acquire(1, "a", LockMode.EXCLUSIVE)
         locks.acquire(2, "b", LockMode.EXCLUSIVE)
-        blocked = threading.Event()
 
         def family_one():
-            blocked.set()
             try:
                 locks.acquire(1, "b", LockMode.EXCLUSIVE)
             except (DeadlockError, LockTimeoutError):
@@ -87,8 +86,7 @@ class TestDeadlock:
 
         thread = threading.Thread(target=family_one)
         thread.start()
-        blocked.wait()
-        time.sleep(0.05)
+        wait_for_waiter(locks, 1, "b")
         # Family 2 requesting "a" completes the cycle; it is the victim.
         with pytest.raises(DeadlockError):
             locks.acquire(2, "a", LockMode.EXCLUSIVE)
@@ -125,10 +123,8 @@ class TestFailureMetrics:
         locks.timeout = 2.0
         locks.acquire(1, "a", LockMode.EXCLUSIVE)
         locks.acquire(2, "b", LockMode.EXCLUSIVE)
-        blocked = threading.Event()
 
         def family_one():
-            blocked.set()
             try:
                 locks.acquire(1, "b", LockMode.EXCLUSIVE)
             except (DeadlockError, LockTimeoutError):
@@ -138,8 +134,7 @@ class TestFailureMetrics:
 
         thread = threading.Thread(target=family_one)
         thread.start()
-        blocked.wait()
-        time.sleep(0.05)
+        wait_for_waiter(locks, 1, "b")
         with pytest.raises(DeadlockError):
             locks.acquire(2, "a", LockMode.EXCLUSIVE)
         locks.release_all(2)
@@ -209,10 +204,8 @@ class TestStriping:
         res_a, res_b = _cross_stripe_pair(locks)
         locks.acquire(1, res_a, LockMode.EXCLUSIVE)
         locks.acquire(2, res_b, LockMode.EXCLUSIVE)
-        blocked = threading.Event()
 
         def family_one():
-            blocked.set()
             try:
                 locks.acquire(1, res_b, LockMode.EXCLUSIVE)
             except (DeadlockError, LockTimeoutError):
@@ -222,8 +215,7 @@ class TestStriping:
 
         thread = threading.Thread(target=family_one)
         thread.start()
-        blocked.wait()
-        time.sleep(0.05)
+        wait_for_waiter(locks, 1, res_b)
         with pytest.raises(DeadlockError):
             locks.acquire(2, res_a, LockMode.EXCLUSIVE)
         locks.release_all(2)
@@ -281,7 +273,7 @@ class TestStriping:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        time.sleep(0.05)
+        wait_for_waiter(locks, 2, "hot")
         assert not acquired.is_set()
         locks.clear()
         thread.join(timeout=2.0)
