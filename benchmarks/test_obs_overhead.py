@@ -262,8 +262,8 @@ def test_export_queue_never_blocks_the_hot_path(tmp_path,
 
     tally = _Tally()
     db = _database(tmp_path / "export", observability=True,
-                   probe_cls=ProbeExport, tally=tally,
-                   telemetry_queue_capacity=32)
+                   probe_cls=ProbeExport, tally=tally)
+    db.telemetry().capacity = 32
     db.telemetry().add_exporter(Wedged())
     probe = ProbeExport()
 

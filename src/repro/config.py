@@ -48,31 +48,24 @@ class ShardingConfig:
             access by OID block and events by spec home, and its sessions
             are :class:`~repro.core.session.ShardedSession`.  A plain
             ``ReachEngine`` given ``shards > 1`` raises ``ValueError``.
-        oid_range_size: width of one contiguous OID block owned by a
-            single shard (see :func:`repro.oodb.oid.route`).  Changing it
-            on an existing on-disk database re-homes every object, so it
-            must match the value the data was created with.
+            Each shard owns contiguous OID blocks of
+            :data:`repro.oodb.oid.DEFAULT_OID_RANGE_SIZE`; the width is
+            part of the on-disk routing format, not a knob.
         wal_ship: ship each shard's WAL to a warm read replica
             (``repro.storage.replication``): a tailing reader follows the
             primary's acked (fsynced) prefix and replays committed
             transactions into a replica store under
-            ``<dbdir>/shard-K/replica/``.  Off by default.
-        wal_ship_interval: seconds between shipping polls of each
-            primary's log.
+            ``<dbdir>/shard-K/replica/``.  Off by default.  Shipping is a
+            ``ShardedEngine`` service (one shard is fine); a plain
+            ``ReachEngine`` given ``wal_ship=True`` raises ``ValueError``.
     """
 
     shards: int = 1
-    oid_range_size: int = 1024
     wal_ship: bool = False
-    wal_ship_interval: float = 0.01
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.oid_range_size < 1:
-            raise ValueError("oid_range_size must be >= 1")
-        if self.wal_ship_interval <= 0:
-            raise ValueError("wal_ship_interval must be positive")
 
 
 @dataclass
@@ -154,25 +147,19 @@ class ExecutionConfig:
             triggered by composite events.
         worker_threads: size of the composer/detached-rule thread pool in
             threaded mode.
-        gc_interval: seconds between sweeps that discard expired
-            semi-composed events (Section 3.3 lifespan enforcement).
         max_rule_recursion: bound on rules triggering rules, to keep
             non-terminating rule sets (Section 6.4 cites termination as an
             open issue) from hanging the system.
-        detached_start_timeout: how long a causally dependent detached rule
-            waits for its trigger's outcome before giving up, in seconds.
         parallel_rules: execute multiple rules fired by one event as
-            parallel sibling subtransactions (requires threaded mode);
-            when False, the set is mapped to an ordered firing sequence —
-            the first-prototype strategy whose cost Section 6.4 proposes
-            to measure against the parallel one.
+            parallel sibling subtransactions; when False, the set is
+            mapped to an ordered firing sequence — the first-prototype
+            strategy whose cost Section 6.4 proposes to measure against
+            the parallel one.  Parallel siblings need threads, so True
+            without ``mode=ExecutionMode.THREADED`` raises ``ValueError``.
         observability: enable the tracing/metrics subsystem
             (``repro.obs``).  Off by default: a disabled pipeline pays
             one no-op call per instrumentation point and ``db.trace()``
             returns ``None``.
-        trace_capacity: number of traces the tracer retains before
-            evicting oldest-first (only meaningful with observability
-            enabled).
         trace_sampling: fraction of would-be trace *roots* actually
             recorded, in [0.0, 1.0] (default 1.0 — trace everything the
             tracer is enabled for).  Sampling gates only root creation:
@@ -184,9 +171,9 @@ class ExecutionConfig:
         history_capacity: bound on each ECA-manager's local event
             history.  ``None`` (the default) keeps every occurrence, as
             the paper's compensation view requires; long-running
-            processes and benchmarks can set a bound so the global
-            history merge at commit scans a fixed window instead of the
-            database's whole life.
+            processes and benchmarks can set a bound so each manager's
+            history stays a fixed window instead of the database's whole
+            life.
         detached_max_retries: how many times a *failed* detached rule
             execution is retried in a fresh top-level transaction before
             it is dead-lettered.  0 (the default) preserves the original
@@ -202,10 +189,6 @@ class ExecutionConfig:
             is quarantined (disabled with ``rule.quarantined = True``)
             until an operator re-enables it.  ``None`` (default) never
             quarantines.
-        dead_letter_capacity: bound on the scheduler's dead-letter queue
-            of permanently failed detached work (oldest dropped first).
-        error_log_capacity: bound on ``scheduler.errors``; the number of
-            dropped entries is surfaced in ``db.statistics()``.
         fault_injection: enable the ``repro.faults`` registry so tests
             and torture harnesses can arm named failure points.  Off by
             default: every instrumentation point then holds the shared
@@ -218,15 +201,6 @@ class ExecutionConfig:
             abort, or on demand.  On by default (unlike ``observability``,
             the post-mortem record must exist when nobody was watching);
             False swaps in the shared no-op recorder.
-        flight_capacity: ring size in records; older records are
-            overwritten (the overwrite count is surfaced as ``dropped``).
-        flight_lock_wait_threshold: minimum lock wait, in seconds, before
-            the wait is recorded in the flight ring (granted waits below
-            it are noise; deadlocks and timeouts are always recorded).
-        telemetry_queue_capacity: bound on the telemetry export queue
-            (``repro.obs.export``).  The queue never blocks the hot
-            path: records offered to a full queue are dropped and
-            counted.
         telemetry_jsonl: path of a JSONL file to stream span/metric
             records to; ``None`` (default) attaches no exporter (the
             pipeline stays inert until ``db.telemetry().add_exporter``).
@@ -235,8 +209,8 @@ class ExecutionConfig:
             ephemeral port (``engine.admin_address`` has the real one).
             ``None`` (default) starts no server.
         sharding: the horizontal scale-out knobs
-            (:class:`ShardingConfig`): shard count, OID block width, WAL
-            shipping to read replicas.  ``None`` (default) builds the
+            (:class:`ShardingConfig`): shard count and WAL shipping to
+            read replicas.  ``None`` (default) builds the
             defaults (one shard, no shipping).
         server: the network front-end knobs (:class:`ServerConfig`):
             bind address, bearer tokens, per-tenant rate limiting,
@@ -250,25 +224,17 @@ class ExecutionConfig:
     tie_break: TieBreakPolicy = TieBreakPolicy.OLDEST_FIRST
     simple_events_first: bool = False
     worker_threads: int = 4
-    gc_interval: float = 1.0
     max_rule_recursion: int = 16
-    detached_start_timeout: float = 30.0
     parallel_rules: bool = False
     observability: bool = False
-    trace_capacity: int = 256
     trace_sampling: float = 1.0
     history_capacity: Optional[int] = None
     detached_max_retries: int = 0
     retry_base_delay: float = 0.01
     quarantine_threshold: Optional[int] = None
-    dead_letter_capacity: int = 256
-    error_log_capacity: int = 1000
     fault_injection: bool = False
     fault_seed: Optional[int] = None
     flight_recorder: bool = True
-    flight_capacity: int = 4096
-    flight_lock_wait_threshold: float = 0.010
-    telemetry_queue_capacity: int = 4096
     telemetry_jsonl: Optional[str] = None
     admin_port: Optional[int] = None
     sharding: Optional[ShardingConfig] = None
@@ -281,10 +247,11 @@ class ExecutionConfig:
             raise ValueError("worker_threads must be >= 1")
         if self.max_rule_recursion < 1:
             raise ValueError("max_rule_recursion must be >= 1")
-        if self.gc_interval <= 0:
-            raise ValueError("gc_interval must be positive")
-        if self.trace_capacity < 1:
-            raise ValueError("trace_capacity must be >= 1")
+        if self.parallel_rules and not self.threaded:
+            raise ValueError(
+                "ExecutionConfig.parallel_rules=True needs "
+                "mode=ExecutionMode.THREADED: parallel sibling rules run "
+                "on threads (Section 6.4)")
         if not 0.0 <= self.trace_sampling <= 1.0:
             raise ValueError("trace_sampling must be in [0.0, 1.0]")
         if self.history_capacity is not None and self.history_capacity < 1:
@@ -296,16 +263,6 @@ class ExecutionConfig:
         if self.quarantine_threshold is not None and \
                 self.quarantine_threshold < 1:
             raise ValueError("quarantine_threshold must be >= 1 or None")
-        if self.dead_letter_capacity < 1:
-            raise ValueError("dead_letter_capacity must be >= 1")
-        if self.error_log_capacity < 1:
-            raise ValueError("error_log_capacity must be >= 1")
-        if self.flight_capacity < 1:
-            raise ValueError("flight_capacity must be >= 1")
-        if self.flight_lock_wait_threshold < 0:
-            raise ValueError("flight_lock_wait_threshold must be >= 0")
-        if self.telemetry_queue_capacity < 1:
-            raise ValueError("telemetry_queue_capacity must be >= 1")
         if self.admin_port is not None and \
                 not 0 <= self.admin_port <= 65535:
             raise ValueError("admin_port must be in [0, 65535] or None")

@@ -38,7 +38,6 @@ from repro.core.events import (
     FlowEventKind,
     FlowEventSpec,
     MethodEventSpec,
-    MilestoneEventSpec,
     StateChangeEventSpec,
     TemporalEventSpec,
 )
@@ -335,9 +334,6 @@ class EventService:
         # this manager through the cross-shard event bus instead.
         if wire_leaves:
             for leaf in spec.leaves():
-                if isinstance(leaf, TemporalEventSpec) and \
-                        isinstance(leaf, MilestoneEventSpec):
-                    pass  # milestones are raised explicitly, manager suffices
                 primitive = self.primitive_manager(leaf)
                 primitive.add_listener(manager.feed)
         return manager

@@ -104,6 +104,10 @@ from repro.oodb.transactions import Transaction, TransactionManager
 
 _engine_ids = itertools.count(1)
 
+#: Seconds between sweeps that discard expired semi-composed events
+#: (Section 3.3 lifespan enforcement).
+GC_INTERVAL = 1.0
+
 #: Every engine constructed and not yet closed, weakly held.  Test
 #: harnesses (``tests/conftest.py``) walk this to dump flight rings and
 #: observability state as failure artifacts; nothing in the engine's own
@@ -186,6 +190,11 @@ class ReachEngine(RuleDefinitions):
                 f"{self.config.sharding.shards}, but a ReachEngine is one "
                 f"kernel of a {self.shard_map.shard_count}-shard topology; "
                 f"build a ShardedEngine to shard the engine")
+        if self.config.sharding.wal_ship:
+            raise ValueError(
+                "ShardingConfig.wal_ship=True ships each shard's WAL to a "
+                "read replica, which a ShardedEngine does; a ReachEngine "
+                "has no shipper (build a ShardedEngine, shards=1 is fine)")
 
         # -- observability (repro.obs) -----------------------------------
         # Built first so every subsystem can bind its instruments at
@@ -194,7 +203,6 @@ class ReachEngine(RuleDefinitions):
         self.metrics_registry = MetricsRegistry(
             enabled=self.config.observability)
         self.tracer = Tracer(enabled=self.config.observability,
-                             capacity=self.config.trace_capacity,
                              sample_rate=self.config.trace_sampling)
 
         # -- flight recorder (repro.obs.flight) ---------------------------
@@ -202,8 +210,7 @@ class ReachEngine(RuleDefinitions):
         # deliberately independent of ``config.observability`` so the
         # post-mortem record exists even on unobserved engines.
         if self.config.flight_recorder:
-            self.flight = FlightRecorder(
-                capacity=self.config.flight_capacity, directory=directory)
+            self.flight = FlightRecorder(directory=directory)
         else:
             self.flight = NULL_FLIGHT
 
@@ -212,8 +219,7 @@ class ReachEngine(RuleDefinitions):
         # either here via ``config.telemetry_jsonl`` or later through
         # ``engine.telemetry().add_exporter(...)``.
         self.telemetry_pipeline = TelemetryPipeline(
-            tracer=self.tracer, metrics=self.metrics_registry,
-            capacity=self.config.telemetry_queue_capacity)
+            tracer=self.tracer, metrics=self.metrics_registry)
         if self.config.telemetry_jsonl:
             self.telemetry_pipeline.add_exporter(
                 JsonlFileExporter(self.config.telemetry_jsonl))
@@ -247,9 +253,7 @@ class ReachEngine(RuleDefinitions):
         self.meta = MetaArchitecture()
         self.locks = LockManager(
             metrics=self.metrics_registry, faults=self.faults,
-            flight=self.flight,
-            flight_wait_threshold=self.config.flight_lock_wait_threshold,
-            tracer=self.tracer)
+            flight=self.flight, tracer=self.tracer)
         self.tx_manager = TransactionManager(
             self.meta, self.locks, clock=self.clock, tracer=self.tracer,
             metrics=self.metrics_registry)
@@ -346,7 +350,7 @@ class ReachEngine(RuleDefinitions):
             self.clock, self.tx_manager,
             dispatch=self.events.dispatch_temporal,
             anchor_subscribe=self._subscribe_anchor)
-        self.temporal.schedule_recurring(self.config.gc_interval,
+        self.temporal.schedule_recurring(GC_INTERVAL,
                                          self.events.collect_garbage)
 
         # Pull-based queue-depth gauges: evaluated only when a metrics
@@ -570,7 +574,7 @@ class ReachEngine(RuleDefinitions):
     def _subscribe_anchor(self, spec, callback) -> None:
         self.events.primitive_manager(spec).add_listener(callback)
 
-    def drop_rule(self, name: str) -> None:
+    def unregister_rule(self, name: str) -> None:
         with self._lock:
             rule, manager = self._rules.pop(name)
             manager.remove_rule(rule)

@@ -18,8 +18,8 @@ combination against Table 1 and registers the rule, exactly as
 an abandoned builder has no effect.
 
 :class:`RuleDefinitions` is the one definition of ``rule`` / ``on`` /
-``define_rules`` / ``load_persistent_rules`` / ``get_rule`` / ``rules``
-that both
+``define_rules`` / ``drop_rule`` / ``load_persistent_rules`` /
+``get_rule`` / ``rules`` that both
 :class:`~repro.core.engine.ReachEngine` and
 :class:`~repro.core.sharding.ShardedEngine` inherit.
 """
@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.core.coupling import CouplingMode
 from repro.core.events import EventSpec
-from repro.core.rule_language import compile_rules
+from repro.core.rule_language import compile_rules, rule_sources
 from repro.core.rules import Action, Condition, Rule
 
 __all__ = ["RuleBuilder", "RuleDefinitions"]
@@ -39,10 +39,11 @@ __all__ = ["RuleBuilder", "RuleDefinitions"]
 class RuleDefinitions:
     """Rule definition shared by both engines.
 
-    Written against the host's ``register_rule``, ``_rules``, ``_lock``,
-    ``dictionary``, ``persistence`` and ``tx_manager``.  On a sharded
-    engine the last three are shard 0's: persisted rule DDL lives in shard
-    0's catalog, like the other engine-wide services.
+    Written against the host's ``register_rule``, ``unregister_rule``,
+    ``_rules``, ``_lock``, ``dictionary``, ``persistence`` and
+    ``tx_manager``.  On a sharded engine the last three are shard 0's:
+    persisted rule DDL lives in shard 0's catalog, like the other
+    engine-wide services, whichever shard homes the rule.
     """
 
     def rule(self, name: str, event: EventSpec,
@@ -89,9 +90,29 @@ class RuleDefinitions:
             self.register_rule(rule)
         if persist:
             self.dictionary.add_rule_ddl(ddl)
-            if self.tx_manager.current() is None:
-                self.persistence.flush_now()
+            self._flush_catalog()
         return rules
+
+    def drop_rule(self, name: str) -> None:
+        """Unregister a rule and delete its persisted definition, if any.
+
+        A stored DDL block that defines other rules too is replaced by
+        their own definitions, so they load on the next open as before.
+        """
+        self.unregister_rule(name)
+        changed = False
+        for ddl in self.dictionary.rule_ddl_blocks():
+            sources = rule_sources(ddl)
+            if sources.pop(name, None) is not None:
+                self.dictionary.replace_rule_ddl(ddl, list(sources.values()))
+                changed = True
+        if changed:
+            self._flush_catalog()
+
+    def _flush_catalog(self) -> None:
+        # Inside a transaction the catalog rides on its commit instead.
+        if self.tx_manager.current() is None:
+            self.persistence.flush_now()
 
     def load_persistent_rules(self) -> list[Rule]:
         """Recompile and register every rule-DDL block stored in the

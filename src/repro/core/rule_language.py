@@ -148,15 +148,28 @@ class _Cursor:
 
 def parse_rules(text: str) -> list[ParsedRule]:
     """Parse DDL text containing one or more rule definitions."""
+    return [parsed for parsed, __ in _parse_with_sources(text)]
+
+
+def rule_sources(text: str) -> dict[str, str]:
+    """Each rule's own definition in DDL ``text``, by rule name: the
+    slice from ``rule`` through its closing brace."""
+    return {parsed.name: source
+            for parsed, source in _parse_with_sources(text)}
+
+
+def _parse_with_sources(text: str) -> list[tuple[ParsedRule, str]]:
     cursor = _Cursor(text)
-    rules: list[ParsedRule] = []
+    rules: list[tuple[ParsedRule, str]] = []
     while not cursor.at_end():
         token = cursor.peek()
         if token.text == ";":
             cursor.advance()
             continue
         if token.kind == "name" and token.text == "rule":
-            rules.append(_parse_rule(cursor))
+            parsed = _parse_rule(cursor)
+            end = cursor.tokens[cursor.pos - 1].position + 1
+            rules.append((parsed, text[token.position:end]))
         else:
             raise RuleParseError(
                 f"expected 'rule' at position {token.position}, got "

@@ -87,8 +87,8 @@ class FiringRecord:
     event_seq: int
     outcome: str               # executed | condition_false | skipped | error
     tx_id: Optional[int] = None
-    #: the session the triggering transaction belonged to (None for the
-    #: legacy thread-affine default or engine-internal work).
+    #: the session the triggering transaction belonged to (None for
+    #: engine-internal work).
     session_id: Optional[int] = None
 
 
@@ -199,7 +199,7 @@ class RuleScheduler:
         self.tenant_resolver: Optional[
             Callable[[int], Optional[str]]] = None
         self.errors: BoundedErrorLog = BoundedErrorLog(
-            config.error_log_capacity)
+            self.ERROR_LOG_CAPACITY)
         self.firing_log: deque[FiringRecord] = deque(
             maxlen=self.MAX_FIRING_LOG)
         self._log_lock = threading.Lock()
@@ -275,8 +275,7 @@ class RuleScheduler:
             else:
                 self._schedule_detached(rule, occ, PHASE_FULL, mode, depth)
         if immediate_batch:
-            if (self.config.parallel_rules and self.config.threaded
-                    and len(immediate_batch) > 1
+            if (self.config.parallel_rules and len(immediate_batch) > 1
                     and current is not None):
                 self._fire_parallel(immediate_batch, occ, current)
             else:
@@ -626,8 +625,7 @@ class RuleScheduler:
                         wanted: TransactionState) -> bool:
         """True iff *all* dependency transactions reached ``wanted``."""
         for tx_id in work.deps:
-            outcome = self.tx_manager.wait_for_outcome(
-                tx_id, timeout=self.config.detached_start_timeout)
+            outcome = self.tx_manager.wait_for_outcome(tx_id)
             if outcome is not wanted:
                 return False
         return True
@@ -820,8 +818,7 @@ class RuleScheduler:
                            attempts=work.attempts)
         with self._pending_lock:
             self._dead_letters.append(entry)
-            excess = len(self._dead_letters) - \
-                self.config.dead_letter_capacity
+            excess = len(self._dead_letters) - self.DEAD_LETTER_CAPACITY
             if excess > 0:
                 del self._dead_letters[:excess]
                 self.dead_letters_dropped += excess
@@ -892,6 +889,13 @@ class RuleScheduler:
     #: bound on the in-memory firing log; older records are dropped.  Read
     #: once, when the scheduler is built.
     MAX_FIRING_LOG = 10_000
+    #: bound on ``scheduler.errors``; the number of dropped entries is
+    #: surfaced in ``db.statistics()``.  Read once, when the scheduler is
+    #: built.
+    ERROR_LOG_CAPACITY = 1000
+    #: bound on the dead-letter queue of permanently failed detached
+    #: work; the oldest entries are dropped first.
+    DEAD_LETTER_CAPACITY = 256
 
     def _log(self, rule: Rule, mode: CouplingMode, phase: str,
              occ: EventOccurrence, outcome: str,

@@ -164,7 +164,7 @@ class ShardedEngine(RuleDefinitions):
             ``<directory>/shard-k`` (replicas under
             ``<directory>/shard-k/replica``).
         config: execution configuration; ``config.sharding`` supplies
-            shard count, OID block width and WAL-shipping knobs.
+            the shard count and whether to ship WALs.
         clock: shared time source for every shard.
         buffer_capacity: per-shard buffer-pool frames.
     """
@@ -182,8 +182,7 @@ class ShardedEngine(RuleDefinitions):
             directory = tempfile.mkdtemp(prefix="reach-sharded-")
         self.directory = directory
         self.shard_count = sharding.shards
-        self.shard_map = ShardMap(shard_count=self.shard_count,
-                                  range_size=sharding.oid_range_size)
+        self.shard_map = ShardMap(shard_count=self.shard_count)
         #: one scoped registry shared by every shard: a single session
         #: binding covers the whole topology, and a spec's detector —
         #: installed only on its home shard — sees every thread bound to
@@ -191,10 +190,12 @@ class ShardedEngine(RuleDefinitions):
         self.sentry_registry = SentryRegistry(
             scoped=True, name=f"sharded-{id(self):x}")
 
-        # Shards must not each open an admin port or append to the same
-        # telemetry file; the coordinator owns both concerns.
+        # Shards must not each open an admin port, append to the same
+        # telemetry file or ship their own WAL; the coordinator owns all
+        # three concerns.
         shard_config = dataclasses.replace(
-            self.config, admin_port=None, telemetry_jsonl=None)
+            self.config, admin_port=None, telemetry_jsonl=None,
+            sharding=dataclasses.replace(sharding, wal_ship=False))
         self.shards: list[ReachEngine] = [
             ReachEngine(directory=os.path.join(directory, f"shard-{sid}"),
                         config=shard_config, clock=self.clock,
@@ -234,9 +235,7 @@ class ShardedEngine(RuleDefinitions):
                     shard.directory,
                     os.path.join(shard.directory, "replica"))
                 self.replicas.append(replica)
-                self.shippers.append(WALShipper(
-                    shard.storage, replica,
-                    interval=sharding.wal_ship_interval))
+                self.shippers.append(WALShipper(shard.storage, replica))
 
         self.admin: Optional[AdminServer] = None
         if self.config.admin_port is not None:
@@ -514,10 +513,10 @@ class ShardedEngine(RuleDefinitions):
             self._rules[rule.name] = (rule, home)
             return rule
 
-    def drop_rule(self, name: str) -> None:
+    def unregister_rule(self, name: str) -> None:
         with self._lock:
             rule, home = self._rules.pop(name)
-            home.drop_rule(name)
+            home.unregister_rule(name)
 
     def rule_home(self, name: str) -> int:
         """The shard id a rule's event is homed on."""

@@ -186,10 +186,13 @@ class DataDictionary(SupportModule):
                 self._rule_ddl.append(ddl)
                 self._version += 1
 
-    def remove_rule_ddl(self, ddl: str) -> None:
+    def replace_rule_ddl(self, ddl: str, replacements: list[str]) -> None:
+        """Swap a stored block for ``replacements`` in its place: load
+        order is definition order, which breaks priority ties."""
         with self._lock:
             if ddl in self._rule_ddl:
-                self._rule_ddl.remove(ddl)
+                index = self._rule_ddl.index(ddl)
+                self._rule_ddl[index:index + 1] = replacements
                 self._version += 1
 
     def rule_ddl_blocks(self) -> list[str]:

@@ -585,9 +585,3 @@ class TransactionManager:
             Transaction._ids = itertools.count(
                 max(next(Transaction._ids), highest + 1))
         return seeded
-
-    def forget_outcomes_before(self, tx_id: int) -> None:
-        """Prune the outcome map (old entries are never consulted again)."""
-        with self._outcome_condition:
-            for key in [k for k in self._outcomes if k < tx_id]:
-                del self._outcomes[key]

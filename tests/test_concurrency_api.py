@@ -12,6 +12,7 @@ import pytest
 from repro import (
     ExecutionConfig,
     ReachEngine,
+    ShardingConfig,
     SignalEventSpec,
 )
 from repro.core.history import HISTORY_SEGMENTS, LocalHistory
@@ -46,10 +47,22 @@ class TestConcurrencyConfig:
         ("seqlock_stats", False),
         ("lazy_history_merge", False),
         ("concurrency", None),
+        ("trace_capacity", 256),
+        ("flight_capacity", 4096),
+        ("telemetry_queue_capacity", 4096),
+        ("flight_lock_wait_threshold", 0.010),
+        ("detached_start_timeout", 30.0),
+        ("gc_interval", 1.0),
+        ("error_log_capacity", 1000),
+        ("dead_letter_capacity", 256),
+        ("oid_range_size", 1024),
+        ("wal_ship_interval", 0.01),
     ])
     def test_legacy_flat_kwargs_are_removed(self, kwarg, value):
+        config_cls = ShardingConfig if kwarg in (
+            "oid_range_size", "wal_ship_interval") else ExecutionConfig
         with pytest.raises(TypeError, match="unexpected keyword argument"):
-            ExecutionConfig(**{kwarg: value})
+            config_cls(**{kwarg: value})
 
     def test_removal_error_names_the_offending_kwarg(self):
         with pytest.raises(TypeError, match="lock_stripes"):

@@ -12,7 +12,6 @@ concurrent client threads and check exactness properties:
 """
 
 import threading
-import time
 
 import pytest
 
@@ -28,6 +27,7 @@ from repro import (
     SignalEventSpec,
     sentried,
 )
+from tests.conftest import wait_until
 
 CLIENTS = 4
 ROUNDS = 25
@@ -102,9 +102,7 @@ class TestEventExactness:
 
         errors = _run_clients(work)
         assert errors == []
-        deadline = time.monotonic() + 10
-        while len(fired) < CLIENTS * ROUNDS and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_until(lambda: len(fired) >= CLIENTS * ROUNDS, timeout=10)
         assert len(fired) == CLIENTS * ROUNDS
         for index in range(CLIENTS):
             assert fired.count(f"c{index}") == ROUNDS
@@ -180,9 +178,7 @@ class TestCompositeExactness:
             with sdb.transaction():
                 sdb.signal("flush")
         sdb.wait_for_composition()
-        deadline = time.monotonic() + 10
-        while len(fired) < CLIENTS * ROUNDS and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_until(lambda: len(fired) >= CLIENTS * ROUNDS, timeout=10)
         assert len(fired) == CLIENTS * ROUNDS
         assert len(set(fired)) == CLIENTS * ROUNDS   # all distinct
 
@@ -291,16 +287,14 @@ class TestMultiSessionIsolation:
             for thread in threads:
                 thread.join()
             assert errors == []
-            # Detached firings land asynchronously on the worker pool.
+            # Detached firings land asynchronously on the worker pool;
+            # the per-session slices read the log under its lock.
             expected = SESSIONS * SESSION_ROUNDS
-            deadline = time.monotonic() + 15
-            while time.monotonic() < deadline:
-                detached = [r for r in engine.scheduler.firing_log
-                            if r.rule_name == "det"
-                            and r.outcome == "executed"]
-                if len(detached) >= expected:
-                    break
-                time.sleep(0.01)
+            wait_until(lambda: sum(
+                record.rule_name == "det" and record.outcome == "executed"
+                for session in sessions
+                for record in session.firing_log()) >= expected,
+                timeout=15)
             self._assert_no_bleed(sessions, counters)
             stats = engine.tx_manager.stats
             assert stats["begun"] == stats["committed"] + stats["aborted"]

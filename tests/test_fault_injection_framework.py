@@ -426,7 +426,8 @@ class TestQuarantine:
 
 class TestBoundedErrorLog:
     def test_error_log_is_bounded_and_drops_are_counted(self, tmp_path):
-        db = make_db(tmp_path, error_log_capacity=5)
+        db = make_db(tmp_path)
+        db.scheduler.errors.capacity = 5
         try:
             def fails(ctx):
                 raise ValueError("noise")

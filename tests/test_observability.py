@@ -33,6 +33,7 @@ from repro.obs.metrics import (
     NULL_METRICS,
 )
 from repro.obs.tracer import NULL_TRACER
+from tests.conftest import wait_until
 
 
 @sentried
@@ -190,11 +191,7 @@ class TestTraceLinkage:
             db.persist(boiler, "b")
             boiler.pressurize(1)
         db.wait_for_composition()
-        deadline_attempts = 200
-        while not fired and deadline_attempts:
-            deadline_attempts -= 1
-            import time
-            time.sleep(0.01)
+        wait_until(lambda: fired)
         assert fired == ["worker"]
         traces = [t for t in db.traces() if t.find(kind="scheduler")]
         assert traces, "no trace captured the detached firing"
@@ -205,7 +202,8 @@ class TestTraceLinkage:
         db.close()
 
     def test_trace_capacity_evicts_oldest(self, tmp_path):
-        db = make_db(tmp_path, trace_capacity=3)
+        db = make_db(tmp_path)
+        db.tracer.capacity = 3
         db.on(PRESSURIZE).do(lambda ctx: None).named("R")
         boiler = Boiler()
         with db.transaction():
@@ -522,13 +520,13 @@ class TestDeprecatedReachIns:
 class TestTracerEvictionUnderConcurrency:
     def test_sixteen_sessions_past_capacity_evict_whole_traces(
             self, tmp_path):
-        """16 sessions push well past ``trace_capacity=256``: retention
+        """16 sessions push well past the tracer's 256 traces: retention
         stays bounded, eviction drops whole traces oldest-first with the
         drop accounted (``evicted + retained == born``), and no retained
         trace interleaves spans from two sessions."""
         import threading
 
-        db = make_db(tmp_path, trace_capacity=256)
+        db = make_db(tmp_path)
         db.on(HEAT).do(lambda ctx: None).named("HeatWatch")
         session_ids = []
         ids_lock = threading.Lock()

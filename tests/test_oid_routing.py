@@ -166,4 +166,6 @@ class TestAllocationAcrossRestart:
             engine.close()
 
     def test_default_range_size_matches_config_default(self):
-        assert ShardingConfig().oid_range_size == DEFAULT_OID_RANGE_SIZE
+        """The block width is an on-disk format, fixed for every
+        topology: no config can change it."""
+        assert ShardMap().range_size == DEFAULT_OID_RANGE_SIZE

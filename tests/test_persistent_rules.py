@@ -25,6 +25,9 @@ rule WaterLevel {
 };
 """
 
+PING_PONG = ('rule Ping { event signal "ping"; action imm n; }; '
+             'rule Pong { event signal "pong"; action imm n; };')
+
 
 @pytest.fixture
 def opener():
@@ -97,6 +100,46 @@ class TestPersistentRules:
         db.close()
         reopened = opener(directory)
         assert len(reopened.load_persistent_rules()) == 1
+
+    def test_dropped_rule_stays_dropped(self, tmp_path, opener):
+        directory = str(tmp_path / "p5")
+        db = opener(directory)
+        db.define_rules(PING_PONG, persist=True)
+        db.drop_rule("Ping")
+        db.flush()
+        db.close()
+        reopened = opener(directory)
+        assert [r.name for r in reopened.load_persistent_rules()] == ["Pong"]
+
+    def test_drop_inside_transaction_waits_for_commit(self, tmp_path,
+                                                      opener):
+        directory = str(tmp_path / "p6")
+        db = opener(directory)
+        db.define_rules(PING_PONG, persist=True)
+        with db.transaction():
+            db.drop_rule("Pong")
+        db.close()
+        reopened = opener(directory)
+        assert [r.name for r in reopened.load_persistent_rules()] == ["Ping"]
+
+    def test_multi_rule_block_from_an_older_catalog(self, tmp_path, opener):
+        """Catalogs written before rules were dropped one by one hold
+        whole DDL blocks; they still load, and dropping one rule keeps
+        the block's other rules in their load (definition) order."""
+        directory = str(tmp_path / "p7")
+        db = opener(directory)
+        db.dictionary.add_rule_ddl(PING_PONG)
+        db.define_rules('rule Zed { event signal "z"; action imm n; };',
+                        persist=True)
+        db.close()
+        reopened = opener(directory)
+        assert [r.name for r in reopened.load_persistent_rules()] == \
+            ["Ping", "Pong", "Zed"]
+        reopened.drop_rule("Ping")
+        reopened.close()
+        again = opener(directory)
+        assert [r.name for r in again.load_persistent_rules()] == \
+            ["Pong", "Zed"]
 
 
 class TestEventTreeRendering:

@@ -294,7 +294,7 @@ class TestShardedWalShip:
         engine = ShardedEngine(
             directory=str(tmp_path / "ship"),
             config=ExecutionConfig(sharding=ShardingConfig(
-                shards=2, wal_ship=True, wal_ship_interval=0.002)))
+                shards=2, wal_ship=True)))
         try:
             engine.register_class(Parcel, monitor_state=False)
             acked = []

@@ -371,6 +371,26 @@ class TestRuleDefinitionsAndConfig:
         finally:
             reopened.close()
 
+    def test_dropped_persisted_rule_stays_dropped(self, tmp_path):
+        """The catalog is shard 0's whichever shard homes the rule."""
+        directory = str(tmp_path / "ddl-drop")
+        config = ExecutionConfig(sharding=ShardingConfig(shards=2))
+        ddl = self.DDL + ' rule Pong { event signal "pong"; action imm n; };'
+        engine = ShardedEngine(directory=directory, config=config)
+        try:
+            engine.define_rules(ddl, persist=True)
+            assert engine.rule_home("Pong") == 1
+            engine.drop_rule("Pong")
+            engine.flush()
+        finally:
+            engine.close()
+        reopened = ShardedEngine(directory=directory, config=config)
+        try:
+            assert [rule.name for rule in
+                    reopened.load_persistent_rules()] == ["Ping"]
+        finally:
+            reopened.close()
+
     def test_reach_engine_rejects_a_sharded_config(self, tmp_path):
         with pytest.raises(ValueError,
                            match=r"ExecutionConfig\.sharding\.shards.*"

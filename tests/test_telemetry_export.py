@@ -212,7 +212,7 @@ class TestSpanRecords:
         db.telemetry().add_exporter(InMemoryExporter())
         stats = db.statistics()["telemetry"]
         assert stats["exporters"] == 1
-        assert stats["capacity"] == ExecutionConfig().telemetry_queue_capacity
+        assert stats["capacity"] == TelemetryPipeline().capacity
         db.close()
 
 
