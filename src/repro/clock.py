@@ -87,8 +87,8 @@ class VirtualClock(Clock):
         self._lock = threading.RLock()
 
     def now(self) -> float:
-        with self._lock:
-            return self._now
+        # One attribute read is atomic; advance() rebinds it under the lock.
+        return self._now
 
     def schedule(self, deadline: float, callback: Callable[[], None]) -> TimerHandle:
         handle = TimerHandle(deadline, callback)

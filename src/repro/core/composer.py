@@ -640,7 +640,10 @@ class Composer:
         return self._discard_group(tx_ids)
 
     def _discard_group(self, group: Hashable) -> int:
-        if self.scope is not EventScope.SINGLE_TX:
+        # Most transactions leave no graph; skip the lock for them.  A feed
+        # racing this sweep races the locked pop the same way.
+        if self.scope is not EventScope.SINGLE_TX or \
+                group not in self._graphs:
             return 0
         with self._lock:
             graph = self._graphs.pop(group, None)

@@ -531,17 +531,16 @@ class ShardedEngine(RuleDefinitions):
         re-pins the caller's trace on the home shard so the detection
         cascade lands in the same tree :meth:`trace` later merges.
         """
-        spec = SignalEventSpec(name)
-        home = self.shards[self.shard_for_key(spec.key())]
+        home = self.shards[self.shard_for_key(SignalEventSpec(name).key())]
         current = self.tracer.current()
         with self.sentry_registry.bound():
             if current is None or home.tracer is self.tracer:
-                home.events.emit(spec, parameters)
+                home.events.emit_signal(name, parameters)
             else:
                 with home.tracer.span(f"hop:signal {name!r}", "bus",
                                       trace_id=current.trace_id,
                                       parent_id=current.span_id):
-                    home.events.emit(spec, parameters)
+                    home.events.emit_signal(name, parameters)
 
     def drain_detached(self) -> int:
         with self.sentry_registry.bound():

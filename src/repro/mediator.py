@@ -132,17 +132,13 @@ def link_events(source_db: Any, mediator_db: Any, spec: EventSpec,
             buffered.pop(tx.id, None)
 
     manager.add_listener(listener)
-    source_db.tx_manager.post_commit_hooks.append(on_commit)
-    source_db.tx_manager.abort_hooks.append(on_abort)
+    # The link dataclass is unhashable; its commit hook keys its hooks.
+    source_db.tx_manager.set_hooks(on_commit, post_commit=(on_commit,),
+                                   abort=(on_abort,))
 
     def detach() -> None:
         manager.remove_listener(listener)
-        hooks = source_db.tx_manager.post_commit_hooks
-        if on_commit in hooks:
-            hooks.remove(on_commit)
-        abort_hooks = source_db.tx_manager.abort_hooks
-        if on_abort in abort_hooks:
-            abort_hooks.remove(on_abort)
+        source_db.tx_manager.set_hooks(on_commit)
 
     link._detach = detach
     return link

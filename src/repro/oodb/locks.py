@@ -300,6 +300,10 @@ class LockManager:
         on disjoint data never touch the same stripe mutex.
         """
         mutex, bucket = self._family_slot(family)
+        if family not in bucket:
+            # Locked nothing (most rule transactions): skip the mutex.  The
+            # family is finishing, so nothing can add an entry for it now.
+            return
         with mutex:
             resources = bucket.pop(family, None)
         if not resources:

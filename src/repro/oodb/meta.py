@@ -19,7 +19,9 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
+
+from repro.obs.metrics import AtomicCounters
 
 
 class SystemEventKind(enum.Enum):
@@ -105,14 +107,24 @@ class MetaArchitecture:
     needs asynchrony (e.g. REACH's event composers) queues internally.  The
     bus also counts raised events per kind, which the sentry-overhead
     benchmark (E1) uses.
+
+    The transaction manager does not raise BOT/EOT/Commit/Abort here
+    unless some manager subscribes to them: it compiles its lifecycle
+    from :attr:`subscribers` (see :meth:`watch`) and calls the REACH rule
+    policy manager's typed hooks directly.
     """
 
     def __init__(self) -> None:
         self._managers: list[PolicyManager] = []
-        self._by_kind: dict[SystemEventKind, list[PolicyManager]] = {}
+        #: kind -> the managers subscribed to it, in plug order.  Each
+        #: value is an immutable tuple replaced in plug/unplug, so
+        #: :meth:`raise_event` reads it without the lock or a copy.
+        self.subscribers: dict[SystemEventKind, tuple[PolicyManager, ...]] \
+            = {}
         self._support: list[SupportModule] = []
+        self._watchers: list[Callable[[], None]] = []
         self._lock = threading.RLock()
-        self.event_counts: dict[SystemEventKind, int] = {}
+        self._counts = AtomicCounters(SystemEventKind)
 
     # -- registration -------------------------------------------------------
 
@@ -121,18 +133,38 @@ class MetaArchitecture:
         with self._lock:
             self._managers.append(manager)
             for kind in manager.subscribed_kinds:
-                self._by_kind.setdefault(kind, []).append(manager)
+                self.subscribers[kind] = (*self.subscribers.get(kind, ()),
+                                          manager)
         manager.attach(self)
+        self._rewired()
         return manager
 
     def unplug(self, manager: PolicyManager) -> None:
         with self._lock:
             if manager in self._managers:
                 self._managers.remove(manager)
-            for managers in self._by_kind.values():
+            for kind, managers in list(self.subscribers.items()):
                 if manager in managers:
-                    managers.remove(manager)
+                    kept = tuple(m for m in managers if m is not manager)
+                    if kept:
+                        self.subscribers[kind] = kept
+                    else:
+                        del self.subscribers[kind]
         manager.detach()
+        self._rewired()
+
+    def watch(self, callback: Callable[[], None]) -> None:
+        """Call ``callback`` after every plug and unplug (components that
+        compile their dispatch from :attr:`subscribers` recompile)."""
+        with self._lock:
+            self._watchers.append(callback)
+        callback()
+
+    def _rewired(self) -> None:
+        with self._lock:
+            watchers = list(self._watchers)
+        for callback in watchers:
+            callback()
 
     def add_support_module(self, module: SupportModule) -> SupportModule:
         with self._lock:
@@ -151,12 +183,16 @@ class MetaArchitecture:
     def raise_event(self, kind: SystemEventKind, **info: Any) -> SystemEvent:
         """Raise a system event onto the bus, notifying subscribed PMs."""
         event = SystemEvent(kind, info)
-        with self._lock:
-            self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
-            targets = list(self._by_kind.get(kind, ()))
-        for manager in targets:
+        self._counts.inc(kind)
+        for manager in self.subscribers.get(kind, ()):
             manager.on_event(event)
         return event
+
+    @property
+    def event_counts(self) -> dict[SystemEventKind, int]:
+        """Events raised so far, per kind (kinds never raised omitted)."""
+        return {kind: raised
+                for kind, raised in self._counts.snapshot().items() if raised}
 
     # -- introspection (Figure 1 inventory) ----------------------------------
 

@@ -60,7 +60,7 @@ class PersistencePolicyManager(PolicyManager):
         #: held from taking a catalog image until the storage transaction
         #: carrying it has committed (see :meth:`_commit_storage`).
         self._catalog_mutex = threading.Lock()
-        tx_manager.pre_commit_hooks.append(self._flush)
+        tx_manager.set_hooks(self, pre_commit=(self._flush,))
         self._detached = False
         self._load_catalog()
 
@@ -71,10 +71,7 @@ class PersistencePolicyManager(PolicyManager):
         if self._detached:
             return
         self._detached = True
-        try:
-            self.tx_manager.pre_commit_hooks.remove(self._flush)
-        except ValueError:
-            pass
+        self.tx_manager.set_hooks(self)
 
     # ------------------------------------------------------------------
     # Bus integration

@@ -156,7 +156,7 @@ class TestSignals:
         def failing_hook(tx):
             raise RuntimeError("flush failed")
 
-        tm.pre_commit_hooks.append(failing_hook)
+        tm.set_hooks(failing_hook, pre_commit=(failing_hook,))
         tx = tm.begin()
         with pytest.raises(RuntimeError):
             tm.commit(tx)
