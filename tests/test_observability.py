@@ -354,6 +354,35 @@ class TestMetricsContent:
         assert snap["histograms"]["rule.condition.latency"]["p95"] >= 0
         db.close()
 
+    def test_phase_histograms_sample_with_traces(self, tmp_path):
+        """Unsampled firings skip the per-phase histograms; the
+        detection SLO still records every one of them."""
+        db = make_db(tmp_path, trace_sampling=0.0)
+        boiler = Boiler()
+        db.on(PRESSURIZE).when(lambda ctx: True) \
+            .do(lambda ctx: None).named("R")
+        with db.transaction():
+            db.persist(boiler, "b")
+            boiler.pressurize(1)
+            boiler.pressurize(1)
+        histograms = db.metrics().snapshot()["histograms"]
+        assert histograms["rule.condition.latency"]["count"] == 0
+        assert histograms["rule.action.latency"]["count"] == 0
+        assert histograms["slo.detection_latency"]["count"] == 2
+        assert histograms["slo.detection_latency.R.immediate"]["count"] == 2
+        db.close()
+
+    def test_exemplars_keep_the_slowest(self):
+        histogram = MetricsRegistry().histogram("h")
+        values = [0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6, 1.0, 0.05]
+        for trace_id, value in enumerate(values):
+            histogram.observe(value, exemplar=trace_id)
+        histogram.observe(2.0)              # no exemplar: not retained
+        kept = histogram.snapshot()["exemplars"]
+        assert [e["value"] for e in kept] == sorted(values,
+                                                    reverse=True)[:8]
+        assert kept[0]["trace_id"] == values.index(1.0)
+
     def test_condition_false_counter(self, tmp_path):
         db = make_db(tmp_path)
         boiler = Boiler()
