@@ -358,6 +358,8 @@ class ReachEngine(RuleDefinitions):
             "scheduler.detached.depth",
             self.scheduler.pending_detached_count)
         self.metrics_registry.gauge_fn(
+            "scheduler.pending_age", self.scheduler.pending_age)
+        self.metrics_registry.gauge_fn(
             "scheduler.deferred.depth",
             self.tx_manager.pending_deferred_count)
         self.metrics_registry.gauge_fn(

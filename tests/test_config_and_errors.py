@@ -1,27 +1,22 @@
 """Configuration validation and the exception hierarchy."""
 
-import inspect
 from dataclasses import fields
 
 import pytest
 
 import repro.errors as errors
 from repro import (
-    CouplingMode,
     ExecutionConfig,
     ExecutionMode,
     ReachEngine,
     ServerConfig,
     ShardingConfig,
-    SignalEventSpec,
     TieBreakPolicy,
 )
 from repro.core.eca_manager import EventService
 from repro.core.scheduler import RuleScheduler
 from repro.core.sharding import ShardedEngine
 from repro.oodb.oid import DEFAULT_OID_RANGE_SIZE
-from repro.oodb.transactions import TransactionManager
-from tests.conftest import wait_until
 
 
 class TestExecutionConfig:
@@ -101,33 +96,6 @@ class TestComponentDefaults:
             assert sweeps == []
             db.clock.advance(1.501)
             assert sweeps == [1.0, 2.0]
-        finally:
-            db.close()
-
-    def test_detached_start_timeout(self, tmp_path, monkeypatch):
-        """A causally dependent worker waits with the outcome-wait
-        default: it passes no timeout of its own."""
-        timeouts = []
-        original = TransactionManager.wait_for_outcome
-
-        def recording(self, tx_id, *args, **kwargs):
-            timeouts.append((args, kwargs))
-            return original(self, tx_id, *args, **kwargs)
-
-        monkeypatch.setattr(TransactionManager, "wait_for_outcome",
-                            recording)
-        db = ReachEngine(directory=str(tmp_path / "db"),
-                         config=ExecutionConfig(mode=ExecutionMode.THREADED))
-        try:
-            rule = db.rule(
-                "CD", SignalEventSpec("go"), action=lambda ctx: None,
-                coupling=CouplingMode.SEQUENTIAL_CAUSALLY_DEPENDENT)
-            with db.transaction():
-                db.signal("go")
-            wait_until(lambda: rule.fired_count == 1)
-            assert timeouts == [((), {})]
-            assert inspect.signature(original).parameters[
-                "timeout"].default == 30.0
         finally:
             db.close()
 

@@ -4,13 +4,15 @@ The transaction manager runs, at each of BOT, EOT, commit and abort, a
 tuple of the hooks that currently have work to do.  These tests pin the
 recompilation points: plugging and unplugging a policy manager, defining
 and dropping a rule, linking a mediator after boot, and the outcome
-waiters of causally dependent detached work.
+signal that releases waiting detached work.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+
+import pytest
 
 from tests.conftest import wait_until
 
@@ -25,6 +27,7 @@ from repro import (
 )
 from repro.core.events import FlowEventKind, FlowEventSpec
 from repro.core.sharding import ShardedEngine
+from repro.errors import TransactionAborted
 from repro.config import ShardingConfig
 from repro.mediator import link_events
 from repro.oodb.locks import LockManager
@@ -203,6 +206,26 @@ class TestFlowRules:
                         (FlowEventKind.ABORT, aborted.id)]
 
 
+    def test_a_raising_commit_rule_still_releases_detached_work(self, db):
+        """The outcome signal comes even when a critical Commit rule
+        fails the hook that carries it."""
+        db.register_class(Valve)
+        ran = []
+        db.rule("det", TURN, action=lambda ctx: ran.append(1),
+                coupling=CouplingMode.DETACHED)
+
+        def fail(ctx):
+            raise RuntimeError("commit rule failed")
+
+        db.rule("crit", FlowEventSpec(FlowEventKind.COMMIT),
+                action=fail).critical = True
+        with pytest.raises(TransactionAborted):
+            with db.transaction():
+                Valve().turn(1)
+        assert ran == [1]
+        assert db.scheduler.pending_detached_count() == 0
+
+
 class TestRegisteredHooks:
     def test_mediator_linked_after_boot_runs_on_commit_and_abort(
             self, tmp_path):
@@ -251,10 +274,12 @@ class TestRegisteredHooks:
                         coupling=CouplingMode.SEQUENTIAL_CAUSALLY_DEPENDENT)
             with engine.transaction():
                 Valve().turn(1)
-                wait_until(lambda: engine.tx_manager.outcome_waiters() >= 1)
+                wait_until(
+                    lambda: engine.scheduler.pending_detached_count() >= 1)
                 assert fired == []
             wait_until(lambda: fired == [1])
-            wait_until(lambda: engine.tx_manager.outcome_waiters() == 0)
+            wait_until(
+                lambda: engine.scheduler.pending_detached_count() == 0)
         finally:
             engine.close()
 

@@ -14,7 +14,8 @@ coupling mode) cell,
 
 The causal gates that give the cells their annotations are also pinned:
 "all commit" rules skip when an origin aborts and "all abort" rules skip
-when the trigger commits.
+when the trigger commits.  The cell and annotation suites run in both
+execution modes.
 """
 
 import pytest
@@ -25,6 +26,8 @@ from repro import (
     CouplingMode,
     EventCategory,
     EventScope,
+    ExecutionConfig,
+    ExecutionMode,
     MethodEventSpec,
     ReachEngine,
     SignalEventSpec,
@@ -32,6 +35,8 @@ from repro import (
 )
 from repro.core.coupling import SUPPORT_MATRIX, is_supported
 from repro.errors import UnsupportedCouplingError
+
+from tests.conftest import wait_until
 
 
 @sentried
@@ -82,7 +87,9 @@ class _Abort(RuntimeError):
 def _drive(db, category, abort=False):
     """Produce one occurrence of ``category``, through committed origins
     (or aborted ones when ``abort`` — the exclusive-mode contingency
-    path), then drain any queued detached work."""
+    path), then drain any queued detached work (threaded mode: wait until
+    composition is done, a firing is logged and no detached work is
+    left)."""
     widget = Widget()
     if category is EventCategory.SINGLE_METHOD:
         _run_origin(db, widget.poke, abort)
@@ -97,11 +104,20 @@ def _drive(db, category, abort=False):
         _run_origin(db, widget.poke, abort)
         _run_origin(db, lambda: db.signal("t1-go"), abort)
     db.drain_detached()
+    if db.config.threaded:
+        db.wait_for_composition()
+        scheduler = db.scheduler
+        wait_until(lambda: scheduler.firing_log
+                   and scheduler.pending_detached_count() == 0)
 
 
 @pytest.fixture
-def db(tmp_path):
-    database = ReachEngine(directory=str(tmp_path / "t1"))
+def db(tmp_path, request):
+    """An engine in the requesting class's ``mode`` (default
+    synchronous); the ``...Threaded`` subclasses rerun a suite threaded."""
+    mode = getattr(request.cls, "mode", ExecutionMode.SYNCHRONOUS)
+    database = ReachEngine(directory=str(tmp_path / "t1"),
+                           config=ExecutionConfig(mode=mode))
     database.register_class(Widget)
     yield database
     database.close()
@@ -162,6 +178,18 @@ class TestCausalAnnotations:
         _drive(db, EventCategory.COMPOSITE_MULTI_TX, abort=False)
         assert fired == []
         assert db.scheduler.stats["detached_skipped"] >= 1
+
+
+class TestAllowedCellsExecuteThreaded(TestAllowedCellsExecute):
+    mode = ExecutionMode.THREADED
+
+
+class TestDisallowedCellsRejectedThreaded(TestDisallowedCellsRejected):
+    mode = ExecutionMode.THREADED
+
+
+class TestCausalAnnotationsThreaded(TestCausalAnnotations):
+    mode = ExecutionMode.THREADED
 
 
 class TestMatrixCoverage:

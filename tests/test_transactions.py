@@ -182,22 +182,6 @@ class TestOutcomes:
         assert tm.outcome_of(inner.id) is None
         tm.commit(outer)
 
-    def test_wait_for_outcome_across_threads(self, tm):
-        tx = tm.begin()
-        results = []
-
-        def waiter():
-            results.append(tm.wait_for_outcome(tx.id, timeout=5.0))
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        tm.commit(tx)
-        thread.join(timeout=5.0)
-        assert results == [TransactionState.COMMITTED]
-
-    def test_wait_timeout_returns_none(self, tm):
-        assert tm.wait_for_outcome(99999, timeout=0.05) is None
-
     def test_find_transaction_while_live(self, tm):
         tx = tm.begin()
         assert tm.find_transaction(tx.id) is tx
