@@ -28,9 +28,9 @@ hardware.
 import threading
 import time
 
-from repro import ExecutionConfig, ReachEngine
-from repro.config import ServerConfig
+from repro import ReachEngine
 from repro.server import ReachClient, ReachServer
+from repro.server.server import ACCEPT_BACKLOG
 
 CLIENTS = 128
 TX_PER_CLIENT = 8
@@ -45,10 +45,10 @@ def _percentile(values, fraction):
 
 def test_server_throughput_concurrent_clients(tmp_path,
                                               bench_server_report):
+    # Every client connects at once: the fixed backlog must hold them.
+    assert ACCEPT_BACKLOG >= max(256, CLIENTS * 2)
     db = ReachEngine(directory=str(tmp_path / "bench-db"))
-    server = ReachServer(
-        db,
-        ServerConfig(accept_backlog=max(256, CLIENTS * 2))).start()
+    server = ReachServer(db).start()
     host, port = server.address
     errors = []
     latencies = [[] for __ in range(CLIENTS)]

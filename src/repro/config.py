@@ -78,7 +78,9 @@ class ServerConfig:
     with the :class:`ExecutionConfig` so one object describes a full
     deployment, and :class:`repro.server.ReachServer` (or the
     ``reproserve`` entry point) reads it when constructed over the
-    database.
+    database.  The frame bound (``protocol.MAX_FRAME_BYTES``), the
+    idempotency-cache size and the listen backlog are fixed constants
+    of ``repro.server``, not knobs.
 
     Attributes:
         host: interface to bind; loopback by default — exposing the
@@ -95,16 +97,9 @@ class ServerConfig:
             exhausting its bucket never delays another.
         rate_burst: token-bucket capacity: how many requests a tenant
             may burst above the steady-state rate.
-        idempotency_capacity: bound on the server-wide cache of
-            ``(tenant, idempotency key) -> response`` entries that makes
-            retried requests apply exactly once; oldest evicted first.
-        max_frame_bytes: largest wire frame accepted or produced; an
-            oversized frame draws a structured ``frame_too_large`` error
-            and the connection closes.
         drain_timeout: how long :meth:`~repro.server.ReachServer.drain`
             waits for in-flight requests to finish before forcing
             connections closed, in seconds.
-        accept_backlog: listen(2) backlog for the accept socket.
     """
 
     host: str = "127.0.0.1"
@@ -112,10 +107,7 @@ class ServerConfig:
     auth_tokens: Optional[dict] = None
     rate_limit: Optional[float] = None
     rate_burst: int = 32
-    idempotency_capacity: int = 1024
-    max_frame_bytes: int = 1 << 20
     drain_timeout: float = 10.0
-    accept_backlog: int = 128
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -124,14 +116,8 @@ class ServerConfig:
             raise ValueError("rate_limit must be positive or None")
         if self.rate_burst < 1:
             raise ValueError("rate_burst must be >= 1")
-        if self.idempotency_capacity < 1:
-            raise ValueError("idempotency_capacity must be >= 1")
-        if self.max_frame_bytes < 64:
-            raise ValueError("max_frame_bytes must be >= 64")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be >= 0")
-        if self.accept_backlog < 1:
-            raise ValueError("accept_backlog must be >= 1")
 
 
 @dataclass

@@ -44,7 +44,7 @@ from repro.core.events import (
     TemporalEventSpec,
 )
 from repro.core.algebra import CompositeEventSpec, EventScope
-from repro.core.history import HISTORY_SEGMENTS, GlobalHistory, LocalHistory
+from repro.core.history import GlobalHistory, LocalHistory
 from repro.core.rules import Rule
 from repro.core.scheduler import RuleScheduler
 from repro.clock import Clock
@@ -118,8 +118,7 @@ class PrimitiveECAManager(_RuleSet):
         #: primitive event; populated by the event service.
         self.listeners: list[Callable[[EventOccurrence], None]] = []
         self.history = LocalHistory(name=str(self.key),
-                                    capacity=history_capacity,
-                                    segments=HISTORY_SEGMENTS)
+                                    capacity=history_capacity)
         global_history.attach_source(self.history)
         self.handled = 0
         self._span_name = f"eca:{spec.describe()}"
@@ -179,8 +178,7 @@ class CompositeECAManager(_RuleSet):
                                  metrics=metrics)
         self.tracer = tracer
         self.history = LocalHistory(name=f"composite:{self.composer.name}",
-                                    capacity=history_capacity,
-                                    segments=HISTORY_SEGMENTS)
+                                    capacity=history_capacity)
         global_history.attach_source(self.history)
         self._span_name = f"eca:composite:{self.composer.name}"
         self.handled = 0
@@ -275,6 +273,8 @@ class EventService:
         self.composer_suffix_replayed = 0
         self._detect_span_names: dict[Hashable, str] = {}
         self.global_history = GlobalHistory(metrics=metrics)
+        #: insert-only, written under ``_lock``; a reader's single ``get``
+        #: is atomic under the GIL and takes no lock.
         self._primitive: dict[Hashable, PrimitiveECAManager] = {}
         self._composite: dict[Hashable, CompositeECAManager] = {}
         #: the composers by scope, rebuilt when a composite manager is
@@ -597,8 +597,7 @@ class EventService:
     def route(self, occ: EventOccurrence) -> None:
         self.events_detected += 1
         self._m_detected.inc()
-        with self._lock:
-            manager = self._primitive.get(occ.spec_key)
+        manager = self._primitive.get(occ.spec_key)
         if manager is not None:
             manager.handle(occ, self._propagate)
 
@@ -613,9 +612,11 @@ class EventService:
             self._queue.put((occ, listeners))
 
     def _composition_worker(self) -> None:
+        work = self._queue
         while True:
-            item = self._queue.get()
+            item = work.get()
             if item is None:
+                work.task_done()
                 return
             occ, listeners = item
             # Bind the owning engine's event scope: rules fired from the
@@ -623,6 +624,7 @@ class EventService:
             # this engine only, not to every engine in the process.
             with self.sentry_registry.bound():
                 self._process(occ, listeners)
+            work.task_done()
 
     def _process(self, occ: EventOccurrence, listeners: list) -> None:
         for listener in listeners:
@@ -632,15 +634,16 @@ class EventService:
                 self.scheduler.errors.append((None, exc))
 
     def wait_for_composition(self, timeout: float = 10.0) -> None:
-        """Block until the composition queue is drained (threaded mode)."""
-        if self._queue is None:
+        """Block until every queued item has been composed (threaded
+        mode).  An item is finished at its worker's ``task_done``, not
+        when it leaves the queue, and work it enqueues is counted first."""
+        work = self._queue
+        if work is None:
             return
-        import time as _time
-        deadline = _time.monotonic() + timeout
-        while not self._queue.empty():
-            if _time.monotonic() > deadline:
+        with work.all_tasks_done:
+            if not work.all_tasks_done.wait_for(
+                    lambda: not work.unfinished_tasks, timeout):
                 raise TimeoutError("composition queue did not drain")
-            _time.sleep(0.001)
 
     # ------------------------------------------------------------------
     # Detector installation per primitive flavour
@@ -718,8 +721,7 @@ class EventService:
     def dispatch_temporal(self, spec: TemporalEventSpec,
                           parameters: dict[str, Any]) -> None:
         """Temporal occurrences originate in no transaction."""
-        with self._lock:
-            manager = self._primitive.get(spec.key())
+        manager = self._primitive.get(spec.key())
         if manager is None:
             return
         self.emit(manager.spec, parameters, tx_ids=frozenset())

@@ -900,7 +900,7 @@ class ReachEngine(RuleDefinitions):
           force in flight, LSNs);
         * ``history`` — global-history merge machinery: merge
           operations run, deferred requests, current merge lag (pending
-          un-applied merges), merged entry count.
+          un-applied merges), occurrences ever merged.
         """
         if self._closed:
             raise RuntimeError("engine is closed")

@@ -336,6 +336,9 @@ class EventOccurrence:
     #: on (0.0 otherwise); the scheduler subtracts it at rule-action
     #: completion for the end-to-end detection-latency SLO histograms.
     detected_at: float = 0.0
+    #: set once, by ``GlobalHistory.drain``, when a merge request that
+    #: covers this occurrence is applied: it is then in the global history.
+    merged: bool = False
 
     @property
     def spec_key(self) -> Hashable:

@@ -67,8 +67,8 @@ PROTOCOL_VERSION = 1
 #: Reserved request key carrying the wire trace context.
 TRACE_KEY = "trace"
 
-#: Default bound on one frame's payload (1 MiB); ServerConfig can lower
-#: or raise it per deployment.
+#: Bound on one frame's payload (1 MiB) for the server; a client may
+#: pass its own ``max_bytes``.
 MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct(">I")

@@ -81,6 +81,15 @@ from repro.server.protocol import (
 #: Tenant used when ``auth_tokens`` is None (open server).
 DEFAULT_TENANT = "default"
 
+#: Bound on the server-wide cache of ``(tenant, idempotency key) ->
+#: response`` entries that makes retried requests apply exactly once;
+#: oldest evicted first.
+IDEMPOTENCY_CAPACITY = 1024
+
+#: listen(2) backlog of the accept socket: room for a burst of at least
+#: 256 simultaneous connects.
+ACCEPT_BACKLOG = 256
+
 
 @sentried(methods=["set", "touch"])
 class Document:
@@ -261,7 +270,7 @@ class ReachServer:
         self._connections: dict[int, _Connection] = {}
         self._threads: dict[int, threading.Thread] = {}
         self._buckets: dict[str, _TokenBucket] = {}
-        self._idempotency = _IdempotencyCache(config.idempotency_capacity)
+        self._idempotency = _IdempotencyCache(IDEMPOTENCY_CAPACITY)
         self._draining = False
         self._closed = False
         self._started = False
@@ -311,7 +320,7 @@ class ReachServer:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.config.host, self.config.port))
-        listener.listen(self.config.accept_backlog)
+        listener.listen(ACCEPT_BACKLOG)
         self._listener = listener
         self._address = tuple(listener.getsockname()[:2])
         self.engine.attach_server(self)
@@ -461,7 +470,6 @@ class ReachServer:
             thread.start()
 
     def _serve_connection(self, conn: _Connection) -> None:
-        max_bytes = self.config.max_frame_bytes
         try:
             try:
                 self._fp_accept.hit(peer=str(conn.peer))
@@ -474,8 +482,7 @@ class ReachServer:
                 return
             while True:
                 try:
-                    payload = protocol.read_frame(conn.sock,
-                                                  max_bytes=max_bytes)
+                    payload = protocol.read_frame(conn.sock)
                     # The request arrived; a fault here cuts the
                     # connection before it is processed.
                     self._fp_read.hit(conn=conn.id)
@@ -503,8 +510,7 @@ class ReachServer:
 
     def _handshake(self, conn: _Connection) -> bool:
         try:
-            hello = protocol.read_frame(conn.sock,
-                                        max_bytes=self.config.max_frame_bytes)
+            hello = protocol.read_frame(conn.sock)
         except (ConnectionClosedError, OSError):
             return False
         except (FrameTooLargeError, ProtocolError) as exc:
@@ -584,8 +590,7 @@ class ReachServer:
     def _try_write(self, conn: _Connection, response: Any) -> bool:
         try:
             self._fp_write.hit(conn=conn.id)
-            protocol.write_frame(conn.sock, response,
-                                 max_bytes=self.config.max_frame_bytes)
+            protocol.write_frame(conn.sock, response)
             return True
         except InjectedFault:
             self._bump("faults")

@@ -1,6 +1,6 @@
 """The curated concurrency API (ISSUE 6).
 
-The concurrency mechanisms (striped lock table, segmented local
+The concurrency mechanisms (striped lock table, per-manager local
 histories, seqlock counters, lazy global-history merge) are not
 configurable: the engine always builds them.  The read side is
 ``db.concurrency_stats()`` — a frozen-key snapshot tested the same way
@@ -13,33 +13,26 @@ from repro import (
     ExecutionConfig,
     ReachEngine,
     ShardingConfig,
-    SignalEventSpec,
 )
-from repro.core.history import HISTORY_SEGMENTS, LocalHistory
 from repro.oodb.locks import DEFAULT_LOCK_STRIPES, LockManager
 
 
 class TestConcurrencyConfig:
     """There is no concurrency group and there are no flat aliases:
     passing one fails with Python's own ``TypeError``.  What remains
-    are two structure sizes, fixed for every engine."""
+    is one structure size, fixed for every engine."""
 
     def test_defaults(self, tmp_path):
         assert DEFAULT_LOCK_STRIPES == 16
-        assert HISTORY_SEGMENTS == 8
         engine = ReachEngine(directory=str(tmp_path / "eng"))
         try:
-            manager = engine.events.primitive_manager(
-                SignalEventSpec("ping"))
-            assert manager.history.segments == HISTORY_SEGMENTS
+            assert engine.locks.stripe_count == DEFAULT_LOCK_STRIPES
         finally:
             engine.close()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LockManager(stripes=0)
-        with pytest.raises(ValueError):
-            LocalHistory("h", segments=0)
 
     @pytest.mark.parametrize("kwarg,value", [
         ("lock_stripes", 4),

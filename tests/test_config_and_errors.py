@@ -70,8 +70,7 @@ class TestExecutionConfig:
             "shards", "wal_ship"}
         assert {f.name for f in fields(ServerConfig)} == {
             "host", "port", "auth_tokens", "rate_limit", "rate_burst",
-            "idempotency_capacity", "max_frame_bytes", "drain_timeout",
-            "accept_backlog"}
+            "drain_timeout"}
 
 
 class TestComponentDefaults:

@@ -2,10 +2,12 @@
 
 import threading
 
-from repro.core.events import EventOccurrence, MethodEventSpec
+from repro import ExecutionConfig, ReachEngine
+from repro.core.events import EventOccurrence, MethodEventSpec, SignalEventSpec
 from repro.core.history import CentralHistory, GlobalHistory, LocalHistory
 
 SPEC = MethodEventSpec("C", "m")
+PING = SignalEventSpec("ping")
 
 
 def occ(timestamp, tx=None):
@@ -140,3 +142,85 @@ class TestConcurrency:
         for entry in entries:
             central.record(entry)
         assert central.entries() == entries
+
+
+def _bounded_engine(tmp_path, name, capacity=64):
+    engine = ReachEngine(directory=str(tmp_path / name),
+                         config=ExecutionConfig(history_capacity=capacity))
+    engine.rule("seen", PING, action=lambda ctx: None)
+    return engine
+
+
+class TestBoundedHistories:
+    """``history_capacity`` is the exact number of occurrences each
+    manager keeps, and the global history is a view over those."""
+
+    def test_capacity_is_exact_under_concurrent_sessions(self, tmp_path):
+        engine = _bounded_engine(tmp_path, "cap")
+        try:
+            sessions = [engine.create_session(f"s{i}") for i in range(8)]
+
+            def client(session):
+                for i in range(50):
+                    with session.transaction():
+                        session.signal("ping", i=i)
+
+            threads = [threading.Thread(target=client, args=(session,))
+                       for session in sessions]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            history = engine.events.primitive_manager(PING).history
+            assert history.recorded == 400
+            assert len(history) == 64
+            seqs = [entry.seq for entry in history.entries()]
+            assert len(set(seqs)) == 64
+            assert len(engine.history.entries()) == 64
+        finally:
+            engine.close()
+
+    def test_entries_do_not_depend_on_read_frequency(self, tmp_path):
+        def run(name, read_every_commit):
+            engine = _bounded_engine(tmp_path, name)
+            try:
+                for i in range(400):
+                    with engine.transaction():
+                        engine.signal("ping", i=i)
+                    if read_every_commit:
+                        engine.history.entries()
+                return [entry.parameters["i"]
+                        for entry in engine.history.entries()]
+            finally:
+                engine.close()
+
+        unread = run("unread", read_every_commit=False)
+        polled = run("polled", read_every_commit=True)
+        assert unread == polled == list(range(336, 400))
+
+    def test_prune_racing_a_recorder_loses_nothing(self):
+        global_history = GlobalHistory()
+        local = LocalHistory("m")
+        global_history.attach_source(local)
+        for i in range(64):
+            local.record(occ(float(i), tx=1))
+        global_history.merge_transaction(1)
+        fresh = [occ(float(i), tx=2) for i in range(5000)]
+        cutoff = fresh[0].seq
+
+        def recorder():
+            for entry in fresh:
+                local.record(entry)
+
+        thread = threading.Thread(target=recorder)
+        thread.start()
+        dropped = 0
+        while thread.is_alive():
+            dropped += global_history.prune_before(cutoff)
+        thread.join()
+        dropped += global_history.prune_before(cutoff)
+        assert dropped == 64
+        assert local.recorded == 64 + 5000
+        assert local.entries() == fresh
+        global_history.merge_transaction(2)
+        assert global_history.entries() == fresh

@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.core.sharding import ShardedEngine
 from repro.server import ReachClient, ReachServer, protocol
+from repro.server import server as server_module
 from tests.conftest import wait_until
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -163,9 +164,9 @@ class TestIdempotency:
             server.close()
             db.close()
 
-    def test_cache_is_bounded(self, tmp_path):
-        db, server = make_served(
-            tmp_path, ServerConfig(idempotency_capacity=8))
+    def test_cache_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "IDEMPOTENCY_CAPACITY", 8)
+        db, server = make_served(tmp_path)
         try:
             with connect(server) as client:
                 for i in range(32):

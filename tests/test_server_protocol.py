@@ -260,15 +260,15 @@ def test_first_frame_must_be_hello(served_db):
 
 def test_oversized_frame_from_client_gets_error_then_hangup(tmp_path):
     db = ReachEngine(directory=str(tmp_path / "db"))
-    from repro.config import ServerConfig
-    server = ReachServer(db, ServerConfig(max_frame_bytes=512))
+    server = ReachServer(db)
     server.start()
     try:
         sock = _raw_connection(server)
         try:
             assert _hello(sock)["ok"] is True
-            sock.sendall(struct.pack(">I", 4096) + b"x" * 4096)
-            response = protocol.read_frame(sock, max_bytes=1 << 20)
+            # The declared length alone is refused; no body follows.
+            sock.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
+            response = protocol.read_frame(sock)
             assert response["ok"] is False
             assert response["error"]["code"] == protocol.ERR_FRAME_TOO_LARGE
             with pytest.raises(ConnectionClosedError):

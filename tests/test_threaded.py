@@ -2,6 +2,7 @@
 dependencies enforced across real threads."""
 
 import threading
+import time
 
 import pytest
 
@@ -284,6 +285,22 @@ class TestAsyncComposition:
             tdb.signal("ok")
         tdb.wait_for_composition()
         wait_until(lambda: fired == [1])
+
+    def test_wait_covers_the_item_being_composed(self, tdb):
+        """The wait ends when the worker has finished the last item, not
+        when it has taken it off the queue."""
+        finished = []
+
+        def slow_listener(occ):
+            time.sleep(0.2)
+            finished.append(occ.seq)
+
+        tdb.events.primitive_manager(SignalEventSpec("slow")) \
+            .add_listener(slow_listener)
+        with tdb.transaction():
+            tdb.signal("slow")
+        tdb.wait_for_composition()
+        assert len(finished) == 1
 
 
 class TestParallelRules:
