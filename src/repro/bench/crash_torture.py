@@ -891,11 +891,12 @@ def _run_composer_case(root: str, case: str, spec, stream: list[str],
         with db.transaction():
             db.signal(_CT_NAMES[kind])
         db.drain_detached()
+        db.storage.flush()
         lsn = db.storage.wal_stats()["last_composer_checkpoint_lsn"]
         if lsn in lsn_to_index:
             raise AssertionError(
-                f"{case}: commit of event {index} emitted no composer "
-                "checkpoint — the commit boundary lost detection state")
+                f"{case}: the force after event {index} wrote no composer "
+                "checkpoint — the force boundary lost detection state")
         lsn_to_index[lsn] = index
 
     db.storage.flush()
@@ -1001,10 +1002,10 @@ def _run_sharded_composer_case(root: str,
                                report: ComposerTortureReport) -> None:
     """Cross-shard group durability: a same-transaction composite whose
     leaves home on different shards is half-composed inside an *open*
-    sharded transaction when another transaction's EOT checkpoints the
-    log, and the power cut lands right after.  The crash ends the open
-    transaction, so the recovered topology must (a) restore no group
-    graph and (b) compose a fresh same-transaction pair exactly once."""
+    sharded transaction when the logs are forced, and the power cut
+    lands right after.  The crash ends the open transaction, so the
+    recovered topology must (a) restore no group graph and (b) compose
+    a fresh same-transaction pair exactly once."""
     config = ExecutionConfig(sharding=ShardingConfig(shards=2))
     base_dir = os.path.join(root, "ct-sharded-base")
     crash_dir = os.path.join(root, "ct-sharded-crash")
@@ -1065,18 +1066,19 @@ def run_composer_torture(
         policies: Optional[list[ConsumptionPolicy]] = None,
 ) -> ComposerTortureReport:
     """Mid-composition crash torture: for every algebra operator and
-    SNOOP policy, feed constituents one transaction at a time (so a
-    durable composer checkpoint lands at each commit boundary), snapshot
-    the crash image, and for every WAL record boundary *and* torn offset
-    re-open the database, re-register the rule, feed exactly the
-    constituents the restored checkpoint does not cover, and require the
-    recovered composer to fire *exactly* the completions an uninterrupted
-    oracle composer predicts — never a duplicate, never a forgotten
-    half-match.  Torn cuts inside COMPOSER_CHECKPOINT frames exercise the
-    fall-back-to-previous-checkpoint path; a final pass checks that a
-    data-only read replica tailing a checkpoint-bearing log skips the
-    frames cleanly and that a sharded topology restores no open
-    cross-shard half-match yet composes a fresh pair exactly once.
+    SNOOP policy, feed constituents one transaction at a time, each
+    followed by a log force (so a durable composer checkpoint lands at
+    each event boundary), snapshot the crash image, and for every WAL
+    record boundary *and* torn offset re-open the database, re-register
+    the rule, feed exactly the constituents the restored checkpoint does
+    not cover, and require the recovered composer to fire *exactly* the
+    completions an uninterrupted oracle composer predicts — never a
+    duplicate, never a forgotten half-match.  Torn cuts inside
+    COMPOSER_CHECKPOINT frames exercise the fall-back-to-previous-
+    checkpoint path; a final pass checks that a data-only read replica
+    tailing a checkpoint-bearing log skips the frames cleanly and that a
+    sharded topology restores no open cross-shard half-match yet composes
+    a fresh pair exactly once.
 
     ``operators``/``policies`` restrict the matrix (default: all seven
     operator trees x all four policies).

@@ -155,11 +155,14 @@ class ExecutionConfig:
             is traced end to end and an unsampled one creates no spans
             anywhere downstream.
         history_capacity: bound on each ECA-manager's local event
-            history.  ``None`` (the default) keeps every occurrence, as
-            the paper's compensation view requires; long-running
-            processes and benchmarks can set a bound so each manager's
-            history stays a fixed window instead of the database's whole
-            life.
+            history: it keeps the newest 4,096 occurrences by default,
+            the ring size of the flight recorder and the telemetry queue,
+            so a long-running process holds a fixed window instead of the
+            database's whole life.  Nothing in the engine reads older
+            entries: composers hold their own partial matches, and
+            recovery replays only the post-boot suffix.  ``None`` keeps
+            the full history (e.g. for an offline audit of every
+            occurrence).
         detached_max_retries: how many times a *failed* detached rule
             execution is retried in a fresh top-level transaction before
             it is dead-lettered.  0 (the default) preserves the original
@@ -214,7 +217,7 @@ class ExecutionConfig:
     parallel_rules: bool = False
     observability: bool = False
     trace_sampling: float = 1.0
-    history_capacity: Optional[int] = None
+    history_capacity: Optional[int] = 4096
     detached_max_retries: int = 0
     retry_base_delay: float = 0.01
     quarantine_threshold: Optional[int] = None

@@ -26,7 +26,7 @@ global occurrence sequence numbers of the primitive components.
 from __future__ import annotations
 
 import threading
-from typing import Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from repro.core.algebra import (
     Closure,
@@ -537,7 +537,7 @@ class Composer:
         self.gc_removed = 0
         self.ignored_no_transaction = 0
         #: set whenever partial-match state may have changed since the
-        #: last snapshot; the checkpoint emitter skips clean composers.
+        #: last checkpoint reached the log; a force skips clean composers.
         self.dirty = False
         #: seq watermark of the last restored checkpoint (0 = none):
         #: recovery feeds only the GlobalHistory suffix past this point.
@@ -689,13 +689,12 @@ class Composer:
         and history windows.  Single-transaction graphs (per tx or per
         sharded group) end with their transaction — a crash ends every
         open one — so they are never encoded and ``groups`` holds at
-        most the ``("global",)`` entry.  Clears the dirty flag."""
+        most the ``("global",)`` entry."""
         codec = _SnapshotCodec(self.spec)
         with self._lock:
             graph = self._graphs.get(_GLOBAL_GROUP)
             groups = ([] if graph is None
                       else [(("global",), graph.snapshot(codec))])
-            self.dirty = False
         self.checkpoint_dropped_parameters += codec.dropped_parameters
         return {
             "v": COMPOSER_STATE_VERSION,
@@ -703,6 +702,15 @@ class Composer:
             "watermark": codec.max_seq,
             "groups": groups,
         }
+
+    def checkpoint(self, append: Callable[[dict], Any]) -> None:
+        """Hand a :meth:`snapshot_state` frame to ``append`` and clear the
+        dirty flag only once it returns: a failed append leaves the
+        composer dirty, so the next force writes the state.  The lock is
+        held throughout, so no feed falls between snapshot and flag."""
+        with self._lock:
+            append(self.snapshot_state())
+            self.dirty = False
 
     def restore_state(self, payload: dict) -> int:
         """Rebuild partial-match state from a :meth:`snapshot_state`

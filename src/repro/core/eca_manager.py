@@ -249,11 +249,6 @@ class EventService:
         #: ``None`` (single-kernel default) leaves tx ids untouched.
         self.tx_group_resolver: Optional[
             Callable[[int], Optional[frozenset[int]]]] = None
-        #: engine-installed sink appending one composer snapshot to the
-        #: WAL (``StorageManager.append_composer_checkpoint``); ``None``
-        #: disables durable composer state (e.g. raw composers in tests).
-        self.composer_checkpoint_sink: Optional[
-            Callable[[dict], None]] = None
         #: spec key -> chronological COMPOSER_CHECKPOINT payloads found
         #: in the log at recovery; taken (and applied newest first,
         #: falling back on mismatch) when the matching composite manager
@@ -278,8 +273,8 @@ class EventService:
         self._primitive: dict[Hashable, PrimitiveECAManager] = {}
         self._composite: dict[Hashable, CompositeECAManager] = {}
         #: the composers by scope, rebuilt when a composite manager is
-        #: created: the EOT checkpoint walks only multi-transaction ones
-        #: and the transaction-end sweep only single-transaction ones.
+        #: created: the force-time checkpoint walks only multi-transaction
+        #: ones and the transaction-end sweep only single-transaction ones.
         self.single_tx_composers: tuple[Composer, ...] = ()
         self.multi_tx_composers: tuple[Composer, ...] = ()
         self._subscriptions: list[Subscription] = []
@@ -364,7 +359,7 @@ class EventService:
         them), counted and flight-recorded either way.  Suffix replay
         feeds the composer directly, *not* the manager: any composite
         completed by a replayed occurrence already fired before the
-        crash (checkpoints are cut at top-level EOT, after firing),
+        crash (checkpoints are cut at a log force, after firing),
         so re-emitting it would be a duplicate.
         """
         composer = manager.composer
@@ -396,45 +391,41 @@ class EventService:
             self.flight.record("composer.restore", composer=composer.name,
                                watermark=watermark, suffix_replayed=replayed)
 
-    def emit_composer_checkpoints(self) -> int:
-        """Snapshot every dirty multi-transaction composer into the WAL
-        (top-level EOT); returns the number of checkpoints appended.
+    def checkpoint_composers(self, append: Callable[[dict], Any],
+                             every: bool = False) -> None:
+        """Storage's pull hook, run under the storage mutex just before a
+        force: hand ``append`` a snapshot of every dirty multi-transaction
+        composer.  ``every`` (after checkpoint truncation) takes every
+        one, plus the newest recovered payload of each composite not
+        re-registered yet: a storage checkpoint must not lose state that
+        is merely waiting for its rule to come back.
+
         Single-transaction composers hold nothing that outlives a
-        transaction and are never snapshotted."""
-        sink = self.composer_checkpoint_sink
-        if sink is None:
-            return 0
+        transaction and are never snapshotted.  A failing snapshot or
+        append is counted, never raised into the force; the composer
+        stays dirty, so the next force writes it.
+        """
         emitted = 0
         for composer in self.multi_tx_composers:
-            if not composer.dirty:
+            if not (every or composer.dirty):
                 continue
             try:
-                sink(composer.snapshot_state())
-            except Exception:
-                # A failing append must not poison the commit path; the
-                # previous durable checkpoint simply stays authoritative.
+                composer.checkpoint(append)
+            except Exception as exc:
                 self.composer_checkpoint_errors += 1
+                if self.flight.enabled:
+                    self.flight.record("composer.checkpoint_error",
+                                       composer=composer.name,
+                                       error=repr(exc))
                 continue
             emitted += 1
         self.composer_checkpoints_emitted += emitted
-        return emitted
-
-    def collect_composer_snapshots(self) -> list[dict]:
-        """Current full snapshots of every multi-transaction composer
-        (checkpoint compaction: N incremental WAL records collapse to
-        these).
-
-        Recovered payloads whose composite has not been re-registered
-        yet are carried forward verbatim (newest per key) — a storage
-        checkpoint must not lose state that is merely waiting for its
-        rule to come back.
-        """
-        snapshots = [composer.snapshot_state()
-                     for composer in self.multi_tx_composers]
-        with self._lock:
-            waiting = list(self.recovered_composer_state.values())
-        snapshots.extend(payloads[-1] for payloads in waiting if payloads)
-        return snapshots
+        if every:
+            with self._lock:
+                waiting = list(self.recovered_composer_state.values())
+            for payloads in waiting:
+                if payloads:
+                    append(payloads[-1])
 
     def composer_stats(self) -> dict[str, Any]:
         """Durable-detection view: half-matched state and checkpoint
@@ -772,10 +763,10 @@ class ReachRulePolicyManager(PolicyManager):
     point with the transaction manager
     (:meth:`TransactionManager.set_hooks`).  The hooks raise the BOT/EOT/
     Commit/Abort flow events of user transactions while a rule or a
-    composite uses them, drain deferred rules at top-level EOT,
-    checkpoint multi-transaction composers, enforce single-transaction
-    composite lifespans, merge the global history at transaction end, and
-    release causally dependent detached work once outcomes are known.
+    composite uses them, drain deferred rules at top-level EOT, enforce
+    single-transaction composite lifespans, merge the global history at
+    transaction end, and release causally dependent detached work once
+    outcomes are known.
     """
 
     name = "Rule PM (REACH)"
@@ -829,10 +820,6 @@ class ReachRulePolicyManager(PolicyManager):
             self.service.dispatch_flow(FlowEventKind.EOT, {"tx": tx})
         if tx.deferred_rules:
             self.scheduler.drain_deferred(tx)
-        # Before the pre-commit hooks append and force the COMMIT record,
-        # so a checkpoint rides the force that acknowledges the commit
-        # rather than paying its own.
-        self.service.emit_composer_checkpoints()
 
     def _on_end(self, kind: FlowEventKind, tx: Transaction) -> None:
         """Top-level commit (``commit`` point) or abort (``post_abort``)."""
@@ -843,8 +830,6 @@ class ReachRulePolicyManager(PolicyManager):
             service.on_transaction_end(tx)
             service.global_history.merge_transaction(tx.id)
             service.global_history.merge_transactionless()
-            if kind is FlowEventKind.ABORT:
-                service.emit_composer_checkpoints()
         finally:  # waiting detached work needs the signal even so
             self.scheduler.on_transaction_outcome(tx)
 

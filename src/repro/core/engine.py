@@ -323,8 +323,7 @@ class ReachEngine(RuleDefinitions):
         # oldest first — restore walks them newest-first with fallback),
         # bump the occurrence-seq floor past every checkpointed watermark
         # so post-boot occurrences order strictly after restored ones, and
-        # wire emission (top-level EOTs) plus compaction (storage
-        # checkpoints) into the WAL.
+        # let storage pull snapshots at each force that needs them.
         max_watermark = 0
         for payload in self.storage.recovered_composer_checkpoints:
             try:
@@ -339,10 +338,8 @@ class ReachEngine(RuleDefinitions):
         self.storage.recovered_composer_checkpoints.clear()
         if max_watermark:
             advance_occurrence_seq(max_watermark)
-        self.events.composer_checkpoint_sink = \
-            self.storage.append_composer_checkpoint
         self.storage.composer_checkpoint_provider = \
-            self.events.collect_composer_snapshots
+            self.events.checkpoint_composers
         self.events.recovered_tx_sink = \
             self.tx_manager.seed_recovered_outcomes
         self.temporal = TemporalEventSource(
@@ -1004,13 +1001,8 @@ class ReachEngine(RuleDefinitions):
         # The telemetry pipeline drains before storage closes so a final
         # flush can still observe a consistent engine.
         self.telemetry_pipeline.close()
-        try:
-            # Final composer checkpoint: half-matched state present at a
-            # clean shutdown survives to the next start (storage.close()
-            # flushes the WAL right after).
-            self.events.emit_composer_checkpoints()
-        except Exception:
-            pass
+        # Pulls a final composer checkpoint: half-matched state present at
+        # a clean shutdown survives to the next start.
         self.storage.close()
 
     def __enter__(self) -> "ReachEngine":

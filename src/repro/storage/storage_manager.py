@@ -97,11 +97,12 @@ class StorageManager:
         #: still finds them.
         self.recovered_composer_checkpoints: list[dict] = []
         self._composer_checkpoints_recovered = 0
-        #: engine-installed hook returning the current full composer
-        #: snapshots; used to re-seed the log after checkpoint truncation
-        #: (compaction: N incremental checkpoints collapse to the latest).
-        self.composer_checkpoint_provider: \
-            Optional[Callable[[], list[dict]]] = None
+        #: engine-installed pull hook ``provider(append, every)``: it
+        #: hands composer snapshots to ``append`` just before a force.
+        #: Called under the storage mutex, so a frame is buffered before
+        #: any later COMMIT; see :meth:`_pull_composer_checkpoints`.
+        self.composer_checkpoint_provider: Optional[
+            Callable[[Callable[[dict], int], bool], None]] = None
         self._recover()
 
     # ------------------------------------------------------------------
@@ -140,9 +141,7 @@ class StorageManager:
             # with the recovered snapshots keeps half-matched composites
             # durable across back-to-back crashes.
             for payload in self.recovered_composer_checkpoints:
-                self._wal.append(LogRecord(
-                    LogRecordType.COMPOSER_CHECKPOINT, tx_id=0,
-                    payload=payload))
+                self._append_composer_checkpoint(payload)
             self._composer_checkpoints_recovered = len(
                 self.recovered_composer_checkpoints)
             self._wal.flush()
@@ -252,6 +251,7 @@ class StorageManager:
         with self._lock:
             ws = self._require_tx(tx_id)
             self._fp_commit.hit(tx_id=tx_id)
+            self._pull_composer_checkpoints()
             lsn = self._wal.append(LogRecord(LogRecordType.COMMIT,
                                              tx_id=tx_id))
         tracer = self._tracer
@@ -348,9 +348,9 @@ class StorageManager:
         """Force all pages and truncate the log.
 
         Composer-checkpoint compaction happens here: truncation drops
-        every incremental COMPOSER_CHECKPOINT, so the engine-installed
-        provider re-emits one current snapshot per composer into the
-        fresh log before it is forced.
+        every incremental COMPOSER_CHECKPOINT, so the provider re-emits
+        one current snapshot per composer into the fresh log before it
+        is forced.
         """
         with self._lock:
             self._fp_checkpoint.hit()
@@ -360,30 +360,33 @@ class StorageManager:
             self._pool.flush_all()
             self._wal.truncate()
             self._wal.append(LogRecord(LogRecordType.CHECKPOINT, tx_id=0))
-            if self.composer_checkpoint_provider is not None:
-                for payload in self.composer_checkpoint_provider():
-                    self._wal.append(LogRecord(
-                        LogRecordType.COMPOSER_CHECKPOINT, tx_id=0,
-                        payload=payload))
+            self._pull_composer_checkpoints(every=True)
             self._wal.flush()
 
-    def append_composer_checkpoint(self, payload: dict) -> int:
-        """Buffer one composer-state snapshot into the log.
+    def _pull_composer_checkpoints(self, every: bool = False) -> None:
+        """Buffer composer snapshots for the force that follows (caller
+        holds the mutex).
 
-        Rides the next force rather than paying its own fsync.  Appended
-        at a top-level EOT, before the COMMIT record, it is forced with
-        the commit it belongs to; the durability point of composer state
-        is therefore the last committed transaction, exactly the paper's
-        coupling expectation.
+        Composer state becomes durable when the log is forced, not when a
+        transaction ends, so it is pulled right before each force that
+        needs it: the COMMIT of a data transaction (whose acknowledgment
+        thus covers the state as of its EOT), ``flush`` and ``close``
+        take the dirty composers, ``checkpoint`` every one.  A
+        signal-only commit appends nothing; its state rides the next
+        force.
         """
-        with self._lock:
-            return self._wal.append(LogRecord(
-                LogRecordType.COMPOSER_CHECKPOINT, tx_id=0,
-                payload=payload))
+        provider = self.composer_checkpoint_provider
+        if provider is not None:
+            provider(self._append_composer_checkpoint, every)
+
+    def _append_composer_checkpoint(self, payload: dict) -> int:
+        return self._wal.append(LogRecord(
+            LogRecordType.COMPOSER_CHECKPOINT, tx_id=0, payload=payload))
 
     def flush(self) -> None:
         with self._lock:
             self._fp_page_flush.hit()
+            self._pull_composer_checkpoints()
             self._wal.flush()
             self._pool.flush_all()
 
@@ -406,6 +409,7 @@ class StorageManager:
 
     def close(self) -> None:
         with self._lock:
+            self._pull_composer_checkpoints()
             self._pool.flush_all()
             self._wal.close()
             self._file.close()

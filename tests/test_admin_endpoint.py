@@ -140,6 +140,7 @@ class TestEndpoints:
             CouplingMode.DETACHED).named("HalfMatch")
         with db.transaction():
             db.signal("adm-a")
+        db.storage.flush()  # the half-match is durable at the next force
         __, __, body = get(db, "/composer")
         payload = json.loads(body)
         assert payload["half_matched_groups"] >= 1

@@ -14,7 +14,9 @@ Three layers of coverage for the COMPOSER_CHECKPOINT protocol:
 * engine-level reopen tests — a half-matched multi-transaction sequence
   survives a real crash (flush + torn close), completes exactly once in
   the next incarnation, and does not complete again on a refeed; the
-  checkpoint is forced with the commit that acknowledged it; an open
+  checkpoint is pulled into the force of the data commit that
+  acknowledged it, also while signal-only feeds race that commit; a
+  failed frame append leaves the state for the next force; an open
   single-transaction half-match is never restored; a corrupt
   (future-versioned) checkpoint frame falls back to the previous
   consistent checkpoint and is counted;
@@ -26,13 +28,16 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
+import threading
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ReachEngine, sentried
+from repro import ExecutionConfig, ReachEngine, sentried
+from repro.bench.crash_torture import parse_wal_prefix
 from repro.errors import ComposerStateError
 from repro.core.algebra import EventScope, Sequence
 from repro.core.composer import Composer
@@ -170,7 +175,7 @@ class Ledger:
 
 
 class TestEngineReopen:
-    """The full stack: top-level EOTs cut checkpoints into the WAL,
+    """The full stack: log forces pull checkpoints into the WAL,
     recovery rebuilds the half-matched state, pre-crash transactions are
     seeded so detached composites can still fire."""
 
@@ -182,8 +187,8 @@ class TestEngineReopen:
              .scoped(EventScope.MULTI_TX).within(1e9))
     SINGLE_TX = Sequence(SignalEventSpec("dur-a"), SignalEventSpec("dur-b"))
 
-    def _open(self, path, fired, spec=SPEC):
-        db = ReachEngine(directory=str(path))
+    def _open(self, path, fired, spec=SPEC, config=None):
+        db = ReachEngine(directory=str(path), config=config)
         db.register_class(Ledger)
         db.rule("dur-rule", spec,
                 action=lambda ctx: fired.append(
@@ -243,7 +248,7 @@ class TestEngineReopen:
 
     def test_single_tx_composers_write_no_checkpoint(self, tmp_path):
         """Signal-only transactions over one single-tx and one multi-tx
-        composite: one composer checkpoint per commit, the multi-tx one."""
+        composite: one composer checkpoint per force, the multi-tx one."""
         fired: list[int] = []
         db = self._open(tmp_path, fired, spec=self.SINGLE_TX)
         db.rule("multi", self.OTHER, action=lambda ctx: None,
@@ -253,8 +258,110 @@ class TestEngineReopen:
             with db.transaction():
                 db.signal("dur-a")
                 db.signal("dur-x")
+            db.storage.flush()
         assert db.statistics()["wal"][
             "composer_checkpoints_written"] - written == 5
+        db.close()
+
+    def test_failed_checkpoint_append_leaves_the_composer_dirty(
+            self, tmp_path):
+        """A force whose composer frame fails to append must not mark the
+        state written: the next force writes it, and the half-match
+        survives the crash."""
+        fired: list[int] = []
+        config = ExecutionConfig(fault_injection=True)
+        db = self._open(tmp_path, fired, config=config)
+        db.faults.arm("wal.append", times=1)
+        with db.transaction():
+            db.signal("dur-a")
+        db.storage.flush()          # the frame's append fails
+        db.storage.flush()          # the composer is still dirty
+        assert db.composer_stats()["checkpoint_errors"] == 1
+        _crash(db)
+
+        db = self._open(tmp_path, fired, config=config)
+        assert db.wal_statistics()["composer_restores"] == 1
+        with db.transaction():
+            db.signal("dur-b")
+        db.drain_detached()
+        assert fired == [2]
+        db.close()
+
+    def test_writer_commits_cover_committed_feeds(self, tmp_path):
+        """Composer state is pulled at the force: a data commit racing
+        signal-only feeds to a multi-transaction composite is
+        acknowledged only with a snapshot covering every feed committed
+        before its EOT.  One feeder and two writers (more threads than
+        cores) run with a short switch interval so the pull, the feeds
+        and the COMMIT appends interleave."""
+        feeds, writes, writers = 150, 30, 2
+        live, image = tmp_path / "live", tmp_path / "image"
+        fired: list[int] = []
+        db = self._open(live, fired)
+        fed_seqs: list[int] = []
+        db.events.primitive_manager(SignalEventSpec("dur-a")).add_listener(
+            lambda occurrence: fed_seqs.append(occurrence.seq))
+        committed: list[int] = []        # seqs of committed feeds
+        covered: dict[int, int] = {}     # writer tx id -> seq due
+        errors: list[BaseException] = []
+
+        def feeder():
+            session = db.create_session("feeder")
+            try:
+                for __ in range(feeds):
+                    with session.transaction():
+                        session.signal("dur-a")
+                    committed.append(fed_seqs[-1])
+            except BaseException as exc:
+                errors.append(exc)
+
+        def writer():
+            session = db.create_session()
+            try:
+                for __ in range(writes):
+                    with session.transaction() as tx:
+                        session.persist(Ledger())
+                        covered[tx.id] = max(committed, default=0)
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=feeder)] + [
+            threading.Thread(target=writer) for __ in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Quiescent: the last writer's force put everything it covers on
+        # disk; what a power cut now preserves is this image.
+        shutil.copytree(live, image)
+        db.close()
+
+        watermark = 0
+        checked = 0
+        log = (image / StorageManager.LOG_FILE).read_bytes()
+        for record in parse_wal_prefix(log):
+            if record.type is LogRecordType.COMPOSER_CHECKPOINT:
+                watermark = record.payload["watermark"]
+            elif record.type is LogRecordType.COMMIT and \
+                    record.tx_id in covered:
+                assert watermark >= covered[record.tx_id], record.tx_id
+                checked += 1
+        assert checked == writes * writers
+
+        db = self._open(image, fired)
+        stats = db.composer_stats()
+        [entry] = stats["composers"]
+        assert db.wal_statistics()["composer_restores"] == 1
+        assert entry["restored_watermark"] == watermark
+        assert stats["pending_semi_composed"] == sum(
+            1 for seq in fed_seqs if seq <= watermark)
         db.close()
 
     def test_applied_payloads_are_released(self, tmp_path):
@@ -296,6 +403,7 @@ class TestEngineReopen:
             db.signal("dur-a")
         db.drain_detached()
         assert fired == []  # half-matched, nothing to fire yet
+        db.storage.flush()
         assert db.wal_statistics()["composer_checkpoints_written"] >= 1
         _crash(db)
 
@@ -364,6 +472,7 @@ class TestEngineReopen:
         with db.transaction():
             db.signal("dur-a")
         db.drain_detached()
+        db.storage.flush()
 
         wal = db.statistics()["wal"]
         for key in ("recovery_truncations", "unknown_records_skipped",
@@ -382,3 +491,4 @@ class TestEngineReopen:
         assert entry["scope"] == EventScope.MULTI_TX.value
         assert entry["policy"] == ConsumptionPolicy.CHRONICLE.value
         db.close()
+

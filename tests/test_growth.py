@@ -1,0 +1,62 @@
+"""The rule path holds constant memory once its bounded rings are full.
+
+One engine at the default config runs signal-only transactions through a
+multi-transaction RECENT conjunction under a DETACHED rule and an
+IMMEDIATE rule on a plain signal.  After a warm-up that fills every
+bounded ring — each ECA-manager's local history (``history_capacity``)
+and the scheduler's firing log (``MAX_FIRING_LOG``) — further
+transactions must leave no GC-tracked objects behind and no log frames
+buffered: composer state is written at a log force, and a signal-only
+commit forces nothing.
+"""
+
+from __future__ import annotations
+
+import gc
+
+from repro import ExecutionConfig, ReachEngine
+from repro.core.algebra import EventScope
+from repro.core.consumption import ConsumptionPolicy
+from repro.core.events import SignalEventSpec
+from repro.core.rules import CouplingMode
+from repro.core.scheduler import RuleScheduler
+
+MEASURED = 2_000
+
+
+def _one_tx(db) -> None:
+    with db.transaction():
+        db.signal("a")
+        db.signal("c")
+        db.signal("x")
+
+
+def test_signal_only_transactions_retain_nothing(tmp_path):
+    capacity = ExecutionConfig().history_capacity
+    db = ReachEngine(directory=str(tmp_path))
+    a, c = SignalEventSpec("a"), SignalEventSpec("c")
+    db.rule("conj", (a & c).scoped(EventScope.MULTI_TX).within(3600.0)
+            .consumed(ConsumptionPolicy.RECENT),
+            action=lambda ctx: None, coupling=CouplingMode.DETACHED)
+    db.rule("imm", SignalEventSpec("x"), action=lambda ctx: None,
+            coupling=CouplingMode.IMMEDIATE)
+    # Two firings per transaction: the firing log fills after half its
+    # bound, every history after ``capacity`` transactions.
+    warm_up = max(capacity, RuleScheduler.MAX_FIRING_LOG // 2) + 1_000
+    try:
+        for __ in range(warm_up):
+            _one_tx(db)
+        db.drain_detached()
+        gc.collect()
+        objects = len(gc.get_objects())
+        buffered = db.storage.wal_stats()["buffered_records"]
+
+        for __ in range(MEASURED):
+            _one_tx(db)
+        db.drain_detached()
+        gc.collect()
+        growth = (len(gc.get_objects()) - objects) / MEASURED
+        assert growth < 0.1, f"{growth:.3f} objects retained per tx"
+        assert db.storage.wal_stats()["buffered_records"] == buffered
+    finally:
+        db.close()
