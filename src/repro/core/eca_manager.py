@@ -62,6 +62,7 @@ from repro.oodb.meta import (
 from repro.oodb.sentry import (
     MethodNotification,
     SentryRegistry,
+    StateNotification,
     Subscription,
 )
 from repro.oodb.transactions import Transaction, TransactionManager
@@ -212,11 +213,11 @@ class CompositeECAManager(_RuleSet):
 class EventService:
     """Routes detected events to ECA-managers and owns the detectors.
 
-    One service per database.  It installs sentry watches for method
-    events, listens on the meta-architecture bus for state-change and
-    flow-control events, and accepts temporal occurrences from the
-    temporal event source.  Composition propagation is synchronous in
-    SYNCHRONOUS mode and queued to worker threads in THREADED mode.
+    One service per database.  It installs sentry watches for method and
+    state-change events, takes flow-control events from the rule PM, and
+    accepts temporal occurrences from the temporal event source.
+    Composition propagation is synchronous in SYNCHRONOUS mode and queued
+    to worker threads in THREADED mode.
     """
 
     def __init__(self, meta: MetaArchitecture,
@@ -306,12 +307,14 @@ class EventService:
         with self._lock:
             manager = self._primitive.get(key)
             if manager is None:
+                # Published only once its detector is installed: a class
+                # that cannot be resolved yet leaves no deaf manager behind.
+                self._install_detector(spec)
                 manager = PrimitiveECAManager(
                     spec, self.scheduler, self.global_history,
                     tracer=self.tracer, metrics=self.metrics,
                     history_capacity=self.config.history_capacity)
                 self._primitive[key] = manager
-                self._install_detector(spec)
             return manager
 
     def composite_manager(self, spec: CompositeEventSpec, name: str = "",
@@ -321,6 +324,14 @@ class EventService:
             manager = self._composite.get(key)
             if manager is not None:
                 return manager
+            # Every leaf primitive must be detectable and must propagate
+            # here: resolve them all before publishing, so a leaf that
+            # cannot be detected yet leaves no deaf manager behind.  A
+            # sharded coordinator passes wire_leaves=False and connects
+            # the leaves itself: each leaf detects on its own home shard
+            # and feeds this manager through the cross-shard event bus.
+            leaves = ([self.primitive_manager(leaf) for leaf in spec.leaves()]
+                      if wire_leaves else [])
             manager = CompositeECAManager(
                 spec, self.scheduler, self.global_history, name=name,
                 tracer=self.tracer, metrics=self.metrics,
@@ -338,14 +349,8 @@ class EventService:
         # live occurrence can race the restore.
         if payloads and manager.composer.scope is EventScope.MULTI_TX:
             self._restore_composer_state(manager, payloads)
-        # Every leaf primitive must be detectable and must propagate here.
-        # A sharded coordinator passes wire_leaves=False and connects the
-        # leaves itself: each leaf detects on its own home shard and feeds
-        # this manager through the cross-shard event bus instead.
-        if wire_leaves:
-            for leaf in spec.leaves():
-                primitive = self.primitive_manager(leaf)
-                primitive.add_listener(manager.feed)
+        for primitive in leaves:
+            primitive.add_listener(manager.feed)
         return manager
 
     def _restore_composer_state(self, manager: CompositeECAManager,
@@ -642,15 +647,21 @@ class EventService:
 
     def _install_detector(self, spec: EventSpec) -> None:
         if isinstance(spec, MethodEventSpec):
-            cls = self.resolve_class(spec.class_name)
             subscription = self.sentry_registry.watch_method(
-                cls, spec.method,
-                self._method_receiver(spec),
-                moment=spec.moment)
-            self._subscriptions.append(subscription)
-        # State-change, flow and temporal events need no per-spec detector:
-        # state/flow occurrences are driven from the bus by the rule PM,
-        # temporal occurrences by the temporal event source.
+                self.resolve_class(spec.class_name), spec.method,
+                self._method_receiver(spec), moment=spec.moment)
+        elif isinstance(spec, StateChangeEventSpec):
+            # Subscribed after the Change PM's receiver (installed when
+            # the class was registered), so a write's lock, undo record
+            # and bus event precede its REACH occurrence.
+            subscription = self.sentry_registry.watch_state(
+                self.resolve_class(spec.class_name), spec.attribute,
+                self._state_receiver(spec))
+        else:
+            # Flow occurrences are driven by the rule PM, temporal ones
+            # by the temporal event source.
+            return
+        self._subscriptions.append(subscription)
 
     def _method_receiver(self, spec: MethodEventSpec):
         def receive(note: MethodNotification) -> None:
@@ -666,33 +677,18 @@ class EventService:
             self.emit(spec, parameters)
         return receive
 
-    # -- bus-driven occurrences (called by the rule policy manager) -----------
+    def _state_receiver(self, spec: StateChangeEventSpec):
+        def receive(note: StateNotification) -> None:
+            self.emit(spec, {
+                "instance": note.instance,
+                "attribute": note.attribute,
+                "old_value": note.old_value,
+                "new_value": note.new_value,
+                "had_old_value": note.had_old_value,
+            })
+        return receive
 
-    def dispatch_state_change(self, event: SystemEvent) -> None:
-        instance = event.info.get("instance")
-        attribute = event.info.get("attribute")
-        if instance is None or attribute is None:
-            return
-        parameters = {
-            "instance": instance,
-            "attribute": attribute,
-            "old_value": event.info.get("old_value"),
-            "new_value": event.info.get("new_value"),
-            "had_old_value": event.info.get("had_old_value", False),
-        }
-        with self._lock:
-            candidates = [
-                manager for key, manager in self._primitive.items()
-                if isinstance(manager.spec, StateChangeEventSpec)
-            ]
-        for manager in candidates:
-            spec = manager.spec
-            if spec.attribute is not None and spec.attribute != attribute:
-                continue
-            cls = self.resolve_class(spec.class_name)
-            if not isinstance(instance, cls):
-                continue
-            self.emit(spec, dict(parameters))
+    # -- occurrences driven by the rule PM and the temporal source ------------
 
     def dispatch_flow(self, kind: FlowEventKind,
                       info: dict[str, Any]) -> None:
@@ -757,8 +753,9 @@ class EventService:
 class ReachRulePolicyManager(PolicyManager):
     """The Rule PM plugged onto the Open OODB software bus.
 
-    Bridges persist, fetch, delete and state-change system events to
-    REACH primitive events.  Transaction flow is not taken from the bus:
+    Bridges persist, fetch and delete system events to REACH flow
+    events (state-change events come straight from the sentry, see
+    :meth:`EventService._install_detector`).  Transaction flow is not taken from the bus:
     when plugged, the Rule PM registers one typed hook per lifecycle
     point with the transaction manager
     (:meth:`TransactionManager.set_hooks`).  The hooks raise the BOT/EOT/
@@ -770,18 +767,12 @@ class ReachRulePolicyManager(PolicyManager):
     """
 
     name = "Rule PM (REACH)"
-    subscribed_kinds = (
-        SystemEventKind.STATE_CHANGE,
-        SystemEventKind.PERSIST,
-        SystemEventKind.OBJECT_DELETE,
-        SystemEventKind.FETCH,
-    )
-
     _FLOW_OF = {
         SystemEventKind.PERSIST: FlowEventKind.PERSIST,
         SystemEventKind.OBJECT_DELETE: FlowEventKind.DELETE,
         SystemEventKind.FETCH: FlowEventKind.FETCH,
     }
+    subscribed_kinds = tuple(_FLOW_OF)
 
     def __init__(self, service: EventService, scheduler: RuleScheduler):
         super().__init__()
@@ -800,11 +791,7 @@ class ReachRulePolicyManager(PolicyManager):
         self.service.tx_manager.set_hooks(self)
 
     def on_event(self, event: SystemEvent) -> None:
-        if event.kind is SystemEventKind.STATE_CHANGE:
-            self.service.dispatch_state_change(event)
-        else:
-            self.service.dispatch_flow(self._FLOW_OF[event.kind],
-                                       event.info)
+        self.service.dispatch_flow(self._FLOW_OF[event.kind], event.info)
 
     # -- transaction lifecycle hooks (top-level transactions only) --------
     #

@@ -282,8 +282,9 @@ class ReachEngine(RuleDefinitions):
             _NamedSupportModule("communications (in-process)"))
 
         # -- policy managers ----------------------------------------------
-        # Plug order matters: persistence (dirty marking) and indexing see
-        # state changes before the rule PM fires rules on them.
+        # Persistence (dirty marking) and indexing see a state change on
+        # the bus inside the Change PM's sentry receiver, which runs
+        # before any state-change rule's (it subscribes at register_class).
         self.persistence = self.meta.plug(PersistencePolicyManager(
             self.dictionary, self.active_space, self.passive_space,
             self.tx_manager))

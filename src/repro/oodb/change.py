@@ -11,8 +11,10 @@ and 7) — and this PM turns each trapped write into:
    on abort, bypassing the sentry so rollback does not itself raise
    events), and
 2. a **STATE_CHANGE system event** on the meta-architecture bus, which the
-   persistence PM (dirty marking), the index PM (maintenance) and the REACH
-   rule PM (state-change primitive events) all consume.
+   persistence PM (dirty marking) and the index PM (maintenance) consume.
+   REACH's state-change events do not take the bus: each state-change
+   rule's detector is a sentry receiver subscribed after this PM's, so it
+   runs once this receiver returned, and not at all if it raised.
 
 Classes are monitored after registration with the database; monitoring is
 orthogonal to persistence, exactly as Section 6.1 requires ("monitoring of

@@ -18,8 +18,8 @@ and leaves the class's public interface untouched:
 Overhead categories (paper, Section 6.2) map directly:
 
 * *unmonitored*: class not decorated — zero overhead;
-* *useless overhead*: decorated, but no receiver subscribed — one list
-  truthiness test per call;
+* *useless overhead*: decorated, but no receiver subscribed — one
+  emptiness test per call;
 * *potentially useful*: decorated with receivers registered for other
   methods of the class;
 * *useful overhead*: a receiver consumes the notification.
@@ -43,16 +43,23 @@ from repro.obs.metrics import NULL_COUNTER, MetricsRegistry
 
 _MISSING = object()
 
-#: Per-thread stack of *bound* scoped registries.  The sentry structures
-#: themselves (receiver buckets) live on the classes and are emitted once
-#: per program, like the paper's preprocessor output; scoping decides at
-#: delivery time which engine's receivers a notification reaches.
-_scope_local = threading.local()
+#: Serialises every replacement of a point's receivers.  Delivery never
+#: takes it: a wrapper reads them once and iterates over what it read.
+_swap_lock = threading.Lock()
 
 
-def _bound_registry() -> Optional["SentryRegistry"]:
-    stack = getattr(_scope_local, "stack", None)
-    return stack[-1] if stack else None
+class _ScopeStack(threading.local):
+    """Per-thread stack of *bound* scoped registries.  The sentry
+    structures themselves (receiver points) live on the classes and are
+    emitted once per program, like the paper's preprocessor output;
+    scoping decides at delivery time which engine's receivers a
+    notification reaches."""
+
+    def __init__(self) -> None:
+        self.stack: list["SentryRegistry"] = []
+
+
+_scope = _ScopeStack()
 
 
 class Moment(enum.Enum):
@@ -98,29 +105,57 @@ class CreateNotification:
     kwargs: dict[str, Any]
 
 
-class Subscription:
-    """Cancellable registration of one receiver."""
+class _Point:
+    """The receivers of one monitored point: a method, the attribute
+    writes of a class, or its constructions.
 
-    def __init__(self, bucket: list, entry: Any):
-        self._bucket = bucket
-        self._entry = entry
-        self.active = True
+    ``receivers`` is ``()`` while nobody listens, so the useless-overhead
+    path is one test, and otherwise a ``(before, after)`` pair of
+    receiver tuples (state and creation points fill ``after`` only).
+    Subscriptions replace the pair whole under ``_swap_lock``; wrappers
+    read it once without a lock, filter nothing and copy nothing, so a
+    delivery in progress finishes over the receivers it started with.
+    """
+
+    __slots__ = ("receivers",)
+
+    def __init__(self) -> None:
+        self.receivers: tuple = ()
+
+
+class Subscription:
+    """Cancellable registration of one receiver at one point."""
+
+    def __init__(self, point: _Point, moment: Moment, deliver: Callable):
+        self._point = point
+        self._index = int(moment is Moment.AFTER)
+        self._deliver = deliver
+        self.active = False
+        self._swap(True)
 
     def cancel(self) -> None:
-        if self.active:
-            try:
-                self._bucket.remove(self._entry)
-            except ValueError:
-                pass
-            self.active = False
+        self._swap(False)
+
+    def _swap(self, active: bool) -> None:
+        with _swap_lock:
+            if self.active is active:
+                return
+            self.active = active
+            pair = list(self._point.receivers or ((), ()))
+            receivers = pair[self._index]
+            pair[self._index] = (
+                receivers + (self._deliver,) if active else
+                tuple(r for r in receivers if r is not self._deliver))
+            self._point.receivers = tuple(pair) if any(pair) else ()
 
 
 class SentryRegistry:
     """Registry connecting sentried classes to receivers.
 
-    The decorator stores per-method receiver lists on the class; the
+    The decorator stores one receiver point per method (plus one for
+    attribute writes and one for constructions) on the class; the
     registry resolves *watch* requests (possibly on subclasses) to the
-    defining class's list and installs type-filtered adapters.
+    defining class's point and installs one adapter per subscription.
 
     Two flavours exist:
 
@@ -135,7 +170,6 @@ class SentryRegistry:
     """
 
     def __init__(self, scoped: bool = False, name: str = "") -> None:
-        self._lock = threading.RLock()
         self.scoped = scoped
         self.name = name
         self.notifications_delivered = 0
@@ -163,40 +197,39 @@ class SentryRegistry:
         if not self.scoped:
             yield self
             return
-        stack = getattr(_scope_local, "stack", None)
-        if stack is None:
-            stack = _scope_local.stack = []
+        stack = _scope.stack
         stack.append(self)
         try:
             yield self
         finally:
             stack.pop()
 
-    def _accepts_here(self) -> bool:
-        bound = _bound_registry()
-        return bound is None or bound is self
+    def _subscribe(self, point: _Point, moment: Moment, receiver: Callable,
+                   watched: Type, owner: Type,
+                   attribute: Optional[str] = None) -> Subscription:
+        """Install ``receiver`` at ``point`` behind this subscription's one
+        adapter.  It checks, in order, this registry's scope, the watched
+        subclass and the watched attribute, then counts the delivery —
+        once, here, by the registry whose receiver gets it."""
+        registry = self
+        scoped = self.scoped
+        subclass = None if watched is owner else watched
 
-    def _scope_receiver(self, receiver: Callable) -> Callable:
-        """Wrap ``receiver`` so delivery honours this registry's scope."""
-        if not self.scoped:
-            return receiver
+        def deliver(note: Any) -> None:
+            if scoped:
+                stack = _scope.stack
+                if stack and stack[-1] is not registry:
+                    return
+            if subclass is not None and \
+                    not isinstance(note.instance, subclass):
+                return
+            if attribute is not None and note.attribute != attribute:
+                return
+            registry.notifications_delivered += 1
+            registry._m_notifications.inc()
+            receiver(note)
 
-        def scoped_delivery(note: Any, __receiver=receiver,
-                            __registry=self) -> None:
-            if __registry._accepts_here():
-                __registry.notifications_delivered += 1
-                __registry._m_notifications.inc()
-                __receiver(note)
-
-        return scoped_delivery
-
-    # -- bookkeeping used by the wrappers -----------------------------------
-
-    def _count(self, n: int = 1) -> None:
-        # A plain int add without the lock would be racy but only affects a
-        # statistic; take the cheap path under CPython's atomic int ops.
-        self.notifications_delivered += n
-        self._m_notifications.inc(n)
+        return Subscription(point, moment, deliver)
 
     # -- watching -------------------------------------------------------------
 
@@ -209,24 +242,12 @@ class SentryRegistry:
         receiver then only fires for instances of ``cls``.
         """
         owner = _defining_class(cls, method)
-        buckets = owner.__dict__["__sentry_method_receivers__"]
-        if method not in buckets:
+        points = owner.__dict__["__sentry_method_receivers__"]
+        if method not in points:
             raise TypeError(
                 f"{owner.__name__}.{method} is not monitored by a sentry"
             )
-        bucket = buckets[method]
-
-        if cls is owner:
-            entry = (moment, self._scope_receiver(receiver))
-        else:
-            def filtered(note: MethodNotification,
-                         __cls=cls, __receiver=receiver) -> None:
-                if isinstance(note.instance, __cls):
-                    __receiver(note)
-            entry = (moment, self._scope_receiver(filtered))
-        with self._lock:
-            bucket.append(entry)
-        return Subscription(bucket, entry)
+        return self._subscribe(points[method], moment, receiver, cls, owner)
 
     def watch_state(self, cls: Type, attribute: Optional[str],
                     receiver: Callable[[StateNotification], None]) -> Subscription:
@@ -235,36 +256,14 @@ class SentryRegistry:
         ``attribute=None`` receives writes to every attribute.
         """
         owner = _state_owner(cls)
-        bucket = owner.__dict__["__sentry_state_receivers__"]
-
-        def adapted(note: StateNotification,
-                    __cls=cls, __attr=attribute, __receiver=receiver) -> None:
-            if __attr is not None and note.attribute != __attr:
-                return
-            if __cls is not owner and not isinstance(note.instance, __cls):
-                return
-            __receiver(note)
-
-        adapted = self._scope_receiver(adapted)
-        with self._lock:
-            bucket.append(adapted)
-        return Subscription(bucket, adapted)
+        return self._subscribe(owner.__dict__["__sentry_state_receivers__"],
+                               Moment.AFTER, receiver, cls, owner, attribute)
 
     def watch_create(self, cls: Type,
                      receiver: Callable[[CreateNotification], None]) -> Subscription:
         owner = _state_owner(cls)
-        bucket = owner.__dict__["__sentry_create_receivers__"]
-
-        def adapted(note: CreateNotification,
-                    __cls=cls, __receiver=receiver) -> None:
-            if __cls is not owner and not isinstance(note.instance, __cls):
-                return
-            __receiver(note)
-
-        adapted = self._scope_receiver(adapted)
-        with self._lock:
-            bucket.append(adapted)
-        return Subscription(bucket, adapted)
+        return self._subscribe(owner.__dict__["__sentry_create_receivers__"],
+                               Moment.AFTER, receiver, cls, owner)
 
 
 #: The legacy default registry: unscoped, shared by everything that does not
@@ -316,11 +315,10 @@ def sentried(cls: Optional[Type] = None, *,
         return functools.partial(sentried, track_state=track_state,
                                  methods=methods)
 
-    method_receivers: dict[str, list] = {}
+    method_receivers: dict[str, _Point] = {}
     cls.__sentry_method_receivers__ = method_receivers
-    cls.__sentry_state_receivers__ = []
-    cls.__sentry_create_receivers__ = []
-    cls.__sentried__ = True
+    cls.__sentry_state_receivers__ = _Point()
+    cls.__sentry_create_receivers__ = _Point()
 
     if methods is None:
         names = [
@@ -335,9 +333,8 @@ def sentried(cls: Optional[Type] = None, *,
         original = cls.__dict__.get(name)
         if original is None or not callable(original):
             raise TypeError(f"{cls.__name__}.{name} is not a wrappable method")
-        bucket: list = []
-        method_receivers[name] = bucket
-        setattr(cls, name, _wrap_method(cls, name, original, bucket))
+        point = method_receivers[name] = _Point()
+        setattr(cls, name, _wrap_method(cls, name, original, point))
 
     _wrap_init(cls)
     if track_state:
@@ -346,18 +343,17 @@ def sentried(cls: Optional[Type] = None, *,
 
 
 def _wrap_method(cls: Type, name: str, original: Callable,
-                 receivers: list) -> Callable:
+                 point: _Point) -> Callable:
     @functools.wraps(original)
     def wrapper(self, *args, **kwargs):
+        receivers = point.receivers
         if not receivers:
             # 'Useless overhead' path: sentry present, nothing listening.
             return original(self, *args, **kwargs)
-        before = [r for moment, r in receivers if moment is Moment.BEFORE]
-        after = [r for moment, r in receivers if moment is Moment.AFTER]
+        before, after = receivers
         if before:
             note = MethodNotification(Moment.BEFORE, self, cls, name,
                                       args, kwargs)
-            registry._count(len(before))
             for receive in before:
                 receive(note)
         try:
@@ -366,14 +362,12 @@ def _wrap_method(cls: Type, name: str, original: Callable,
             if after:
                 note = MethodNotification(Moment.AFTER, self, cls, name,
                                           args, kwargs, exception=exc)
-                registry._count(len(after))
                 for receive in after:
                     receive(note)
             raise
         if after:
             note = MethodNotification(Moment.AFTER, self, cls, name,
                                       args, kwargs, result=result)
-            registry._count(len(after))
             for receive in after:
                 receive(note)
         return result
@@ -395,12 +389,12 @@ def _wrap_init(cls: Type) -> None:
             return
         note = None
         for klass in type(self).__mro__:
-            bucket = klass.__dict__.get("__sentry_create_receivers__")
-            if bucket:
+            point = klass.__dict__.get("__sentry_create_receivers__")
+            receivers = point.receivers if point is not None else ()
+            if receivers:
                 if note is None:
                     note = CreateNotification(self, type(self), args, kwargs)
-                registry._count(len(bucket))
-                for receive in list(bucket):
+                for receive in receivers[1]:
                     receive(note)
 
     cls.__init__ = wrapper
@@ -466,9 +460,10 @@ def make_surrogate(target: Any,
 
 def _wrap_setattr(cls: Type) -> None:
     original = cls.__setattr__
-    receivers = cls.__dict__["__sentry_state_receivers__"]
+    point = cls.__dict__["__sentry_state_receivers__"]
 
     def wrapper(self, attribute, value):
+        receivers = point.receivers
         if not receivers or attribute.startswith("_"):
             original(self, attribute, value)
             return
@@ -478,8 +473,7 @@ def _wrap_setattr(cls: Type) -> None:
             instance=self, cls=cls, attribute=attribute,
             old_value=None if old is _MISSING else old,
             new_value=value, had_old_value=old is not _MISSING)
-        registry._count(len(receivers))
-        for receive in list(receivers):
+        for receive in receivers[1]:
             receive(note)
 
     cls.__setattr__ = wrapper

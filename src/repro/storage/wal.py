@@ -430,15 +430,21 @@ class WALTailer:
       has not yet acknowledged as durable, even though such records can
       be visible in the OS page cache.
 
-    Checkpoint truncation on the primary shrinks the file below the
-    tailer's offset; :meth:`poll` detects that and rewinds to the start
-    (the caller re-seeds from the primary's data file in that case).
+    Checkpoint truncation on the primary starts a new log generation;
+    :meth:`poll` detects it and rewinds to the start (the caller re-seeds
+    from the primary's data file in that case).  The tailer remembers the
+    bytes of the first frame it read: LSNs never repeat across a
+    truncation, so a different first frame means a new generation even
+    once the new log has grown back past the old offset.
     """
 
     def __init__(self, path: str, offset: int = 0):
         self.path = path
         self._fd = os.open(path, os.O_RDONLY)
         self.offset = offset
+        #: the first frame of the generation being tailed (empty until
+        #: read from offset 0)
+        self._head = b""
         self.records_read = 0
         self.truncations = 0
         self.unknown_records = 0
@@ -452,7 +458,8 @@ class WALTailer:
         start, counting the event in ``truncations``.
         """
         size = os.fstat(self._fd).st_size
-        if size < self.offset:
+        if self.offset and (size < self.offset or os.pread(
+                self._fd, len(self._head), 0) != self._head):
             # The primary checkpointed and truncated its log: everything
             # we shipped so far is now baked into its data file.
             self.offset = 0
@@ -486,6 +493,9 @@ class WALTailer:
                 continue
             records.append(record)
             cursor = start + length
+        if not self.offset and cursor:
+            length, __ = _FRAME.unpack_from(data, 0)
+            self._head = data[:_FRAME.size + length]
         self.offset += cursor
         self.records_read += len(records)
         return records

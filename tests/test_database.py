@@ -17,7 +17,13 @@ from repro import (
     StateChangeEventSpec,
     sentried,
 )
-from repro.errors import RuleDefinitionError, UnsupportedCouplingError
+from repro.errors import (
+    LockError,
+    RuleDefinitionError,
+    TypeRegistrationError,
+    UnsupportedCouplingError,
+)
+from repro.oodb.locks import LockMode
 
 
 @sentried
@@ -150,6 +156,69 @@ class TestStateChangeRules:
             pump.rpm = 7
             pump.other = 1
         assert "rpm" in seen and "other" in seen
+
+
+class TestStateChangeDetection:
+    """State-change occurrences come from the sentry's state point, after
+    the Change PM's receiver has locked the object and recorded undo."""
+
+    RPM = StateChangeEventSpec("Pump", "rpm")
+
+    def test_immediate_rule_sees_undo_record_and_dirty_mark(self, pdb):
+        pump = Pump()
+        with pdb.transaction():
+            pdb.persist(pump)
+        seen = []
+        with pdb.transaction() as tx:
+            pdb.rule("watch", self.RPM, action=lambda ctx: seen.append(
+                (len(tx.undo_log), pump in tx.dirty_objects)),
+                coupling=CouplingMode.IMMEDIATE)
+            pump.rpm = 7
+        assert seen == [(1, True)]
+
+    def test_failed_write_lock_detects_nothing(self, pdb):
+        pump = Pump()
+        pump.rpm = 3
+        with pdb.transaction():
+            oid = pdb.persist(pump)
+        fired = []
+        pdb.rule("watch", self.RPM, action=lambda ctx: fired.append(1),
+                 coupling=CouplingMode.IMMEDIATE)
+        manager = pdb.events.primitive_manager(self.RPM)
+        other_family = 10 ** 9
+        pdb.locks.timeout = 0.05
+        pdb.locks.acquire(other_family, oid, LockMode.EXCLUSIVE)
+        try:
+            with pytest.raises(LockError):
+                with pdb.transaction():
+                    pump.rpm = 9
+        finally:
+            pdb.locks.release_all(other_family)
+        assert pump.rpm == 3
+        assert manager.handled == 0
+        assert fired == []
+
+    def test_rule_on_unregistered_class_fails_at_definition(self, pdb):
+        with pytest.raises(TypeRegistrationError):
+            pdb.rule("ghost", StateChangeEventSpec("Ghost", "level"),
+                     action=lambda ctx: None)
+
+    def test_rule_on_unmonitored_class_fires(self, pdb):
+        @sentried
+        class Tank:
+            def __init__(self):
+                self.level = 0
+
+        pdb.register_class(Tank, monitor_state=False)
+        seen = []
+        pdb.rule("tank", StateChangeEventSpec("Tank", "level"),
+                 action=lambda ctx: seen.append(ctx["new_value"]))
+        tank = Tank()
+        with pdb.transaction() as tx:
+            tank.level = 5
+            # No Change PM receiver: no undo record for the write.
+            assert tx.undo_log == []
+        assert seen == [0, 5]     # the constructor's write, then ours
 
 
 class TestFlowRules:

@@ -11,6 +11,7 @@ from repro import (
     sentried,
 )
 from repro.core.consumption import ConsumptionPolicy
+from repro.errors import TypeRegistrationError
 
 
 @sentried
@@ -20,6 +21,15 @@ class Dial:
 
 
 TURN = MethodEventSpec("Dial", "turn", param_names=("degrees",))
+
+
+@sentried
+class Valve:
+    def open(self):
+        return "open"
+
+
+OPEN = MethodEventSpec("Valve", "open")
 
 
 @pytest.fixture
@@ -163,3 +173,34 @@ class TestAddressSpaces:
     def test_describe_strings(self, edb):
         assert "resident" in edb.active_space.describe()
         assert "stored" in edb.passive_space.describe()
+
+
+class TestFailedDefinition:
+    """A rule defined before its class is registered fails, and leaves
+    no ECA-manager behind that would keep later rules on the same event
+    from ever hearing it."""
+
+    def _define_fail_register_redefine(self, edb, spec, **options):
+        fired = []
+        with pytest.raises(TypeRegistrationError):
+            edb.rule("early", spec, action=lambda ctx: fired.append("early"),
+                     **options)
+        edb.register_class(Valve)
+        edb.rule("late", spec, action=lambda ctx: fired.append("late"),
+                 **options)
+        return fired
+
+    def test_method_rule_after_a_failed_definition_fires(self, edb):
+        fired = self._define_fail_register_redefine(edb, OPEN)
+        with edb.transaction():
+            Valve().open()
+        assert fired == ["late"]
+
+    def test_composite_rule_after_a_failed_definition_fires(self, edb):
+        fired = self._define_fail_register_redefine(
+            edb, Sequence(SignalEventSpec("arm"), OPEN),
+            coupling=CouplingMode.DEFERRED)
+        with edb.transaction():
+            edb.signal("arm")
+            Valve().open()
+        assert fired == ["late"]

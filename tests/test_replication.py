@@ -131,15 +131,39 @@ class TestWALTailer:
             _commit(sm, 1, [(10, b"one")])
             assert len(_tx_records(tailer.poll())) == 3
             sm.checkpoint()          # truncates the primary's log
-            # The shrunken file rewinds the tailer to offset 0.  (A poll
-            # that only runs after the log has grown back past the old
-            # offset would mis-frame — the shipper's poll cadence is much
-            # tighter than checkpoint-plus-a-full-refill.)
+            # The shrunken file rewinds the tailer to offset 0 (see
+            # test_regrown_log_is_a_new_generation for a log that grows
+            # back past the old offset before the next poll).
             assert _tx_records(tailer.poll()) == []
             assert tailer.truncations == 1
             _commit(sm, 2, [(11, b"two")])
             records = _tx_records(tailer.poll())
             assert {r.tx_id for r in records} == {2}
+        finally:
+            tailer.close()
+            sm.close()
+
+    def test_regrown_log_is_a_new_generation(self, tmp_path):
+        """A checkpoint whose fresh log grows back past the tailer's
+        offset before the next poll is still seen as a truncation: the
+        first frame differs, so the tailer rewinds instead of reading
+        from mid-frame and stalling."""
+        sm = StorageManager(str(tmp_path / "p"))
+        tailer = WALTailer(str(tmp_path / "p" / StorageManager.LOG_FILE))
+        try:
+            for tx in range(1, 6):
+                _commit(sm, tx, [(10 + tx, b"before")])
+            assert len(_tx_records(tailer.poll())) == 15
+            offset = tailer.offset
+            sm.checkpoint()
+            for tx in range(6, 18):
+                _commit(sm, tx, [(10 + tx, b"after")])
+            assert sm.wal_stats()["size_bytes"] > offset
+            records = _tx_records(tailer.poll())
+            assert tailer.truncations == 1
+            assert {r.tx_id for r in records} == set(range(6, 18))
+            assert tailer.poll() == []
+            assert tailer.truncations == 1
         finally:
             tailer.close()
             sm.close()
@@ -194,6 +218,23 @@ class TestReadReplica:
             replica.poll(limit_lsn=sm.wal_stats()["flushed_lsn"])
             assert replica.read(OID(10)) == b"pre-checkpoint"
             assert replica.read(OID(11)) == b"post-checkpoint"
+        finally:
+            replica.close()
+            sm.close()
+
+    def test_replica_follows_a_checkpoint_the_log_outgrew(self, tmp_path):
+        sm = StorageManager(str(tmp_path / "p"))
+        replica = ReadReplica(str(tmp_path / "p"), str(tmp_path / "r"))
+        try:
+            for tx in range(1, 6):
+                _commit(sm, tx, [(10 + tx, b"shipped")])
+            assert replica.poll(limit_lsn=sm.wal_stats()["flushed_lsn"]) == 5
+            sm.checkpoint()
+            for tx in range(6, 18):
+                _commit(sm, tx, [(10 + tx, b"regrown")])
+            limit = sm.wal_stats()["flushed_lsn"]
+            assert replica.poll(limit_lsn=limit) == 12
+            assert replica.object_count() == sm.object_count() == 17
         finally:
             replica.close()
             sm.close()

@@ -1,7 +1,16 @@
 """Sentry mechanism: transparency, overhead paths, receivers."""
 
+import sys
+import threading
+
 import pytest
 
+from repro import (
+    CouplingMode,
+    ExecutionConfig,
+    MethodEventSpec,
+    ReachEngine,
+)
 from repro.oodb.sentry import (
     Moment,
     SentryRegistry,
@@ -258,3 +267,138 @@ class TestDecoratorOptions:
             @sentried(methods=["ghost"])
             class Broken:
                 pass
+
+
+@sentried
+class Pump:
+    def start(self):
+        return "started"
+
+
+class BigPump(Pump):
+    pass
+
+
+class TestDeliveryCounting:
+    def test_one_delivery_one_count_by_the_delivering_registry(
+            self, tmp_path):
+        """A notification is counted once, by the registry whose receiver
+        got it, and only when the adapter let it through."""
+        db = ReachEngine(directory=str(tmp_path / "count"),
+                         config=ExecutionConfig(observability=True))
+        try:
+            db.register_class(Pump)
+            db.register_class(BigPump)
+            fired = []
+            db.rule("big", MethodEventSpec("BigPump", "start"),
+                    action=lambda ctx: fired.append(ctx["instance"]),
+                    coupling=CouplingMode.IMMEDIATE)
+            engine_registry = db.sentry_registry
+            default_before = registry.notifications_delivered
+            with db.transaction():
+                Pump().start()          # filtered out: not a BigPump
+            assert fired == []
+            assert engine_registry.notifications_delivered == 0
+            assert registry.notifications_delivered == default_before
+            with db.transaction():
+                BigPump().start()
+            assert len(fired) == 1
+            assert engine_registry.notifications_delivered == 1
+            assert registry.notifications_delivered == default_before
+            assert db.metrics().counter("sentry.notifications").value == 1
+        finally:
+            db.close()
+
+
+class TestReceiverSwaps:
+    """Watches and cancels replace a point's receiver tuples whole; a
+    delivery reads them without a lock."""
+
+    def test_concurrent_watch_cancel_while_calling(self, tmp_path):
+        @sentried(track_state=False)
+        class Meter:
+            def tick(self):
+                return 1
+
+        db = ReachEngine(directory=str(tmp_path / "swap"))
+        stop = threading.Event()
+        start = threading.Barrier(3)
+        errors = []
+
+        def call_loop():
+            meter = Meter()
+            start.wait()
+            try:
+                while not stop.is_set():
+                    meter.tick()
+            except Exception as exc:   # pragma: no cover - reported
+                errors.append(exc)
+
+        def churn(watcher):
+            start.wait()
+            try:
+                for __ in range(1000):
+                    watcher.watch_method(Meter, "tick",
+                                         lambda note: None).cancel()
+            except Exception as exc:   # pragma: no cover - reported
+                errors.append(exc)
+
+        caller = threading.Thread(target=call_loop)
+        churners = [threading.Thread(target=churn, args=(watcher,))
+                    for watcher in (db.sentry_registry, registry)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            caller.start()
+            for thread in churners:
+                thread.start()
+            for thread in churners:
+                thread.join(timeout=30)
+            stop.set()
+            caller.join(timeout=30)
+            assert errors == []
+            assert not any(t.is_alive() for t in (caller, *churners))
+            point = Meter.__dict__["__sentry_method_receivers__"]["tick"]
+            assert point.receivers == ()
+            engine_before = db.sentry_registry.notifications_delivered
+            default_before = registry.notifications_delivered
+            Meter().tick()
+            assert db.sentry_registry.notifications_delivered == \
+                engine_before
+            assert registry.notifications_delivered == default_before
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            db.close()
+
+    def test_resubscribing_during_a_delivery(self):
+        @sentried(track_state=False)
+        class Gauge:
+            def read(self):
+                return 0
+
+        seen = []
+        subscriptions = {}
+
+        def old(note):
+            seen.append("old")
+            subscriptions["old"].cancel()
+            subscriptions["new"] = registry.watch_method(
+                Gauge, "read", lambda note: seen.append("new"))
+
+        subscriptions["old"] = registry.watch_method(Gauge, "read", old)
+        subscriptions["peer"] = registry.watch_method(
+            Gauge, "read", lambda note: seen.append("peer"))
+        try:
+            gauge = Gauge()
+            gauge.read()
+            # The delivery in progress finished over the set it started
+            # with: the peer still heard it, the newcomer did not.
+            assert seen == ["old", "peer"]
+            seen.clear()
+            subscriptions["peer"].cancel()
+            gauge.read()
+            assert seen == ["new"]
+        finally:
+            for subscription in subscriptions.values():
+                subscription.cancel()
