@@ -292,8 +292,7 @@ def _state_owner(cls: Type) -> Type:
 
 def is_sentried(cls: Type) -> bool:
     """True if ``cls`` (or an ancestor) was processed by :func:`sentried`."""
-    return any("__sentry_method_receivers__" in k.__dict__
-               for k in cls.__mro__)
+    return hasattr(cls, "__sentry_method_receivers__")
 
 
 def sentried(cls: Optional[Type] = None, *,

@@ -19,12 +19,15 @@ from repro.faults.registry import BUFFER_EVICT, NULL_FAULTS, FaultRegistry
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.storage.pages import PAGE_SIZE, Page
 
+_NEVER_WRITTEN = bytes(PAGE_SIZE)
+
 
 class PageFile:
     """Fixed-size-page file on disk.
 
     Page ids map directly to file offsets (``page_id * PAGE_SIZE``).  The
-    file grows when a page beyond the current end is written.
+    file grows when a page beyond the current end is written, so pages
+    below it that were never written read back as zeros.
     """
 
     def __init__(self, path: str):
@@ -34,10 +37,15 @@ class PageFile:
         self._lock = threading.Lock()
 
     def read_page(self, page_id: int) -> Optional[bytes]:
-        """Return the raw page image, or ``None`` if never written."""
+        """Return the raw page image, or ``None`` if never written.
+
+        An all-zero image inside the file is a hole left by a later page
+        written first: a written page's header always records a free
+        offset of at least ``HEADER_SIZE``.
+        """
         with self._lock:
             data = os.pread(self._fd, PAGE_SIZE, page_id * PAGE_SIZE)
-        if len(data) == 0:
+        if len(data) == 0 or data == _NEVER_WRITTEN:
             return None
         if len(data) != PAGE_SIZE:
             raise StorageError(

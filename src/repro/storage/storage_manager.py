@@ -13,6 +13,22 @@ Responsibilities:
   (full-image logical records make replay idempotent),
 * checkpoint by force-flushing all pages and truncating the log.
 
+A committed update rewrites the object's existing records where they
+are (``Page.update``) when the new image has as many fragments as the
+old one; only a fragment that no longer fits its page, or a change in
+fragment count, moves records between pages.  Redo needs no page LSNs
+for this: pages only ever receive committed full images, and
+``checkpoint`` flushes every page before it truncates the log, so any
+page state newer than the last checkpoint is covered by a committed
+record that redo rewrites whole.  An in-place update changes one slot on
+one page, so a page written back early (steal) cannot leave the
+duplicate fragment sets that ``_scan_pages`` rejects; a relocated or
+newly inserted multi-fragment image still can.
+
+Free space is indexed by class (``free_space() // _FREE_CLASS``), so
+finding a page for a record looks only at classes that are sure to fit
+it and costs the same whatever the page count.
+
 The storage manager knows nothing about classes, events, or rules — it
 stores opaque byte strings per OID.  Concurrency control above it is the
 lock manager's job; internally it is thread-safe via a single mutex.
@@ -26,7 +42,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from repro.errors import RecordNotFoundError, StorageError
+from repro.errors import PageFullError, RecordNotFoundError, StorageError
 from repro.faults.registry import (
     NULL_FAULTS,
     STORAGE_CHECKPOINT,
@@ -39,11 +55,14 @@ from repro.obs.flight import NULL_FLIGHT, FlightRecorder
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.oodb.oid import OID
 from repro.storage.buffer import BufferPool, PageFile
-from repro.storage.pages import MAX_RECORD_SIZE, Page
+from repro.storage.pages import MAX_RECORD_SIZE, PAGE_SIZE, Page
 from repro.storage.wal import LogRecord, LogRecordType, WriteAheadLog
 
 _FRAG_HEADER = struct.Struct(">IHH")  # oid, fragment seq, total fragments
 _FRAG_PAYLOAD = MAX_RECORD_SIZE - _FRAG_HEADER.size
+#: Width in bytes of one free-space class: every page in class ``c`` has
+#: at least ``c * _FREE_CLASS`` contiguous bytes free.
+_FREE_CLASS = 512
 
 
 @dataclass
@@ -86,8 +105,10 @@ class StorageManager:
         self._lock = threading.RLock()
         # oid value -> list of (page_id, slot) in fragment order
         self._object_table: dict[int, list[tuple[int, int]]] = {}
-        # page_id -> approximate contiguous free bytes
-        self._free_space: dict[int, int] = {}
+        # page_id -> free-space class, and the pages of each class
+        self._page_class: dict[int, int] = {}
+        self._free_pages: list[set[int]] = [
+            set() for __ in range(PAGE_SIZE // _FREE_CLASS)]
         self._page_count = 0
         self._active: dict[int, _TxWriteSet] = {}
         #: COMPOSER_CHECKPOINT payloads found in the log at recovery, in
@@ -148,7 +169,9 @@ class StorageManager:
 
     def _scan_pages(self) -> None:
         self._object_table.clear()
-        self._free_space.clear()
+        self._page_class.clear()
+        for pages in self._free_pages:
+            pages.clear()
         self._page_count = self._file.page_count()
         fragments: dict[int, list[tuple[int, int, int, int]]] = {}
         for page_id in range(self._page_count):
@@ -158,7 +181,7 @@ class StorageManager:
                     oid_value, seq, total = _FRAG_HEADER.unpack_from(record, 0)
                     fragments.setdefault(oid_value, []).append(
                         (seq, total, page_id, slot))
-                self._free_space[page_id] = page.free_space()
+                self._set_free(page_id, page.free_space())
             finally:
                 self._pool.unpin(page_id)
         for oid_value, frags in fragments.items():
@@ -302,20 +325,37 @@ class StorageManager:
         ]
 
     def _apply_write(self, oid_value: int, data: bytes) -> None:
-        if oid_value in self._object_table:
-            self._remove_fragments(oid_value)
         records = self._fragments(oid_value, data)
+        old = self._object_table.get(oid_value)
+        if old is None or len(old) != len(records):
+            if old is not None:
+                self._remove_fragments(oid_value)
+            self._object_table[oid_value] = [
+                self._insert(record) for record in records]
+            return
         locations: list[tuple[int, int]] = []
-        for record in records:
-            page_id = self._find_page_with_space(len(record))
-            page = self._pool.fetch(page_id, create=True)
+        for (page_id, slot), record in zip(old, records):
+            page = self._pool.fetch(page_id)
             try:
-                slot = page.insert(record)
-                self._free_space[page_id] = page.free_space()
+                page.update(slot, record)
+                location = (page_id, slot)
+            except PageFullError:
+                location = None  # update() has already emptied the slot
             finally:
+                self._set_free(page_id, page.free_space())
                 self._pool.unpin(page_id, dirty=True)
-            locations.append((page_id, slot))
+            locations.append(location or self._insert(record))
         self._object_table[oid_value] = locations
+
+    def _insert(self, record: bytes) -> tuple[int, int]:
+        page_id = self._find_page_with_space(len(record))
+        page = self._pool.fetch(page_id, create=True)
+        try:
+            slot = page.insert(record)
+            self._set_free(page_id, page.free_space())
+        finally:
+            self._pool.unpin(page_id, dirty=True)
+        return page_id, slot
 
     def _apply_delete(self, oid_value: int) -> None:
         if oid_value in self._object_table:
@@ -327,17 +367,31 @@ class StorageManager:
             page = self._pool.fetch(page_id)
             try:
                 page.delete(slot)
-                self._free_space[page_id] = page.free_space()
+                self._set_free(page_id, page.free_space())
             finally:
                 self._pool.unpin(page_id, dirty=True)
 
+    def _set_free(self, page_id: int, free: int) -> None:
+        """Move ``page_id`` to the class of its ``free`` bytes."""
+        cls = free // _FREE_CLASS
+        old = self._page_class.get(page_id)
+        if old != cls:
+            if old is not None:
+                self._free_pages[old].discard(page_id)
+            self._free_pages[cls].add(page_id)
+            self._page_class[page_id] = cls
+
     def _find_page_with_space(self, record_size: int) -> int:
-        for page_id, free in self._free_space.items():
-            if free >= record_size:
-                return page_id
+        """A page that can hold ``record_size`` bytes, new if none can.
+
+        Only classes whose every page fits are searched, so a page that
+        would fit in the class just below is passed over.
+        """
+        for pages in self._free_pages[-(-record_size // _FREE_CLASS):]:
+            if pages:
+                return next(iter(pages))
         page_id = self._page_count
         self._page_count += 1
-        self._free_space[page_id] = 0  # updated after the insert
         return page_id
 
     # ------------------------------------------------------------------

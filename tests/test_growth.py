@@ -1,4 +1,6 @@
-"""The rule path holds constant memory once its bounded rings are full.
+"""Nothing grows without bound in a steady state.
+
+The rule path holds constant memory once its bounded rings are full.
 
 One engine at the default config runs signal-only transactions through a
 multi-transaction RECENT conjunction under a DETACHED rule and an
@@ -8,18 +10,25 @@ and the scheduler's firing log (``MAX_FIRING_LOG``) — further
 transactions must leave no GC-tracked objects behind and no log frames
 buffered: composer state is written at a log force, and a signal-only
 commit forces nothing.
+
+The data file holds constant size under updates that keep each object's
+image size: a committed update rewrites the object's records in place.
 """
 
 from __future__ import annotations
 
 import gc
 
-from repro import ExecutionConfig, ReachEngine
+import os
+import random
+
+from repro import ExecutionConfig, ReachEngine, sentried
 from repro.core.algebra import EventScope
 from repro.core.consumption import ConsumptionPolicy
 from repro.core.events import SignalEventSpec
 from repro.core.rules import CouplingMode
 from repro.core.scheduler import RuleScheduler
+from repro.storage.storage_manager import StorageManager
 
 MEASURED = 2_000
 
@@ -58,5 +67,43 @@ def test_signal_only_transactions_retain_nothing(tmp_path):
         growth = (len(gc.get_objects()) - objects) / MEASURED
         assert growth < 0.1, f"{growth:.3f} objects retained per tx"
         assert db.storage.wal_stats()["buffered_records"] == buffered
+    finally:
+        db.close()
+
+
+@sentried
+class _Record:
+    def __init__(self, stamp):
+        self.stamp = stamp
+        self.payload = "x" * 1_024
+
+
+def test_same_size_updates_do_not_grow_the_data_file(tmp_path):
+    objects, updates = 200, 300
+    db = ReachEngine(directory=str(tmp_path))
+    db.register_class(_Record)
+    data_file = os.path.join(str(tmp_path), StorageManager.DATA_FILE)
+    rng = random.Random(7)
+    names = [f"r{index:03d}" for index in range(objects)]
+
+    def update(name, stamp):
+        with db.transaction():
+            db.fetch(name).stamp = f"{stamp:08d}"
+
+    def footprint():
+        db.checkpoint()
+        return db.storage.stats()["pages"], os.path.getsize(data_file)
+
+    try:
+        with db.transaction():
+            for name in names:
+                db.persist(_Record(f"{0:08d}"), name)
+        for stamp, name in enumerate(names):
+            update(name, stamp)
+        warm = footprint()
+        for phase in range(2):
+            for stamp in range(updates):
+                update(rng.choice(names), stamp)
+            assert footprint() == warm, f"grew after phase {phase + 1}"
     finally:
         db.close()

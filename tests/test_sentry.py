@@ -63,6 +63,17 @@ class TestTransparency:
         assert is_sentried(SafetyValve)
         assert not is_sentried(Unmonitored)
 
+    def test_is_sentried_is_inherited_without_the_decorator(self):
+        class PlainSubValve(Valve):
+            pass
+
+        class PlainSubUnmonitored(Unmonitored):
+            pass
+
+        assert is_sentried(PlainSubValve)
+        assert not is_sentried(PlainSubUnmonitored)
+        assert not is_sentried(object)
+
     def test_calls_behave_identically(self):
         valve = Valve()
         assert valve.open_to(5) == 5

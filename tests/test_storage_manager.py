@@ -137,11 +137,50 @@ class TestRecovery:
         assert recovered.read(None, OID(2)) == b"checkpointed"
         recovered.close()
 
+    def test_unwritten_page_inside_the_file_reads_as_new(self, tmp_path):
+        # Page 1 is written back by eviction while page 0 stays resident,
+        # so the crash leaves page 0 as a hole of zeros below page 1.
+        path = str(tmp_path / "store")
+        sm = StorageManager(path, buffer_capacity=2)
+        for tx_id in (1, 2, 3):
+            if tx_id == 3:
+                assert sm.read(None, OID(1)) == b"1" * 3_000
+            sm.begin(tx_id)
+            sm.write(tx_id, OID(tx_id), str(tx_id).encode() * 3_000)
+            sm.commit(tx_id)
+        sm.crash()
+        recovered = StorageManager(path)
+        got = {oid.value: recovered.read(None, oid)
+               for oid in recovered.iter_oids()}
+        recovered.close()
+        assert got == {v: str(v).encode() * 3_000 for v in (1, 2, 3)}
+
     def test_checkpoint_with_active_tx_rejected(self, store):
         store.begin(1)
         with pytest.raises(StorageError):
             store.checkpoint()
         store.abort(1)
+
+
+class TestInPlaceUpdate:
+    def test_grown_fragment_that_no_longer_fits_is_relocated(self, tmp_path):
+        path = str(tmp_path / "store")
+        sm = StorageManager(path)
+        sm.begin(1)
+        sm.write(1, OID(5), b"a" * 1_500)
+        sm.write(1, OID(6), b"b" * 2_000)
+        sm.commit(1)
+        assert sm.stats()["pages"] == 1
+        sm.begin(2)
+        sm.write(2, OID(5), b"c" * 3_000)
+        sm.commit(2)
+        assert sm.stats()["pages"] == 2
+        assert sm.read(None, OID(5)) == b"c" * 3_000
+        sm.close()
+        reopened = StorageManager(path)
+        assert reopened.read(None, OID(5)) == b"c" * 3_000
+        assert reopened.read(None, OID(6)) == b"b" * 2_000
+        reopened.close()
 
 
 class TestFragmentation:
@@ -194,6 +233,41 @@ def _history(draw):
     return ops
 
 
+@st.composite
+def _same_size_history(draw):
+    """Commit/abort histories in which each object keeps one image size
+    that fits a single fragment, so every update can stay in place."""
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=3_600),
+                          min_size=12, max_size=12))
+    ops = []
+    for __ in range(draw(st.integers(min_value=1, max_value=20))):
+        commit = draw(st.booleans())
+        writes = [(oid_value, bytes([draw(st.integers(0, 255))])
+                   * sizes[oid_value - 1])
+                  for oid_value in draw(st.lists(
+                      st.integers(min_value=1, max_value=12),
+                      min_size=1, max_size=4))]
+        ops.append((commit, writes))
+    return ops
+
+
+def _replay(sm, history) -> dict[int, bytes]:
+    """Run ``history`` against ``sm``; returns the committed model."""
+    model: dict[int, bytes] = {}
+    for tx_id, (commit, writes) in enumerate(history, start=1):
+        sm.begin(tx_id)
+        staged = {}
+        for oid_value, payload in writes:
+            sm.write(tx_id, OID(oid_value), payload)
+            staged[oid_value] = payload
+        if commit:
+            sm.commit(tx_id)
+            model.update(staged)
+        else:
+            sm.abort(tx_id)
+    return model
+
+
 class TestRecoveryProperty:
     @given(_history())
     @settings(max_examples=30, deadline=None)
@@ -201,20 +275,23 @@ class TestRecoveryProperty:
                                                     history):
         path = str(tmp_path_factory.mktemp("sm") / "store")
         sm = StorageManager(path)
-        model: dict[int, bytes] = {}
-        tx_id = 0
-        for commit, writes in history:
-            tx_id += 1
-            sm.begin(tx_id)
-            staged = {}
-            for oid_value, payload in writes:
-                sm.write(tx_id, OID(oid_value), payload)
-                staged[oid_value] = payload
-            if commit:
-                sm.commit(tx_id)
-                model.update(staged)
-            else:
-                sm.abort(tx_id)
+        model = _replay(sm, history)
+        sm.crash()
+        recovered = StorageManager(path)
+        got = {oid.value: recovered.read(None, oid)
+               for oid in recovered.iter_oids()}
+        recovered.close()
+        assert got == model
+
+    @given(_same_size_history())
+    @settings(max_examples=60, deadline=None)
+    def test_same_size_updates_recover_after_steal(self, tmp_path_factory,
+                                                   history):
+        # Two frames force committed pages to disk between commits, so
+        # recovery starts from a page file newer than the last checkpoint.
+        path = str(tmp_path_factory.mktemp("sm") / "store")
+        sm = StorageManager(path, buffer_capacity=2)
+        model = _replay(sm, history)
         sm.crash()
         recovered = StorageManager(path)
         got = {oid.value: recovered.read(None, oid)
