@@ -82,12 +82,15 @@ def test_overhead_shape_report(results_report, bench_obs_report):
 
     Latency collection runs through the observability subsystem's
     :class:`MetricsRegistry` — one histogram per overhead category plus
-    the sentry registry's own ``sentry.notifications`` counter — and the
-    full snapshot lands in ``results/BENCH_obs.json``.
+    ``sentry.notifications``, read from the sentry registry's own
+    delivery count — and the full snapshot lands in
+    ``results/BENCH_obs.json``.
     """
     metrics = MetricsRegistry(enabled=True)
-    saved_counter = registry._m_notifications
-    registry.attach_metrics(metrics)
+    delivered_before = registry.notifications_delivered
+    metrics.counter_fn(
+        "sentry.notifications",
+        lambda: registry.notifications_delivered - delivered_before)
 
     def measure(name, setup):
         valve, teardown = setup()
@@ -114,16 +117,13 @@ def test_overhead_shape_report(results_report, bench_obs_report):
                                     lambda note: None)
         return SentriedValve(), sub.cancel
 
-    try:
-        rows = {
-            "unmonitored": measure("unmonitored", unmonitored),
-            "useless overhead": measure("useless", useless),
-            "potentially useful": measure("potentially", potentially),
-            "useful overhead": measure("useful", useful),
-        }
-        notifications = metrics.counter("sentry.notifications").value
-    finally:
-        registry._m_notifications = saved_counter
+    rows = {
+        "unmonitored": measure("unmonitored", unmonitored),
+        "useless overhead": measure("useless", useless),
+        "potentially useful": measure("potentially", potentially),
+        "useful overhead": measure("useful", useful),
+    }
+    notifications = registry.notifications_delivered - delivered_before
 
     per_call = {name: histogram.percentile(50) / CALLS_PER_ROUND * 1e9
                 for name, histogram in rows.items()}

@@ -121,7 +121,7 @@ def _run_level(tmp_path, session_count):
             "statistics": {
                 "transactions": stats["transactions"],
                 "scheduler": stats["scheduler"],
-                "events_detected": stats["events_detected"],
+                "events_detected": stats["events"]["detected"],
                 "sessions": stats["sessions"],
             },
         }

@@ -115,7 +115,7 @@ def main():
     assert len(control.alerts) == 2
 
     stats = db.statistics()
-    print(f"events detected: {stats['events_detected']}, "
+    print(f"events detected: {stats['events']['detected']}, "
           f"rules registered: {stats['rules']}")
     db.close()
 

@@ -96,7 +96,7 @@ def main():
     print("\nlast trace:")
     print(db.trace().format())
     stats = db.statistics()
-    print(f"\nevents detected: {stats['events_detected']}, "
+    print(f"\nevents detected: {stats['events']['detected']}, "
           f"rules fired (immediate): "
           f"{stats['observability']['counters']['rules.fired.immediate']}")
     db.close()

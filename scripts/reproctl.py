@@ -72,6 +72,7 @@ def summarize_stats(stats: dict) -> str:
     sched = stats.get("scheduler", {})
     storage = stats.get("storage", {})
     sessions = stats.get("sessions", {})
+    events = stats.get("events", {})
     flight = stats.get("flight", {})
     lines = [
         f"sessions   created={sessions.get('created', 0)} "
@@ -79,8 +80,8 @@ def summarize_stats(stats: dict) -> str:
         f"tx         begun={tx.get('begun', 0)} "
         f"committed={tx.get('committed', 0)} "
         f"aborted={tx.get('aborted', 0)}",
-        f"events     detected={stats.get('events_detected', 0)} "
-        f"semi_composed={stats.get('semi_composed_pending', 0)}",
+        f"events     detected={events.get('detected', 0)} "
+        f"semi_composed={events.get('semi_composed_pending', 0)}",
         f"scheduler  immediate={sched.get('immediate', 0)} "
         f"deferred_run={sched.get('deferred_run', 0)} "
         f"detached_run={sched.get('detached_run', 0)} "

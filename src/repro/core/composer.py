@@ -551,9 +551,6 @@ class Composer:
         self.checkpoint_dropped_parameters = 0
         self._span_name = f"compose:{self.name}"
         self._m_fed = metrics.counter("composer.fed")
-        self._m_composed = metrics.counter("events.composed")
-        self._m_consumed = metrics.counter("events.consumed")
-        self._m_gc_removed = metrics.counter("composer.gc_removed")
 
     # ------------------------------------------------------------------
 
@@ -609,11 +606,9 @@ class Composer:
                 self.dirty = True
                 self.emitted += len(emissions)
             if emissions:
-                self._m_composed.inc(len(emissions))
                 components = [c for e in emissions
                               for c in e.all_primitive_components()]
                 self.consumed += len(components)
-                self._m_consumed.inc(len(components))
                 if span is not None:
                     span.attributes["completed"] = len(emissions)
                     span.attributes["component_seqs"] = sorted(
@@ -651,7 +646,6 @@ class Composer:
                 return 0
             removed = graph.pending()
             self.gc_removed += removed
-            self._m_gc_removed.inc(removed)
             return removed
 
     def gc(self, now: float) -> int:
@@ -666,7 +660,6 @@ class Composer:
             if removed:
                 self.dirty = True
             self.gc_removed += removed
-            self._m_gc_removed.inc(removed)
         return removed
 
     def pending_count(self) -> int:

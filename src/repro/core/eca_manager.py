@@ -71,6 +71,11 @@ from repro.oodb.transactions import Transaction, TransactionManager
 _FLOW_KEYS = {kind: FlowEventSpec(kind).key() for kind in FlowEventKind}
 
 
+def _total(owners: Callable[[], list], count: str) -> int:
+    """The sum of attribute ``count`` over ``owners()``."""
+    return sum(getattr(owner, count) for owner in owners())
+
+
 class _RuleSet:
     """The rules of one ECA-manager, with their firing order cached.
 
@@ -109,7 +114,6 @@ class PrimitiveECAManager(_RuleSet):
     def __init__(self, spec: EventSpec, scheduler: RuleScheduler,
                  global_history: GlobalHistory,
                  tracer: Tracer = NULL_TRACER,
-                 metrics: MetricsRegistry = NULL_METRICS,
                  history_capacity: Optional[int] = None):
         super().__init__(scheduler)
         self.spec = spec
@@ -123,7 +127,6 @@ class PrimitiveECAManager(_RuleSet):
         global_history.attach_source(self.history)
         self.handled = 0
         self._span_name = f"eca:{spec.describe()}"
-        self._m_handled = metrics.counter("eca.primitive.handled")
 
     def add_listener(self,
                      listener: Callable[[EventOccurrence], None]) -> None:
@@ -143,7 +146,6 @@ class PrimitiveECAManager(_RuleSet):
         (possibly asynchronously) without blocking normal processing.
         """
         self.handled += 1
-        self._m_handled.inc()
         tracer = self.tracer
         if occ.trace_id is None and not tracer.active():
             span_cm = _NULL_SPAN  # unsampled: skip attribute packing
@@ -183,7 +185,6 @@ class CompositeECAManager(_RuleSet):
         global_history.attach_source(self.history)
         self._span_name = f"eca:composite:{self.composer.name}"
         self.handled = 0
-        self._m_handled = metrics.counter("eca.composite.handled")
 
     def feed(self, occ: EventOccurrence) -> None:
         """Listener hook: feed a primitive occurrence to the composer and
@@ -193,7 +194,6 @@ class CompositeECAManager(_RuleSet):
 
     def handle_composite(self, occ: EventOccurrence) -> None:
         self.handled += 1
-        self._m_handled.inc()
         tracer = self.tracer
         if occ.trace_id is None and not tracer.active():
             span_cm = _NULL_SPAN  # unsampled: skip attribute packing
@@ -241,7 +241,6 @@ class EventService:
         self.tracer = tracer
         self.metrics = metrics
         self.flight = flight
-        self._m_detected = metrics.counter("events.detected")
         self._fp_dispatch = faults.point(COMPOSER_DISPATCH)
         #: sharded engines install a hook mapping a member transaction id
         #: to the frozen set of ALL member ids of its sharded transaction,
@@ -281,6 +280,16 @@ class EventService:
         self._subscriptions: list[Subscription] = []
         self._lock = threading.RLock()
         self.events_detected = 0
+        metrics.counter_fn("events.detected", lambda: self.events_detected)
+        # Each manager and composer keeps its own count; the registry
+        # reads their sum.
+        for name, owners, count in (
+                ("eca.primitive.handled", self.primitive_managers, "handled"),
+                ("eca.composite.handled", self.composite_managers, "handled"),
+                ("events.composed", self.composers, "emitted"),
+                ("events.consumed", self.composers, "consumed"),
+                ("composer.gc_removed", self.composers, "gc_removed")):
+            metrics.counter_fn(name, partial(_total, owners, count))
         #: set by benchmark E5 to simulate the rejected design in which
         #: every method event waits for negative acknowledgements from all
         #: composers before the application proceeds.
@@ -312,7 +321,7 @@ class EventService:
                 self._install_detector(spec)
                 manager = PrimitiveECAManager(
                     spec, self.scheduler, self.global_history,
-                    tracer=self.tracer, metrics=self.metrics,
+                    tracer=self.tracer,
                     history_capacity=self.config.history_capacity)
                 self._primitive[key] = manager
             return manager
@@ -592,7 +601,6 @@ class EventService:
 
     def route(self, occ: EventOccurrence) -> None:
         self.events_detected += 1
-        self._m_detected.inc()
         manager = self._primitive.get(occ.spec_key)
         if manager is not None:
             manager.handle(occ, self._propagate)

@@ -243,10 +243,15 @@ class ReachEngine(RuleDefinitions):
         # it only deliver while one of this engine's sessions is bound to
         # the delivering thread (or no engine is bound at all), so two
         # engines in one process stay isolated.
-        self.sentry_registry = sentry_registry or SentryRegistry(
-            scoped=True, name=f"engine-{self.engine_id}")
-        if self.config.observability:
-            self.sentry_registry.attach_metrics(self.metrics_registry)
+        # A registry passed in (a sharded topology's) is counted by its
+        # owner, not once per shard.
+        if sentry_registry is None:
+            sentry_registry = SentryRegistry(
+                scoped=True, name=f"engine-{self.engine_id}")
+            self.metrics_registry.counter_fn(
+                "sentry.notifications",
+                lambda: sentry_registry.notifications_delivered)
+        self.sentry_registry = sentry_registry
 
         # -- meta-architecture and support modules (Figure 1) ------------
         self.meta = MetaArchitecture()
@@ -736,10 +741,10 @@ class ReachEngine(RuleDefinitions):
     #: present from construction onward; additions require a new entry
     #: here (tests assert equality, catching accidental drift).
     STATISTICS_KEYS = frozenset({
-        "transactions", "scheduler", "events", "events_detected",
-        "semi_composed_pending", "composers", "eca_managers", "storage",
-        "rules", "queries", "observability", "sessions", "faults",
-        "flight", "telemetry", "concurrency", "shards", "wal", "server",
+        "transactions", "scheduler", "events", "composers",
+        "eca_managers", "storage", "rules", "queries", "observability",
+        "sessions", "faults", "flight", "telemetry", "concurrency",
+        "shards", "wal", "server",
     })
 
     #: The frozen top-level key set of :meth:`concurrency_stats` — the
@@ -768,8 +773,6 @@ class ReachEngine(RuleDefinitions):
           deferred_enqueued, deferred_run, detached_run, ...);
         * ``events`` — detected/composed/consumed plus pending
           semi-composed occurrences;
-        * ``events_detected``, ``semi_composed_pending`` — flat aliases
-          retained for backward compatibility;
         * ``composers`` — composer count, emissions, live graph instances;
         * ``eca_managers`` — primitive/composite manager counts and
           occurrences handled;
@@ -827,8 +830,6 @@ class ReachEngine(RuleDefinitions):
                 "semi_composed_pending":
                     self.events.pending_semi_composed(),
             },
-            "events_detected": self.events.events_detected,
-            "semi_composed_pending": self.events.pending_semi_composed(),
             "composers": {
                 "count": len(composers),
                 "emitted": sum(c.emitted for c in composers),

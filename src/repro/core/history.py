@@ -107,9 +107,11 @@ class GlobalHistory:
         self._pending_lock = threading.Lock()
         self._pending_txs: set[int] = set()
         self._pending_txless = False
-        self._m_merges = metrics.counter("history.merges")
-        self._m_merged_entries = metrics.counter("history.merged_entries")
-        self._m_deferred = metrics.counter("history.merges_deferred")
+        metrics.counter_fn("history.merges", lambda: self.merge_operations)
+        metrics.counter_fn("history.merged_entries",
+                           lambda: self.merged_entries)
+        metrics.counter_fn("history.merges_deferred",
+                           lambda: self.deferred_requests)
 
     def attach_source(self, local: LocalHistory) -> None:
         with self._lock:
@@ -128,7 +130,6 @@ class GlobalHistory:
         with self._pending_lock:
             self._pending_txs.add(tx_id)
             self.deferred_requests += 1
-        self._m_deferred.inc()
 
     def merge_transactionless(self) -> None:
         """Request the merge of occurrences that originated in no
@@ -136,7 +137,6 @@ class GlobalHistory:
         with self._pending_lock:
             self._pending_txless = True
             self.deferred_requests += 1
-        self._m_deferred.inc()
 
     def merge_all(self) -> int:
         """Merge everything (maintenance / shutdown)."""
@@ -183,8 +183,6 @@ class GlobalHistory:
                         added += 1
             self.merge_operations += 1
             self.merged_entries += added
-        self._m_merges.inc()
-        self._m_merged_entries.inc(added)
         return added
 
     # ------------------------------------------------------------------

@@ -43,6 +43,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
 
@@ -188,9 +189,6 @@ class RuleScheduler:
         self._m_condition_false = metrics.counter("rules.condition_false")
         self._m_errors = metrics.counter("rules.errors")
         self._m_skipped = metrics.counter("rules.skipped")
-        self._m_retries = metrics.counter("scheduler.retries")
-        self._m_quarantined = metrics.counter("scheduler.quarantined")
-        self._m_dead_letters = metrics.counter("scheduler.dead_letters")
         self._fp_worker = faults.point(SCHEDULER_WORKER)
         #: rule name -> "fire:<name>", built lazily; firing is the hot
         #: path, so the span name must not be re-formatted per firing.
@@ -243,6 +241,10 @@ class RuleScheduler:
             "detached_run", "detached_skipped", "recursion_limited",
             "parallel_batches", "detached_retries", "dead_lettered",
             "quarantined"))
+        for name, fact in (("scheduler.retries", "detached_retries"),
+                           ("scheduler.quarantined", "quarantined"),
+                           ("scheduler.dead_letters", "dead_lettered")):
+            metrics.counter_fn(name, partial(self.stats.__getitem__, fact))
 
     def _bound_scope(self):
         """Bind the owning engine's sentry scope on the calling thread
@@ -729,7 +731,6 @@ class RuleScheduler:
             quarantined = self._note_failure(rule, occ=work.occ)
             if not quarantined and work.attempts <= retries_allowed:
                 self.stats.inc("detached_retries")
-                self._m_retries.inc()
                 # The retry (backoff included) is a span of its own so a
                 # trace tree shows each attempt and the waiting between
                 # them; it attaches to the originating trace through the
@@ -835,7 +836,6 @@ class RuleScheduler:
             rule.quarantined = True
             rule.enabled = False
             self.stats.inc("quarantined")
-            self._m_quarantined.inc()
             if occ is not None and occ.trace_id is not None:
                 self.flight.record("rule.quarantine", rule=rule.name,
                                    failures=rule.consecutive_failures,
@@ -856,7 +856,6 @@ class RuleScheduler:
                 del self._dead_letters[:excess]
                 self.dead_letters_dropped += excess
         self.stats.inc("dead_lettered")
-        self._m_dead_letters.inc()
         trace = {} if work.occ.trace_id is None \
             else {"trace_id": work.occ.trace_id}
         self.flight.record("rule.dead_letter", rule=entry.rule_name,

@@ -203,6 +203,10 @@ class ShardedEngine(RuleDefinitions):
                         sentry_registry=self.sentry_registry,
                         shard_id=sid, shard_map=self.shard_map)
             for sid in range(self.shard_count)]
+        # Counted once, by shard 0's registry (the one metrics() returns).
+        self.shards[0].metrics_registry.counter_fn(
+            "sentry.notifications",
+            lambda: self.sentry_registry.notifications_delivered)
 
         self.bus = CrossShardEventBus()
         #: member tx id -> frozenset of all member ids of its sharded tx

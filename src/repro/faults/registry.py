@@ -204,8 +204,8 @@ class FaultRegistry:
         faults.arm("locks.acquire", delay=0.05, times=None)
         faults.arm("app.flaky", times=2)        # user-defined point
 
-    Injection totals are wired into ``repro.obs`` (``faults.injected``
-    plus one counter per point) and surfaced in ``db.statistics()``.
+    Injection totals are surfaced in ``db.statistics()``; ``repro.obs``
+    reads them as ``faults.injected`` and ``faults.injected.<point>``.
     """
 
     def __init__(self, enabled: bool = True, seed: Optional[int] = None,
@@ -218,7 +218,7 @@ class FaultRegistry:
         self._points: dict[str, FaultPoint] = {}
         self._lock = threading.RLock()
         self._metrics = metrics
-        self._m_injected = metrics.counter("faults.injected")
+        metrics.counter_fn("faults.injected", lambda: self.injections)
         self._flight = flight
 
     # -- point handles -------------------------------------------------------
@@ -302,8 +302,9 @@ class FaultRegistry:
             point._specs = [s for s in point._specs if not s.exhausted()]
             if triggered is None:
                 return None
-            self._m_injected.inc()
-            self._metrics.counter(f"faults.injected.{point.name}").inc()
+            if point.injected == 1:
+                self._metrics.counter_fn(f"faults.injected.{point.name}",
+                                         lambda: point.injected)
         if self._flight.enabled:
             self._flight.record("fault", point=point.name,
                                 call=point.calls, spec=repr(triggered))

@@ -181,6 +181,7 @@ def explain_event(db: Any, seq: int) -> str:
 def status_report(db: Any) -> str:
     """One full management report (everything above + Figure 1 + stats)."""
     stats = db.statistics()
+    events = stats["events"]
     inventory = db.architecture_inventory()
     sections = [
         "=" * 72,
@@ -203,8 +204,8 @@ def status_report(db: Any) -> str:
         "-- statistics --",
         f"  transactions: {stats['transactions']}",
         f"  scheduler:    {stats['scheduler']}",
-        f"  events detected: {stats['events_detected']}, "
-        f"semi-composed pending: {stats['semi_composed_pending']}",
+        f"  events detected: {events['detected']}, "
+        f"semi-composed pending: {events['semi_composed_pending']}",
         f"  storage: {stats['storage']}",
         "",
         "-- Table 1 (coupling support) --",

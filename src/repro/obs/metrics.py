@@ -18,7 +18,9 @@ perturb what it measures.  Two properties drive this module's design:
 Gauges for queue depths are *pull-based*: a callable registered with
 :meth:`MetricsRegistry.gauge_fn` is evaluated only when a snapshot is
 taken, so tracking the deferred/detached queue depths costs nothing on
-the detection path.
+the detection path.  A count a subsystem keeps anyway is pulled the same
+way (:meth:`MetricsRegistry.counter_fn`), so each fact is counted once
+and the snapshot agrees with ``db.statistics()`` by construction.
 """
 
 from __future__ import annotations
@@ -48,6 +50,21 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
+
+
+class PulledCounter(Counter):
+    """A count its owner keeps, read when looked at.  ``inc`` fails: the
+    owner's count is the only record."""
+
+    __slots__ = ("_read",)
+
+    def __init__(self, name: str, read: Callable[[], int]):
+        self.name = name
+        self._read = read
+
+    @property
+    def value(self) -> int:
+        return self._read()
 
 
 class Gauge:
@@ -346,6 +363,13 @@ class MetricsRegistry:
             with self._lock:
                 self._gauge_fns[name] = fn
 
+    def counter_fn(self, name: str, fn: Callable[[], int]) -> None:
+        """Register counter ``name`` as a read of a count its owner keeps;
+        ``counter(name).value`` and snapshots call ``fn``."""
+        if self.enabled:
+            with self._lock:
+                self._counters[name] = PulledCounter(name, fn)
+
     # -- export ---------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
@@ -396,20 +420,6 @@ class MetricsRegistry:
                 f"p95={summary['p95'] * 1e6:.1f}us "
                 f"p99={summary['p99'] * 1e6:.1f}us")
         return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Zero every owned instrument (benchmark harness hook)."""
-        for counter in self._counters.values():
-            counter.value = 0
-        for gauge in self._gauges.values():
-            gauge.value = 0
-        for histogram in self._histograms.values():
-            histogram.count = 0
-            histogram.total = 0.0
-            histogram.min = float("inf")
-            histogram.max = 0.0
-            histogram.samples.clear()
-            histogram.exemplars.clear()
 
 
 #: Registry used by components not wired to a database (always disabled).

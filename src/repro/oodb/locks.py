@@ -99,9 +99,10 @@ class LockManager:
         self.deadlocks_detected = 0
         self.timeouts = 0
         self.waits = 0
-        self._m_waits = metrics.counter("locks.waits")
-        self._m_deadlocks = metrics.counter("locks.deadlocks")
-        self._m_timeouts = metrics.counter("locks.timeouts")
+        metrics.counter_fn("locks.waits", lambda: self.waits)
+        metrics.counter_fn("locks.deadlocks",
+                           lambda: self.deadlocks_detected)
+        metrics.counter_fn("locks.timeouts", lambda: self.timeouts)
         self._fp_acquire = faults.point(LOCK_ACQUIRE)
         #: flight ring for waits worth remembering: grants slower than
         #: ``flight_wait_threshold`` seconds, plus every deadlock/timeout.
@@ -158,7 +159,6 @@ class LockManager:
                 return
             state.waiters.append(entry)
             self.waits += 1
-            self._m_waits.inc()
         wait_start = time.monotonic()
         deadline = wait_start + self.timeout
         try:
@@ -170,7 +170,6 @@ class LockManager:
                 # registered, so the graph contains this request.
                 if self._would_deadlock(family):
                     self.deadlocks_detected += 1
-                    self._m_deadlocks.inc()
                     self._finish_wait(stripe, family, resource, mode,
                                       wait_start, "deadlock")
                     raise DeadlockError(
@@ -197,7 +196,6 @@ class LockManager:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         self.timeouts += 1
-                        self._m_timeouts.inc()
                         self._finish_wait(stripe, family, resource, mode,
                                           wait_start, "timeout")
                         raise LockTimeoutError(

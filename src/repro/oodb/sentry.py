@@ -39,7 +39,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Type
 
-from repro.obs.metrics import NULL_COUNTER, MetricsRegistry
 
 _MISSING = object()
 
@@ -173,16 +172,6 @@ class SentryRegistry:
         self.scoped = scoped
         self.name = name
         self.notifications_delivered = 0
-        self._m_notifications = NULL_COUNTER
-
-    def attach_metrics(self, metrics: MetricsRegistry) -> None:
-        """Mirror the delivery count into a metrics registry.
-
-        Scoped (engine-owned) registries attach their engine's metrics at
-        construction; for the process-wide default registry the counter is
-        attached by whoever claims it last.
-        """
-        self._m_notifications = metrics.counter("sentry.notifications")
 
     # -- engine scoping -------------------------------------------------------
 
@@ -226,7 +215,6 @@ class SentryRegistry:
             if attribute is not None and note.attribute != attribute:
                 return
             registry.notifications_delivered += 1
-            registry._m_notifications.inc()
             receiver(note)
 
         return Subscription(point, moment, deliver)

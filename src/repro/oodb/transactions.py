@@ -52,6 +52,7 @@ import enum
 import itertools
 import threading
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import (
@@ -227,9 +228,6 @@ class TransactionManager:
         self.locks = locks
         self.clock = clock
         self.tracer = tracer
-        self._m_begun = metrics.counter("tx.begun")
-        self._m_committed = metrics.counter("tx.committed")
-        self._m_aborted = metrics.counter("tx.aborted")
         self._local = threading.local()
         #: id -> transaction, for every live one, and top-level id ->
         #: outcome.  Single dict operations are atomic under the GIL, so
@@ -239,6 +237,9 @@ class TransactionManager:
         # Lock-free ledger counters: concurrent session commits increment
         # lose-free and db.statistics() reads never touch the commit path.
         self.stats = AtomicCounters(("begun", "committed", "aborted"))
+        for fact in ("begun", "committed", "aborted"):
+            metrics.counter_fn(f"tx.{fact}",
+                               partial(self.stats.__getitem__, fact))
         # The hooks registered at each point of HOOK_POINTS, in order
         # (attribute names in _HOOK_LISTS).  set_hooks appends to and
         # removes from these lists and _compile turns them into the
@@ -404,7 +405,6 @@ class TransactionManager:
         context.stack.append(tx)
         self._live[tx.id] = tx
         self.stats.inc("begun")
-        self._m_begun.inc()
 
     def begin_child_of(self, parent: Transaction,
                        deadline: Optional[float] = None,
@@ -516,7 +516,6 @@ class TransactionManager:
             tx.state = TransactionState.COMMITTED
         self._pop(tx)
         self.stats.inc("committed")
-        self._m_committed.inc()
         top, sub = self._on_commit
         for hook in (top if top_level else sub):
             hook(tx)
@@ -553,7 +552,6 @@ class TransactionManager:
             tx.parent.active_children -= 1
         self._pop(tx)
         self.stats.inc("aborted")
-        self._m_aborted.inc()
         top, sub = self._on_post_abort
         for hook in (top if top_level else sub):
             hook(tx)

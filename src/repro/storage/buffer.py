@@ -93,9 +93,9 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._m_hits = metrics.counter("buffer.hits")
-        self._m_misses = metrics.counter("buffer.misses")
-        self._m_evictions = metrics.counter("buffer.evictions")
+        metrics.counter_fn("buffer.hits", lambda: self.hits)
+        metrics.counter_fn("buffer.misses", lambda: self.misses)
+        metrics.counter_fn("buffer.evictions", lambda: self.evictions)
         self._fp_evict = faults.point(BUFFER_EVICT)
 
     # -- pin/unpin -----------------------------------------------------------
@@ -110,12 +110,10 @@ class BufferPool:
             page = self._frames.get(page_id)
             if page is not None:
                 self.hits += 1
-                self._m_hits.inc()
                 self._frames.move_to_end(page_id)
                 self._pins[page_id] = self._pins.get(page_id, 0) + 1
                 return page
             self.misses += 1
-            self._m_misses.inc()
             raw = self._file.read_page(page_id)
             if raw is None:
                 if not create:
@@ -149,20 +147,11 @@ class BufferPool:
             victim = self._frames.pop(victim_id)
             self._pins.pop(victim_id, None)
             self.evictions += 1
-            self._m_evictions.inc()
             if victim.dirty:
                 self._flush_log(victim.lsn)
                 self._file.write_page(victim.page_id, victim.to_bytes())
 
     # -- bulk operations -------------------------------------------------------
-
-    def flush_page(self, page_id: int) -> None:
-        with self._lock:
-            page = self._frames.get(page_id)
-            if page is not None and page.dirty:
-                self._flush_log(page.lsn)
-                self._file.write_page(page.page_id, page.to_bytes())
-                page.dirty = False
 
     def flush_all(self) -> None:
         """Write every dirty frame to disk (used at commit/checkpoint)."""

@@ -19,11 +19,12 @@ old one; only a fragment that no longer fits its page, or a change in
 fragment count, moves records between pages.  Redo needs no page LSNs
 for this: pages only ever receive committed full images, and
 ``checkpoint`` flushes every page before it truncates the log, so any
-page state newer than the last checkpoint is covered by a committed
-record that redo rewrites whole.  An in-place update changes one slot on
-one page, so a page written back early (steal) cannot leave the
-duplicate fragment sets that ``_scan_pages`` rejects; a relocated or
-newly inserted multi-fragment image still can.
+page state newer than the last checkpoint belongs to an object that a
+committed record in the log covers, and redo rewrites that object whole.
+Recovery therefore reads the log first: a page written back early
+(steal) may leave such an object half relocated or with part of a
+fragment set, and the page scan accepts that torn set for redo to
+overwrite.  Any other object's fragments must form a complete set.
 
 Free space is indexed by class (``free_space() // _FREE_CLASS``), so
 finding a page for a record looks only at classes that are sure to fit
@@ -131,9 +132,9 @@ class StorageManager:
     # ------------------------------------------------------------------
 
     def _recover(self) -> None:
-        """Rebuild the object table from pages, then replay the log."""
+        """Read the log, rebuild the object table from pages, then redo
+        the winners' operations."""
         with self._lock:
-            self._scan_pages()
             winners: set[int] = set()
             operations: list[LogRecord] = []
             for record in self._wal.iter_records(strict=False):
@@ -145,9 +146,10 @@ class StorageManager:
                     operations.append(record)
                 elif record.type is LogRecordType.COMPOSER_CHECKPOINT:
                     self.recovered_composer_checkpoints.append(record.payload)
+            operations = [record for record in operations
+                          if record.tx_id in winners]
+            self._scan_pages({record.oid_value for record in operations})
             for record in operations:
-                if record.tx_id not in winners:
-                    continue
                 if record.type is LogRecordType.DELETE:
                     self._apply_delete(record.oid_value)
                 else:
@@ -167,7 +169,10 @@ class StorageManager:
                 self.recovered_composer_checkpoints)
             self._wal.flush()
 
-    def _scan_pages(self) -> None:
+    def _scan_pages(self, redone: set[int]) -> None:
+        """Rebuild the object table from the pages.  A fragment set that
+        is not exactly ``0..total-1`` is torn, an error unless its OID is
+        in ``redone``: redo rewrites that object over the locations found."""
         self._object_table.clear()
         self._page_class.clear()
         for pages in self._free_pages:
@@ -187,10 +192,12 @@ class StorageManager:
         for oid_value, frags in fragments.items():
             frags.sort()
             total = frags[0][1]
-            if len(frags) != total:
+            torn = [frag[:2] for frag in frags] != [
+                (seq, total) for seq in range(total)]
+            if torn and oid_value not in redone:
                 raise StorageError(
-                    f"object {oid_value}: {len(frags)} of {total} fragments"
-                )
+                    f"object {oid_value}: fragments "
+                    f"{[frag[0] for frag in frags]} of {total}")
             self._object_table[oid_value] = [(p, s) for __, __, p, s in frags]
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ buffered: composer state is written at a log force, and a signal-only
 commit forces nothing.
 
 The data file holds constant size under updates that keep each object's
-image size: a committed update rewrites the object's records in place.
+image size: a committed update, and its redo after a crash, rewrites the
+object's records in place.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.consumption import ConsumptionPolicy
 from repro.core.events import SignalEventSpec
 from repro.core.rules import CouplingMode
 from repro.core.scheduler import RuleScheduler
+from repro.oodb.oid import OID
 from repro.storage.storage_manager import StorageManager
 
 MEASURED = 2_000
@@ -107,3 +109,23 @@ def test_same_size_updates_do_not_grow_the_data_file(tmp_path):
             assert footprint() == warm, f"grew after phase {phase + 1}"
     finally:
         db.close()
+
+
+def test_repeated_crash_recovery_does_not_grow_the_data_file(tmp_path):
+    """Redo rewrites every object the log covers where it already lies,
+    so crash after crash leaves the data file as it is."""
+    path = str(tmp_path / "store")
+    storage = StorageManager(path, buffer_capacity=8)
+    pages = []
+    try:
+        for tx_id in range(1, 6):
+            storage.begin(tx_id)
+            for value in range(1, 301):
+                storage.write(tx_id, OID(value), bytes([tx_id]) * 600)
+            storage.commit(tx_id)
+            storage.crash()
+            storage = StorageManager(path, buffer_capacity=8)
+            pages.append(storage.stats()["pages"])
+        assert pages == pages[:1] * 5, pages
+    finally:
+        storage.close()

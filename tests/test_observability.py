@@ -286,10 +286,9 @@ class TestStatistics:
     def test_consistent_before_any_transaction(self, tmp_path):
         db = make_db(tmp_path, observability=False)
         stats = db.statistics()
-        assert stats["events_detected"] == 0
         assert stats["events"]["detected"] == 0
         assert stats["events"]["composed"] == 0
-        assert stats["semi_composed_pending"] == 0
+        assert stats["events"]["semi_composed_pending"] == 0
         assert stats["composers"] == {"count": 0, "emitted": 0,
                                       "graph_instances": 0}
         assert stats["eca_managers"]["handled"] == 0
@@ -326,7 +325,7 @@ class TestStatistics:
         section = db.statistics()["observability"]
         assert section["enabled"] is True
         assert section["counters"]["events.detected"] == \
-            db.statistics()["events_detected"]
+            db.statistics()["events"]["detected"]
         assert section["counters"]["rules.fired.immediate"] == 1
         assert "scheduler.deferred.depth" in section["gauges"]
         assert "scheduler.detached.depth" in section["gauges"]
@@ -457,13 +456,100 @@ class TestMetricsContent:
         assert "Exploder" in text
         db.close()
 
-    def test_registry_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.histogram("h").observe(0.5)
-        registry.reset()
-        assert registry.counter("c").value == 0
-        assert registry.histogram("h").count == 0
+
+class TestPulledCounters:
+    """A count a subsystem keeps is read by the registry, not mirrored."""
+
+    def test_pulled_counters_equal_their_sources(self, tmp_path):
+        db = make_db(tmp_path, fault_injection=True,
+                     detached_max_retries=2, retry_base_delay=0.001)
+        try:
+            db.on(Sequence(PRESSURIZE, HEAT)).do(lambda ctx: None) \
+                .coupling(CouplingMode.DEFERRED).named("Composite")
+
+            def flaky(ctx):
+                ctx.db.faults.hit("app.flaky")
+
+            db.on(MethodEventSpec("Boiler", "vent")).do(flaky) \
+                .coupling(CouplingMode.DETACHED).named("Flaky")
+            boiler = Boiler()
+            with db.transaction():
+                db.persist(boiler, "b")
+                boiler.pressurize(1)
+                boiler.heat(1)
+            with pytest.raises(RuntimeError):
+                with db.transaction():
+                    boiler.pressurize(2)
+                    raise RuntimeError("abort")
+            with db.transaction():
+                with db.transaction(nested=True):
+                    boiler.heat(3)
+            db.faults.arm("app.flaky", times=1)
+            with db.transaction():
+                boiler.vent()
+            db.drain_detached()
+
+            stats = db.statistics()
+            events = db.events
+            composers = events.composers()
+            history = stats["concurrency"]["history"]
+            sources = {
+                "tx.begun": stats["transactions"]["begun"],
+                "tx.committed": stats["transactions"]["committed"],
+                "tx.aborted": stats["transactions"]["aborted"],
+                "locks.waits": db.locks.waits,
+                "locks.deadlocks": db.locks.deadlocks_detected,
+                "locks.timeouts": db.locks.timeouts,
+                "sentry.notifications":
+                    db.sentry_registry.notifications_delivered,
+                "buffer.hits": stats["storage"]["buffer_hits"],
+                "buffer.misses": stats["storage"]["buffer_misses"],
+                "buffer.evictions": stats["storage"]["buffer_evictions"],
+                "events.detected": stats["events"]["detected"],
+                "eca.primitive.handled": sum(
+                    m.handled for m in events.primitive_managers()),
+                "eca.composite.handled": sum(
+                    m.handled for m in events.composite_managers()),
+                "events.composed": stats["events"]["composed"],
+                "events.consumed": stats["events"]["consumed"],
+                "composer.gc_removed": sum(c.gc_removed for c in composers),
+                "history.merges": history["merge_operations"],
+                "history.merged_entries": history["merged_entries"],
+                "history.merges_deferred": history["deferred_requests"],
+                "scheduler.retries": stats["scheduler"]["detached_retries"],
+                "scheduler.quarantined": stats["scheduler"]["quarantined"],
+                "scheduler.dead_letters": stats["scheduler"]["dead_lettered"],
+                "faults.injected": stats["faults"]["injections"],
+                "faults.injected.app.flaky":
+                    stats["faults"]["points"]["app.flaky"]["injected"],
+            }
+            snapshot = db.metrics().snapshot()["counters"]
+            in_statistics = stats["observability"]["counters"]
+            for name, source in sources.items():
+                assert snapshot[name] == in_statistics[name] == source, name
+                assert db.metrics().counter(name).value == source, name
+            # The drive reached every kind of fact it set out to.
+            assert sources["tx.aborted"] >= 1
+            assert sources["tx.begun"] > sources["tx.committed"]
+            assert sources["events.composed"] >= 1
+            assert sources["eca.composite.handled"] >= 1
+            assert sources["faults.injected"] == 1
+            assert sources["scheduler.retries"] == 1
+            assert sources["sentry.notifications"] >= 1
+        finally:
+            db.close()
+
+    def test_unobserved_engine_registers_no_counter(self, tmp_path):
+        db = make_db(tmp_path, observability=False, fault_injection=True)
+        try:
+            db.faults.arm("app.point", times=1)
+            with pytest.raises(Exception):
+                db.faults.hit("app.point")
+            with db.transaction():
+                db.persist(Boiler(), "b")
+            assert db.metrics().snapshot()["counters"] == {}
+        finally:
+            db.close()
 
 
 # ---------------------------------------------------------------------------

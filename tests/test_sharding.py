@@ -21,7 +21,7 @@ import urllib.request
 
 import pytest
 
-from repro import CouplingMode, SignalEventSpec, sentried
+from repro import CouplingMode, MethodEventSpec, SignalEventSpec, sentried
 from repro.config import ExecutionConfig, ShardingConfig
 from repro.core.algebra import Sequence
 from repro.core.consumption import ConsumptionPolicy
@@ -38,6 +38,9 @@ from tests.test_algebra_properties import RefEvaluator, RefSeq, _seqs
 class Crate:
     def __init__(self, label):
         self.label = label
+
+    def stamp(self):
+        return self.label
 
 
 def _signal_names_homed_on(shard_map, wanted_shards):
@@ -145,6 +148,34 @@ class TestStatisticsAndAdmin:
         stats = sdb.statistics()
         assert stats["rules"] == 1
         assert stats["sessions"] == {"created": 1, "active": 1}
+
+    def test_sentry_deliveries_are_counted_once(self, tmp_path):
+        """The shards share one sentry registry; its deliveries show in
+        the metrics once, not once per shard."""
+        engine = ShardedEngine(
+            directory=str(tmp_path / "count"),
+            config=ExecutionConfig(observability=True,
+                                   sharding=ShardingConfig(shards=2)))
+        try:
+            engine.register_class(Crate, monitor_state=False)
+            engine.rule("stamped", MethodEventSpec("Crate", "stamp"),
+                        action=lambda ctx: None,
+                        coupling=CouplingMode.IMMEDIATE)
+            session = engine.create_session()
+            with session.transaction():
+                crate = Crate("c")
+                session.persist(crate, "c")
+                crate.stamp()
+                crate.stamp()
+            session.close()
+            delivered = engine.sentry_registry.notifications_delivered
+            assert delivered == 2
+            assert engine.metrics().counter(
+                "sentry.notifications").value == delivered
+            counters = engine.statistics()["observability"]["counters"]
+            assert counters["sentry.notifications"] == delivered
+        finally:
+            engine.close()
 
     def test_admin_serves_the_topology(self, tmp_path):
         database = ShardedEngine(

@@ -1,13 +1,16 @@
 """Storage manager: transactional durability, recovery, fragmentation."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RecordNotFoundError, StorageError
 from repro.oodb.oid import OID
-from repro.storage.pages import MAX_RECORD_SIZE
-from repro.storage.storage_manager import StorageManager
+from repro.storage.buffer import PageFile
+from repro.storage.pages import MAX_RECORD_SIZE, Page
+from repro.storage.storage_manager import _FRAG_HEADER, StorageManager
 
 
 @pytest.fixture
@@ -155,6 +158,33 @@ class TestRecovery:
         recovered.close()
         assert got == {v: str(v).encode() * 3_000 for v in (1, 2, 3)}
 
+    @pytest.mark.parametrize("fault", ["duplicate", "missing"])
+    def test_broken_fragment_set_no_record_covers_is_rejected(
+            self, tmp_path, fault):
+        path = str(tmp_path / "store")
+        sm = StorageManager(path)
+        sm.begin(1)
+        sm.write(1, OID(1), b"x" * (2 * MAX_RECORD_SIZE))  # 3 fragments
+        sm.commit(1)
+        sm.checkpoint()  # empties the log: no record covers OID 1
+        sm.close()
+        page_file = PageFile(os.path.join(path, StorageManager.DATA_FILE))
+        for page_id in range(page_file.page_count()):
+            page = Page(page_id, page_file.read_page(page_id))
+            for slot, record in list(page.iter_records()):
+                oid_value, seq, total = _FRAG_HEADER.unpack_from(record)
+                if seq != 1:
+                    continue
+                if fault == "duplicate":  # seqs 0, 0, 2: three of three
+                    page.update(slot, _FRAG_HEADER.pack(oid_value, 0, total)
+                                + record[_FRAG_HEADER.size:])
+                else:
+                    page.delete(slot)
+                page_file.write_page(page_id, page.to_bytes())
+        page_file.close()
+        with pytest.raises(StorageError):
+            StorageManager(path)
+
     def test_checkpoint_with_active_tx_rejected(self, store):
         store.begin(1)
         with pytest.raises(StorageError):
@@ -251,21 +281,61 @@ def _same_size_history(draw):
     return ops
 
 
+@st.composite
+def _resized_history(draw):
+    """Commit/abort histories whose every write draws a new size, from
+    one byte to three pages: records move between pages and fragment
+    counts change.  A ``None`` payload deletes the object."""
+    ops = []
+    for __ in range(draw(st.integers(min_value=1, max_value=14))):
+        commit = draw(st.booleans())
+        writes = draw(st.lists(
+            st.tuples(st.integers(min_value=1, max_value=8),
+                      st.one_of(
+                          st.none(),
+                          st.builds(lambda size, byte: bytes([byte]) * size,
+                                    st.integers(1, 12_000),
+                                    st.integers(0, 255)))),
+            min_size=1, max_size=4))
+        ops.append((commit, writes))
+    return ops
+
+
 def _replay(sm, history) -> dict[int, bytes]:
-    """Run ``history`` against ``sm``; returns the committed model."""
+    """Run ``history`` against ``sm``; returns the committed model.  A
+    ``None`` payload deletes the object if it exists at that point."""
     model: dict[int, bytes] = {}
     for tx_id, (commit, writes) in enumerate(history, start=1):
         sm.begin(tx_id)
-        staged = {}
+        staged: dict[int, bytes | None] = {}
         for oid_value, payload in writes:
-            sm.write(tx_id, OID(oid_value), payload)
+            if payload is None:
+                if staged.get(oid_value, model.get(oid_value)) is None:
+                    continue
+                sm.delete(tx_id, OID(oid_value))
+            else:
+                sm.write(tx_id, OID(oid_value), payload)
             staged[oid_value] = payload
         if commit:
             sm.commit(tx_id)
             model.update(staged)
         else:
             sm.abort(tx_id)
-    return model
+    return {oid: image for oid, image in model.items() if image is not None}
+
+
+def _recovered(tmp_path_factory, history, **storage_args):
+    """Replay ``history``, crash and reopen; returns the committed model
+    and the recovered state."""
+    path = str(tmp_path_factory.mktemp("sm") / "store")
+    sm = StorageManager(path, **storage_args)
+    model = _replay(sm, history)
+    sm.crash()
+    recovered = StorageManager(path)
+    got = {oid.value: recovered.read(None, oid)
+           for oid in recovered.iter_oids()}
+    recovered.close()
+    return model, got
 
 
 class TestRecoveryProperty:
@@ -273,14 +343,7 @@ class TestRecoveryProperty:
     @settings(max_examples=30, deadline=None)
     def test_recovered_state_equals_committed_model(self, tmp_path_factory,
                                                     history):
-        path = str(tmp_path_factory.mktemp("sm") / "store")
-        sm = StorageManager(path)
-        model = _replay(sm, history)
-        sm.crash()
-        recovered = StorageManager(path)
-        got = {oid.value: recovered.read(None, oid)
-               for oid in recovered.iter_oids()}
-        recovered.close()
+        model, got = _recovered(tmp_path_factory, history)
         assert got == model
 
     @given(_same_size_history())
@@ -289,12 +352,14 @@ class TestRecoveryProperty:
                                                    history):
         # Two frames force committed pages to disk between commits, so
         # recovery starts from a page file newer than the last checkpoint.
-        path = str(tmp_path_factory.mktemp("sm") / "store")
-        sm = StorageManager(path, buffer_capacity=2)
-        model = _replay(sm, history)
-        sm.crash()
-        recovered = StorageManager(path)
-        got = {oid.value: recovered.read(None, oid)
-               for oid in recovered.iter_oids()}
-        recovered.close()
+        model, got = _recovered(tmp_path_factory, history, buffer_capacity=2)
+        assert got == model
+
+    @given(_resized_history())
+    @settings(max_examples=60, deadline=None)
+    def test_relocated_and_multi_fragment_records_recover_after_steal(
+            self, tmp_path_factory, history):
+        # With two frames, a record that moved, or an image split over
+        # pages, can reach disk in part before the crash.
+        model, got = _recovered(tmp_path_factory, history, buffer_capacity=2)
         assert got == model
