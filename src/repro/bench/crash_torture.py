@@ -1,11 +1,12 @@
 """Crash-point recovery torture: truncate the WAL at *every* boundary.
 
-The ARIES-lite recovery claim — winners replayed, losers absent, no
-torn-tail confusion — is a universally quantified statement over crash
-points, so this harness tests it universally: run a workload that leaves
-winners (committed transactions) and losers (in-flight and aborted ones)
-in the log, snapshot the checkpoint-time data file and the final WAL
-image, then for every record boundary *and* a set of mid-record torn
+The recovery claim — every complete COMMIT frame redone, nothing else
+visible, a torn final frame losing all of its operations — is a
+universally quantified statement over crash points, so this harness
+tests it universally: run a workload of winners (committed
+transactions) and losers (in-flight and aborted ones, which leave no
+frame in the log), snapshot the checkpoint-time data file and the final
+WAL image, then for every record boundary *and* a set of mid-record torn
 offsets, materialize that crash state in a scratch directory, re-open
 the database, and compare the recovered state against an independently
 computed expectation.
@@ -54,7 +55,12 @@ from repro.core.sharding import ShardedEngine
 from repro.core.events import EventOccurrence, SignalEventSpec
 from repro.errors import ObjectNotFoundError, RecordNotFoundError
 from repro.faults.registry import WAL_FSYNC, FaultRegistry
-from repro.obs.flight import FlightRecorder, latest_dump, load_dump
+from repro.obs.flight import (
+    NULL_FLIGHT,
+    FlightRecorder,
+    latest_dump,
+    load_dump,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.oodb.oid import OID
 from repro.oodb.sentry import sentried
@@ -132,16 +138,17 @@ def _winner_ids(records: list[LogRecord]) -> set[int]:
 
 def _replay_expected(base: dict[int, bytes],
                      records: list[LogRecord]) -> dict[int, bytes]:
-    """The state recovery must produce: base image + winners in log order."""
-    winners = _winner_ids(records)
+    """The state recovery must produce: base image + COMMIT frames in
+    log order."""
     state = dict(base)
     for record in records:
-        if record.tx_id not in winners:
+        if record.type is not LogRecordType.COMMIT:
             continue
-        if record.type in (LogRecordType.INSERT, LogRecordType.UPDATE):
-            state[record.oid_value] = record.after or b""
-        elif record.type is LogRecordType.DELETE:
-            state.pop(record.oid_value, None)
+        for oid_value, image in record.ops:
+            if image is None:
+                state.pop(oid_value, None)
+            else:
+                state[oid_value] = image
     return state
 
 
@@ -160,7 +167,8 @@ class CutResult:
 @dataclass
 class TortureReport:
     cuts: list[CutResult] = field(default_factory=list)
-    #: winners/losers present in the *full* log image (workload sanity)
+    #: winners in the *full* log image, and the losers the workload ran
+    #: (they leave no frame, so only the workload can count them)
     total_winners: int = 0
     total_losers: int = 0
     #: largest number of commits one shared WAL force covered during the
@@ -232,6 +240,18 @@ def _validate_flight_dump(base_dir: str, wal_image: bytes,
 # Storage-level torture
 # ---------------------------------------------------------------------------
 
+def _commit(sm: StorageManager, tx_id: int,
+            *ops: tuple[int, Optional[bytes]]) -> None:
+    """Run one storage transaction of ``(oid value, image | None)`` ops."""
+    sm.begin(tx_id)
+    for oid_value, image in ops:
+        if image is None:
+            sm.delete(tx_id, OID(oid_value))
+        else:
+            sm.write(tx_id, OID(oid_value), image)
+    sm.commit(tx_id)
+
+
 def _check_storage_cuts(root: str, base_image: bytes,
                         base_state: dict[int, bytes], wal_image: bytes,
                         all_oids: set[int], report: TortureReport) -> None:
@@ -274,54 +294,49 @@ def _check_storage_cuts(root: str, base_image: bytes,
 def run_storage_torture(root: str) -> TortureReport:
     """Exhaustive crash-point check over a raw StorageManager workload.
 
-    The workload interleaves three winners (insert, update, delete) with
-    two in-flight losers and one explicit abort, so every truncated
-    prefix exercises a different winner/loser partition.  It runs on one
-    thread, so every committer leads its own force.
+    The workload interleaves eight winners (inserts, updates, deletes,
+    multi-op frames, a multi-fragment image) with two in-flight losers
+    and one explicit abort, so every truncated prefix exercises a
+    different winner/loser partition and torn cuts land inside frames
+    that carry several operations.  It runs on one thread, so every
+    committer leads its own force.
     """
     base_dir = os.path.join(root, "sm-base")
     flight = FlightRecorder(capacity=512, directory=base_dir)
     sm = StorageManager(base_dir, flight=flight)
 
     # Committed pre-state, made the checkpoint image.
-    sm.begin(1)
-    sm.write(1, OID(11), b"alpha-0")
-    sm.write(1, OID(12), b"beta-0")
-    sm.commit(1)
+    _commit(sm, 1, (11, b"alpha-0"), (12, b"beta-0"))
     sm.checkpoint()
     base_image = _read_file(os.path.join(base_dir, StorageManager.DATA_FILE))
     base_state = {11: b"alpha-0", 12: b"beta-0"}
 
-    # Winners and losers, interleaved record by record.
+    # Winners and losers, interleaved frame by frame.
     sm.begin(101)                      # loser 1: in flight at the crash
     sm.write(101, OID(12), b"beta-LOSER")
-    sm.begin(10)                       # winner 1: update
-    sm.write(10, OID(11), b"alpha-1")
-    sm.commit(10)
+    _commit(sm, 10, (11, b"alpha-1"))                  # update
     sm.begin(102)                      # loser 2: in flight at the crash
     sm.write(102, OID(13), b"gamma-LOSER")
-    sm.begin(20)                       # winner 2: insert
-    sm.write(20, OID(14), b"delta-0")
-    sm.commit(20)
+    _commit(sm, 20, (14, b"delta-0"))                  # insert
     sm.write(101, OID(11), b"alpha-LOSER")
-    sm.begin(30)                       # winner 3: delete
-    sm.delete(30, OID(12))
-    sm.commit(30)
+    _commit(sm, 30, (12, None))                        # delete
     sm.begin(103)                      # loser 3: explicit abort
     sm.write(103, OID(15), b"epsilon-LOSER")
     sm.abort(103)
+    _commit(sm, 40, (16, b"zeta-0"), (11, b"alpha-2"), (14, None))
+    _commit(sm, 50, (14, b"delta-1"), (17, b"eta-0" * 2000))  # big image
+    _commit(sm, 60, (17, b"eta-1"))                    # fewer fragments
+    _commit(sm, 70, (16, b"zeta-1"), (16, None))       # write, then delete
+    _commit(sm, 80, (11, b"alpha-3"))
     sm.flush()
     wal_image = _read_file(os.path.join(base_dir, StorageManager.LOG_FILE))
     sm.crash()
     sm.close()
 
     full_records = parse_wal_prefix(wal_image)
-    report = TortureReport(
-        total_winners=len(_winner_ids(full_records)),
-        total_losers=len({r.tx_id for r in full_records
-                          if r.type is LogRecordType.BEGIN}
-                         - _winner_ids(full_records)))
-    all_oids = {11, 12, 13, 14, 15}
+    report = TortureReport(total_winners=len(_winner_ids(full_records)),
+                           total_losers=3)
+    all_oids = {11, 12, 13, 14, 15, 16, 17}
     _validate_flight_dump(base_dir, wal_image, report)
     _check_storage_cuts(root, base_image, base_state, wal_image, all_oids,
                         report)
@@ -331,6 +346,14 @@ def run_storage_torture(root: str) -> TortureReport:
 # ---------------------------------------------------------------------------
 # Group-commit torture: concurrent committers sharing WAL forces
 # ---------------------------------------------------------------------------
+
+#: storage-level transaction ids for the in-flight losers; far above
+#: anything the transaction manager hands out during the workload.
+_LOSER_TX_1 = 900_001
+_LOSER_TX_2 = 900_002
+#: the checkpointed state the batched workload starts from
+_BATCHED_BASE = {1: b"seed-0"}
+
 
 def hold_next_force(faults: FaultRegistry, storage: StorageManager,
                     committers: int, timeout: float = 30.0) -> None:
@@ -354,128 +377,34 @@ def hold_next_force(faults: FaultRegistry, storage: StorageManager,
     faults.arm(WAL_FSYNC, callback=hold)
 
 
-def run_group_commit_torture(root: str, threads: int = 8,
-                             rounds: int = 2) -> TortureReport:
-    """Crash-point torture over a *concurrently batched* commit workload.
+def _run_batched_workload(base_dir: str, threads: int, rounds: int,
+                          flight: FlightRecorder = NULL_FLIGHT
+                          ) -> tuple[bytes, bytes, set[int], set[int], int]:
+    """Run the concurrently batched commit workload to a crash image.
 
-    ``threads`` committers rendezvous on a barrier each round, and
+    After a checkpointed seed (OID 1 = ``_BATCHED_BASE``), ``threads``
+    committers rendezvous on a barrier each round, and
     :func:`hold_next_force` holds the round's first force until all of
     them have queued, so the rest share the next force; two in-flight
-    losers and one abort are interleaved.  The final WAL image therefore
-    contains runs of COMMIT records that were covered by a single fsync,
-    and the cut loop exercises torn tails *mid-batch* — a crash between the
-    ``os.write`` and the ``fsync`` of a shared force must lose or keep
-    each covered transaction exactly according to the surviving prefix.
+    losers and one abort are interleaved.  Returns the checkpoint-time
+    data file, the final WAL image, every OID touched, the transactions
+    whose ``commit`` returned (acked), and the largest commit batch one
+    force covered.
     """
-    base_dir = os.path.join(root, "gc-base")
     metrics = MetricsRegistry()
     faults = FaultRegistry()
-    flight = FlightRecorder(capacity=1024, directory=base_dir)
     sm = StorageManager(base_dir, metrics=metrics, faults=faults,
                         flight=flight)
-
-    sm.begin(1)
-    sm.write(1, OID(1), b"seed-0")
-    sm.commit(1)
+    _commit(sm, 1, (1, _BATCHED_BASE[1]))
     sm.checkpoint()
     base_image = _read_file(os.path.join(base_dir, StorageManager.DATA_FILE))
-    base_state = {1: b"seed-0"}
-
-    sm.begin(_LOSER_TX_1)                      # loser 1: in flight
-    sm.write(_LOSER_TX_1, OID(900_101), b"loser-1")
-
-    all_oids = {1, 900_101, 900_102, 900_103}
-    barrier = threading.Barrier(
-        threads, action=lambda: hold_next_force(faults, sm, threads))
-    failures: list[BaseException] = []
-
-    def worker(tid: int) -> None:
-        try:
-            for rnd in range(rounds):
-                tx = 100 + tid * 10 + rnd
-                oid = 1000 + tid * 100 + rnd
-                all_oids.add(oid)
-                sm.begin(tx)
-                sm.write(tx, OID(oid), b"gc-%d-%d" % (tid, rnd))
-                barrier.wait()                  # commit together -> batch
-                sm.commit(tx)
-        except BaseException as exc:            # pragma: no cover - sanity
-            failures.append(exc)
-
-    workers = [threading.Thread(target=worker, args=(tid,))
-               for tid in range(threads)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    if failures:
-        raise failures[0]
-
-    sm.begin(_LOSER_TX_2)                      # loser 2: in flight
-    sm.write(_LOSER_TX_2, OID(900_102), b"loser-2")
-    sm.begin(900_003)                          # loser 3: explicit abort
-    sm.write(900_003, OID(900_103), b"loser-3")
-    sm.abort(900_003)
-    sm.flush()
-    wal_image = _read_file(os.path.join(base_dir, StorageManager.LOG_FILE))
-    batch_hist = metrics.histogram("wal.commits_per_flush").summary()
-    sm.crash()
-    sm.close()
-
-    full_records = parse_wal_prefix(wal_image)
-    report = TortureReport(
-        total_winners=len(_winner_ids(full_records)),
-        total_losers=len({r.tx_id for r in full_records
-                          if r.type is LogRecordType.BEGIN}
-                         - _winner_ids(full_records)),
-        max_commit_batch_observed=int(batch_hist.get("max") or 0))
-    _validate_flight_dump(base_dir, wal_image, report)
-    _check_storage_cuts(root, base_image, base_state, wal_image, all_oids,
-                        report)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Replica torture: kill the primary mid-batch, replay on the standby
-# ---------------------------------------------------------------------------
-
-def run_replica_torture(root: str, threads: int = 8,
-                        rounds: int = 2) -> TortureReport:
-    """Kill-the-primary torture for WAL-shipped read replicas.
-
-    The workload is the group-commit shape (barrier-rendezvoused
-    committers whose COMMIT records share fsyncs, plus in-flight and
-    aborted losers); every commit that *returns* to its worker is acked.
-    The primary is then crashed and the claim under test is the
-    durability equivalence of log shipping:
-
-    * a replica tailing the *surviving* log converges to exactly the
-      acked state — every acked transaction present (no lost acked
-      commit), every loser absent (no phantom unacked commit);
-    * for every prefix of the log (each record boundary and mid-record
-      torn tail — a crash between the ``os.write`` and the ``fsync`` of
-      a shared force), a fresh replica over that prefix shows exactly
-      the state the prefix's committed transactions produce, matching
-      what primary-side recovery itself would rebuild.
-    """
-    base_dir = os.path.join(root, "rt-base")
-    metrics = MetricsRegistry()
-    faults = FaultRegistry()
-    sm = StorageManager(base_dir, metrics=metrics, faults=faults)
-
-    sm.begin(1)
-    sm.write(1, OID(1), b"seed-0")
-    sm.commit(1)
-    sm.checkpoint()
-    base_image = _read_file(os.path.join(base_dir, StorageManager.DATA_FILE))
-    base_state = {1: b"seed-0"}
 
     sm.begin(_LOSER_TX_1)                      # loser 1: in flight
     sm.write(_LOSER_TX_1, OID(900_101), b"loser-1")
 
     all_oids = {1, 900_101, 900_102, 900_103}
     # The seed transaction's durability is the checkpoint *image*, not
-    # the log, so it is not part of the acked-in-log set under test.
+    # the log, so it is not part of the acked-in-log set.
     acked: set[int] = set()
     barrier = threading.Barrier(
         threads, action=lambda: hold_next_force(faults, sm, threads))
@@ -488,7 +417,7 @@ def run_replica_torture(root: str, threads: int = 8,
                 oid = 1000 + tid * 100 + rnd
                 all_oids.add(oid)
                 sm.begin(tx)
-                sm.write(tx, OID(oid), b"rt-%d-%d" % (tid, rnd))
+                sm.write(tx, OID(oid), b"gc-%d-%d" % (tid, rnd))
                 barrier.wait()                  # commit together -> batch
                 sm.commit(tx)
                 acked.add(tx)                   # commit returned == acked
@@ -514,6 +443,58 @@ def run_replica_torture(root: str, threads: int = 8,
     batch_hist = metrics.histogram("wal.commits_per_flush").summary()
     sm.crash()                                 # the primary dies here
     sm.close()
+    return (base_image, wal_image, all_oids, acked,
+            int(batch_hist.get("max") or 0))
+
+
+def run_group_commit_torture(root: str, threads: int = 8,
+                             rounds: int = 2) -> TortureReport:
+    """Crash-point torture over a *concurrently batched* commit workload
+    (:func:`_run_batched_workload`).  The final WAL image contains runs
+    of COMMIT records that were covered by a single fsync, and the cut
+    loop exercises torn tails *mid-batch* — a crash between the
+    ``os.write`` and the ``fsync`` of a shared force must lose or keep
+    each covered transaction exactly according to the surviving prefix.
+    """
+    base_dir = os.path.join(root, "gc-base")
+    base_image, wal_image, all_oids, __, max_batch = _run_batched_workload(
+        base_dir, threads, rounds,
+        flight=FlightRecorder(capacity=1024, directory=base_dir))
+    report = TortureReport(
+        total_winners=len(_winner_ids(parse_wal_prefix(wal_image))),
+        total_losers=3, max_commit_batch_observed=max_batch)
+    _validate_flight_dump(base_dir, wal_image, report)
+    _check_storage_cuts(root, base_image, _BATCHED_BASE, wal_image,
+                        all_oids, report)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Replica torture: kill the primary mid-batch, replay on the standby
+# ---------------------------------------------------------------------------
+
+def run_replica_torture(root: str, threads: int = 8,
+                        rounds: int = 2) -> TortureReport:
+    """Kill-the-primary torture for WAL-shipped read replicas.
+
+    The workload is the group-commit shape (:func:`_run_batched_workload`);
+    every commit that *returns* to its worker is acked.  The primary is
+    then crashed and the claim under test is the durability equivalence
+    of log shipping:
+
+    * a replica tailing the *surviving* log converges to exactly the
+      acked state — every acked transaction present (no lost acked
+      commit), every loser absent (no phantom unacked commit);
+    * for every prefix of the log (each record boundary and mid-record
+      torn tail — a crash between the ``os.write`` and the ``fsync`` of
+      a shared force), a fresh replica over that prefix shows exactly
+      the state the prefix's committed transactions produce, matching
+      what primary-side recovery itself would rebuild.
+    """
+    base_dir = os.path.join(root, "rt-base")
+    base_image, wal_image, all_oids, acked, max_batch = \
+        _run_batched_workload(base_dir, threads, rounds)
+    base_state = _BATCHED_BASE
 
     from repro.storage.replication import ReadReplica
 
@@ -524,11 +505,8 @@ def run_replica_torture(root: str, threads: int = 8,
             f"acked transactions missing from the surviving log: "
             f"{sorted(acked - winners)} — an acked commit was lost")
 
-    report = TortureReport(
-        total_winners=len(winners),
-        total_losers=len({r.tx_id for r in full_records
-                          if r.type is LogRecordType.BEGIN} - winners),
-        max_commit_batch_observed=int(batch_hist.get("max") or 0))
+    report = TortureReport(total_winners=len(winners), total_losers=3,
+                           max_commit_batch_observed=max_batch)
 
     def check_replica(replica: ReadReplica, offset: int, kind: str,
                       expected: dict[int, bytes]) -> None:
@@ -594,17 +572,18 @@ class TortureRecord:
         self.value = value
 
 
-#: storage-level transaction ids for the in-flight losers; far above
-#: anything the transaction manager hands out during the workload.
-_LOSER_TX_1 = 900_001
-_LOSER_TX_2 = 900_002
+
+
+class _TortureAbort(Exception):
+    """Raised inside a user transaction to make it a loser."""
 
 
 def run_database_torture(root: str) -> TortureReport:
     """Exhaustive crash-point check over a full active-database workload.
 
-    Four user transactions (winners) mutate and create named objects,
-    with two storage-level in-flight transactions (losers) interleaved.
+    Eight user transactions (winners) mutate, create and delete named
+    objects, with two storage-level in-flight transactions and one
+    aborted user transaction (losers) interleaved.
     For each WAL cut the recovered database must show exactly the state
     after the k committed transactions the prefix retains: fetch-by-name
     values, ``ObjectNotFoundError`` for later objects, a fresh OID above
@@ -620,13 +599,16 @@ def run_database_torture(root: str) -> TortureReport:
     db.checkpoint()
     base_image = _read_file(os.path.join(base_dir, StorageManager.DATA_FILE))
 
-    # expected[k] = {name: value-or-None} after k committed transactions.
+    # expected[k] = {name: value} of the objects that exist after k
+    # committed transactions.
     expected: list[dict[str, int]] = [
         {"alpha": 0, "beta": 0, "gamma": 0}]
 
-    def commit_state(**updates: int) -> None:
+    def commit_state(*deleted: str, **updates: int) -> None:
         state = dict(expected[-1])
         state.update(updates)
+        for name in deleted:
+            del state[name]
         expected.append(state)
 
     db.storage.begin(_LOSER_TX_1)
@@ -655,17 +637,39 @@ def run_database_torture(root: str) -> TortureReport:
         epsilon.set_value(45)
     commit_state(alpha=40, epsilon=45)
 
+    try:
+        with db.transaction():                   # loser 3: user abort
+            epsilon.set_value(999)
+            raise _TortureAbort()
+    except _TortureAbort:
+        pass
+
+    with db.transaction():                       # winner 5
+        objs["beta"].set_value(50)
+    commit_state(beta=50)
+
+    with db.transaction():                       # winner 6: delete
+        db.delete(objs["gamma"])
+    commit_state("gamma")
+
+    zeta = TortureRecord("zeta", 7)
+    with db.transaction():                       # winner 7: new object
+        db.persist(zeta, "zeta")
+    commit_state(zeta=7)
+
+    with db.transaction():                       # winner 8
+        objs["alpha"].set_value(80)
+        zeta.set_value(81)
+    commit_state(alpha=80, zeta=81)
+
     db.storage.flush()
     wal_image = _read_file(os.path.join(base_dir, StorageManager.LOG_FILE))
     db.storage.crash()            # dumps the engine's own flight ring
     db.close()
 
     full_records = parse_wal_prefix(wal_image)
-    report = TortureReport(
-        total_winners=len(_winner_ids(full_records)),
-        total_losers=len({r.tx_id for r in full_records
-                          if r.type is LogRecordType.BEGIN}
-                         - _winner_ids(full_records)))
+    report = TortureReport(total_winners=len(_winner_ids(full_records)),
+                           total_losers=3)
     _validate_flight_dump(base_dir, wal_image, report)
 
     for index, (offset, kind) in enumerate(_all_cuts(wal_image)):
@@ -678,7 +682,7 @@ def run_database_torture(root: str) -> TortureReport:
         try:
             recovered.register_class(TortureRecord)
             survivors = []
-            for name in ("alpha", "beta", "gamma", "epsilon"):
+            for name in ("alpha", "beta", "gamma", "epsilon", "zeta"):
                 if name in state:
                     obj = recovered.fetch(name)
                     if obj.value != state[name]:

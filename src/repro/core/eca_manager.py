@@ -450,14 +450,15 @@ class EventService:
         for manager in self.composite_managers():
             composer = manager.composer
             groups = composer.graph_instance_count()
+            count = composer.pending_count()
             half_matched_groups += groups
-            pending += composer.pending_count()
+            pending += count
             composers.append({
                 "name": composer.name,
                 "scope": composer.scope.value,
                 "policy": composer.spec.consumption.value,
                 "groups": groups,
-                "pending": composer.pending_count(),
+                "pending": count,
                 "dirty": composer.dirty,
                 "restored_watermark": composer.restored_watermark,
                 "dropped_parameters":

@@ -41,6 +41,7 @@ import socket
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 from typing import Any, Optional
 
 from repro.config import ServerConfig
@@ -444,6 +445,9 @@ class ReachServer:
                 sock, peer = listener.accept()
             except OSError:
                 return                      # listener closed: drain/close
+            # Replies go out as soon as they are written: without this,
+            # Nagle holds a reply while an earlier one is unacknowledged.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 if self._draining or self._closed:
                     refused = True
@@ -713,34 +717,39 @@ class ReachServer:
                          failed: bool, trace_id: Optional[int]) -> None:
         """Per-tenant SLO bookkeeping for one served/errored request."""
         with self._lock:
-            counters = self._tenant_counters.get(tenant)
-            if counters is None:
-                counters = self._tenant_counters[tenant] = {
-                    "requests": 0, "rate_limited": 0, "errors": 0}
             if failed:
-                counters["errors"] = counters.get("errors", 0) + 1
+                self._tenant_entry(tenant)["errors"] += 1
             histogram = self._tenant_latency.get(tenant)
             if histogram is None:
                 histogram = self._tenant_latency[tenant] = Histogram(
                     f"server.tenant.{tenant}.latency")
         histogram.observe(elapsed, exemplar=trace_id)
         # Mirror into the engine registry so render_prometheus exports
-        # the per-tenant series (no-ops when metrics are disabled).
+        # the per-tenant latency (a no-op when metrics are disabled).
         registry = self.engine.metrics_registry
         if registry.enabled:
-            registry.counter(f"server.tenant.{tenant}.requests").inc()
-            if failed:
-                registry.counter(f"server.tenant.{tenant}.errors").inc()
             registry.histogram(
                 f"server.tenant.{tenant}.latency").observe(
                     elapsed, exemplar=trace_id)
 
+    def _tenant_entry(self, tenant: str) -> dict[str, int]:
+        """``tenant``'s request counts (caller holds the lock).  The
+        first sight of a tenant registers the engine registry's
+        ``server.tenant.<tenant>.<fact>`` counters as reads of them."""
+        counters = self._tenant_counters.get(tenant)
+        if counters is None:
+            counters = self._tenant_counters[tenant] = {
+                "requests": 0, "rate_limited": 0, "errors": 0}
+            registry = self.engine.metrics_registry
+            for fact in counters:
+                registry.counter_fn(f"server.tenant.{tenant}.{fact}",
+                                    partial(counters.__getitem__, fact))
+        return counters
+
     def _admit(self, conn: _Connection) -> bool:
         tenant = conn.tenant
         with self._lock:
-            counters = self._tenant_counters.setdefault(
-                tenant, {"requests": 0, "rate_limited": 0, "errors": 0})
-            counters["requests"] += 1
+            self._tenant_entry(tenant)["requests"] += 1
             if self.config.rate_limit is None:
                 return True
             bucket = self._buckets.get(tenant)

@@ -2,22 +2,23 @@
 
 Built on two facts the durability work of PRs 3-4 already established:
 
-* the primary's WAL is an append-only stream of full-image logical
-  records whose replay is idempotent, and
+* the primary's WAL is an append-only stream of COMMIT records, each
+  carrying one committed transaction's full images, whose replay is
+  idempotent, and
 * ``flushed_lsn`` is the exact acknowledgment boundary — a commit is
   acked to its client only once the fsync covering its COMMIT record
   has returned.
 
 A :class:`ReadReplica` therefore needs no protocol with the primary at
 all: a :class:`~repro.storage.wal.WALTailer` follows the primary's log
-file, the replica buffers each transaction's operations and applies
-only *complete committed* transactions — through its own
-:class:`~repro.storage.storage_manager.StorageManager`, so the replica
-directory is itself a crash-consistent database — and the tailer is
-bounded by the primary's ``flushed_lsn`` so nothing unacked is ever
-applied.  Kill the primary mid-batch and the replica converges to
-exactly the durable prefix of the surviving log: no lost acked commit,
-no phantom unacked commit (``bench/crash_torture.py`` proves this).
+file, the replica applies each complete COMMIT record as it arrives —
+through its own :class:`~repro.storage.storage_manager.StorageManager`,
+so the replica directory is itself a crash-consistent database — and
+the tailer is bounded by the primary's ``flushed_lsn`` so nothing
+unacked is ever applied.  Kill the primary mid-batch and the replica
+converges to exactly the durable prefix of the surviving log: no lost
+acked commit, no phantom unacked commit (``bench/crash_torture.py``
+proves this).
 
 Bootstrap: the primary truncates its log at checkpoint, so a replica
 starting later than the primary's first checkpoint would miss history.
@@ -66,8 +67,6 @@ class ReadReplica:
         self._tailer = WALTailer(
             os.path.join(primary_dir, StorageManager.LOG_FILE))
         self._lock = threading.RLock()
-        #: primary tx id -> operations seen so far (BEGIN..COMMIT window)
-        self._pending: dict[int, list[LogRecord]] = {}
         self.applied_txs = 0
         self.aborted_txs = 0
         self.last_applied_lsn = 0
@@ -97,19 +96,8 @@ class ReadReplica:
 
     def _ingest(self, record: LogRecord) -> int:
         rtype = record.type
-        if rtype is LogRecordType.BEGIN:
-            self._pending.setdefault(record.tx_id, [])
-            return 0
-        if rtype in (LogRecordType.INSERT, LogRecordType.UPDATE,
-                     LogRecordType.DELETE):
-            self._pending.setdefault(record.tx_id, []).append(record)
-            return 0
-        if rtype is LogRecordType.ABORT:
-            self._pending.pop(record.tx_id, None)
-            return 0
         if rtype is LogRecordType.COMMIT:
-            operations = self._pending.pop(record.tx_id, [])
-            self._apply(record.tx_id, operations)
+            self._apply(record)
             self.applied_txs += 1
             self.last_applied_lsn = record.lsn
             return 1
@@ -125,18 +113,18 @@ class ReadReplica:
         # CHECKPOINT records carry no replayable state.
         return 0
 
-    def _apply(self, tx_id: int, operations: list[LogRecord]) -> None:
+    def _apply(self, record: LogRecord) -> None:
         """Replay one committed transaction through the replica's own
         storage manager (full images make this idempotent)."""
+        tx_id = record.tx_id
         self.storage.begin(tx_id)
         try:
-            for op in operations:
-                oid = OID(op.oid_value)
-                if op.type is LogRecordType.DELETE:
-                    if self.storage.exists(tx_id, oid):
-                        self.storage.delete(tx_id, oid)
-                else:
-                    self.storage.write(tx_id, oid, op.after or b"")
+            for oid_value, image in record.ops:
+                oid = OID(oid_value)
+                if image is not None:
+                    self.storage.write(tx_id, oid, image)
+                elif self.storage.exists(tx_id, oid):
+                    self.storage.delete(tx_id, oid)
         except Exception:
             self.storage.abort(tx_id)
             self.aborted_txs += 1
@@ -161,7 +149,6 @@ class ReadReplica:
                 "replica_dir": self.replica_dir,
                 "applied_txs": self.applied_txs,
                 "aborted_txs": self.aborted_txs,
-                "pending_txs": len(self._pending),
                 "last_applied_lsn": self.last_applied_lsn,
                 "records_shipped": self.records_shipped,
                 "composer_checkpoints_skipped":

@@ -6,11 +6,12 @@ Responsibilities:
 * fragment images larger than a page across multiple records,
 * provide transactional durability via the write-ahead log with a
   **no-steal / redo-only** protocol: a transaction's writes are held in a
-  private write set and applied to pages only after its COMMIT record is on
-  disk, so data pages never contain uncommitted state and recovery never
-  needs to undo,
-* recover after a crash by replaying committed operations in log order
-  (full-image logical records make replay idempotent),
+  private write set, logged as one COMMIT record that carries them all,
+  and applied to pages only after that record is on disk, so data pages
+  never contain uncommitted state and recovery never needs to undo,
+* recover after a crash by redoing every complete COMMIT record in log
+  order (full images make replay idempotent); begin and abort log
+  nothing, so there is no analysis pass and no loser to filter,
 * checkpoint by force-flushing all pages and truncating the log.
 
 A committed update rewrites the object's existing records where they
@@ -20,7 +21,7 @@ fragment count, moves records between pages.  Redo needs no page LSNs
 for this: pages only ever receive committed full images, and
 ``checkpoint`` flushes every page before it truncates the log, so any
 page state newer than the last checkpoint belongs to an object that a
-committed record in the log covers, and redo rewrites that object whole.
+COMMIT record in the log covers, and redo rewrites that object whole.
 Recovery therefore reads the log first: a page written back early
 (steal) may leave such an object half relocated or with part of a
 fragment set, and the page scan accepts that torn set for redo to
@@ -40,8 +41,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.errors import PageFullError, RecordNotFoundError, StorageError
 from repro.faults.registry import (
@@ -66,12 +66,9 @@ _FRAG_PAYLOAD = MAX_RECORD_SIZE - _FRAG_HEADER.size
 _FREE_CLASS = 512
 
 
-@dataclass
-class _TxWriteSet:
-    """Uncommitted effects of one transaction, applied at commit."""
-
-    #: oid value -> image bytes, or None for a pending delete
-    writes: dict[int, Optional[bytes]] = field(default_factory=dict)
+#: one transaction's uncommitted effects, applied at commit: oid value
+#: -> image bytes, or None for a pending delete
+_WriteSet = dict[int, Optional[bytes]]
 
 
 class StorageManager:
@@ -111,7 +108,7 @@ class StorageManager:
         self._free_pages: list[set[int]] = [
             set() for __ in range(PAGE_SIZE // _FREE_CLASS)]
         self._page_count = 0
-        self._active: dict[int, _TxWriteSet] = {}
+        self._active: dict[int, _WriteSet] = {}
         #: COMPOSER_CHECKPOINT payloads found in the log at recovery, in
         #: log order (oldest first).  The engine takes (and clears) them
         #: for its event service; they are re-appended to the fresh log
@@ -133,27 +130,16 @@ class StorageManager:
 
     def _recover(self) -> None:
         """Read the log, rebuild the object table from pages, then redo
-        the winners' operations."""
+        every complete COMMIT record in log order."""
         with self._lock:
-            winners: set[int] = set()
-            operations: list[LogRecord] = []
+            operations: list[tuple[int, Optional[bytes]]] = []
             for record in self._wal.iter_records(strict=False):
                 if record.type is LogRecordType.COMMIT:
-                    winners.add(record.tx_id)
-                elif record.type in (LogRecordType.INSERT,
-                                     LogRecordType.UPDATE,
-                                     LogRecordType.DELETE):
-                    operations.append(record)
+                    operations.extend(record.ops)
                 elif record.type is LogRecordType.COMPOSER_CHECKPOINT:
                     self.recovered_composer_checkpoints.append(record.payload)
-            operations = [record for record in operations
-                          if record.tx_id in winners]
-            self._scan_pages({record.oid_value for record in operations})
-            for record in operations:
-                if record.type is LogRecordType.DELETE:
-                    self._apply_delete(record.oid_value)
-                else:
-                    self._apply_write(record.oid_value, record.after or b"")
+            self._scan_pages({oid_value for oid_value, __ in operations})
+            self._apply(operations)
             # Recovery leaves the replayed state durable, so a crash during
             # normal operation later cannot be confused by the old log.
             self._pool.flush_all()
@@ -208,10 +194,9 @@ class StorageManager:
         with self._lock:
             if tx_id in self._active:
                 raise StorageError(f"transaction {tx_id} already active")
-            self._active[tx_id] = _TxWriteSet()
-            self._wal.append(LogRecord(LogRecordType.BEGIN, tx_id=tx_id))
+            self._active[tx_id] = {}
 
-    def _require_tx(self, tx_id: int) -> _TxWriteSet:
+    def _require_tx(self, tx_id: int) -> _WriteSet:
         ws = self._active.get(tx_id)
         if ws is None:
             raise StorageError(f"transaction {tx_id} is not active")
@@ -220,24 +205,15 @@ class StorageManager:
     def write(self, tx_id: int, oid: OID, data: bytes) -> None:
         """Insert or update the image of ``oid`` within ``tx_id``."""
         with self._lock:
-            ws = self._require_tx(tx_id)
-            existed = (oid.value in self._object_table
-                       or ws.writes.get(oid.value) is not None)
-            rec_type = (LogRecordType.UPDATE if existed
-                        else LogRecordType.INSERT)
-            self._wal.append(LogRecord(
-                rec_type, tx_id=tx_id, oid_value=oid.value, after=data))
-            ws.writes[oid.value] = data
+            self._require_tx(tx_id)[oid.value] = data
 
     def delete(self, tx_id: int, oid: OID) -> None:
         with self._lock:
             ws = self._require_tx(tx_id)
-            in_ws = ws.writes.get(oid.value)
-            if in_ws is None and oid.value not in self._object_table:
+            if (ws.get(oid.value) is None
+                    and oid.value not in self._object_table):
                 raise RecordNotFoundError(f"no object with {oid}")
-            self._wal.append(LogRecord(
-                LogRecordType.DELETE, tx_id=tx_id, oid_value=oid.value))
-            ws.writes[oid.value] = None
+            ws[oid.value] = None
 
     def read(self, tx_id: Optional[int], oid: OID) -> bytes:
         """Read the image of ``oid``.
@@ -248,8 +224,8 @@ class StorageManager:
         with self._lock:
             if tx_id is not None and tx_id in self._active:
                 ws = self._active[tx_id]
-                if oid.value in ws.writes:
-                    image = ws.writes[oid.value]
+                if oid.value in ws:
+                    image = ws[oid.value]
                     if image is None:
                         raise RecordNotFoundError(
                             f"{oid} deleted in transaction {tx_id}")
@@ -263,27 +239,29 @@ class StorageManager:
         with self._lock:
             if tx_id is not None and tx_id in self._active:
                 ws = self._active[tx_id]
-                if oid.value in ws.writes:
-                    return ws.writes[oid.value] is not None
+                if oid.value in ws:
+                    return ws[oid.value] is not None
             return oid.value in self._object_table
 
     def commit(self, tx_id: int) -> None:
         """Make the transaction durable, then apply its writes to pages.
 
-        The commit barrier (``wal.sync``) runs *outside* the storage mutex
-        so concurrent committers can share one log force; the transaction
-        stays in ``_active`` until its pages are applied, which keeps
-        ``checkpoint`` from truncating a log the commit still depends on.
-        Page application is safe to defer past the lock release because
-        the lock manager above serializes conflicting transactions until
-        after commit returns.
+        The transaction's one log record is its COMMIT, carrying every
+        write; it follows the composer checkpoints pulled for the same
+        force.  The commit barrier (``wal.sync``) runs *outside* the
+        storage mutex so concurrent committers can share one log force;
+        the transaction stays in ``_active`` until its pages are applied,
+        which keeps ``checkpoint`` from truncating a log the commit still
+        depends on.  Page application is safe to defer past the lock
+        release because the lock manager above serializes conflicting
+        transactions until after commit returns.
         """
         with self._lock:
             ws = self._require_tx(tx_id)
             self._fp_commit.hit(tx_id=tx_id)
             self._pull_composer_checkpoints()
-            lsn = self._wal.append(LogRecord(LogRecordType.COMMIT,
-                                             tx_id=tx_id))
+            lsn = self._wal.append(LogRecord(
+                LogRecordType.COMMIT, tx_id=tx_id, ops=list(ws.items())))
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             with tracer.child_span("wal:commit_wait", "wal", lsn=lsn):
@@ -291,22 +269,25 @@ class StorageManager:
         else:
             self._wal.sync(lsn)
         with self._lock:
-            for oid_value, image in ws.writes.items():
-                if image is None:
-                    self._apply_delete(oid_value)
-                else:
-                    self._apply_write(oid_value, image)
+            self._apply(ws.items())
             del self._active[tx_id]
 
     def abort(self, tx_id: int) -> None:
         with self._lock:
             self._require_tx(tx_id)
-            self._wal.append(LogRecord(LogRecordType.ABORT, tx_id=tx_id))
             del self._active[tx_id]
 
     # ------------------------------------------------------------------
     # Page-level mechanics (committed state only)
     # ------------------------------------------------------------------
+
+    def _apply(self, operations: Iterable[tuple[int, Optional[bytes]]]
+               ) -> None:
+        for oid_value, image in operations:
+            if image is None:
+                self._apply_delete(oid_value)
+            else:
+                self._apply_write(oid_value, image)
 
     def _read_committed(self, oid_value: int) -> Optional[bytes]:
         locations = self._object_table.get(oid_value)

@@ -1,19 +1,19 @@
 """Write-ahead log.
 
-The storage manager logs logical, OID-level operations: object insert and
-update (each with the full after-image) and delete, bracketed by transaction
-begin/commit/abort records.  The log is redo-only: no before-image is
-written, because nothing ever undoes from it.  Recovery is ARIES-lite over
-logical records:
+A committed storage transaction is one log frame: its COMMIT record
+carries every operation of the transaction as ``(oid, image)`` pairs,
+where ``image`` is the full new object image, or ``None`` for a delete.
+Nothing is logged at begin, per write or at abort.  The log is
+redo-only, and a transaction that never committed left no trace in it,
+so recovery is one pass: redo every complete COMMIT frame in log order.
+That is correct because data pages only ever receive committed images
+(no-steal) and every page write forces the log first (WAL rule).
 
-1. *Analysis*: scan the log to classify transactions as winners (commit
-   record present) or losers.
-2. *Redo*: replay every operation of winning transactions in log order.
-3. *Undo*: nothing to do — losers' operations are simply not replayed,
-   because redo starts from the last checkpoint image of the database and
-   only applies winners.  (This is the classic shadow-ish simplification
-   that stays correct because data pages are only flushed at commit or
-   checkpoint, both of which force the log first.)
+Logs written while the log still held one record per operation (the
+``begin``/``insert``/``update``/``delete``/``abort`` tags) are refused
+with :class:`~repro.errors.StorageError` as soon as such a record is
+decoded: skipping those records as unknown would silently drop
+committed data.
 
 On disk each record is::
 
@@ -21,7 +21,8 @@ On disk each record is::
 
 where the payload is the library's own tagged serialization of the record
 fields.  A torn tail (partial final record after a crash) is detected by the
-length/CRC check and discarded.
+length/CRC check and discarded, so a COMMIT frame torn by the crash takes
+all of its operations with it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-from repro.errors import InjectedFault, RecoveryWarning, WALError
+from repro.errors import InjectedFault, RecoveryWarning, StorageError, WALError
 from repro.faults.registry import (
     NULL_FAULTS,
     WAL_APPEND,
@@ -51,17 +52,18 @@ _FRAME = struct.Struct(">II")
 
 
 class LogRecordType(enum.Enum):
-    BEGIN = "begin"
-    INSERT = "insert"
-    UPDATE = "update"
-    DELETE = "delete"
+    #: one committed transaction: all of its operations
     COMMIT = "commit"
-    ABORT = "abort"
     CHECKPOINT = "checkpoint"
     #: durable composite-event detection state (versioned composer
     #: snapshot); carries no data-page state, replayed by the engine's
     #: event service on recovery, skipped by replicas.
     COMPOSER_CHECKPOINT = "composer_checkpoint"
+
+
+#: tags of the one-record-per-operation log format this reader refuses
+_PER_OPERATION_TAGS = frozenset(
+    {"begin", "insert", "update", "delete", "abort"})
 
 
 def _coerce_record_type(value: str) -> "LogRecordType | str":
@@ -73,11 +75,19 @@ def _coerce_record_type(value: str) -> "LogRecordType | str":
     perfectly well-framed record, so unknown tags survive decoding as
     plain strings; every consumer dispatches on enum identity, which an
     unknown string never matches, so such records are inert but their
-    LSNs still advance the scan.
+    LSNs still advance the scan.  The tags of the older per-operation
+    format are the exception: they raise, because skipping them would
+    drop committed data.
     """
     try:
         return LogRecordType(value)
     except ValueError:
+        if value in _PER_OPERATION_TAGS:
+            raise StorageError(
+                f"log record of type {value!r} is in the one-record-per-"
+                "operation format of an earlier version; open this "
+                "database once with that version to recover and "
+                "checkpoint it, then reopen it with this one") from None
         return value
 
 
@@ -85,20 +95,18 @@ def _coerce_record_type(value: str) -> "LogRecordType | str":
 class LogRecord:
     """One logical log record.
 
-    ``oid_value`` is meaningful only for the data operations
-    (INSERT/UPDATE/DELETE) and ``after`` — the full new image — only for
-    INSERT/UPDATE.  ``payload`` carries checkpoint metadata for CHECKPOINT
+    ``ops`` is meaningful only for COMMIT: the transaction's operations
+    in write-set order, each ``(oid value, full image or None for a
+    delete)``.  ``payload`` carries checkpoint metadata for CHECKPOINT
     records and the composer snapshot for COMPOSER_CHECKPOINT records.
     ``type`` is a plain string for records framed by a newer writer (see
-    :func:`_coerce_record_type`).  Logs written before the log became
-    redo-only carry a before-image under ``"b"``; :meth:`decode` ignores it.
+    :func:`_coerce_record_type`).
     """
 
     type: "LogRecordType | str"
     tx_id: int
     lsn: int = 0
-    oid_value: int = 0
-    after: Optional[bytes] = None
+    ops: list[tuple[int, Optional[bytes]]] = field(default_factory=list)
     payload: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -112,8 +120,7 @@ class LogRecord:
             "t": tag,
             "x": self.tx_id,
             "l": self.lsn,
-            "o": self.oid_value,
-            "a": self.after,
+            "w": self.ops,
             "p": self.payload,
         })
 
@@ -124,8 +131,7 @@ class LogRecord:
             type=_coerce_record_type(fields["t"]),
             tx_id=fields["x"],
             lsn=fields["l"],
-            oid_value=fields["o"],
-            after=fields["a"],
+            ops=fields.get("w", []),
             payload=fields["p"],
         )
 
@@ -185,7 +191,11 @@ class WriteAheadLog:
         self._fp_fsync = faults.point(WAL_FSYNC)
         self._fp_torn = faults.point(WAL_TORN_TAIL)
         self._flight = flight
-        self._bootstrap_lsns()
+        try:
+            self._bootstrap_lsns()
+        except BaseException:
+            os.close(self._fd)
+            raise
 
     def _bootstrap_lsns(self) -> None:
         """Continue LSN numbering after the existing log contents."""

@@ -217,6 +217,47 @@ class TestEngineReopen:
         assert fired == [2]
         db.close()
 
+    def test_mixed_workload_logs_one_commit_frame_per_transaction(
+            self, tmp_path):
+        """Insert, update, delete, an abort and catalog changes: the log
+        holds one COMMIT frame per committed transaction, carrying all
+        of its operations, plus CHECKPOINT and COMPOSER_CHECKPOINT
+        frames and nothing else."""
+        fired: list[int] = []
+        db = self._open(tmp_path, fired)
+        ledger, spare = Ledger(), Ledger()
+        with db.transaction():                   # inserts + catalog
+            db.persist(ledger, "ledger")
+            db.persist(spare, "spare")
+            db.signal("dur-a")
+        with db.transaction():                   # update
+            ledger.entries = 1
+            db.persistence.mark_dirty(ledger)
+        with pytest.raises(RuntimeError):
+            with db.transaction():               # abort: logs nothing
+                ledger.entries = 99
+                db.persistence.mark_dirty(ledger)
+                raise RuntimeError("abort")
+        with db.transaction():                   # delete + catalog
+            db.delete(spare)
+        ledger_oid = db.persistence.oid_of(ledger)
+        db.storage.flush()
+        with open(tmp_path / StorageManager.LOG_FILE, "rb") as fh:
+            records = parse_wal_prefix(fh.read())
+        db.close()
+
+        assert {r.type for r in records} == {
+            LogRecordType.CHECKPOINT, LogRecordType.COMPOSER_CHECKPOINT,
+            LogRecordType.COMMIT}
+        commits = [r for r in records if r.type is LogRecordType.COMMIT]
+        assert len(commits) == 3
+        assert len({r.tx_id for r in commits}) == 3
+        inserted, updated, deleted = (dict(r.ops) for r in commits)
+        assert len(inserted) == 3                # two objects + catalog
+        assert list(updated) == [ledger_oid.value]
+        assert None in deleted.values()          # the delete
+        assert len(deleted) == 2                 # ...and the catalog
+
     def test_open_single_tx_half_match_is_not_restored(self, tmp_path):
         """A crash ends every open transaction, so a single-transaction
         graph in the crash image has nothing to resume."""
@@ -492,3 +533,29 @@ class TestEngineReopen:
         assert entry["policy"] == ConsumptionPolicy.CHRONICLE.value
         db.close()
 
+
+    def test_composer_stats_walks_each_composer_once(self, tmp_path):
+        """Each composer's pending count is read once per call, so the
+        totals are the sum of the rows even during a concurrent feed."""
+        fired: list[int] = []
+        db = self._open(tmp_path, fired)
+        db.rule("dur-other", self.OTHER, action=lambda ctx: None,
+                coupling=CouplingMode.DETACHED)
+        with db.transaction():
+            db.signal("dur-a")
+            db.signal("dur-x")
+        walks: dict[str, int] = {}
+        for manager in db.events.composite_managers():
+            composer = manager.composer
+
+            def counted(__walk=composer.pending_count, __name=composer.name):
+                walks[__name] = walks.get(__name, 0) + 1
+                return __walk()
+
+            composer.pending_count = counted
+        stats = db.composer_stats()
+        assert len(walks) == 2
+        assert set(walks.values()) == {1}
+        assert stats["pending_semi_composed"] == sum(
+            row["pending"] for row in stats["composers"]) >= 2
+        db.close()

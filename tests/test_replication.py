@@ -5,9 +5,9 @@ The replication contract (``repro.storage.replication``):
 * the :class:`WALTailer` only ever yields a *consistent prefix* — it
   stops before a torn frame, a corrupt record, or anything past the
   primary's acked ``limit_lsn``, and detects checkpoint truncation;
-* a :class:`ReadReplica` applies only complete committed transactions
-  (aborted windows are dropped) through its own storage manager, so the
-  replica directory is itself a valid database;
+* a :class:`ReadReplica` applies each complete COMMIT frame (aborted
+  and in-flight transactions left none) through its own storage
+  manager, so the replica directory is itself a valid database;
 * a :class:`WALShipper` keeps a live replica converged with the
   primary's acked prefix, and ``stop()`` drains before shutdown.
 
@@ -56,9 +56,8 @@ class TestWALTailer:
             assert _tx_records(tailer.poll()) == []
             _commit(sm, 1, [(10, b"one")])
             first = _tx_records(tailer.poll())
-            assert [r.type for r in first] == [
-                LogRecordType.BEGIN, LogRecordType.INSERT,
-                LogRecordType.COMMIT]
+            assert [r.type for r in first] == [LogRecordType.COMMIT]
+            assert list(first[0].ops) == [(10, b"one")]
             # Nothing new: the offset advanced past what was read.
             assert tailer.poll() == []
             _commit(sm, 2, [(11, b"two")])
@@ -95,7 +94,7 @@ class TestWALTailer:
         tailer = WALTailer(log_path)
         try:
             records = _tx_records(tailer.poll())
-            assert [r.tx_id for r in records] == [1, 1, 1]
+            assert [r.tx_id for r in records] == [1]
             before = tailer.offset
             # The torn frame never parses, the offset never passes it.
             assert tailer.poll() == []
@@ -129,7 +128,7 @@ class TestWALTailer:
         tailer = WALTailer(log_path)
         try:
             _commit(sm, 1, [(10, b"one")])
-            assert len(_tx_records(tailer.poll())) == 3
+            assert len(_tx_records(tailer.poll())) == 1
             sm.checkpoint()          # truncates the primary's log
             # The shrunken file rewinds the tailer to offset 0 (see
             # test_regrown_log_is_a_new_generation for a log that grows
@@ -153,7 +152,7 @@ class TestWALTailer:
         try:
             for tx in range(1, 6):
                 _commit(sm, tx, [(10 + tx, b"before")])
-            assert len(_tx_records(tailer.poll())) == 15
+            assert len(_tx_records(tailer.poll())) == 5
             offset = tailer.offset
             sm.checkpoint()
             for tx in range(6, 18):
@@ -177,8 +176,8 @@ class TestReadReplica:
         sm.write(2, OID(12), b"phantom")
         sm.abort(2)
         sm.begin(3)
-        sm.write(3, OID(13), b"in-flight")   # never commits
-        sm.flush()                           # its records reach the file...
+        sm.write(3, OID(13), b"in-flight")   # commits after the poll
+        sm.flush()
 
         replica = ReadReplica(str(tmp_path / "p"), str(tmp_path / "r"))
         try:
@@ -186,11 +185,13 @@ class TestReadReplica:
             assert applied == 1
             assert replica.read(OID(10)) == b"one"
             assert replica.read(OID(11)) == b"two"
-            assert not replica.exists(OID(12))   # aborted window dropped
-            assert not replica.exists(OID(13))   # ...but stay buffered
-            stats = replica.stats()
-            assert stats["applied_txs"] == 1
-            assert stats["pending_txs"] == 1
+            assert not replica.exists(OID(12))   # aborted: no frame
+            assert not replica.exists(OID(13))   # in flight: no frame yet
+            assert replica.stats()["applied_txs"] == 1
+            sm.commit(3)
+            assert replica.poll(limit_lsn=None) == 1
+            assert replica.read(OID(13)) == b"in-flight"
+            assert not replica.exists(OID(12))
         finally:
             replica.close()
             sm.close()

@@ -239,12 +239,64 @@ class TestRateLimit:
             db.close()
 
 
+    def test_registry_reads_the_tenant_counts(self, tmp_path):
+        """The registry's per-tenant counters are reads of the server's
+        own counts, so rate-limited and replayed requests count in both
+        the same way."""
+        db, server = make_served(
+            tmp_path, ServerConfig(rate_limit=0.001, rate_burst=3),
+            observability=True)
+        try:
+            with connect(server) as client:
+                client.call_op("ping", idem="once")
+                client.call_op("ping", idem="once")
+                assert client.last_replayed is True
+                with pytest.raises(ReachClientError):
+                    client.fetch("no-such-object")
+                with pytest.raises(RateLimitedError):
+                    client.ping()
+            tenant = server.stats()["tenants"][server_module.DEFAULT_TENANT]
+            assert (tenant["requests"], tenant["rate_limited"],
+                    tenant["errors"]) == (4, 1, 1)
+            counters = db.metrics().snapshot()["counters"]
+            for fact in ("requests", "rate_limited", "errors"):
+                name = f"server.tenant.{server_module.DEFAULT_TENANT}.{fact}"
+                assert counters[name] == tenant[fact], fact
+        finally:
+            server.close()
+            db.close()
+
+
 def _ping_admitted(client):
     try:
         client.ping()
         return True
     except RateLimitedError:
         return False
+
+
+class TestPipelining:
+    def test_second_reply_is_not_held_back(self, served):
+        """Two requests written back to back get both replies at once:
+        the server's sockets send without Nagle's delay, which would
+        hold the second reply until the client acknowledged the first."""
+        db, server = served
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            protocol.write_frame(sock, protocol.request("hello", 1))
+            assert protocol.read_frame(sock)["ok"]
+            pair = (protocol.encode_frame(protocol.request("ping", 2))
+                    + protocol.encode_frame(protocol.request("ping", 3)))
+            elapsed = []
+            for _ in range(5):
+                started = time.perf_counter()
+                sock.sendall(pair)
+                replies = [protocol.read_frame(sock) for _ in range(2)]
+                elapsed.append(time.perf_counter() - started)
+                assert [r["id"] for r in replies] == [2, 3]
+        finally:
+            sock.close()
+        assert sorted(elapsed)[2] < 0.020, elapsed
 
 
 # ---------------------------------------------------------------------------

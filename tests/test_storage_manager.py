@@ -1,16 +1,23 @@
 """Storage manager: transactional durability, recovery, fragmentation."""
 
 import os
+import pathlib
+import shutil
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.crash_torture import wal_record_boundaries
 from repro.errors import RecordNotFoundError, StorageError
 from repro.oodb.oid import OID
 from repro.storage.buffer import PageFile
 from repro.storage.pages import MAX_RECORD_SIZE, Page
+from repro.storage.replication import ReadReplica
+from repro.storage.serializer import serialize
 from repro.storage.storage_manager import _FRAG_HEADER, StorageManager
+from repro.storage.wal import _FRAME
 
 
 @pytest.fixture
@@ -184,6 +191,96 @@ class TestRecovery:
         page_file.close()
         with pytest.raises(StorageError):
             StorageManager(path)
+
+    def test_torn_multi_op_commit_frame_recovers_none_of_its_ops(
+            self, tmp_path):
+        """A COMMIT frame cut anywhere by the crash takes every one of
+        its operations with it: none is redone on its own."""
+        path = str(tmp_path / "store")
+        sm = StorageManager(path)
+        sm.begin(1)
+        sm.write(1, OID(1), b"one-0")
+        sm.write(1, OID(3), b"three-0")
+        sm.commit(1)
+        sm.flush()
+        log_path = os.path.join(path, StorageManager.LOG_FILE)
+        frame_start = os.path.getsize(log_path)
+        sm.begin(2)                        # update, insert, delete, big image
+        sm.write(2, OID(1), b"one-1")
+        sm.write(2, OID(2), b"two-0")
+        sm.delete(2, OID(3))
+        sm.write(2, OID(4), b"four" * 2_000)
+        sm.commit(2)
+        sm.crash()
+        sm.close()
+        with open(log_path, "rb") as fh:
+            image = fh.read()
+        assert len(wal_record_boundaries(image[frame_start:])) == 2
+        for cut in (frame_start + 3, frame_start + 8, frame_start + 100,
+                    len(image) - 1):
+            directory = str(tmp_path / f"cut-{cut}")
+            shutil.copytree(path, directory)
+            with open(os.path.join(directory, StorageManager.LOG_FILE),
+                      "wb") as fh:
+                fh.write(image[:cut])
+            recovered = StorageManager(directory)
+            try:
+                assert recovered.read(None, OID(1)) == b"one-0"
+                assert recovered.read(None, OID(3)) == b"three-0"
+                assert not recovered.exists(None, OID(2))
+                assert not recovered.exists(None, OID(4))
+            finally:
+                recovered.close()
+        recovered = StorageManager(path)   # the whole frame: all redone
+        try:
+            assert recovered.read(None, OID(1)) == b"one-1"
+            assert recovered.read(None, OID(2)) == b"two-0"
+            assert not recovered.exists(None, OID(3))
+            assert recovered.read(None, OID(4)) == b"four" * 2_000
+        finally:
+            recovered.close()
+
+    def test_log_in_the_per_operation_format_is_refused(self, tmp_path):
+        """A log of one record per operation (BEGIN, INSERT, UPDATE,
+        DELETE, ABORT, COMMIT) is refused whole: recovery raises before
+        it touches the data file or the log, and a replica refuses it
+        too, so none of its committed data is skipped."""
+        path = str(tmp_path / "store")
+        sm = StorageManager(path)
+        sm.begin(1)
+        sm.write(1, OID(1), b"checkpointed")
+        sm.commit(1)
+        sm.checkpoint()
+        sm.close()
+
+        def frame(tag, tx_id, lsn, oid_value=0, after=None):
+            payload = serialize({"t": tag, "x": tx_id, "l": lsn,
+                                 "o": oid_value, "a": after, "p": {}})
+            return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+        log_path = os.path.join(path, StorageManager.LOG_FILE)
+        data_path = os.path.join(path, StorageManager.DATA_FILE)
+        with open(log_path, "wb") as fh:
+            fh.write(frame("checkpoint", 0, 10)
+                     + frame("begin", 2, 11)
+                     + frame("update", 2, 12, 1, b"committed-update")
+                     + frame("insert", 2, 13, 5, b"committed-insert")
+                     + frame("commit", 2, 14)
+                     + frame("begin", 3, 15)
+                     + frame("delete", 3, 16, 1)
+                     + frame("abort", 3, 17))
+        files = [pathlib.Path(p) for p in (log_path, data_path)]
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(StorageError, match="recover and checkpoint"):
+            StorageManager(path)
+        assert [f.read_bytes() for f in files] == before
+        replica = ReadReplica(path, str(tmp_path / "replica"))
+        try:
+            with pytest.raises(StorageError,
+                               match="recover and checkpoint"):
+                replica.poll()
+        finally:
+            replica.close()
 
     def test_checkpoint_with_active_tx_rejected(self, store):
         store.begin(1)

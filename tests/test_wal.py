@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from repro.bench.crash_torture import wal_record_boundaries
-from repro.errors import InjectedFault, RecoveryWarning, WALError
+from repro.errors import InjectedFault, RecoveryWarning, StorageError, WALError
 from repro.faults.registry import WAL_FSYNC, FaultRegistry
 from repro.oodb.oid import OID
 from repro.storage.storage_manager import StorageManager
@@ -29,37 +29,46 @@ def wal(tmp_path):
 
 class TestAppendAndScan:
     def test_lsns_are_monotonic(self, wal):
-        lsns = [wal.append(LogRecord(LogRecordType.BEGIN, tx_id=i))
+        lsns = [wal.append(LogRecord(LogRecordType.COMMIT, tx_id=i))
                 for i in range(5)]
         assert lsns == sorted(lsns)
         assert len(set(lsns)) == 5
 
     def test_records_round_trip(self, wal):
-        record = LogRecord(LogRecordType.UPDATE, tx_id=9, oid_value=4,
-                           after=b"new")
+        record = LogRecord(LogRecordType.COMMIT, tx_id=9,
+                           ops=[(4, b"new"), (5, None)])
         wal.append(record)
         wal.flush()
         scanned = list(wal.iter_records())
         assert len(scanned) == 1
         got = scanned[0]
-        assert got.type is LogRecordType.UPDATE
+        assert got.type is LogRecordType.COMMIT
         assert got.tx_id == 9
-        assert got.oid_value == 4
-        assert got.after == b"new"
+        assert list(got.ops) == [(4, b"new"), (5, None)]
 
-    def test_frame_with_a_before_image_still_decodes(self):
-        # Logs written before the log became redo-only carry a "b" key.
+    @pytest.mark.parametrize("tag", ["begin", "insert", "update",
+                                     "delete", "abort"])
+    def test_per_operation_frame_is_refused(self, tag):
+        # Frames of the one-record-per-operation format: skipping them
+        # as unknown would drop committed data, so decoding refuses.
         from repro.storage.serializer import serialize
-        old = serialize({"t": "update", "x": 9, "l": 3, "o": 4,
-                         "b": b"old", "a": b"new", "p": {}})
+        old = serialize({"t": tag, "x": 9, "l": 3, "o": 4,
+                         "a": b"new", "p": {}})
+        with pytest.raises(StorageError, match="recover and checkpoint"):
+            LogRecord.decode(old)
+
+    def test_checkpoint_frame_of_the_per_operation_format_decodes(self):
+        # What such a log holds once an earlier version has recovered
+        # and checkpointed it: no operation, nothing to refuse.
+        from repro.storage.serializer import serialize
+        old = serialize({"t": "checkpoint", "x": 0, "l": 3, "o": 0,
+                         "a": None, "p": {}})
         got = LogRecord.decode(old)
-        assert got.type is LogRecordType.UPDATE
-        assert (got.tx_id, got.lsn, got.oid_value) == (9, 3, 4)
-        assert got.after == b"new"
-        assert not hasattr(got, "before")
+        assert got.type is LogRecordType.CHECKPOINT
+        assert got.ops == []
 
     def test_unflushed_records_are_not_durable(self, wal, tmp_path):
-        wal.append(LogRecord(LogRecordType.BEGIN, tx_id=1))
+        wal.append(LogRecord(LogRecordType.COMMIT, tx_id=1))
         # A fresh handle on the same file sees nothing until flush.
         other = WriteAheadLog(str(tmp_path / "wal.log"))
         assert list(other.iter_records()) == []
@@ -84,7 +93,7 @@ class TestCrashTolerance:
     def test_torn_tail_is_ignored(self, tmp_path):
         path = str(tmp_path / "wal.log")
         log = WriteAheadLog(path)
-        log.append(LogRecord(LogRecordType.BEGIN, tx_id=1))
+        log.append(LogRecord(LogRecordType.CHECKPOINT, tx_id=0))
         log.append(LogRecord(LogRecordType.COMMIT, tx_id=1))
         log.flush()
         log.close()
@@ -94,7 +103,7 @@ class TestCrashTolerance:
             f.write(b"\x00\x00\x00\x40garbage")
         recovered = WriteAheadLog(path)
         records = list(recovered.iter_records())
-        assert [r.type for r in records] == [LogRecordType.BEGIN,
+        assert [r.type for r in records] == [LogRecordType.CHECKPOINT,
                                              LogRecordType.COMMIT]
         recovered.close()
 
@@ -103,8 +112,8 @@ class TestCrashTolerance:
         path = str(tmp_path / "wal.log")
         log = WriteAheadLog(path)
         for i in range(3):
-            log.append(LogRecord(LogRecordType.UPDATE, tx_id=1,
-                                 oid_value=i, after=b"payload-%d" % i))
+            log.append(LogRecord(LogRecordType.COMMIT, tx_id=i,
+                                 ops=[(i, b"payload-%d" % i)]))
         log.flush()
         log.close()
         with open(path, "rb") as f:
@@ -137,7 +146,7 @@ class TestCrashTolerance:
         with pytest.warns(RecoveryWarning, match="discarding"):
             records = list(recovered.iter_records(strict=False))
         # Only the record before the corruption survives.
-        assert [r.oid_value for r in records] == [0]
+        assert [r.tx_id for r in records] == [0]
         recovered.close()
 
     def test_storage_recovery_survives_mid_log_corruption(self, tmp_path):
@@ -152,16 +161,19 @@ class TestCrashTolerance:
         sm.begin(2)
         sm.write(2, OID(3), b"post-corruption")
         sm.commit(2)
+        sm.begin(3)
+        sm.write(3, OID(4), b"after-the-corruption")
+        sm.commit(3)
         sm.crash()
         sm.close()
         wal_path = str(tmp_path / "sm" / StorageManager.LOG_FILE)
         with open(wal_path, "rb") as f:
             image = f.read()
         boundaries = wal_record_boundaries(image)
-        # Corrupt the second transaction's BEGIN record: everything from
-        # there on is discarded, so tx 1 survives and tx 2 does not.
-        # Records: CHECKPOINT, BEGIN(1), INSERT, COMMIT(1), BEGIN(2), ...
-        victim = boundaries[4] + 10
+        # Corrupt the second transaction's COMMIT record: everything from
+        # there on is discarded, so tx 1 survives and txs 2 and 3 do not.
+        # Records: CHECKPOINT, COMMIT(1), COMMIT(2), COMMIT(3)
+        victim = boundaries[2] + 10
         with open(wal_path, "r+b") as f:
             f.seek(victim)
             byte = f.read(1)
@@ -172,13 +184,14 @@ class TestCrashTolerance:
         try:
             assert recovered.read(None, OID(2)) == b"pre-corruption"
             assert not recovered.exists(None, OID(3))
+            assert not recovered.exists(None, OID(4))
         finally:
             recovered.close()
 
     def test_lsns_continue_after_reopen(self, tmp_path):
         path = str(tmp_path / "wal.log")
         log = WriteAheadLog(path)
-        first = log.append(LogRecord(LogRecordType.BEGIN, tx_id=1))
+        first = log.append(LogRecord(LogRecordType.COMMIT, tx_id=1))
         log.flush()
         log.close()
         reopened = WriteAheadLog(path)
@@ -215,8 +228,8 @@ class TestFsyncFailure:
     def test_flush_to_also_retries_after_failed_fsync(self, tmp_path):
         faults = FaultRegistry()
         log = WriteAheadLog(str(tmp_path / "wal.log"), faults=faults)
-        lsn = log.append(LogRecord(LogRecordType.UPDATE, tx_id=2,
-                                   oid_value=7, after=b"x"))
+        lsn = log.append(LogRecord(LogRecordType.COMMIT, tx_id=2,
+                                   ops=[(7, b"x")]))
         faults.arm(WAL_FSYNC, nth=1, times=1)
         with pytest.raises(InjectedFault):
             log.flush_to(lsn)
@@ -231,13 +244,13 @@ class TestTruncate:
         lsn = wal.append(LogRecord(LogRecordType.COMMIT, tx_id=1))
         wal.truncate()
         assert list(wal.iter_records()) == []
-        next_lsn = wal.append(LogRecord(LogRecordType.BEGIN, tx_id=2))
+        next_lsn = wal.append(LogRecord(LogRecordType.COMMIT, tx_id=2))
         assert next_lsn > lsn
 
     def test_size_shrinks_after_truncate(self, wal):
         for i in range(50):
-            wal.append(LogRecord(LogRecordType.UPDATE, tx_id=1,
-                                 oid_value=i, after=b"x" * 100))
+            wal.append(LogRecord(LogRecordType.COMMIT, tx_id=i,
+                                 ops=[(i, b"x" * 100)]))
         wal.flush()
         before = wal.size_bytes()
         wal.truncate()
@@ -267,7 +280,7 @@ class TestForwardCompatibility:
     def test_iter_records_scans_past_unknown_record_type(self, tmp_path):
         path = str(tmp_path / "wal.log")
         log = WriteAheadLog(path)
-        begin_lsn = log.append(LogRecord(LogRecordType.BEGIN, tx_id=1))
+        begin_lsn = log.append(LogRecord(LogRecordType.CHECKPOINT, tx_id=0))
         log.flush()
         log.close()
         self._append_future_suffix(path, lsn=begin_lsn + 100)
@@ -275,24 +288,24 @@ class TestForwardCompatibility:
         reopened = WriteAheadLog(path)
         records = list(reopened.iter_records(strict=False))
         assert [r.type for r in records][-3:] == [
-            LogRecordType.BEGIN, "hologram_sync", LogRecordType.COMMIT]
+            LogRecordType.CHECKPOINT, "hologram_sync", LogRecordType.COMMIT]
         unknown = records[-2]
         assert not unknown.is_known_type
         assert unknown.payload == {"shard": 3}
         assert reopened.stats()["unknown_records_skipped"] >= 1
         # LSN allocation resumed past the future writer's records.
         assert reopened.append(
-            LogRecord(LogRecordType.BEGIN, tx_id=2)) > begin_lsn + 101
+            LogRecord(LogRecordType.COMMIT, tx_id=2)) > begin_lsn + 101
         reopened.close()
 
     def test_tailer_skips_unknown_frames_but_ships_later_records(
             self, tmp_path):
         path = str(tmp_path / "wal.log")
         log = WriteAheadLog(path)
-        log.append(LogRecord(LogRecordType.BEGIN, tx_id=1))
+        log.append(LogRecord(LogRecordType.CHECKPOINT, tx_id=0))
         log.flush()
         tailer = WALTailer(path)
-        assert [r.type for r in tailer.poll()] == [LogRecordType.BEGIN]
+        assert [r.type for r in tailer.poll()] == [LogRecordType.CHECKPOINT]
 
         self._append_future_suffix(path, lsn=900)
         shipped = tailer.poll()
