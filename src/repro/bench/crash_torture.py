@@ -76,7 +76,6 @@ __all__ = [
     "run_composer_torture",
     "run_database_torture",
     "run_group_commit_torture",
-    "run_replica_torture",
     "run_storage_torture",
     "wal_record_boundaries",
     "torn_offsets",
@@ -455,104 +454,24 @@ def run_group_commit_torture(root: str, threads: int = 8,
     loop exercises torn tails *mid-batch* — a crash between the
     ``os.write`` and the ``fsync`` of a shared force must lose or keep
     each covered transaction exactly according to the surviving prefix.
+    Every transaction whose ``commit`` returned must be a winner of the
+    surviving log: an acked commit is never lost.
     """
     base_dir = os.path.join(root, "gc-base")
-    base_image, wal_image, all_oids, __, max_batch = _run_batched_workload(
-        base_dir, threads, rounds,
-        flight=FlightRecorder(capacity=1024, directory=base_dir))
-    report = TortureReport(
-        total_winners=len(_winner_ids(parse_wal_prefix(wal_image))),
-        total_losers=3, max_commit_batch_observed=max_batch)
-    _validate_flight_dump(base_dir, wal_image, report)
-    _check_storage_cuts(root, base_image, _BATCHED_BASE, wal_image,
-                        all_oids, report)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Replica torture: kill the primary mid-batch, replay on the standby
-# ---------------------------------------------------------------------------
-
-def run_replica_torture(root: str, threads: int = 8,
-                        rounds: int = 2) -> TortureReport:
-    """Kill-the-primary torture for WAL-shipped read replicas.
-
-    The workload is the group-commit shape (:func:`_run_batched_workload`);
-    every commit that *returns* to its worker is acked.  The primary is
-    then crashed and the claim under test is the durability equivalence
-    of log shipping:
-
-    * a replica tailing the *surviving* log converges to exactly the
-      acked state — every acked transaction present (no lost acked
-      commit), every loser absent (no phantom unacked commit);
-    * for every prefix of the log (each record boundary and mid-record
-      torn tail — a crash between the ``os.write`` and the ``fsync`` of
-      a shared force), a fresh replica over that prefix shows exactly
-      the state the prefix's committed transactions produce, matching
-      what primary-side recovery itself would rebuild.
-    """
-    base_dir = os.path.join(root, "rt-base")
     base_image, wal_image, all_oids, acked, max_batch = \
-        _run_batched_workload(base_dir, threads, rounds)
-    base_state = _BATCHED_BASE
-
-    from repro.storage.replication import ReadReplica
-
-    full_records = parse_wal_prefix(wal_image)
-    winners = _winner_ids(full_records)
+        _run_batched_workload(
+            base_dir, threads, rounds,
+            flight=FlightRecorder(capacity=1024, directory=base_dir))
+    winners = _winner_ids(parse_wal_prefix(wal_image))
     if not acked <= winners:
         raise AssertionError(
             f"acked transactions missing from the surviving log: "
             f"{sorted(acked - winners)} — an acked commit was lost")
-
     report = TortureReport(total_winners=len(winners), total_losers=3,
                            max_commit_batch_observed=max_batch)
-
-    def check_replica(replica: ReadReplica, offset: int, kind: str,
-                      expected: dict[int, bytes]) -> None:
-        for oid_value, image in expected.items():
-            got = replica.read(OID(oid_value))
-            if got != image:
-                raise AssertionError(
-                    f"cut@{offset} ({kind}): replica has OID {oid_value} "
-                    f"= {got!r}, expected {image!r}")
-        for oid_value in all_oids - set(expected):
-            if replica.exists(OID(oid_value)):
-                raise AssertionError(
-                    f"cut@{offset} ({kind}): phantom OID {oid_value} "
-                    "on the replica")
-
-    # The dead primary's surviving file IS the durable prefix, so the
-    # tailer runs unbounded: the replica must converge to the acked state.
-    live = ReadReplica(base_dir, os.path.join(root, "rt-replica"))
-    try:
-        live.poll(limit_lsn=None)
-        check_replica(live, len(wal_image), "surviving",
-                      _replay_expected(base_state, full_records))
-        if live.applied_txs != len(winners):
-            raise AssertionError(
-                f"replica applied {live.applied_txs} transactions, "
-                f"log holds {len(winners)} winners")
-    finally:
-        live.close()
-
-    # Every earlier crash point: the replica over the prefix must agree
-    # with what primary recovery itself would rebuild from it.
-    for index, (offset, kind) in enumerate(_all_cuts(wal_image)):
-        prefix = wal_image[:offset]
-        records = parse_wal_prefix(prefix)
-        expected = _replay_expected(base_state, records)
-        directory = _materialize(root, index, base_image, prefix)
-        replica = ReadReplica(directory,
-                              os.path.join(directory, "replica"))
-        try:
-            replica.poll(limit_lsn=None)
-            check_replica(replica, offset, kind, expected)
-        finally:
-            replica.close()
-        report.cuts.append(CutResult(offset=offset, kind=kind,
-                                     records=len(records),
-                                     winners=len(_winner_ids(records))))
+    _validate_flight_dump(base_dir, wal_image, report)
+    _check_storage_cuts(root, base_image, _BATCHED_BASE, wal_image,
+                        all_oids, report)
     return report
 
 
@@ -809,9 +728,9 @@ class ComposerTortureReport:
     #: scan must end the prefix there and recovery must fall back to the
     #: previous durable checkpoint
     checkpoint_torn_cuts: int = 0
-    #: COMPOSER_CHECKPOINT frames a data-only read replica skipped while
-    #: tailing a dead primary's surviving log
-    replica_checkpoints_skipped: int = 0
+    #: COMPOSER_CHECKPOINT frames in the last case's surviving log, read
+    #: after the crashed engine closed
+    surviving_checkpoint_frames: int = 0
     #: group graphs the sharded topology held right after recovering a
     #: crash image taken inside an open cross-shard half-match (must be 0)
     sharded_restored_groups: int = 0
@@ -1079,10 +998,10 @@ def run_composer_torture(
     completions an uninterrupted oracle composer predicts — never a
     duplicate, never a forgotten half-match.  Torn cuts inside
     COMPOSER_CHECKPOINT frames exercise the fall-back-to-previous-
-    checkpoint path; a final pass checks that a data-only read replica
-    tailing a checkpoint-bearing log skips the frames cleanly and that a
-    sharded topology restores no open cross-shard half-match yet composes
-    a fresh pair exactly once.
+    checkpoint path; a final pass checks that the last case's surviving
+    log still holds composer checkpoint frames and that a sharded
+    topology restores no open cross-shard half-match yet composes a
+    fresh pair exactly once.
 
     ``operators``/``policies`` restrict the matrix (default: all seven
     operator trees x all four policies).
@@ -1097,23 +1016,12 @@ def run_composer_torture(
             base_dir = _run_composer_case(
                 root, case, make_spec(policy), stream, report)
 
-    # A data-only replica over the last case's surviving log: every
-    # COMPOSER_CHECKPOINT frame must be skipped — counted, never
-    # prefix-ending, never breaking transaction application.
-    from repro.storage.replication import ReadReplica
-
-    replica = ReadReplica(base_dir, os.path.join(root, "ct-replica"))
-    try:
-        replica.poll(limit_lsn=None)
-        stats = replica.stats()
-        report.replica_checkpoints_skipped = \
-            stats["composer_checkpoints_skipped"]
-    finally:
-        replica.close()
-    if report.replica_checkpoints_skipped == 0:
+    report.surviving_checkpoint_frames = len(_ct_checkpoint_frames(
+        _read_file(os.path.join(base_dir, StorageManager.LOG_FILE))))
+    if report.surviving_checkpoint_frames == 0:
         raise AssertionError(
-            "replica saw no COMPOSER_CHECKPOINT frames — the workload "
-            "should have shipped them")
+            "the surviving log holds no COMPOSER_CHECKPOINT frames — the "
+            "workload should have written them")
 
     _run_sharded_composer_case(root, report)
     return report

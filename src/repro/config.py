@@ -51,17 +51,9 @@ class ShardingConfig:
             Each shard owns contiguous OID blocks of
             :data:`repro.oodb.oid.DEFAULT_OID_RANGE_SIZE`; the width is
             part of the on-disk routing format, not a knob.
-        wal_ship: ship each shard's WAL to a warm read replica
-            (``repro.storage.replication``): a tailing reader follows the
-            primary's acked (fsynced) prefix and replays committed
-            transactions into a replica store under
-            ``<dbdir>/shard-K/replica/``.  Off by default.  Shipping is a
-            ``ShardedEngine`` service (one shard is fine); a plain
-            ``ReachEngine`` given ``wal_ship=True`` raises ``ValueError``.
     """
 
     shards: int = 1
-    wal_ship: bool = False
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -198,9 +190,8 @@ class ExecutionConfig:
             ephemeral port (``engine.admin_address`` has the real one).
             ``None`` (default) starts no server.
         sharding: the horizontal scale-out knobs
-            (:class:`ShardingConfig`): shard count and WAL shipping to
-            read replicas.  ``None`` (default) builds the
-            defaults (one shard, no shipping).
+            (:class:`ShardingConfig`): the shard count.  ``None``
+            (default) builds the default (one shard).
         server: the network front-end knobs (:class:`ServerConfig`):
             bind address, bearer tokens, per-tenant rate limiting,
             idempotency-cache capacity, frame bound, drain timeout.

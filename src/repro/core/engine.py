@@ -189,11 +189,6 @@ class ReachEngine(RuleDefinitions):
                 f"{self.config.sharding.shards}, but a ReachEngine is one "
                 f"kernel of a {self.shard_map.shard_count}-shard topology; "
                 f"build a ShardedEngine to shard the engine")
-        if self.config.sharding.wal_ship:
-            raise ValueError(
-                "ShardingConfig.wal_ship=True ships each shard's WAL to a "
-                "read replica, which a ShardedEngine does; a ReachEngine "
-                "has no shipper (build a ShardedEngine, shards=1 is fine)")
 
         # -- observability (repro.obs) -----------------------------------
         # Built first so every subsystem can bind its instruments at
@@ -934,7 +929,6 @@ class ReachEngine(RuleDefinitions):
         return {
             "count": self.shard_map.shard_count,
             "oid_range_size": self.shard_map.range_size,
-            "wal_ship": False,
             "per_shard": [self.shard_summary()],
         }
 

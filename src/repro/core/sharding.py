@@ -25,10 +25,8 @@ splits the global concerns explicitly:
   (``EventService.tx_group_resolver``) so same-transaction composite
   scope treats all members as one transaction.  Commit is per-member
   in shard order — explicitly *not* atomic across shards;
-* **durability** scales out: each shard's group-commit WAL stream can
-  be shipped to a warm read replica
-  (:class:`~repro.storage.replication.ReadReplica`), bounded by the
-  acked (fsynced) prefix.
+* **durability** is per shard: each shard has its own group-commit WAL,
+  which its own recovery reads at open.
 
 Build one with ``ShardedEngine(config=ExecutionConfig(
 sharding=ShardingConfig(shards=N)))`` and serve clients from
@@ -61,7 +59,6 @@ from repro.obs.tracer import merge_traces
 from repro.oodb.address_space import ShardMap
 from repro.oodb.oid import OID
 from repro.oodb.sentry import SentryRegistry
-from repro.storage.replication import ReadReplica, WALShipper
 
 
 class CrossShardEventBus:
@@ -161,10 +158,9 @@ class ShardedEngine(RuleDefinitions):
 
     Args:
         directory: root directory; shard *k* lives in
-            ``<directory>/shard-k`` (replicas under
-            ``<directory>/shard-k/replica``).
+            ``<directory>/shard-k``.
         config: execution configuration; ``config.sharding`` supplies
-            the shard count and whether to ship WALs.
+            the shard count.
         clock: shared time source for every shard.
         buffer_capacity: per-shard buffer-pool frames.
     """
@@ -176,12 +172,11 @@ class ShardedEngine(RuleDefinitions):
         import tempfile
 
         self.config = config or ExecutionConfig()
-        sharding = self.config.sharding
         self.clock = clock or VirtualClock()
         if directory is None:
             directory = tempfile.mkdtemp(prefix="reach-sharded-")
         self.directory = directory
-        self.shard_count = sharding.shards
+        self.shard_count = self.config.sharding.shards
         self.shard_map = ShardMap(shard_count=self.shard_count)
         #: one scoped registry shared by every shard: a single session
         #: binding covers the whole topology, and a spec's detector —
@@ -190,12 +185,10 @@ class ShardedEngine(RuleDefinitions):
         self.sentry_registry = SentryRegistry(
             scoped=True, name=f"sharded-{id(self):x}")
 
-        # Shards must not each open an admin port, append to the same
-        # telemetry file or ship their own WAL; the coordinator owns all
-        # three concerns.
+        # Shards must not each open an admin port or append to the same
+        # telemetry file; the coordinator owns both concerns.
         shard_config = dataclasses.replace(
-            self.config, admin_port=None, telemetry_jsonl=None,
-            sharding=dataclasses.replace(sharding, wal_ship=False))
+            self.config, admin_port=None, telemetry_jsonl=None)
         self.shards: list[ReachEngine] = [
             ReachEngine(directory=os.path.join(directory, f"shard-{sid}"),
                         config=shard_config, clock=self.clock,
@@ -230,16 +223,6 @@ class ShardedEngine(RuleDefinitions):
         # per-tenant SLO attribution resolves through the coordinator.
         for shard in self.shards:
             shard.scheduler.tenant_resolver = self.tenant_of_session
-
-        self.replicas: list[ReadReplica] = []
-        self.shippers: list[WALShipper] = []
-        if sharding.wal_ship:
-            for shard in self.shards:
-                replica = ReadReplica(
-                    shard.directory,
-                    os.path.join(shard.directory, "replica"))
-                self.replicas.append(replica)
-                self.shippers.append(WALShipper(shard.storage, replica))
 
         self.admin: Optional[AdminServer] = None
         if self.config.admin_port is not None:
@@ -642,7 +625,7 @@ class ShardedEngine(RuleDefinitions):
         recursively; ``rules`` and ``sessions`` report the coordinator's
         own registries (a rule registers on one home shard, a session
         spans all shards — summing would double-count), and ``shards``
-        carries the per-shard breakdown plus replication state.
+        carries the per-shard breakdown.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
@@ -694,38 +677,18 @@ class ShardedEngine(RuleDefinitions):
 
     def shard_stats(self) -> dict[str, Any]:
         """The topology view served at ``/shards``: per-shard rows plus
-        event-bus and replication state."""
-        sharding = self.config.sharding
-        stats = {
+        event-bus state."""
+        return {
             "count": self.shard_count,
             "oid_range_size": self.shard_map.range_size,
-            "wal_ship": sharding.wal_ship,
             "per_shard": [shard.shard_summary() for shard in self.shards],
             "event_bus": self.bus.stats(),
             "tx_groups": len(self._tx_groups),
         }
-        if self.replicas:
-            stats["replication"] = {
-                "replicas": [replica.stats() for replica in self.replicas],
-                "shippers": [shipper.stats() for shipper in self.shippers],
-            }
-        return stats
-
-    def replica(self, shard_id: int) -> ReadReplica:
-        """The read replica of ``shard_id`` (requires ``wal_ship``)."""
-        if not self.replicas:
-            raise RuntimeError("WAL shipping is not enabled "
-                               "(ShardingConfig(wal_ship=True))")
-        return self.replicas[shard_id]
 
     def checkpoint(self) -> None:
-        """Checkpoint every shard.  With WAL shipping on, each replica
-        is drained to the acked prefix first: checkpoint truncates the
-        primary log, and records never shipped would otherwise be lost
-        to the replica (its seed copy predates them)."""
-        for sid, shard in enumerate(self.shards):
-            if self.shippers:
-                self.shippers[sid]._poll_once()
+        """Checkpoint every shard."""
+        for shard in self.shards:
             shard.checkpoint()
 
     @property
@@ -751,12 +714,8 @@ class ShardedEngine(RuleDefinitions):
             self.admin.close()
         for session in open_sessions:
             session.close()
-        for shipper in self.shippers:
-            shipper.stop()
         for shard in self.shards:
             shard.close()
-        for replica in self.replicas:
-            replica.close()
 
     def __enter__(self) -> "ShardedEngine":
         return self

@@ -17,7 +17,7 @@ the engine's existing introspection surfaces:
 ``/locks``                lock table + ``concurrency_stats()`` (stripe waits)
 ``/wal``                  WAL depth: LSNs, buffered records, group commit
 ``/composer``             half-matched composites + checkpoint/restore LSNs
-``/shards``               shard topology: per-shard counters, replication
+``/shards``               shard topology: per-shard counters, event bus
 ``/flight``               flight-recorder state (``?tail=N`` recent entries)
 ``/flight/dump``          trigger a dump; returns the file path
 ========================  ==================================================
@@ -245,7 +245,7 @@ class AdminServer:
 
     def _shards(self, query: dict[str, str]) -> tuple[str, str]:
         # Topology view: shard count, OID block size, per-shard hot
-        # counters, replication state.  Duck-typed like everything else —
+        # counters, event bus.  Duck-typed like everything else —
         # a single-kernel engine reports itself as a one-shard topology.
         return self._json(self.engine.shard_stats())
 

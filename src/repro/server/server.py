@@ -721,16 +721,14 @@ class ReachServer:
                 self._tenant_entry(tenant)["errors"] += 1
             histogram = self._tenant_latency.get(tenant)
             if histogram is None:
-                histogram = self._tenant_latency[tenant] = Histogram(
-                    f"server.tenant.{tenant}.latency")
+                # One histogram per tenant: the engine registry's when it
+                # is enabled (so render_prometheus exports it), else ours.
+                name = f"server.tenant.{tenant}.latency"
+                registry = self.engine.metrics_registry
+                histogram = self._tenant_latency[tenant] = (
+                    registry.histogram(name) if registry.enabled
+                    else Histogram(name))
         histogram.observe(elapsed, exemplar=trace_id)
-        # Mirror into the engine registry so render_prometheus exports
-        # the per-tenant latency (a no-op when metrics are disabled).
-        registry = self.engine.metrics_registry
-        if registry.enabled:
-            registry.histogram(
-                f"server.tenant.{tenant}.latency").observe(
-                    elapsed, exemplar=trace_id)
 
     def _tenant_entry(self, tenant: str) -> dict[str, int]:
         """``tenant``'s request counts (caller holds the lock).  The

@@ -3,7 +3,8 @@
 The paper's Open OODB platform uses the EXODUS storage manager as its
 passive address-space manager (Section 5).  This package is the Python
 stand-in: a file-backed record store built from slotted pages, a buffer
-pool, and a write-ahead log with ARIES-style redo/undo recovery.
+pool, and a redo-only write-ahead log of one COMMIT frame per
+transaction, which recovery reads once at open.
 """
 
 from repro.storage.serializer import serialize, deserialize

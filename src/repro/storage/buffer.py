@@ -2,9 +2,9 @@
 
 The buffer pool mediates all page access between the storage manager and
 the page file on disk.  Pages are pinned while in use; an unpinned dirty
-page may be evicted, which forces it to disk (after the WAL rule: the log
-is flushed up to the page's LSN first, enforced by the storage manager
-passing a ``flush_log`` callback).
+page may be evicted, which writes it to disk.  The pool needs no WAL hook:
+the storage manager changes a page only after the COMMIT frame of the
+change is durable, so any page it writes is already covered by the log.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import StorageError
 from repro.faults.registry import BUFFER_EVICT, NULL_FAULTS, FaultRegistry
@@ -72,21 +72,15 @@ class PageFile:
 
 
 class BufferPool:
-    """An LRU cache of :class:`Page` frames over a :class:`PageFile`.
-
-    ``flush_log`` is invoked with the evicted page's LSN before the page is
-    written out, implementing write-ahead logging discipline.
-    """
+    """An LRU cache of :class:`Page` frames over a :class:`PageFile`."""
 
     def __init__(self, page_file: PageFile, capacity: int = 64,
-                 flush_log: Optional[Callable[[int], None]] = None,
                  metrics: MetricsRegistry = NULL_METRICS,
                  faults: FaultRegistry = NULL_FAULTS):
         if capacity < 1:
             raise ValueError("buffer pool capacity must be >= 1")
         self._file = page_file
         self._capacity = capacity
-        self._flush_log = flush_log or (lambda lsn: None)
         self._frames: OrderedDict[int, Page] = OrderedDict()
         self._pins: dict[int, int] = {}
         self._lock = threading.RLock()
@@ -148,7 +142,6 @@ class BufferPool:
             self._pins.pop(victim_id, None)
             self.evictions += 1
             if victim.dirty:
-                self._flush_log(victim.lsn)
                 self._file.write_page(victim.page_id, victim.to_bytes())
 
     # -- bulk operations -------------------------------------------------------
@@ -158,7 +151,6 @@ class BufferPool:
         with self._lock:
             for page in self._frames.values():
                 if page.dirty:
-                    self._flush_log(page.lsn)
                     self._file.write_page(page.page_id, page.to_bytes())
                     page.dirty = False
             self._file.sync()

@@ -22,7 +22,9 @@ from repro.errors import PageError, PageFullError
 
 PAGE_SIZE = 4096
 
-_HEADER = struct.Struct(">HHI")          # num_slots, free_offset, page_lsn (low 32 bits unused by tests)
+#: num_slots, free_offset, and a 4-byte field once meant for a page LSN:
+#: always written as 0, kept so existing data files read unchanged
+_HEADER = struct.Struct(">HHI")
 _SLOT = struct.Struct(">HH")             # record offset, record length
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
@@ -38,26 +40,24 @@ class Page:
     """One fixed-size slotted page.
 
     The page does not know what its records mean; the storage manager stores
-    serialized object fragments in them.  ``lsn`` tracks the last WAL record
-    that touched the page, which recovery uses to decide whether a redo is
-    needed.
+    serialized object fragments in them.  A page has no LSN: it only
+    receives images whose COMMIT frame is already durable, so redo never
+    needs to ask how new a page is.
     """
 
-    __slots__ = ("page_id", "data", "dirty", "lsn")
+    __slots__ = ("page_id", "data", "dirty")
 
     def __init__(self, page_id: int, data: Optional[bytes] = None):
         self.page_id = page_id
         if data is None:
             self.data = bytearray(PAGE_SIZE)
             self._write_header(0, HEADER_SIZE)
-            self.lsn = 0
         else:
             if len(data) != PAGE_SIZE:
                 raise PageError(
                     f"page image must be {PAGE_SIZE} bytes, got {len(data)}"
                 )
             self.data = bytearray(data)
-            __, __, self.lsn = _HEADER.unpack_from(self.data, 0)
         self.dirty = False
 
     # -- header helpers -----------------------------------------------------
@@ -67,13 +67,7 @@ class Page:
         return num_slots, free_offset
 
     def _write_header(self, num_slots: int, free_offset: int) -> None:
-        _HEADER.pack_into(self.data, 0, num_slots, free_offset,
-                          getattr(self, "lsn", 0) & 0xFFFFFFFF)
-
-    def set_lsn(self, lsn: int) -> None:
-        self.lsn = lsn
-        num_slots, free_offset = self._read_header()
-        self._write_header(num_slots, free_offset)
+        _HEADER.pack_into(self.data, 0, num_slots, free_offset, 0)
 
     # -- slot helpers -------------------------------------------------------
 

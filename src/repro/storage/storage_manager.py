@@ -98,7 +98,6 @@ class StorageManager:
                                   flight=flight)
         self._file = PageFile(os.path.join(directory, self.DATA_FILE))
         self._pool = BufferPool(self._file, capacity=buffer_capacity,
-                                flush_log=self._wal.flush_to,
                                 metrics=metrics, faults=faults)
         self._lock = threading.RLock()
         # oid value -> list of (page_id, slot) in fragment order
@@ -122,7 +121,12 @@ class StorageManager:
         #: any later COMMIT; see :meth:`_pull_composer_checkpoints`.
         self.composer_checkpoint_provider: Optional[
             Callable[[Callable[[dict], int], bool], None]] = None
-        self._recover()
+        try:
+            self._recover()
+        except BaseException:
+            self._file.close()
+            self._wal.close()
+            raise
 
     # ------------------------------------------------------------------
     # Bootstrap and recovery

@@ -6,8 +6,11 @@ where ``image`` is the full new object image, or ``None`` for a delete.
 Nothing is logged at begin, per write or at abort.  The log is
 redo-only, and a transaction that never committed left no trace in it,
 so recovery is one pass: redo every complete COMMIT frame in log order.
-That is correct because data pages only ever receive committed images
-(no-steal) and every page write forces the log first (WAL rule).
+That is correct because data pages only ever receive images whose
+COMMIT frame is already durable: commit forces its frame before it
+applies a single write to a page, so the WAL rule holds by construction
+and no page needs an LSN.  Recovery is the log's only reader; its one
+scan also tells a reopened log where its LSNs resume.
 
 Logs written while the log still held one record per operation (the
 ``begin``/``insert``/``update``/``delete``/``abort`` tags) are refused
@@ -57,7 +60,7 @@ class LogRecordType(enum.Enum):
     CHECKPOINT = "checkpoint"
     #: durable composite-event detection state (versioned composer
     #: snapshot); carries no data-page state, replayed by the engine's
-    #: event service on recovery, skipped by replicas.
+    #: event service on recovery.
     COMPOSER_CHECKPOINT = "composer_checkpoint"
 
 
@@ -71,13 +74,12 @@ def _coerce_record_type(value: str) -> "LogRecordType | str":
 
     Forward compatibility: a newer writer may frame record types this
     reader does not know.  Ending the consistent prefix there would make
-    every old replica (and lenient recovery) lose acked records behind a
-    perfectly well-framed record, so unknown tags survive decoding as
-    plain strings; every consumer dispatches on enum identity, which an
-    unknown string never matches, so such records are inert but their
-    LSNs still advance the scan.  The tags of the older per-operation
-    format are the exception: they raise, because skipping them would
-    drop committed data.
+    recovery lose acked records behind a perfectly well-framed record,
+    so unknown tags survive decoding as plain strings; recovery
+    dispatches on enum identity, which an unknown string never matches,
+    so such records are inert but their LSNs still advance the scan.
+    The tags of the older per-operation format are the exception: they
+    raise, because skipping them would drop committed data.
     """
     try:
         return LogRecordType(value)
@@ -142,9 +144,9 @@ class WriteAheadLog:
     ``append`` buffers in memory and assigns the LSN.  Every physical write
     of the log is one *force* — one ``os.write`` + ``fsync`` covering every
     buffered record — and three entry points wait for one: ``flush()``
-    (everything appended so far), ``flush_to(lsn)`` (the WAL-rule hook the
-    buffer pool calls before writing a data page) and ``sync(lsn)`` (the
-    commit barrier, which also counts the commits each force acknowledges).
+    (everything appended so far), ``flush_to(lsn)`` (everything up to
+    ``lsn``) and ``sync(lsn)`` (the commit barrier, which also counts the
+    commits each force acknowledges).
 
     The barrier is leader/follower group commit with no linger and no
     flusher thread: a caller whose LSN is not yet durable either finds no
@@ -191,19 +193,6 @@ class WriteAheadLog:
         self._fp_fsync = faults.point(WAL_FSYNC)
         self._fp_torn = faults.point(WAL_TORN_TAIL)
         self._flight = flight
-        try:
-            self._bootstrap_lsns()
-        except BaseException:
-            os.close(self._fd)
-            raise
-
-    def _bootstrap_lsns(self) -> None:
-        """Continue LSN numbering after the existing log contents."""
-        last = 0
-        for record in self.iter_records(strict=False):
-            last = record.lsn
-        self._next_lsn = last + 1
-        self._flushed_lsn = last
 
     # -- writing ---------------------------------------------------------------
 
@@ -356,6 +345,11 @@ class WriteAheadLog:
     def iter_records(self, strict: bool = True) -> Iterator[LogRecord]:
         """Scan durable records from the start of the log.
 
+        The scan is how a reopened log learns where its LSNs resume: a
+        record at or past ``next_lsn`` moves ``next_lsn`` and
+        ``flushed_lsn`` up to it, so recovery's one pass leaves numbering
+        continuing after the last durable record.
+
         A torn final record (crash mid-write) terminates the scan silently.
         Corruption anywhere else raises :class:`WALError` when ``strict``;
         with ``strict=False`` (the recovery path) the scan emits a
@@ -396,6 +390,10 @@ class WriteAheadLog:
                 # Well-framed record from a newer writer: scan past it
                 # (forward compatibility) but surface that it happened.
                 self.unknown_records_skipped += 1
+            if record.lsn >= self._next_lsn:
+                with self._lock:
+                    self._next_lsn = record.lsn + 1
+                    self._flushed_lsn = record.lsn
             yield record
             offset = start + length
 
@@ -407,8 +405,8 @@ class WriteAheadLog:
             self.flush()
             os.ftruncate(self._fd, 0)
             os.fsync(self._fd)
-            # LSNs keep increasing across truncation so page LSNs stay
-            # monotonic relative to the log.
+            # LSNs keep increasing across truncation, so a record's LSN
+            # never repeats within one open log.
             self._flushed_lsn = self._next_lsn - 1
 
     def size_bytes(self) -> int:
@@ -417,110 +415,8 @@ class WriteAheadLog:
 
     def close(self) -> None:
         with self._lock:
-            self.flush()
-            os.close(self._fd)
+            try:
+                self.flush()
+            finally:
+                os.close(self._fd)
 
-
-class WALTailer:
-    """Incremental consistent-prefix reader over a (possibly live) log file.
-
-    The shipping side of primary->replica replication: a tailer holds its
-    own read descriptor on the primary's log and, on every :meth:`poll`,
-    decodes the records appended since the last poll.  Three invariants
-    make this safe against a concurrently writing (or crashing) primary:
-
-    * **frame-atomic** — a torn or incomplete frame at the tail stops the
-      poll *before* it; the offset does not advance past it, so the next
-      poll retries once the writer has finished (or never, if the primary
-      died mid-write — exactly the prefix recovery would keep);
-    * **CRC-checked** — a corrupt mid-log record also stops the poll (the
-      consistent prefix wins, mirroring ``iter_records(strict=False)``);
-    * **acked-bounded** — callers pass ``limit_lsn`` (the primary's
-      ``flushed_lsn``) so the replica never applies a record the primary
-      has not yet acknowledged as durable, even though such records can
-      be visible in the OS page cache.
-
-    Checkpoint truncation on the primary starts a new log generation;
-    :meth:`poll` detects it and rewinds to the start (the caller re-seeds
-    from the primary's data file in that case).  The tailer remembers the
-    bytes of the first frame it read: LSNs never repeat across a
-    truncation, so a different first frame means a new generation even
-    once the new log has grown back past the old offset.
-    """
-
-    def __init__(self, path: str, offset: int = 0):
-        self.path = path
-        self._fd = os.open(path, os.O_RDONLY)
-        self.offset = offset
-        #: the first frame of the generation being tailed (empty until
-        #: read from offset 0)
-        self._head = b""
-        self.records_read = 0
-        self.truncations = 0
-        self.unknown_records = 0
-
-    def poll(self, limit_lsn: Optional[int] = None) -> list[LogRecord]:
-        """Decode every new complete record, oldest first.
-
-        Returns an empty list when nothing new (or nothing admissible
-        under ``limit_lsn``) has appeared.  On primary truncation the
-        tailer rewinds to offset 0 and reads the fresh log from its
-        start, counting the event in ``truncations``.
-        """
-        size = os.fstat(self._fd).st_size
-        if self.offset and (size < self.offset or os.pread(
-                self._fd, len(self._head), 0) != self._head):
-            # The primary checkpointed and truncated its log: everything
-            # we shipped so far is now baked into its data file.
-            self.offset = 0
-            self.truncations += 1
-        if size == self.offset:
-            return []
-        data = os.pread(self._fd, size - self.offset, self.offset)
-        records: list[LogRecord] = []
-        cursor = 0
-        end = len(data)
-        while cursor < end:
-            if cursor + _FRAME.size > end:
-                break  # incomplete frame header: retry next poll
-            length, crc = _FRAME.unpack_from(data, cursor)
-            start = cursor + _FRAME.size
-            if start + length > end:
-                break  # incomplete payload: retry next poll
-            payload = data[start:start + length]
-            if zlib.crc32(payload) != crc:
-                break  # torn/corrupt record: the prefix before it wins
-            record = LogRecord.decode(payload)
-            if limit_lsn is not None and record.lsn > limit_lsn:
-                break  # not yet acked by the primary: wait
-            if not record.is_known_type:
-                # A newer primary framed a record type this tailer does
-                # not know: skip it rather than ending the consistent
-                # prefix, so old replicas survive new frame types.  The
-                # LSN check above still bounds the skip to acked records.
-                self.unknown_records += 1
-                cursor = start + length
-                continue
-            records.append(record)
-            cursor = start + length
-        if not self.offset and cursor:
-            length, __ = _FRAME.unpack_from(data, 0)
-            self._head = data[:_FRAME.size + length]
-        self.offset += cursor
-        self.records_read += len(records)
-        return records
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "offset": self.offset,
-            "records_read": self.records_read,
-            "truncations": self.truncations,
-            "unknown_records": self.unknown_records,
-        }
-
-    def close(self) -> None:
-        try:
-            os.close(self._fd)
-        except OSError:
-            pass

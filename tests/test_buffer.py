@@ -3,8 +3,11 @@
 import pytest
 
 from repro.errors import StorageError
+from repro.oodb.oid import OID
 from repro.storage.buffer import BufferPool, PageFile
 from repro.storage.pages import PAGE_SIZE
+from repro.storage.storage_manager import StorageManager
+from repro.storage.wal import LogRecordType
 
 
 @pytest.fixture
@@ -88,16 +91,45 @@ class TestBufferPool:
         with pytest.raises(StorageError):
             pool.unpin(5)
 
-    def test_wal_rule_flushes_log_before_page(self, page_file):
-        flushed_lsns = []
-        pool = BufferPool(page_file, capacity=1,
-                          flush_log=flushed_lsns.append)
-        page = pool.fetch(0, create=True)
-        page.insert(b"x")
-        page.set_lsn(42)
-        pool.unpin(0, dirty=True)
-        pool.flush_all()
-        assert flushed_lsns == [42]
+    def test_wal_rule_flushes_log_before_page(self, tmp_path, monkeypatch):
+        """The WAL rule, checked by what happens: with one buffer frame,
+        evictions write pages between and inside commits, and at every
+        page write the log is durable up to the COMMIT frame of every
+        transaction already applied to pages."""
+        sm = StorageManager(str(tmp_path / "store"), buffer_capacity=1)
+        wal = sm._wal
+        commits, applied, written = [], [], []
+        append, apply, write_page = wal.append, sm._apply, PageFile.write_page
+
+        def logged_append(record):
+            lsn = append(record)
+            if record.type is LogRecordType.COMMIT:
+                commits.append(lsn)
+            return lsn
+
+        def logged_apply(operations):
+            applied.append(commits[-1])    # one committer: the last COMMIT
+            apply(operations)
+
+        def checked_write_page(page_file, page_id, data):
+            if applied:
+                assert wal.flushed_lsn >= applied[-1]
+            written.append(page_id)
+            write_page(page_file, page_id, data)
+
+        monkeypatch.setattr(wal, "append", logged_append)
+        monkeypatch.setattr(sm, "_apply", logged_apply)
+        monkeypatch.setattr(PageFile, "write_page", checked_write_page)
+        try:
+            for tx in range(1, 51):
+                sm.begin(tx)
+                for oid_value in {tx % 9, tx * 5 % 9}:
+                    sm.write(tx, OID(oid_value + 1), bytes([tx]) * 1_200)
+                sm.commit(tx)
+            assert len(applied) == 50
+            assert len(written) >= 50      # evictions, not one final flush
+        finally:
+            sm.close()
 
     def test_drop_all_simulates_crash(self, page_file):
         pool = BufferPool(page_file, capacity=4)

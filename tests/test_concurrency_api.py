@@ -50,10 +50,12 @@ class TestConcurrencyConfig:
         ("dead_letter_capacity", 256),
         ("oid_range_size", 1024),
         ("wal_ship_interval", 0.01),
+        ("wal_ship", True),
     ])
     def test_legacy_flat_kwargs_are_removed(self, kwarg, value):
         config_cls = ShardingConfig if kwarg in (
-            "oid_range_size", "wal_ship_interval") else ExecutionConfig
+            "oid_range_size", "wal_ship_interval", "wal_ship") \
+            else ExecutionConfig
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             config_cls(**{kwarg: value})
 

@@ -15,8 +15,6 @@ from repro import (
 )
 from repro.core.eca_manager import EventService
 from repro.core.scheduler import RuleScheduler
-from repro.core.sharding import ShardedEngine
-from repro.oodb.oid import DEFAULT_OID_RANGE_SIZE
 
 
 class TestExecutionConfig:
@@ -49,13 +47,6 @@ class TestExecutionConfig:
         assert ExecutionConfig(mode=ExecutionMode.THREADED,
                                parallel_rules=True).parallel_rules
 
-    def test_reach_engine_rejects_wal_shipping(self, tmp_path):
-        with pytest.raises(ValueError,
-                           match=r"ShardingConfig\.wal_ship.*ShardedEngine"):
-            ReachEngine(directory=str(tmp_path / "db"),
-                        config=ExecutionConfig(
-                            sharding=ShardingConfig(wal_ship=True)))
-
     def test_config_surface_is_pinned(self):
         """Every settable value, by name: a new knob is a deliberate
         diff here, as a new statistics key is one in STATISTICS_KEYS."""
@@ -66,8 +57,7 @@ class TestExecutionConfig:
             "retry_base_delay", "quarantine_threshold", "fault_injection",
             "fault_seed", "flight_recorder", "telemetry_jsonl",
             "admin_port", "sharding", "server"}
-        assert {f.name for f in fields(ShardingConfig)} == {
-            "shards", "wal_ship"}
+        assert {f.name for f in fields(ShardingConfig)} == {"shards"}
         assert {f.name for f in fields(ServerConfig)} == {
             "host", "port", "auth_tokens", "rate_limit", "rate_burst",
             "drain_timeout"}
@@ -97,17 +87,6 @@ class TestComponentDefaults:
             assert sweeps == [1.0, 2.0]
         finally:
             db.close()
-
-    def test_wal_shipper_interval(self, tmp_path):
-        engine = ShardedEngine(
-            directory=str(tmp_path / "db"),
-            config=ExecutionConfig(sharding=ShardingConfig(shards=2,
-                                                           wal_ship=True)))
-        try:
-            assert [s.interval for s in engine.shippers] == [0.01, 0.01]
-            assert engine.shard_map.range_size == DEFAULT_OID_RANGE_SIZE
-        finally:
-            engine.close()
 
 
 class TestErrorHierarchy:

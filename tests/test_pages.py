@@ -115,10 +115,19 @@ class TestPersistence:
         with pytest.raises(PageError):
             Page(0, b"short")
 
-    def test_lsn_survives_round_trip(self):
+    def test_old_header_lsn_field_reads_and_is_written_as_zero(self):
+        """Bytes 4..8 of the header once held a page LSN.  A page image
+        with a value there still reads unchanged, and a rewrite stores
+        0 in the field."""
         page = Page(0)
-        page.set_lsn(77)
-        assert Page(0, page.to_bytes()).lsn == 77
+        slot = page.insert(b"kept")
+        image = bytearray(page.to_bytes())
+        assert image[4:8] == bytes(4)
+        image[4:8] = (77).to_bytes(4, "big")
+        old = Page(0, bytes(image))
+        assert old.read(slot) == b"kept"
+        old.insert(b"more")
+        assert old.to_bytes()[4:8] == bytes(4)
 
 
 @st.composite

@@ -266,6 +266,27 @@ class TestRateLimit:
             server.close()
             db.close()
 
+    def test_registry_reads_the_tenant_latency(self, tmp_path):
+        """A tenant's request latency is one histogram: the server's
+        statistics and the registry report the same object."""
+        db, server = make_served(tmp_path, observability=True)
+        tenant = server_module.DEFAULT_TENANT
+        name = f"server.tenant.{tenant}.latency"
+        try:
+            with connect(server) as client:
+                for __ in range(40):
+                    client.ping()
+            latency = server.stats()["tenants"][tenant]["latency"]
+            registered = db.metrics().snapshot()["histograms"][name]
+            assert latency["count"] == registered["count"] >= 40
+            for key in ("p50", "p99"):
+                assert latency[key] == registered[key], key
+            assert server._tenant_latency[tenant] is \
+                db.metrics_registry.histogram(name)
+        finally:
+            server.close()
+            db.close()
+
 
 def _ping_admitted(client):
     try:

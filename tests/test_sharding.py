@@ -30,6 +30,7 @@ from repro.core.sharding import ShardedEngine
 from repro.errors import ObjectNotFoundError
 from repro.obs.flight import latest_dump, load_dump
 from repro.oodb.address_space import ShardMap
+from repro.oodb.oid import DEFAULT_OID_RANGE_SIZE
 
 from tests.test_algebra_properties import RefEvaluator, RefSeq, _seqs
 
@@ -137,7 +138,8 @@ class TestStatisticsAndAdmin:
         assert len(topology["per_shard"]) == 4
         assert [row["shard_id"] for row in topology["per_shard"]] == \
             [0, 1, 2, 3]
-        assert topology["wal_ship"] is False
+        assert topology["oid_range_size"] == DEFAULT_OID_RANGE_SIZE
+        assert sdb.shard_map.range_size == DEFAULT_OID_RANGE_SIZE
         assert "event_bus" in topology
 
     def test_rules_and_sessions_not_double_counted(self, sdb):

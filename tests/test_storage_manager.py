@@ -14,10 +14,9 @@ from repro.errors import RecordNotFoundError, StorageError
 from repro.oodb.oid import OID
 from repro.storage.buffer import PageFile
 from repro.storage.pages import MAX_RECORD_SIZE, Page
-from repro.storage.replication import ReadReplica
 from repro.storage.serializer import serialize
 from repro.storage.storage_manager import _FRAG_HEADER, StorageManager
-from repro.storage.wal import _FRAME
+from repro.storage.wal import _FRAME, LogRecord
 
 
 @pytest.fixture
@@ -243,8 +242,8 @@ class TestRecovery:
     def test_log_in_the_per_operation_format_is_refused(self, tmp_path):
         """A log of one record per operation (BEGIN, INSERT, UPDATE,
         DELETE, ABORT, COMMIT) is refused whole: recovery raises before
-        it touches the data file or the log, and a replica refuses it
-        too, so none of its committed data is skipped."""
+        it touches the data file or the log, so none of its committed
+        data is skipped, and the store closes both files it opened."""
         path = str(tmp_path / "store")
         sm = StorageManager(path)
         sm.begin(1)
@@ -271,16 +270,55 @@ class TestRecovery:
                      + frame("abort", 3, 17))
         files = [pathlib.Path(p) for p in (log_path, data_path)]
         before = [f.read_bytes() for f in files]
-        with pytest.raises(StorageError, match="recover and checkpoint"):
-            StorageManager(path)
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def tracked_open(*args, **kwargs):
+            fd = real_open(*args, **kwargs)
+            opened.append(fd)
+            return fd
+
+        def tracked_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "open", tracked_open)
+            patch.setattr(os, "close", tracked_close)
+            with pytest.raises(StorageError, match="recover and checkpoint"):
+                StorageManager(path)
+        assert len(opened) == 2            # the log and the data file
+        assert set(opened) <= set(closed)
         assert [f.read_bytes() for f in files] == before
-        replica = ReadReplica(path, str(tmp_path / "replica"))
+
+    def test_reopen_decodes_each_frame_once(self, tmp_path, monkeypatch):
+        """Recovery is the log's only reader: reopening a store whose log
+        holds N frames decodes exactly N of them."""
+        path = str(tmp_path / "store")
+        sm = StorageManager(path)
+        for tx in range(1, 51):
+            sm.begin(tx)
+            sm.write(tx, OID(tx % 7 + 1), b"image-%d" % tx)
+            sm.commit(tx)
+        sm.close()
+        with open(os.path.join(path, StorageManager.LOG_FILE), "rb") as fh:
+            frames = len(wal_record_boundaries(fh.read())) - 1
+        assert frames == 51                # the open's CHECKPOINT + 50
+        decode = LogRecord.decode.__func__
+        decoded = []
+
+        def counting_decode(cls, data):
+            decoded.append(len(data))
+            return decode(cls, data)
+
+        monkeypatch.setattr(LogRecord, "decode",
+                            classmethod(counting_decode))
+        reopened = StorageManager(path)
         try:
-            with pytest.raises(StorageError,
-                               match="recover and checkpoint"):
-                replica.poll()
+            assert len(decoded) == frames
+            assert reopened.read(None, OID(50 % 7 + 1)) == b"image-50"
         finally:
-            replica.close()
+            reopened.close()
 
     def test_checkpoint_with_active_tx_rejected(self, store):
         store.begin(1)

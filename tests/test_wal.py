@@ -15,7 +15,6 @@ from repro.storage.wal import (
     _FRAME,
     LogRecord,
     LogRecordType,
-    WALTailer,
     WriteAheadLog,
 )
 
@@ -189,15 +188,26 @@ class TestCrashTolerance:
             recovered.close()
 
     def test_lsns_continue_after_reopen(self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        log = WriteAheadLog(path)
-        first = log.append(LogRecord(LogRecordType.COMMIT, tx_id=1))
-        log.flush()
-        log.close()
-        reopened = WriteAheadLog(path)
-        second = reopened.append(LogRecord(LogRecordType.COMMIT, tx_id=1))
-        assert second == first + 1
-        reopened.close()
+        """Recovery's one scan is how a reopened log learns where its
+        LSNs resume: nothing appended after a reopen reuses an LSN."""
+        path = str(tmp_path / "store")
+        sm = StorageManager(path)
+        sm.begin(1)
+        sm.write(1, OID(1), b"one")
+        sm.commit(1)
+        last = sm.wal_stats()["flushed_lsn"]
+        sm.close()
+        reopened = StorageManager(path)
+        try:
+            assert reopened.wal_stats()["flushed_lsn"] > last
+            reopened.begin(2)
+            reopened.write(2, OID(2), b"two")
+            reopened.commit(2)
+            lsns = [r.lsn for r in reopened._wal.iter_records()]
+            assert lsns == sorted(set(lsns))
+            assert min(lsns) > last
+        finally:
+            reopened.close()
 
 
 class TestFsyncFailure:
@@ -259,9 +269,9 @@ class TestTruncate:
 
 class TestForwardCompatibility:
     """A well-framed record of an unknown type — written by some future
-    version of the engine — must not end the consistent prefix: scans
-    yield it as an inert string-typed record, tailers skip it, and both
-    keep delivering the records after it."""
+    version of the engine — must not end the consistent prefix: recovery's
+    scan yields it as an inert string-typed record and keeps delivering
+    the records after it."""
 
     @staticmethod
     def _frame(record):
@@ -297,19 +307,3 @@ class TestForwardCompatibility:
         assert reopened.append(
             LogRecord(LogRecordType.COMMIT, tx_id=2)) > begin_lsn + 101
         reopened.close()
-
-    def test_tailer_skips_unknown_frames_but_ships_later_records(
-            self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        log = WriteAheadLog(path)
-        log.append(LogRecord(LogRecordType.CHECKPOINT, tx_id=0))
-        log.flush()
-        tailer = WALTailer(path)
-        assert [r.type for r in tailer.poll()] == [LogRecordType.CHECKPOINT]
-
-        self._append_future_suffix(path, lsn=900)
-        shipped = tailer.poll()
-        assert [r.type for r in shipped] == [LogRecordType.COMMIT]
-        assert tailer.unknown_records == 1
-        assert tailer.poll() == []  # offset advanced past the skip
-        log.close()
