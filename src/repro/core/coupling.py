@@ -32,6 +32,10 @@ from repro.errors import UnsupportedCouplingError
 
 
 class CouplingMode(enum.Enum):
+    # Members are singletons: an identity hash is exact, and runs in C
+    # where Enum's own hashes the name in Python (hot dict keys).
+    __hash__ = object.__hash__
+
     IMMEDIATE = "immediate"
     DEFERRED = "deferred"
     DETACHED = "detached"

@@ -52,8 +52,7 @@ import itertools
 import tempfile
 import threading
 import weakref
-from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Type, Union
+from typing import Any, Optional, Type, Union
 
 from repro.clock import Clock, VirtualClock
 from repro.config import ExecutionConfig
@@ -99,7 +98,11 @@ from repro.oodb.oid import OID, ShardedOIDAllocator
 from repro.oodb.persistence import PersistencePolicyManager
 from repro.oodb.query import QueryProcessor
 from repro.oodb.sentry import SentryRegistry
-from repro.oodb.transactions import Transaction, TransactionManager
+from repro.oodb.transactions import (
+    Transaction,
+    TransactionManager,
+    TransactionScope,
+)
 
 _engine_ids = itertools.count(1)
 
@@ -494,16 +497,14 @@ class ReachEngine(RuleDefinitions):
     # Transactions (engine-level: current ambient context)
     # ------------------------------------------------------------------
 
-    @contextmanager
     def transaction(self, nested: Optional[bool] = None,
-                    deadline: Optional[float] = None) -> Iterator[Transaction]:
+                    deadline: Optional[float] = None) -> TransactionScope:
         """``with engine.transaction() as tx:`` on the calling thread's
         transaction stack — commits on success, aborts on exception, and
         binds this engine's event scope for the body."""
-        with self.sentry_registry.bound():
-            with self.tx_manager.transaction(nested=nested,
-                                             deadline=deadline) as tx:
-                yield tx
+        return TransactionScope(self.tx_manager,
+                                self.sentry_registry.bound(),
+                                nested=nested, deadline=deadline)
 
     def current_transaction(self) -> Optional[Transaction]:
         return self.tx_manager.current()
@@ -624,10 +625,9 @@ class ReachEngine(RuleDefinitions):
 
     def drain_detached(self) -> int:
         """Synchronous mode: run detached work whose dependencies are
-        decided.  Runs under this engine's scope so detached rule actions
-        deliver their events to this engine only."""
-        with self.sentry_registry.bound():
-            return self.scheduler.drain_detached()
+        decided.  The scheduler binds this engine's scope for the drain,
+        so detached rule actions deliver their events to it only."""
+        return self.scheduler.drain_detached()
 
     def wait_for_composition(self, timeout: float = 10.0) -> None:
         self.events.wait_for_composition(timeout)
@@ -944,8 +944,7 @@ class ReachEngine(RuleDefinitions):
         """Re-execute dead-lettered work (all of it, or one entry by
         index) with a fresh retry budget; returns the number requeued.
         Runs under this engine's scope like :meth:`drain_detached`."""
-        with self.sentry_registry.bound():
-            return self.scheduler.requeue_dead_letters(index)
+        return self.scheduler.requeue_dead_letters(index)
 
     def checkpoint(self) -> None:
         self.storage.checkpoint()
@@ -985,8 +984,7 @@ class ReachEngine(RuleDefinitions):
         try:
             # Give resolvable detached work a last chance to run rather
             # than silently dropping it (synchronous mode).
-            with self.sentry_registry.bound():
-                self.scheduler.drain_detached()
+            self.scheduler.drain_detached()
         except Exception:
             pass
         self.scheduler.close()

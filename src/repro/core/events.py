@@ -163,6 +163,8 @@ class StateChangeEventSpec(PrimitiveEventSpec):
 class FlowEventKind(enum.Enum):
     """Transaction-related and DB-internal flow-control events."""
 
+    __hash__ = object.__hash__  # singletons: see CouplingMode
+
     BOT = "bot"
     EOT = "eot"            # after work, before commit
     COMMIT = "commit"

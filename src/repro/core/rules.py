@@ -140,6 +140,14 @@ class Rule:
         self.firing_key = (-priority,
                            1 if event.category().is_composite else 0,
                            self.created_seq)
+        #: ``(leaf key, parameter names, instance binding)`` of each leaf
+        #: that names something, for :meth:`bind`; most rules have none.
+        self._named_leaves = tuple(
+            (leaf.key(), getattr(leaf, "param_names", ()),
+             getattr(leaf, "instance_binding", None))
+            for leaf in event.leaves()
+            if getattr(leaf, "param_names", ())
+            or getattr(leaf, "instance_binding", None))
         self.fired_count = 0
         self.condition_rejections = 0
         #: consecutive failed executions (reset by any success); at the
@@ -166,15 +174,12 @@ class Rule:
         ECA-manager per event type, so binding is a rule-side concern.
         """
         bindings = dict(occ.parameters)
-        leaves = self.event.leaves()
+        if not self._named_leaves:
+            return bindings
         primitives = occ.all_primitive_components()
-        for leaf in leaves:
-            param_names = getattr(leaf, "param_names", ())
-            instance_binding = getattr(leaf, "instance_binding", None)
-            if not param_names and not instance_binding:
-                continue
+        for key, param_names, instance_binding in self._named_leaves:
             for primitive in primitives:
-                if primitive.spec_key != leaf.key():
+                if primitive.spec_key != key:
                     continue
                 args = primitive.parameters.get("args", ())
                 for name, value in zip(param_names, args):

@@ -41,8 +41,8 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext, suppress
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
@@ -61,7 +61,7 @@ from repro.faults.registry import NULL_FAULTS, SCHEDULER_WORKER, FaultRegistry
 from repro.obs.flight import NULL_FLIGHT, FlightRecorder
 from repro.obs.metrics import NULL_METRICS, AtomicCounters, MetricsRegistry
 from repro.obs.tracer import _NULL_SPAN, NULL_TRACER, Tracer
-from repro.oodb.sentry import is_sentried
+from repro.oodb.sentry import Binding, is_sentried
 from repro.oodb.transactions import (
     Transaction,
     TransactionContext,
@@ -81,9 +81,13 @@ _VETO = {CouplingMode.PARALLEL_CAUSALLY_DEPENDENT: TransactionState.ABORTED,
          CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT: TransactionState.COMMITTED}
 
 
-@dataclass
+@dataclass(slots=True)
 class FiringRecord:
-    """One entry of the scheduler's firing log (tests and benchmarks)."""
+    """One entry of the scheduler's firing log (tests and benchmarks).
+
+    The same object is the flight recorder's ``rule.fire`` record: the
+    ring holds it and reads :meth:`flight_fields` only when read.
+    """
 
     rule_name: str
     mode: CouplingMode
@@ -94,9 +98,20 @@ class FiringRecord:
     #: the session the triggering transaction belonged to (None for
     #: engine-internal work).
     session_id: Optional[int] = None
+    #: the triggering occurrence's trace, if it was sampled.
+    trace_id: Optional[str] = field(default=None, repr=False, compare=False)
+
+    def flight_fields(self) -> dict[str, Any]:
+        fields = {"rule": self.rule_name, "mode": self.mode.value,
+                  "phase": self.phase, "seq": self.event_seq,
+                  "outcome": self.outcome, "tx": self.tx_id,
+                  "session": self.session_id}
+        if self.trace_id is not None:
+            fields["trace_id"] = self.trace_id
+        return fields
 
 
-@dataclass
+@dataclass(slots=True)
 class DetachedWork:
     """A detached rule execution waiting for its dependencies."""
 
@@ -155,6 +170,12 @@ class BoundedErrorLog(list):
             excess = len(self) - self.capacity
             del self[:excess]
             self.dropped += excess
+
+
+class _DrainFlag(threading.local):
+    """Per-thread ``active`` flag, False on every new thread."""
+
+    active = False
 
 
 class RuleScheduler:
@@ -218,9 +239,8 @@ class RuleScheduler:
         self._in_pool = 0
         self._pending_lock = threading.Lock()
         #: per-thread "a detached drain is running here" flag (synchronous
-        #: mode): each detached commit re-enters drain_detached, which must
-        #: return at once and leave the work to the loop already running.
-        self._draining = threading.local()
+        #: mode): work a detached commit releases is left to that loop.
+        self._draining = _DrainFlag()
         self._dead_letters: list[DeadLetter] = []
         self.dead_letters_dropped = 0
         #: seeded backoff jitter so retry timing replays with the fault
@@ -245,13 +265,6 @@ class RuleScheduler:
                            ("scheduler.quarantined", "quarantined"),
                            ("scheduler.dead_letters", "dead_lettered")):
             metrics.counter_fn(name, partial(self.stats.__getitem__, fact))
-
-    def _bound_scope(self):
-        """Bind the owning engine's sentry scope on the calling thread
-        (no-op when no scoped registry was injected)."""
-        if self.sentry_registry is not None:
-            return self.sentry_registry.bound()
-        return nullcontext()
 
     # ------------------------------------------------------------------
     # Entry point from the ECA managers
@@ -344,7 +357,8 @@ class RuleScheduler:
         def run_one(rule: Rule) -> None:
             # The sibling thread has no session bound: lend it the trigger's.
             context = TransactionContext(session_id=trigger.session_id)
-            with self._bound_scope(), self.tx_manager.activate(context):
+            with Binding(((self.tx_manager, context),),
+                         self.sentry_registry):
                 tx = self.tx_manager.begin_child_of(
                     trigger, rule_depth=trigger.rule_depth + 1)
                 self.stats.inc("immediate")
@@ -373,7 +387,7 @@ class RuleScheduler:
                                          bindings=bindings)
                 if mark is None:
                     tm.commit(tx)
-                self._note_success(rule)
+                rule.consecutive_failures = 0
                 self._log(rule, mode, phase, occ, outcome, tx.id,
                           session_id=tx.session_id)
                 if span is not None:
@@ -529,12 +543,11 @@ class RuleScheduler:
     def _schedule_detached(self, rule: Rule, occ: EventOccurrence,
                            phase: str, mode: CouplingMode, depth: int,
                            bindings: Optional[dict[str, Any]] = None) -> None:
-        raw = bindings if bindings is not None else rule.bind(occ)
-        work = DetachedWork(rule=rule, occ=occ, phase=phase, mode=mode,
-                            deps=occ.tx_ids,
-                            bindings=self._detached_bindings(raw),
-                            depth=depth + 1,
-                            session_id=self._session_of(occ))
+        work = DetachedWork(
+            rule, occ, phase, mode, occ.tx_ids,
+            self._detached_bindings(rule.bind(occ) if bindings is None
+                                    else bindings),
+            depth + 1, self._session_of(occ))
         if mode is CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT and \
                 rule.transfer_locks:
             # Reserve the triggers' locks: if a trigger aborts, its locks
@@ -585,16 +598,15 @@ class RuleScheduler:
                            raw: dict[str, Any]) -> dict[str, Any]:
         """Apply the parameter-passing rule of Section 3.2."""
         persistence = getattr(self.db, "persistence", None)
-        bindings: dict[str, Any] = {}
+        if persistence is None:
+            return raw
         for name, value in raw.items():
-            if is_sentried(type(value)) and persistence is not None and \
+            if is_sentried(type(value)) and \
                     not persistence.is_persistent(value):
                 # Transient object: pass by value (shallow copy detaches
                 # it from the originating transaction's workspace).
-                bindings[name] = copy.copy(value)
-            else:
-                bindings[name] = value
-        return bindings
+                raw[name] = copy.copy(value)
+        return raw
 
     # -- the dispatcher ------------------------------------------------------
 
@@ -611,16 +623,18 @@ class RuleScheduler:
         """Index ``work`` (and its ``parked`` transaction) under its
         undecided ``deps``, False if none.  An id whose outcome signal is
         still on its way counts as undecided, to keep admission order."""
+        waiting = self._waiting
+        outcome_of = self.tx_manager.outcome_of
         with self._pending_lock:
-            undecided = [dep for dep in deps if dep in self._waiting
-                         or self.tx_manager.outcome_of(dep) is None]
+            undecided = [dep for dep in deps if dep in waiting
+                         or outcome_of(dep) is None]
             if not undecided:
                 return False
             work.blockers = len(undecided)
             work.waiting_since = time.monotonic()
             work.parked = parked
             for dep in undecided:
-                self._waiting.setdefault(dep, []).append(work)
+                waiting.setdefault(dep, []).append(work)
         return True
 
     def on_transaction_outcome(self, tx: Transaction) -> None:
@@ -637,7 +651,9 @@ class RuleScheduler:
 
     def _release(self, works: list[DetachedWork]) -> None:
         """Hand released work to the pool (threaded mode), or to the
-        ready queue and drain it (synchronous mode)."""
+        ready queue and drain it (synchronous mode).  Within a drain
+        (a detached commit releasing work) the running loop picks the
+        work up, so the drain is not re-entered."""
         if self._pool is not None:
             with self._pending_lock:
                 self._in_pool += len(works)
@@ -645,42 +661,46 @@ class RuleScheduler:
                 for work in works:
                     self._pool.submit(self._run_pooled, work)
             return
-        with self._pending_lock:
-            self._ready.extend(works)
-        self.drain_detached()
+        if works:
+            with self._pending_lock:
+                self._ready.extend(works)
+        if not self._draining.active:
+            self.drain_detached()
 
     def drain_detached(self) -> int:
         """Synchronous mode: run the ready queue, provided no transaction
         is active on this thread (a new top-level transaction could
-        deadlock with it otherwise).
-
-        Not reentrant per thread: the commit of each detached transaction
-        calls back in here, and that nested call returns at once — the
-        loop already running picks up whatever the commit released.
+        deadlock with it otherwise) and no drain is running on it.  The
+        owning engine's sentry scope is bound once for the whole drain.
         """
-        if self.tx_manager.current() is not None or \
-                getattr(self._draining, "active", False):
+        draining = self._draining
+        ready = self._ready
+        if not ready or draining.active or \
+                self.tx_manager.current() is not None:
             return 0
-        self._draining.active = True
+        draining.active = True
         executed = 0
         try:
-            while True:
-                with self._pending_lock:
-                    if not self._ready:
-                        return executed
-                    work = self._ready.popleft()
-                self._run_ready(work)
-                executed += 1
+            with Binding(registry=self.sentry_registry):
+                while True:
+                    with self._pending_lock:
+                        if not ready:
+                            return executed
+                        work = ready.popleft()
+                    self._run_ready(work)
+                    executed += 1
         finally:
-            self._draining.active = False
+            draining.active = False
 
     def _run_pooled(self, work: DetachedWork) -> None:
-        """Pool-worker body: :meth:`_run_ready` behind a catch-all."""
+        """Pool-worker body: :meth:`_run_ready` behind a catch-all, in
+        the owning engine's sentry scope."""
         try:
             # Armed worker-death faults land here, inside the catch-all,
             # so a dead worker is recorded, not lost.
             self._fp_worker.hit(rule=work.rule.name)
-            self._run_ready(work)
+            with Binding(registry=self.sentry_registry):
+                self._run_ready(work)
         except BaseException as exc:  # workers must not die silently
             self.errors.append((work.rule, exc))
             self._log(work.rule, work.mode, work.phase, work.occ, "error",
@@ -692,17 +712,18 @@ class RuleScheduler:
     def _run_ready(self, work: DetachedWork) -> None:
         """Skip or run one released item from its triggers' recorded
         outcomes."""
-        with self._bound_scope():
-            if work.parked is None and self._vetoed(work):
-                self._skip(work)
-            else:
-                self._execute_detached(work)
+        if work.parked is None and self._vetoed(work):
+            self._skip(work)
+        else:
+            self._execute_detached(work)
 
     def _vetoed(self, work: DetachedWork) -> bool:
         """True iff a decided trigger of ``work`` cancels its mode."""
         veto = _VETO.get(work.mode)
-        return veto is not None and any(
-            self.tx_manager.outcome_of(dep) is veto for dep in work.deps)
+        if veto is None:
+            return False
+        outcome_of = self.tx_manager.outcome_of
+        return any(outcome_of(dep) is veto for dep in work.deps)
 
     def _execute_detached(self, work: DetachedWork) -> None:
         """Run the rule in a new top-level transaction, retrying failures.
@@ -716,19 +737,19 @@ class RuleScheduler:
         with weaker guarantees than the contingency plan assumed.
         """
         rule = work.rule
-        retries_allowed = self.config.detached_max_retries
-        if work.mode is CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT and \
-                rule.transfer_locks:
-            retries_allowed = 0
         while True:
             try:
                 self._attempt_detached(work)
-                self._note_success(rule)
-                return
             except Exception as exc:
                 failure = exc
+            else:
+                rule.consecutive_failures = 0
+                return
             self.errors.append((rule, failure))
             quarantined = self._note_failure(rule, occ=work.occ)
+            retries_allowed = 0 if rule.transfer_locks and work.mode is \
+                CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT \
+                else self.config.detached_max_retries
             if not quarantined and work.attempts <= retries_allowed:
                 self.stats.inc("detached_retries")
                 # The retry (backoff included) is a span of its own so a
@@ -786,11 +807,15 @@ class RuleScheduler:
                         outcome = self._run_unit(
                             work.rule, work.occ, work.phase, tx, work.mode,
                             bindings=work.bindings)
+                    # Only parallel causally dependent work can run before
+                    # its triggers decide; every other item's veto was
+                    # read when it was released (_run_ready).
+                    if work.mode is not \
+                            CouplingMode.PARALLEL_CAUSALLY_DEPENDENT:
+                        tm.commit(tx)
                     # Park first, veto second: once _wait_on finds every
                     # trigger decided, their outcomes are final.
-                    if work.mode is \
-                            CouplingMode.PARALLEL_CAUSALLY_DEPENDENT and \
-                            self._wait_on(work, work.deps, (tx, outcome)):
+                    elif self._wait_on(work, work.deps, (tx, outcome)):
                         outcome = "parked"
                     elif self._vetoed(work):
                         tm.abort(tx)
@@ -820,9 +845,6 @@ class RuleScheduler:
         time.sleep(delay)
 
     # -- self-healing bookkeeping ---------------------------------------------
-
-    def _note_success(self, rule: Rule) -> None:
-        rule.consecutive_failures = 0
 
     def _note_failure(self, rule: Rule,
                       occ: Optional[EventOccurrence] = None) -> bool:
@@ -940,23 +962,12 @@ class RuleScheduler:
             self._m_errors.inc()
         else:
             self._m_skipped.inc()
+        record = FiringRecord(rule.name, mode, phase, occ.seq, outcome,
+                              tx_id, session_id, occ.trace_id)
         if self.flight.enabled:
-            if occ.trace_id is not None:
-                self.flight.record("rule.fire", rule=rule.name,
-                                   mode=mode.value, phase=phase,
-                                   seq=occ.seq, outcome=outcome, tx=tx_id,
-                                   session=session_id,
-                                   trace_id=occ.trace_id)
-            else:
-                self.flight.record("rule.fire", rule=rule.name,
-                                   mode=mode.value, phase=phase,
-                                   seq=occ.seq, outcome=outcome, tx=tx_id,
-                                   session=session_id)
+            self.flight.append("rule.fire", record)
         with self._log_lock:
-            self.firing_log.append(FiringRecord(
-                rule_name=rule.name, mode=mode, phase=phase,
-                event_seq=occ.seq, outcome=outcome, tx_id=tx_id,
-                session_id=session_id))
+            self.firing_log.append(record)
 
     def _observe_detection_latency(self, rule: Rule, mode: CouplingMode,
                                    occ: EventOccurrence,

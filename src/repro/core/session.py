@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Union
 
 from repro.errors import NestedTransactionError
 from repro.oodb.oid import OID
+from repro.oodb.sentry import Binding
 from repro.oodb.transactions import (
     Transaction,
     TransactionContext,
+    TransactionScope,
     TransactionState,
 )
 
@@ -58,8 +60,11 @@ class Session:
         self._pins: dict[Any, Any] = {}
         #: serializes serving threads: a session is one client, so two
         #: threads using it concurrently queue up instead of interleaving
-        #: (reentrant — transaction() binds, then fetch() binds again).
+        #: (reentrant: binding it again under another session's binding
+        #: on the same thread takes it again).
         self._serving = threading.RLock()
+        self._binding = Binding(((engine.tx_manager, self.context),),
+                                engine.sentry_registry, self._serving)
         self.stats = {"transactions": 0, "commits": 0, "aborts": 0,
                       "fetches": 0, "pin_hits": 0}
         self._closed = False
@@ -68,41 +73,24 @@ class Session:
     # Binding
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def use(self) -> Iterator["Session"]:
-        """Bind this session to the calling thread for the ``with`` body:
-        the engine's sentry scope plus this session's transaction
-        context."""
+    def use(self) -> Binding:
+        """This session's binding to the calling thread, for a ``with``
+        body: the engine's sentry scope plus this session's transaction
+        context.  Re-entrant: inside the session's own binding on this
+        thread it does nothing."""
         if self._closed:
             raise RuntimeError(f"{self.name} is closed")
-        with self._serving, \
-                self.engine.tx_manager.activate(self.context), \
-                self.engine.sentry_registry.bound():
-            yield self
+        return self._binding
 
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
 
-    @contextmanager
     def transaction(self, nested: Optional[bool] = None,
-                    deadline: Optional[float] = None) -> Iterator[Transaction]:
+                    deadline: Optional[float] = None) -> "_SessionTransaction":
         """``with session.transaction() as tx:`` — commit on success,
         abort on exception, all in this session's scope."""
-        with self.use():
-            self.stats["transactions"] += 1
-            try:
-                with self.engine.tx_manager.transaction(
-                        nested=nested, deadline=deadline) as tx:
-                    yield tx
-            except BaseException:
-                self.stats["aborts"] += 1
-                raise
-            else:
-                self.stats["commits"] += 1
-            finally:
-                if self.current_transaction() is None:
-                    self._pins.clear()
+        return _SessionTransaction(self, nested, deadline)
 
     def begin(self, nested: Optional[bool] = None,
               deadline: Optional[float] = None) -> Transaction:
@@ -115,18 +103,21 @@ class Session:
         with self.use():
             self.engine.tx_manager.commit(tx)
             self.stats["commits"] += 1
-            if self.current_transaction() is None:
-                self._pins.clear()
+            self._unpin()
 
     def abort(self, tx: Optional[Transaction] = None) -> None:
         with self.use():
             self.engine.tx_manager.abort(tx)
             self.stats["aborts"] += 1
-            if self.current_transaction() is None:
-                self._pins.clear()
+            self._unpin()
 
     def current_transaction(self) -> Optional[Transaction]:
         return self.context.current()
+
+    def _unpin(self) -> None:
+        """Drop the pin cache once no transaction is open."""
+        if not self.context.stack:
+            self._pins.clear()
 
     # ------------------------------------------------------------------
     # Objects and queries
@@ -211,6 +202,42 @@ class Session:
         return f"<Session {self.id} {self.name!r} {state}>"
 
 
+class _SessionTransaction(TransactionScope):
+    """:meth:`Session.transaction`: a transaction scope that also keeps
+    the session's counts and drops its pins when the last transaction on
+    its stack ends."""
+
+    __slots__ = ("session",)
+
+    def __init__(self, session: Session, nested: Optional[bool],
+                 deadline: Optional[float]):
+        super().__init__(session.engine.tx_manager, session.use(),
+                         nested=nested, deadline=deadline)
+        self.session = session
+
+    def __enter__(self) -> Transaction:
+        session = self.session
+        session.stats["transactions"] += 1
+        try:
+            return super().__enter__()
+        except BaseException:
+            session.stats["aborts"] += 1
+            session._unpin()
+            raise
+
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        session = self.session
+        try:
+            super().__exit__(exc_type, *exc_info)
+        except BaseException:
+            session.stats["aborts"] += 1
+            raise
+        else:
+            session.stats["commits" if exc_type is None else "aborts"] += 1
+        finally:
+            session._unpin()
+
+
 class ShardedTransaction:
     """One logical unit of work spanning member transactions on shards.
 
@@ -267,6 +294,10 @@ class ShardedSession:
             for sid in self.shard_ids}
         self._pins: dict[Any, Any] = {}
         self._serving = threading.RLock()
+        self._binding = Binding(
+            tuple((engine.shards[sid].tx_manager, self.contexts[sid])
+                  for sid in self.shard_ids),
+            engine.sentry_registry, self._serving)
         self.stats = {"transactions": 0, "commits": 0, "aborts": 0,
                       "fetches": 0, "pin_hits": 0}
         self._closed = False
@@ -275,20 +306,13 @@ class ShardedSession:
     # Binding
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def use(self) -> Iterator["ShardedSession"]:
-        """Bind this session to the calling thread: every participating
-        shard's transaction context plus the shared sentry scope."""
+    def use(self) -> Binding:
+        """This session's binding to the calling thread: every
+        participating shard's transaction context plus the shared sentry
+        scope (re-entrant, like :meth:`Session.use`)."""
         if self._closed:
             raise RuntimeError(f"{self.name} is closed")
-        with ExitStack() as stack:
-            stack.enter_context(self._serving)
-            for sid in self.shard_ids:
-                shard = self.engine.shards[sid]
-                stack.enter_context(
-                    shard.tx_manager.activate(self.contexts[sid]))
-            stack.enter_context(self.engine.sentry_registry.bound())
-            yield self
+        return self._binding
 
     # ------------------------------------------------------------------
     # Transactions

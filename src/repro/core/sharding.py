@@ -58,7 +58,7 @@ from repro.obs.admin import AdminServer
 from repro.obs.tracer import merge_traces
 from repro.oodb.address_space import ShardMap
 from repro.oodb.oid import OID
-from repro.oodb.sentry import SentryRegistry
+from repro.oodb.sentry import SentryRegistry, StateNotification
 
 
 class CrossShardEventBus:
@@ -377,17 +377,29 @@ class ShardedEngine(RuleDefinitions):
     # ------------------------------------------------------------------
 
     def register_class(self, cls: Type, monitor_state: bool = True) -> Type:
-        """Register ``cls`` on every shard.
+        """Register ``cls`` on every shard, and watch its state once.
 
         Types must resolve everywhere (fetches deserialize on the owning
-        shard) and every shard's change PM monitors the class — dirty
-        marking then self-routes by residency: only the shard whose
-        active space holds the written object reacts to the shared
-        registry's state notification.
+        shard).  Attribute writes are watched through shard 0's Change
+        PM, which hands each one to the shard owning it
+        (:meth:`_on_state`).
         """
         for shard in self.shards:
-            shard.register_class(cls, monitor_state=monitor_state)
+            shard.register_class(cls, monitor_state=False)
+        if monitor_state:
+            self.shards[0].change.monitor(cls, self._on_state)
         return cls
+
+    def _on_state(self, note: StateNotification) -> None:
+        """Hand an attribute write to one shard's Change PM: the shard
+        the object lives on, or for a transient object the first shard
+        with a transaction open on this thread (shard 0 if none is).  So
+        a write takes one lock, one undo record and one bus event."""
+        sid = self.owning_shard(note.instance)
+        if sid is None:
+            sid = next((sid for sid, shard in enumerate(self.shards)
+                        if shard.tx_manager.current() is not None), 0)
+        self.shards[sid].change.on_state(note)
 
     def create_index(self, cls_or_name: Union[Type, str],
                      attribute: str) -> list[Any]:
@@ -530,9 +542,8 @@ class ShardedEngine(RuleDefinitions):
                     home.events.emit_signal(name, parameters)
 
     def drain_detached(self) -> int:
-        with self.sentry_registry.bound():
-            return sum(shard.scheduler.drain_detached()
-                       for shard in self.shards)
+        return sum(shard.scheduler.drain_detached()
+                   for shard in self.shards)
 
     def dead_letters(self) -> list[Any]:
         letters: list[Any] = []
@@ -545,9 +556,8 @@ class ShardedEngine(RuleDefinitions):
             raise ValueError(
                 "per-entry requeue is per-shard; call "
                 "engine.shards[k].requeue(index) instead")
-        with self.sentry_registry.bound():
-            return sum(shard.scheduler.requeue_dead_letters(None)
-                       for shard in self.shards)
+        return sum(shard.scheduler.requeue_dead_letters(None)
+                   for shard in self.shards)
 
     def wait_for_composition(self, timeout: float = 10.0) -> None:
         for shard in self.shards:

@@ -72,6 +72,14 @@ class FlightRecorder:
         self._ring.append((seq, time.time(), category, fields))
         self._last_seq = seq
 
+    def append(self, category: str, item: Any) -> None:
+        """Append ``item``, a record also kept elsewhere (a firing-log
+        entry); its ``flight_fields()`` are built only when the ring is
+        read or dumped."""
+        seq = self._next_seq()
+        self._ring.append((seq, time.time(), category, item))
+        self._last_seq = seq
+
     # -- introspection -------------------------------------------------------
 
     @property
@@ -90,7 +98,8 @@ class FlightRecorder:
         for seq, ts, cat, fields in list(self._ring):
             if category is not None and cat != category:
                 continue
-            out.append({"seq": seq, "ts": ts, "category": cat, **fields})
+            out.append({"seq": seq, "ts": ts, "category": cat,
+                        **_fields(fields)})
         return out
 
     def snapshot(self) -> dict[str, Any]:
@@ -142,7 +151,7 @@ class FlightRecorder:
             fh.write(json.dumps(header, default=repr) + "\n")
             for seq, ts, category, fields in entries:
                 record = {"seq": seq, "ts": ts, "category": category}
-                record.update(fields)
+                record.update(_fields(fields))
                 fh.write(json.dumps(record, default=repr) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -154,6 +163,12 @@ class FlightRecorder:
     def __repr__(self) -> str:
         return (f"<FlightRecorder capacity={self.capacity} "
                 f"retained={len(self._ring)} recorded={self.recorded}>")
+
+
+def _fields(entry: Any) -> dict[str, Any]:
+    """A ring entry's fields: the dict :meth:`FlightRecorder.record`
+    stored, or those of an item :meth:`FlightRecorder.append` stored."""
+    return entry if type(entry) is dict else entry.flight_fields()
 
 
 def load_dump(path: str) -> tuple[dict[str, Any], list[dict[str, Any]]]:
@@ -193,6 +208,9 @@ class _NullFlightRecorder(FlightRecorder):
         super().__init__(capacity=0, directory=None)
 
     def record(self, category: str, **fields: Any) -> None:
+        pass
+
+    def append(self, category: str, item: Any) -> None:
         pass
 
     def dump(self, reason: str = "on-demand",

@@ -25,7 +25,7 @@ persistence").
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional, Type
+from typing import Any, Callable, Optional, Type
 
 from repro.oodb.meta import PolicyManager, SystemEventKind
 from repro.oodb.sentry import (
@@ -61,8 +61,12 @@ class ChangePolicyManager(PolicyManager):
         #: undo records are always written first, so ordering stays safe.
         self.changes_observed = 0
 
-    def monitor(self, cls: Type) -> None:
-        """Begin observing attribute writes on instances of ``cls``."""
+    def monitor(self, cls: Type,
+                receiver: Optional[Callable[[StateNotification], None]] = None
+                ) -> None:
+        """Begin observing attribute writes on instances of ``cls``,
+        through :meth:`on_state` or a ``receiver`` that routes each write
+        to the Change PM owning it (a sharded engine's)."""
         if not is_sentried(cls):
             raise TypeError(
                 f"{cls.__name__} is not @sentried; state changes cannot "
@@ -71,8 +75,8 @@ class ChangePolicyManager(PolicyManager):
             if cls in self._monitored:
                 return
             self._monitored.add(cls)
-            subscription = self.registry.watch_state(cls, None,
-                                                     self._on_state)
+            subscription = self.registry.watch_state(
+                cls, None, receiver or self.on_state)
             self._subscriptions.append(subscription)
 
     def monitored_classes(self) -> set[Type]:
@@ -88,7 +92,7 @@ class ChangePolicyManager(PolicyManager):
 
     # ------------------------------------------------------------------
 
-    def _on_state(self, note: StateNotification) -> None:
+    def on_state(self, note: StateNotification) -> None:
         self.changes_observed += 1
         obj = note.instance
         tx = self.tx_manager.current()

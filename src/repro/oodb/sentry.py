@@ -35,9 +35,8 @@ from __future__ import annotations
 import enum
 import functools
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Type
+from typing import Any, Callable, Optional, Type
 
 
 _MISSING = object()
@@ -59,6 +58,78 @@ class _ScopeStack(threading.local):
 
 
 _scope = _ScopeStack()
+
+
+class Binding:
+    """One client's scope on the calling thread, for a ``with`` body.
+
+    Entering makes each ``(manager, context)`` pair's context the
+    innermost transaction context of its manager on this thread, and a
+    scoped ``registry`` the innermost sentry scope; exit unbinds them.
+    ``lock``, when given, is held from entry to exit: a session serves
+    one thread at a time.  Re-entrant: when every part is innermost on
+    this thread already (and this thread holds the lock), entering does
+    nothing, so a session call made inside the session's own
+    transaction costs one check.  A session keeps one binding for life
+    (``_frames`` is only touched under its lock); lock-free bindings are
+    built per ``with``.
+    """
+
+    __slots__ = ("pairs", "registry", "lock", "_owner", "_frames")
+
+    def __init__(self, pairs: tuple = (), registry: Any = None,
+                 lock: Any = None) -> None:
+        self.pairs = pairs
+        self.registry = registry \
+            if registry is not None and registry.scoped else None
+        self.lock = lock
+        self._owner: Optional[int] = None
+        #: per entry, whether it bound anything (and must unbind it).
+        self._frames: list[bool] = []
+
+    def bound_here(self) -> bool:
+        """True iff every part is innermost on the calling thread."""
+        if self.lock is not None and \
+                self._owner != threading.get_ident():
+            return False
+        registry = self.registry
+        if registry is not None:
+            stack = _scope.stack
+            if not stack or stack[-1] is not registry:
+                return False
+        for manager, context in self.pairs:
+            if manager.current_context() is not context:
+                return False
+        return True
+
+    def __enter__(self) -> "Binding":
+        if self.bound_here():
+            self._frames.append(False)
+            return self
+        if self.lock is not None:
+            self.lock.acquire()
+            self._owner = threading.get_ident()
+        for manager, context in self.pairs:
+            manager.push_context(context)
+        if self.registry is not None:
+            _scope.stack.append(self.registry)
+        self._frames.append(True)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        frames = self._frames
+        if not frames.pop():
+            return
+        try:
+            if self.registry is not None:
+                _scope.stack.pop()
+            for manager, context in reversed(self.pairs):
+                manager.pop_context(context)
+        finally:
+            if self.lock is not None:
+                if True not in frames:
+                    self._owner = None
+                self.lock.release()
 
 
 class Moment(enum.Enum):
@@ -175,23 +246,14 @@ class SentryRegistry:
 
     # -- engine scoping -------------------------------------------------------
 
-    @contextmanager
-    def bound(self) -> Iterator["SentryRegistry"]:
-        """Bind this registry to the calling thread for the ``with`` body.
+    def bound(self) -> "Binding":
+        """Bind this registry to the calling thread for a ``with`` body.
 
         While a scoped registry is bound, only *its* receivers (and those
         of unscoped registries) observe monitored calls made by the
-        thread.  Unscoped registries yield without binding anything.
+        thread.  Unscoped registries bind nothing.
         """
-        if not self.scoped:
-            yield self
-            return
-        stack = _scope.stack
-        stack.append(self)
-        try:
-            yield self
-        finally:
-            stack.pop()
+        return Binding(registry=self)
 
     def _subscribe(self, point: _Point, moment: Moment, receiver: Callable,
                    watched: Type, owner: Type,
@@ -280,7 +342,13 @@ def _state_owner(cls: Type) -> Type:
 
 def is_sentried(cls: Type) -> bool:
     """True if ``cls`` (or an ancestor) was processed by :func:`sentried`."""
-    return hasattr(cls, "__sentry_method_receivers__")
+    # The MRO's own dicts, not hasattr(): on a class without the
+    # attribute (every builtin a rule binds) hasattr() raises and drops an
+    # AttributeError, which costs twice the walk.
+    for klass in cls.__mro__:
+        if "__sentry_method_receivers__" in klass.__dict__:
+            return True
+    return False
 
 
 def sentried(cls: Optional[Type] = None, *,

@@ -51,9 +51,8 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import (
     NestedTransactionError,
@@ -63,6 +62,7 @@ from repro.obs.metrics import NULL_METRICS, AtomicCounters, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oodb.locks import LockManager, LockMode
 from repro.oodb.meta import MetaArchitecture, SystemEventKind
+from repro.oodb.sentry import Binding
 
 
 #: Where :meth:`TransactionManager.set_hooks` can attach a hook, in the
@@ -208,6 +208,15 @@ class TransactionContext:
                 f"depth={len(self.stack)}>")
 
 
+class _ThreadContexts(threading.local):
+    """Per thread: its fallback context (legacy one-client-per-thread),
+    then every bound one, innermost last."""
+
+    def __init__(self) -> None:
+        self.contexts = [TransactionContext(
+            name=f"thread-{threading.get_ident()}")]
+
+
 class TransactionManager:
     """Creates, tracks, commits and aborts transactions.
 
@@ -228,7 +237,7 @@ class TransactionManager:
         self.locks = locks
         self.clock = clock
         self.tracer = tracer
-        self._local = threading.local()
+        self._local = _ThreadContexts()
         #: id -> transaction, for every live one, and top-level id ->
         #: outcome.  Single dict operations are atomic under the GIL, so
         #: neither map takes a lock.
@@ -307,51 +316,29 @@ class TransactionManager:
 
     # -- current-transaction contexts -----------------------------------------
 
-    def _contexts(self) -> list[TransactionContext]:
-        """This thread's contexts: its per-thread fallback context (legacy
-        one-client-per-thread), then every bound one, innermost last."""
-        try:
-            return self._local.contexts
-        except AttributeError:
-            contexts = self._local.contexts = [TransactionContext(
-                name=f"thread-{threading.get_ident()}")]
-            return contexts
-
     def current_context(self) -> TransactionContext:
         """The innermost bound context, or this thread's default one."""
-        try:
-            return self._local.contexts[-1]
-        except AttributeError:
-            return self._contexts()[-1]
+        return self._local.contexts[-1]
 
     def push_context(self, context: TransactionContext) -> None:
-        self._contexts().append(context)
+        self._local.contexts.append(context)
 
     def pop_context(self, context: TransactionContext) -> None:
-        contexts = self._contexts()
+        contexts = self._local.contexts
         if len(contexts) < 2 or contexts[-1] is not context:
             raise TransactionStateError(
                 "transaction context bindings must unwind in LIFO order")
         contexts.pop()
 
-    @contextmanager
-    def activate(self, context: TransactionContext) \
-            -> Iterator[TransactionContext]:
-        """Bind ``context`` to the calling thread for the ``with`` body."""
-        self.push_context(context)
-        try:
-            yield context
-        finally:
-            self.pop_context(context)
+    def activate(self, context: TransactionContext) -> Binding:
+        """Bind ``context`` to the calling thread for a ``with`` body."""
+        return Binding(((self, context),))
 
     def current_session_id(self) -> Optional[int]:
-        return self.current_context().session_id
-
-    def _stack(self) -> list[Transaction]:
-        return self.current_context().stack
+        return self._local.contexts[-1].session_id
 
     def current(self) -> Optional[Transaction]:
-        stack = self._stack()
+        stack = self._local.contexts[-1].stack
         return stack[-1] if stack else None
 
     def require_current(self) -> Transaction:
@@ -590,21 +577,11 @@ class TransactionManager:
 
     # -- convenience --------------------------------------------------------------
 
-    @contextmanager
     def transaction(self, nested: Optional[bool] = None,
-                    deadline: Optional[float] = None) -> Iterator[Transaction]:
+                    deadline: Optional[float] = None) -> "TransactionScope":
         """``with tm.transaction() as tx:`` — commit on success, abort on
         exception (re-raising it)."""
-        tx = self.begin(nested=nested, deadline=deadline)
-        try:
-            yield tx
-        except BaseException:
-            if tx.state is TransactionState.ACTIVE:
-                self.abort(tx)
-            raise
-        else:
-            if tx.state is TransactionState.ACTIVE:
-                self.commit(tx)
+        return TransactionScope(self, nested=nested, deadline=deadline)
 
     def lock(self, resource: Any, mode: LockMode = LockMode.EXCLUSIVE,
              tx: Optional[Transaction] = None) -> None:
@@ -650,3 +627,46 @@ class TransactionManager:
             Transaction._ids = itertools.count(
                 max(next(Transaction._ids), highest + 1))
         return seeded
+
+
+class TransactionScope:
+    """The ``with`` scope of one transaction: enter ``binding`` (if any)
+    and begin; on exit commit on success, abort on an exception (which
+    propagates), then leave the binding."""
+
+    __slots__ = ("manager", "binding", "nested", "deadline", "tx")
+
+    def __init__(self, manager: TransactionManager,
+                 binding: Optional[Binding] = None,
+                 nested: Optional[bool] = None,
+                 deadline: Optional[float] = None):
+        self.manager = manager
+        self.binding = binding
+        self.nested = nested
+        self.deadline = deadline
+        self.tx: Optional[Transaction] = None
+
+    def __enter__(self) -> Transaction:
+        binding = self.binding
+        if binding is not None:
+            binding.__enter__()
+        try:
+            self.tx = self.manager.begin(nested=self.nested,
+                                         deadline=self.deadline)
+        except BaseException:
+            if binding is not None:
+                binding.__exit__(None, None, None)
+            raise
+        return self.tx
+
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        tx = self.tx
+        try:
+            if tx.state is TransactionState.ACTIVE:
+                if exc_type is None:
+                    self.manager.commit(tx)
+                else:
+                    self.manager.abort(tx)
+        finally:
+            if self.binding is not None:
+                self.binding.__exit__(None, None, None)

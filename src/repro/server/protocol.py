@@ -36,11 +36,11 @@ trace.  The field is optional and decoded tolerantly via
 :func:`decode_trace` — frames from older clients simply have no
 context, and garbage in the field never fails the request.
 
-Defensive decoding: :class:`FrameDecoder` accepts arbitrary byte
-garbage without ever raising anything but :class:`ProtocolError` /
-:class:`FrameTooLargeError`, and a truncated stream simply leaves bytes
-buffered — the read side decides whether that is a clean close or a cut
-connection (:class:`ConnectionClosedError`).
+Defensive decoding: :func:`read_frame`, the one decoder the server and
+the client run, accepts arbitrary byte garbage without ever raising
+anything but :class:`ProtocolError` / :class:`FrameTooLargeError`, and a
+stream that ends, cleanly or mid-frame, raises
+:class:`ConnectionClosedError`.
 """
 
 from __future__ import annotations
@@ -109,51 +109,6 @@ def decode_payload(body: bytes) -> Any:
         return json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
-
-
-class FrameDecoder:
-    """Incremental frame decoder for arbitrary byte chunks.
-
-    ``feed(data)`` returns every complete payload the buffer now holds.
-    A declared length above ``max_bytes`` raises
-    :class:`FrameTooLargeError` and poisons the decoder (stream framing
-    can no longer be trusted); undecodable JSON raises
-    :class:`ProtocolError` likewise.  Truncated frames simply stay
-    buffered.
-    """
-
-    def __init__(self, max_bytes: int = MAX_FRAME_BYTES):
-        self.max_bytes = max_bytes
-        self._buffer = bytearray()
-        self._poisoned = False
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> list[Any]:
-        if self._poisoned:
-            raise ProtocolError("decoder is poisoned by an earlier "
-                                "framing error")
-        self._buffer.extend(data)
-        payloads = []
-        while len(self._buffer) >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > self.max_bytes:
-                self._poisoned = True
-                raise FrameTooLargeError(
-                    f"declared frame length {length} exceeds the "
-                    f"{self.max_bytes}-byte bound")
-            if len(self._buffer) - _LENGTH.size < length:
-                break
-            body = bytes(self._buffer[_LENGTH.size:_LENGTH.size + length])
-            del self._buffer[:_LENGTH.size + length]
-            try:
-                payloads.append(decode_payload(body))
-            except ProtocolError:
-                self._poisoned = True
-                raise
-        return payloads
 
 
 # -- blocking-socket helpers ------------------------------------------------

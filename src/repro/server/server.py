@@ -211,9 +211,8 @@ class _TxHandle:
             return
         self._done = True
         try:
-            # Throwing through the generator aborts the transaction and
-            # unwinds session.use(); the cm re-raising the same signal
-            # makes __exit__ return False rather than raise.
+            # Exiting with an exception aborts the transaction and
+            # unbinds the session; __exit__ does not re-raise it.
             self._cm.__exit__(_WireAbort, _WireAbort("wire abort"), None)
         except _WireAbort:
             pass

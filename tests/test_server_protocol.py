@@ -4,7 +4,8 @@ The network boundary is only trustworthy if framing survives hostile
 input: arbitrary bytes, truncated frames, oversized declared lengths,
 and well-framed garbage must never crash the server — malformed
 requests get structured errors, framing garbage gets a structured error
-and a hangup.  Hypothesis drives the codec directly (round-trip under
+and a hangup.  Hypothesis drives ``read_frame``, the one decoder the
+server and the client use, over a socket pair (round-trip under
 arbitrary chunking, garbage never raises anything undeclared) and a
 live server absorbs raw fuzz over a real socket while staying
 responsive to well-behaved clients.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,15 +48,43 @@ json_payloads = st.recursive(
 
 
 # -- codec round-trip -------------------------------------------------------
+#
+# The fuzz cases drive ``protocol.read_frame`` — the decoder the server
+# and the client run — over a real socket pair.
+
+
+class _Trickle:
+    """The reading end of a socket pair, handing out at most ``chunk``
+    bytes per ``recv`` so every partial-read path of ``read_frame`` runs."""
+
+    def __init__(self, sock, chunk):
+        self.sock = sock
+        self.chunk = chunk
+
+    def recv(self, count):
+        return self.sock.recv(min(count, self.chunk))
+
+
+def _read_stream(data, max_bytes=protocol.MAX_FRAME_BYTES, chunk=None):
+    """Every payload ``read_frame`` reads from a socket carrying ``data``
+    and then EOF; a cut or clean EOF ends the list."""
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        writer.sendall(data)
+        writer.shutdown(socket.SHUT_WR)
+        source = reader if chunk is None else _Trickle(reader, chunk)
+        payloads = []
+        while True:
+            try:
+                payloads.append(protocol.read_frame(source, max_bytes))
+            except ConnectionClosedError:
+                return payloads
 
 
 @settings(max_examples=150, deadline=None)
 @given(payload=json_payloads)
 def test_encode_decode_roundtrip(payload):
-    frame = protocol.encode_frame(payload)
-    decoder = protocol.FrameDecoder()
-    assert decoder.feed(frame) == [payload]
-    assert decoder.buffered == 0
+    assert _read_stream(protocol.encode_frame(payload)) == [payload]
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,22 +92,17 @@ def test_encode_decode_roundtrip(payload):
        chunk_size=st.integers(min_value=1, max_value=13))
 def test_roundtrip_survives_arbitrary_chunking(payloads, chunk_size):
     stream = b"".join(protocol.encode_frame(p) for p in payloads)
-    decoder = protocol.FrameDecoder()
-    decoded = []
-    for i in range(0, len(stream), chunk_size):
-        decoded.extend(decoder.feed(stream[i:i + chunk_size]))
-    assert decoded == payloads
-    assert decoder.buffered == 0
+    assert _read_stream(stream, chunk=chunk_size) == payloads
 
 
 @settings(max_examples=200, deadline=None)
-@given(garbage=st.binary(max_size=256))
-def test_decoder_never_raises_undeclared_exceptions(garbage):
-    """Arbitrary bytes produce payloads, stay buffered, or raise exactly
-    the declared framing errors — nothing else, ever."""
-    decoder = protocol.FrameDecoder(max_bytes=128)
+@given(garbage=st.binary(max_size=256),
+       chunk_size=st.integers(min_value=1, max_value=64))
+def test_decoder_never_raises_undeclared_exceptions(garbage, chunk_size):
+    """Arbitrary bytes produce payloads, end in a closed connection, or
+    raise exactly the declared framing errors — nothing else, ever."""
     try:
-        decoder.feed(garbage)
+        _read_stream(garbage, max_bytes=128, chunk=chunk_size)
     except (ProtocolError, FrameTooLargeError):
         pass
 
@@ -85,20 +110,30 @@ def test_decoder_never_raises_undeclared_exceptions(garbage):
 @settings(max_examples=50, deadline=None)
 @given(payload=json_payloads, cut=st.integers(min_value=1, max_value=4))
 def test_truncated_frame_stays_buffered(payload, cut):
+    """A frame cut short waits for its tail, and a peer that hangs up
+    mid-frame is a closed connection, not garbage."""
     frame = protocol.encode_frame(payload)
     cut = min(cut, len(frame) - 1)
-    decoder = protocol.FrameDecoder()
-    assert decoder.feed(frame[:-cut]) == []
-    assert decoder.buffered == len(frame) - cut
-    assert decoder.feed(frame[-cut:]) == [payload]
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        writer.sendall(frame[:-cut])
+        tail = threading.Timer(0.002, writer.sendall, (frame[-cut:],))
+        tail.start()
+        assert protocol.read_frame(reader) == payload
+        tail.join()
+        writer.sendall(frame[:-cut])
+        writer.shutdown(socket.SHUT_WR)
+        with pytest.raises(ConnectionClosedError):
+            protocol.read_frame(reader)
 
 
-def test_oversized_declared_length_poisons_decoder():
-    decoder = protocol.FrameDecoder(max_bytes=64)
+def test_oversized_declared_length_is_refused():
+    """The declared length alone is refused, before any body is read."""
     with pytest.raises(FrameTooLargeError):
-        decoder.feed(struct.pack(">I", 65) + b"x" * 65)
-    with pytest.raises(ProtocolError):
-        decoder.feed(b"more")
+        _read_stream(struct.pack(">I", 65), max_bytes=64)
+    body = b'"' + b"x" * 62 + b'"'
+    assert _read_stream(struct.pack(">I", 64) + body,
+                        max_bytes=64) == ["x" * 62]
 
 
 def test_oversized_outbound_frame_is_refused_before_send():
@@ -108,16 +143,12 @@ def test_oversized_outbound_frame_is_refused_before_send():
 
 def test_undecodable_payload_raises_protocol_error():
     body = b"\xff\xfe not json"
-    frame = struct.pack(">I", len(body)) + body
-    decoder = protocol.FrameDecoder()
     with pytest.raises(ProtocolError):
-        decoder.feed(frame)
+        _read_stream(struct.pack(">I", len(body)) + body)
 
 
 def test_non_json_native_values_encode_via_repr():
-    frame = protocol.encode_frame({"oid": object()})
-    decoder = protocol.FrameDecoder()
-    (decoded,) = decoder.feed(frame)
+    (decoded,) = _read_stream(protocol.encode_frame({"oid": object()}))
     assert decoded["oid"].startswith("<object object")
 
 

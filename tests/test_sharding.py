@@ -129,6 +129,67 @@ class TestFacadeAndPlacement:
         session.close()
 
 
+@sentried
+class Gauge:
+    def __init__(self, level):
+        self.level = level
+
+
+class TestStateChangeOwnership:
+    """An attribute write reaches one shard's Change PM: one lock, one
+    undo record and one bus event, however many shards there are."""
+
+    def _engine(self, tmp_path):
+        engine = ShardedEngine(
+            str(tmp_path / "s4"),
+            config=ExecutionConfig(sharding=ShardingConfig(shards=4)))
+        engine.register_class(Gauge)
+        return engine
+
+    @staticmethod
+    def _observed(engine):
+        return [shard.change.changes_observed for shard in engine.shards]
+
+    def test_resident_write_is_handled_by_its_shard_only(self, tmp_path):
+        engine = self._engine(tmp_path)
+        try:
+            session = engine.create_session()
+            gauge = Gauge(1)
+            with session.transaction():
+                session.persist(gauge, "g", shard=2)
+            before = self._observed(engine)
+            with pytest.raises(RuntimeError):
+                with session.transaction():
+                    gauge.level = 7
+                    assert [a - b for a, b in zip(self._observed(engine),
+                                                  before)] == [0, 0, 1, 0]
+                    raise RuntimeError("abort")
+            assert gauge.level == 1
+            with session.transaction():
+                gauge.level = 9
+            assert engine.fetch("g").level == 9
+        finally:
+            engine.close()
+
+    def test_transient_write_gets_one_undo_record(self, tmp_path):
+        engine = self._engine(tmp_path)
+        try:
+            session = engine.create_session()
+            gauge = Gauge(1)
+            with pytest.raises(RuntimeError):
+                with session.transaction() as stx:
+                    before = self._observed(engine)
+                    gauge.level = 5
+                    assert [a - b for a, b in zip(self._observed(engine),
+                                                  before)] == [1, 0, 0, 0]
+                    assert [len(tx.undo_log) for __, tx in
+                            sorted(stx.members.items())] == [1, 0, 0, 0]
+                    raise RuntimeError("abort")
+            assert gauge.level == 1
+        finally:
+            engine.close()
+
+
 class TestStatisticsAndAdmin:
     def test_frozen_keys_plus_shards_section(self, sdb):
         stats = sdb.statistics()
