@@ -549,7 +549,7 @@ class EventService:
         sid = self._current_session_id()
         if not tracer.enabled:
             if flight.enabled:
-                flight.record("event", seq=occ.seq,
+                flight.record("event", event_seq=occ.seq,
                               spec=span_name[7:], session=sid)
             self.route(occ)
             return occ
@@ -562,7 +562,7 @@ class EventService:
             # occurrence travels context-free, like one from an
             # untraced engine, but keeps its SLO timestamp.
             if flight.enabled:
-                flight.record("event", seq=occ.seq,
+                flight.record("event", event_seq=occ.seq,
                               spec=span_name[7:], session=sid)
             self.route(occ)
             return occ
@@ -582,11 +582,11 @@ class EventService:
                 occ.span_id = span.span_id
             if flight.enabled:
                 if span is not None:
-                    flight.record("event", seq=occ.seq,
+                    flight.record("event", event_seq=occ.seq,
                                   spec=span_name[7:], session=sid,
                                   trace_id=span.trace_id)
                 else:
-                    flight.record("event", seq=occ.seq,
+                    flight.record("event", event_seq=occ.seq,
                                   spec=span_name[7:], session=sid)
             self.route(occ)
         return occ

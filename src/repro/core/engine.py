@@ -5,7 +5,8 @@ kernel; this module is that kernel.  A :class:`ReachEngine` owns every
 process-wide service — storage manager and WAL, lock manager, data
 dictionary, the sentry registry, the event service with its ECA-managers
 and composers, the rule scheduler, the temporal event source, and the
-observability pipeline — while per-client state (the current-transaction
+observability stack (the kernels of a sharded engine share their
+coordinator's) — while per-client state (the current-transaction
 stack, the pin cache, the firing context) lives in
 :class:`~repro.core.session.Session` objects created from the engine.
 
@@ -144,7 +145,323 @@ class _NamedSupportModule(SupportModule):
         self.name = name
 
 
-class ReachEngine(RuleDefinitions):
+class EngineBase(RuleDefinitions):
+    """What both engines share: one observability stack, the session
+    registry, the network front end's hook, the introspection surface
+    over the stack and the lifecycle.
+
+    The stack is the metrics registry, tracer, flight recorder, telemetry
+    pipeline and fault registry.  A :class:`ReachEngine` builds its own;
+    a :class:`~repro.core.sharding.ShardedEngine` builds one and hands it
+    to every kernel, so the kernels count, trace and record into the same
+    objects.  Written against the host's ``config``, ``_rules``,
+    ``_sessions``, ``_sessions_created``, ``_lock``, ``_closed``,
+    ``_server``, ``admin``, ``close``, ``dead_letters`` and
+    ``_kernel_statistics``.
+    """
+
+    def _open_observability(self, directory: str,
+                            owner: Optional["EngineBase"] = None) -> None:
+        """Build this engine's observability stack, or take ``owner``'s."""
+        if owner is not None:
+            self.metrics_registry = owner.metrics_registry
+            self.tracer = owner.tracer
+            self.flight = owner.flight
+            self.telemetry_pipeline = owner.telemetry_pipeline
+            self.faults = owner.faults
+            return
+        config = self.config
+        # Inert null-object pipelines unless ``config.observability`` is
+        # set.
+        self.metrics_registry = MetricsRegistry(enabled=config.observability)
+        self.tracer = Tracer(enabled=config.observability,
+                             sample_rate=config.trace_sampling)
+        # The flight recorder is always on (fixed-cost ring) unless
+        # explicitly disabled; it is deliberately independent of
+        # ``config.observability`` so the post-mortem record exists even
+        # on unobserved engines.
+        self.flight = (FlightRecorder(directory=directory)
+                       if config.flight_recorder else NULL_FLIGHT)
+        # Telemetry export is inert (no thread, no span sink) until an
+        # exporter is attached, either here via ``config.telemetry_jsonl``
+        # or later through ``engine.telemetry().add_exporter(...)``.
+        self.telemetry_pipeline = TelemetryPipeline(
+            tracer=self.tracer, metrics=self.metrics_registry)
+        if config.telemetry_jsonl:
+            self.telemetry_pipeline.add_exporter(
+                JsonlFileExporter(config.telemetry_jsonl))
+        # Fault injection has the same null-object economics: disabled
+        # (the default) hands every instrumentation point the shared no-op
+        # point; enabled but disarmed costs one list check per hit.
+        self.faults = FaultRegistry(enabled=config.fault_injection,
+                                    seed=config.fault_seed,
+                                    metrics=self.metrics_registry,
+                                    flight=self.flight)
+        # Gauges about the stack itself: registered once, by its builder.
+        tracer, telemetry = self.tracer, self.telemetry_pipeline
+        self.metrics_registry.gauge_fn("tracer.retained", tracer.__len__)
+        self.metrics_registry.gauge_fn("tracer.evicted",
+                                       lambda: tracer.evicted)
+        self.metrics_registry.gauge_fn("telemetry.dropped",
+                                       lambda: telemetry.dropped)
+
+    # ------------------------------------------------------------------
+    # Sessions
+    # ------------------------------------------------------------------
+
+    def sessions(self) -> list[Any]:
+        with self._lock:
+            return list(self._sessions)
+
+    def tenant_of_session(self, session_id: int) -> Optional[str]:
+        """The tenant a session belongs to, or None for local sessions.
+
+        The network front end names wire sessions ``<tenant>/<client>``
+        (see :meth:`repro.server.server.ReachServer._handshake`); any
+        other session name has no tenant.  Used by the scheduler's
+        per-tenant SLO histograms (cached there per session id).
+        """
+        with self._lock:
+            for session in self._sessions:
+                if session.id == session_id:
+                    name = session.name or ""
+                    if "/" in name:
+                        return name.split("/", 1)[0]
+                    return None
+        return None
+
+    def _forget_session(self, session: Any) -> None:
+        with self._lock:
+            if session in self._sessions:
+                self._sessions.remove(session)
+
+    # ------------------------------------------------------------------
+    # Network front end registration (duck-typed; see repro.server)
+    # ------------------------------------------------------------------
+
+    def attach_server(self, server: Any) -> None:
+        """Register a running network front end with this engine.
+
+        The handle only needs ``stats()`` and ``close()``; the engine
+        consults it for the ``server`` statistics section and tears it
+        down first on :meth:`close` so in-flight wire transactions can
+        finish against a still-open engine.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("engine is closed")
+            self._server = server
+
+    def detach_server(self, server: Any) -> None:
+        """Drop the registration; idempotent, ignores stale handles."""
+        with self._lock:
+            if self._server is server:
+                self._server = None
+
+    def server_stats(self) -> dict[str, Any]:
+        """The ``statistics()["server"]`` section: the attached front
+        end's counters, or an inert stub when none is attached."""
+        server = self._server
+        if server is None:
+            return {"enabled": False, "connections": {"active": 0},
+                    "requests": {"served": 0}}
+        return server.stats()
+
+    # ------------------------------------------------------------------
+    # Observability
+    # ------------------------------------------------------------------
+
+    def metrics(self) -> MetricsRegistry:
+        """The engine's metrics registry (null instruments when
+        ``config.observability`` is off)."""
+        return self.metrics_registry
+
+    def trace(self, trace_id: Optional[int] = None) -> Optional[Trace]:
+        """The most recent trace, or the trace with ``trace_id``.
+
+        ``None`` when tracing is disabled or nothing has been recorded.
+        Each :class:`~repro.obs.tracer.Trace` is the span tree of one
+        sentried call: detection, ECA dispatch, composition, rule firings
+        and their commits.
+        """
+        return self.tracer.trace(trace_id)
+
+    def traces(self) -> list[Trace]:
+        """Every retained trace, oldest first."""
+        return self.tracer.traces()
+
+    def flight_recorder(self) -> FlightRecorder:
+        """The always-on flight recorder (the shared no-op recorder when
+        ``config.flight_recorder`` is False)."""
+        return self.flight
+
+    def telemetry(self) -> TelemetryPipeline:
+        """The telemetry export pipeline; inert until an exporter is
+        attached via :meth:`TelemetryPipeline.add_exporter`."""
+        return self.telemetry_pipeline
+
+    @property
+    def admin_address(self) -> Optional[tuple[str, int]]:
+        """``(host, port)`` of the live admin endpoint, or ``None``."""
+        return self.admin.address if self.admin is not None else None
+
+    def dump_observability(self, json_format: bool = False) -> str:
+        """Text (default) or JSON dump of the engine's full observable
+        state: metrics, retained traces, fault-registry snapshot, dead
+        letters, quarantined rules, and the flight-recorder snapshot.
+        """
+        dead_letters = [{
+            "rule": dl.rule_name,
+            "error": dl.error,
+            "attempts": dl.attempts,
+            "mode": dl.work.mode.value,
+            "session_id": dl.work.session_id,
+        } for dl in self.dead_letters()]
+        with self._lock:
+            quarantined = sorted(
+                rule.name for rule, __ in self._rules.values()
+                if rule.quarantined)
+        if json_format:
+            import json as _json
+            return _json.dumps({
+                "metrics": self.metrics_registry.snapshot(),
+                "traces": [trace.to_dict() for trace in self.traces()],
+                "faults": self.faults.stats(),
+                "dead_letters": dead_letters,
+                "quarantined_rules": quarantined,
+                "flight": self.flight.snapshot(),
+            }, indent=2)
+        parts = [self.metrics_registry.dump_text()]
+        for trace in self.traces():
+            parts.append(trace.format())
+        fault_stats = self.faults.stats()
+        parts.append("faults (enabled={enabled})\n  {summary}".format(
+            enabled=fault_stats.get("enabled"),
+            summary=", ".join(f"{k}={v}" for k, v in fault_stats.items()
+                              if k != "enabled") or "none"))
+        if dead_letters:
+            parts.append("dead letters\n" + "\n".join(
+                f"  {dl['rule']} [{dl['mode']}] attempts={dl['attempts']} "
+                f"session={dl['session_id']}: {dl['error']}"
+                for dl in dead_letters))
+        else:
+            parts.append("dead letters\n  none")
+        parts.append("quarantined rules\n  "
+                     + (", ".join(quarantined) if quarantined else "none"))
+        flight = self.flight.snapshot()
+        parts.append("flight recorder\n  "
+                     + " ".join(f"{k}={v}" for k, v in flight.items()))
+        return "\n\n".join(parts)
+
+    #: The frozen top-level key set of :meth:`statistics`.  Every key is
+    #: present from construction onward; additions require a new entry
+    #: here (tests assert equality, catching accidental drift).
+    STATISTICS_KEYS = frozenset({
+        "transactions", "scheduler", "events", "composers",
+        "eca_managers", "storage", "rules", "queries", "observability",
+        "sessions", "faults", "flight", "telemetry", "concurrency",
+        "shards", "wal", "server",
+    })
+
+    #: The frozen top-level key set of :meth:`concurrency_stats` — the
+    #: curated, stable introspection surface over the striped lock
+    #: manager, the WAL group-commit machinery, and the lazy history
+    #: merge.  Same contract as :attr:`STATISTICS_KEYS`: tests assert
+    #: equality, so additions are deliberate API changes.
+    CONCURRENCY_STATS_KEYS = frozenset({
+        "locks", "wal", "history",
+    })
+
+    def statistics(self) -> dict[str, Any]:
+        """A consistent snapshot of every subsystem's counters.
+
+        The key set is exactly :attr:`STATISTICS_KEYS`, and every value is
+        well-defined before the first transaction (zeros/empty sections).
+        All values come from always-maintained plain attributes, so they
+        are correct whether or not ``config.observability`` is enabled;
+        the ``observability`` section carries the metrics snapshot (null
+        when disabled).  On a sharded engine the kernels' sections
+        aggregate over the shards, and ``rules``, ``sessions``,
+        ``faults``, ``flight``, ``telemetry``, ``server`` and
+        ``observability`` come from the engine's one registry or stack.
+
+        Keys:
+
+        * ``transactions`` — begun/committed/aborted counts;
+        * ``scheduler`` — firing counts per policy (immediate,
+          deferred_enqueued, deferred_run, detached_run, ...);
+        * ``events`` — detected/composed/consumed plus pending
+          semi-composed occurrences;
+        * ``composers`` — composer count, emissions, live graph instances;
+        * ``eca_managers`` — primitive/composite manager counts and
+          occurrences handled;
+        * ``storage`` — pages, WAL and buffer-pool counters;
+        * ``rules`` — registered rule count;
+        * ``queries`` — query-processor counters;
+        * ``sessions`` — sessions created/active on this engine;
+        * ``faults`` — fault-registry snapshot (enabled, seed, injection
+          totals per point; inert zeros when fault injection is off);
+        * ``flight`` — flight-recorder snapshot (enabled, capacity,
+          recorded/retained/dropped record counts, dumps written);
+        * ``telemetry`` — export-pipeline counters (queued, enqueued,
+          exported, dropped, export_errors);
+        * ``concurrency`` — :meth:`concurrency_stats` (striped lock
+          waits, WAL group commit, history merge lag);
+        * ``wal`` — :meth:`wal_statistics`: the write-ahead log's live
+          view plus robustness counters (lenient-recovery truncations,
+          unknown record types skipped, composer-checkpoint bookkeeping
+          and restore fallbacks);
+        * ``shards`` — :meth:`shard_stats` (topology plus per-shard
+          commit/event/storage counters; a single-kernel engine reports
+          itself as a one-shard topology);
+        * ``server`` — :meth:`server_stats`: the attached network front
+          end's connection/request counters (``{"enabled": False, ...}``
+          when no server is attached);
+        * ``observability`` — ``metrics().snapshot()``.
+        """
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        # Lock-free reads throughout: the counters are ints or
+        # AtomicCounters (both read atomically under the GIL), so a
+        # statistics() poller never blocks a committing session on
+        # self._lock.
+        stats = self._kernel_statistics()
+        stats.update({
+            "rules": len(self._rules),
+            "sessions": {"created": self._sessions_created,
+                         "active": len(self._sessions)},
+            "faults": self.faults.stats(),
+            "flight": self.flight.snapshot(),
+            "telemetry": self.telemetry_pipeline.stats(),
+            "server": self.server_stats(),
+            "observability": self.metrics_registry.snapshot(),
+        })
+        return stats
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        # An exception unwinding through the engine scope is an unhandled
+        # abort: preserve the flight ring before teardown loses it.
+        if exc_type is not None and not self._closed:
+            try:
+                self.flight.record("engine.abort", error=repr(exc))
+                self.flight.dump(reason="unhandled-abort")
+            except Exception:
+                pass
+        self.close()
+
+
+class ReachEngine(EngineBase):
     """The shared kernel of an integrated active OODBMS instance.
 
     Args:
@@ -167,6 +484,10 @@ class ReachEngine(RuleDefinitions):
             more than one shard, the engine's data dictionary allocates
             from a :class:`~repro.oodb.oid.ShardedOIDAllocator` so this
             kernel only ever issues OIDs it owns.
+        stack_owner: an engine whose observability stack this kernel
+            shares instead of building its own; a
+            :class:`~repro.core.sharding.ShardedEngine` passes itself to
+            every kernel.
     """
 
     def __init__(self, directory: Optional[str] = None,
@@ -175,7 +496,8 @@ class ReachEngine(RuleDefinitions):
                  buffer_capacity: int = 128,
                  sentry_registry: Optional[SentryRegistry] = None,
                  shard_id: int = 0,
-                 shard_map: Optional[ShardMap] = None):
+                 shard_map: Optional[ShardMap] = None,
+                 stack_owner: Optional[EngineBase] = None):
         from repro.storage.storage_manager import StorageManager
 
         self.engine_id = next(_engine_ids)
@@ -193,42 +515,11 @@ class ReachEngine(RuleDefinitions):
                 f"kernel of a {self.shard_map.shard_count}-shard topology; "
                 f"build a ShardedEngine to shard the engine")
 
-        # -- observability (repro.obs) -----------------------------------
+        # -- observability (repro.obs, repro.faults) ----------------------
         # Built first so every subsystem can bind its instruments at
-        # construction; both are inert null-object pipelines unless
-        # ``config.observability`` is set.
-        self.metrics_registry = MetricsRegistry(
-            enabled=self.config.observability)
-        self.tracer = Tracer(enabled=self.config.observability,
-                             sample_rate=self.config.trace_sampling)
-
-        # -- flight recorder (repro.obs.flight) ---------------------------
-        # Always on (fixed-cost ring) unless explicitly disabled; it is
-        # deliberately independent of ``config.observability`` so the
-        # post-mortem record exists even on unobserved engines.
-        if self.config.flight_recorder:
-            self.flight = FlightRecorder(directory=directory)
-        else:
-            self.flight = NULL_FLIGHT
-
-        # -- telemetry export (repro.obs.export) --------------------------
-        # Inert (no thread, no span sink) until an exporter is attached,
-        # either here via ``config.telemetry_jsonl`` or later through
-        # ``engine.telemetry().add_exporter(...)``.
-        self.telemetry_pipeline = TelemetryPipeline(
-            tracer=self.tracer, metrics=self.metrics_registry)
-        if self.config.telemetry_jsonl:
-            self.telemetry_pipeline.add_exporter(
-                JsonlFileExporter(self.config.telemetry_jsonl))
-
-        # -- fault injection (repro.faults) -------------------------------
-        # Same null-object economics as the obs pipeline: disabled (the
-        # default) hands every instrumentation point the shared no-op
-        # point; enabled but disarmed costs one list check per hit.
-        self.faults = FaultRegistry(enabled=self.config.fault_injection,
-                                    seed=self.config.fault_seed,
-                                    metrics=self.metrics_registry,
-                                    flight=self.flight)
+        # construction; a sharded topology's kernels share one stack.
+        self._owns_stack = stack_owner is None
+        self._open_observability(directory, owner=stack_owner)
 
         # -- network front end (repro.server) -----------------------------
         # The engine never imports the server package (it sits above core
@@ -354,12 +645,14 @@ class ReachEngine(RuleDefinitions):
                                          self.events.collect_garbage)
 
         # Pull-based queue-depth gauges: evaluated only when a metrics
-        # snapshot is taken, never on the detection path.
+        # snapshot is taken, never on the detection path.  On a shared
+        # registry the depths sum over kernels and the age is the oldest.
         self.metrics_registry.gauge_fn(
             "scheduler.detached.depth",
             self.scheduler.pending_detached_count)
         self.metrics_registry.gauge_fn(
-            "scheduler.pending_age", self.scheduler.pending_age)
+            "scheduler.pending_age", self.scheduler.pending_age,
+            combine=max)
         self.metrics_registry.gauge_fn(
             "scheduler.deferred.depth",
             self.tx_manager.pending_deferred_count)
@@ -369,13 +662,6 @@ class ReachEngine(RuleDefinitions):
         self.metrics_registry.gauge_fn(
             "scheduler.dead_letters.depth",
             self.scheduler.dead_letter_count)
-        self.metrics_registry.gauge_fn(
-            "tracer.retained", self.tracer.__len__)
-        self.metrics_registry.gauge_fn(
-            "tracer.evicted", lambda: self.tracer.evicted)
-        self.metrics_registry.gauge_fn(
-            "telemetry.dropped",
-            lambda: self.telemetry_pipeline.dropped)
 
         self._rules: dict[str, tuple[Rule, Any]] = {}
         self._sessions: list[Session] = []
@@ -411,64 +697,6 @@ class ReachEngine(RuleDefinitions):
             session = Session(self, name=name)
             self._sessions.append(session)
         return session
-
-    def sessions(self) -> list[Session]:
-        with self._lock:
-            return list(self._sessions)
-
-    def tenant_of_session(self, session_id: int) -> Optional[str]:
-        """The tenant a session belongs to, or None for local sessions.
-
-        The network front end names wire sessions ``<tenant>/<client>``
-        (see :meth:`repro.server.server.ReachServer._handshake`); any
-        other session name has no tenant.  Used by the scheduler's
-        per-tenant SLO histograms (cached there per session id).
-        """
-        with self._lock:
-            for session in self._sessions:
-                if session.id == session_id:
-                    name = session.name or ""
-                    if "/" in name:
-                        return name.split("/", 1)[0]
-                    return None
-        return None
-
-    def _forget_session(self, session: Session) -> None:
-        with self._lock:
-            if session in self._sessions:
-                self._sessions.remove(session)
-
-    # ------------------------------------------------------------------
-    # Network front end registration (duck-typed; see repro.server)
-    # ------------------------------------------------------------------
-
-    def attach_server(self, server: Any) -> None:
-        """Register a running network front end with this engine.
-
-        The handle only needs ``stats()`` and ``close()``; the engine
-        consults it for the ``server`` statistics section and tears it
-        down first on :meth:`close` so in-flight wire transactions can
-        finish against a still-open engine.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("engine is closed")
-            self._server = server
-
-    def detach_server(self, server: Any) -> None:
-        """Drop the registration; idempotent, ignores stale handles."""
-        with self._lock:
-            if self._server is server:
-                self._server = None
-
-    def server_stats(self) -> dict[str, Any]:
-        """The ``statistics()["server"]`` section: the attached front
-        end's counters, or an inert stub when none is attached."""
-        server = self._server
-        if server is None:
-            return {"enabled": False, "connections": {"active": 0},
-                    "requests": {"served": 0}}
-        return server.stats()
 
     # ------------------------------------------------------------------
     # Schema
@@ -648,164 +876,12 @@ class ReachEngine(RuleDefinitions):
         """The Figure 1 view: plugged policy managers + support modules."""
         return self.meta.inventory()
 
-    # -- observability ---------------------------------------------------
-
-    def metrics(self) -> MetricsRegistry:
-        """The engine's metrics registry (null instruments when
-        ``config.observability`` is off)."""
-        return self.metrics_registry
-
-    def trace(self, trace_id: Optional[int] = None) -> Optional[Trace]:
-        """The most recent trace, or the trace with ``trace_id``.
-
-        ``None`` when tracing is disabled or nothing has been recorded.
-        Each :class:`~repro.obs.tracer.Trace` is the span tree of one
-        sentried call: detection, ECA dispatch, composition, rule firings
-        and their commits.
-        """
-        return self.tracer.trace(trace_id)
-
-    def traces(self) -> list[Trace]:
-        """Every retained trace, oldest first."""
-        return self.tracer.traces()
-
-    def flight_recorder(self) -> "FlightRecorder":
-        """The always-on flight recorder (the shared no-op recorder when
-        ``config.flight_recorder`` is False)."""
-        return self.flight
-
-    def telemetry(self) -> TelemetryPipeline:
-        """The telemetry export pipeline; inert until an exporter is
-        attached via :meth:`TelemetryPipeline.add_exporter`."""
-        return self.telemetry_pipeline
-
-    @property
-    def admin_address(self) -> Optional[tuple[str, int]]:
-        """``(host, port)`` of the live admin endpoint, or ``None``."""
-        return self.admin.address if self.admin is not None else None
-
-    def dump_observability(self, json_format: bool = False) -> str:
-        """Text (default) or JSON dump of the engine's full observable
-        state: metrics, retained traces, fault-registry snapshot, dead
-        letters, quarantined rules, and the flight-recorder snapshot.
-        """
-        dead_letters = [{
-            "rule": dl.rule_name,
-            "error": dl.error,
-            "attempts": dl.attempts,
-            "mode": dl.work.mode.value,
-            "session_id": dl.work.session_id,
-        } for dl in self.scheduler.dead_letter_list()]
-        with self._lock:
-            quarantined = sorted(
-                rule.name for rule, __ in self._rules.values()
-                if rule.quarantined)
-        if json_format:
-            import json as _json
-            return _json.dumps({
-                "metrics": self.metrics_registry.snapshot(),
-                "traces": [trace.to_dict() for trace in self.traces()],
-                "faults": self.faults.stats(),
-                "dead_letters": dead_letters,
-                "quarantined_rules": quarantined,
-                "flight": self.flight.snapshot(),
-            }, indent=2)
-        parts = [self.metrics_registry.dump_text()]
-        for trace in self.traces():
-            parts.append(trace.format())
-        fault_stats = self.faults.stats()
-        parts.append("faults (enabled={enabled})\n  {summary}".format(
-            enabled=fault_stats.get("enabled"),
-            summary=", ".join(f"{k}={v}" for k, v in fault_stats.items()
-                              if k != "enabled") or "none"))
-        if dead_letters:
-            parts.append("dead letters\n" + "\n".join(
-                f"  {dl['rule']} [{dl['mode']}] attempts={dl['attempts']} "
-                f"session={dl['session_id']}: {dl['error']}"
-                for dl in dead_letters))
-        else:
-            parts.append("dead letters\n  none")
-        parts.append("quarantined rules\n  "
-                     + (", ".join(quarantined) if quarantined else "none"))
-        flight = self.flight.snapshot()
-        parts.append("flight recorder\n  "
-                     + " ".join(f"{k}={v}" for k, v in flight.items()))
-        return "\n\n".join(parts)
-
-    #: The frozen top-level key set of :meth:`statistics`.  Every key is
-    #: present from construction onward; additions require a new entry
-    #: here (tests assert equality, catching accidental drift).
-    STATISTICS_KEYS = frozenset({
-        "transactions", "scheduler", "events", "composers",
-        "eca_managers", "storage", "rules", "queries", "observability",
-        "sessions", "faults", "flight", "telemetry", "concurrency",
-        "shards", "wal", "server",
-    })
-
-    #: The frozen top-level key set of :meth:`concurrency_stats` — the
-    #: curated, stable introspection surface over the striped lock
-    #: manager, the WAL group-commit machinery, and the lazy history
-    #: merge.  Same contract as :attr:`STATISTICS_KEYS`: tests assert
-    #: equality, so additions are deliberate API changes.
-    CONCURRENCY_STATS_KEYS = frozenset({
-        "locks", "wal", "history",
-    })
-
-    def statistics(self) -> dict[str, Any]:
-        """A consistent snapshot of every subsystem's counters.
-
-        The key set is exactly :attr:`STATISTICS_KEYS`, and every value is
-        well-defined before the first transaction (zeros/empty sections).
-        All values come from always-maintained plain attributes, so they
-        are correct whether or not ``config.observability`` is enabled;
-        the ``observability`` section carries the metrics snapshot (null
-        when disabled).
-
-        Keys:
-
-        * ``transactions`` — begun/committed/aborted counts;
-        * ``scheduler`` — firing counts per policy (immediate,
-          deferred_enqueued, deferred_run, detached_run, ...);
-        * ``events`` — detected/composed/consumed plus pending
-          semi-composed occurrences;
-        * ``composers`` — composer count, emissions, live graph instances;
-        * ``eca_managers`` — primitive/composite manager counts and
-          occurrences handled;
-        * ``storage`` — pages, WAL and buffer-pool counters;
-        * ``rules`` — registered rule count;
-        * ``queries`` — query-processor counters;
-        * ``sessions`` — sessions created/active on this engine;
-        * ``faults`` — fault-registry snapshot (enabled, seed, injection
-          totals per point; inert zeros when fault injection is off);
-        * ``flight`` — flight-recorder snapshot (enabled, capacity,
-          recorded/retained/dropped record counts, dumps written);
-        * ``telemetry`` — export-pipeline counters (queued, enqueued,
-          exported, dropped, export_errors);
-        * ``concurrency`` — :meth:`concurrency_stats` (striped lock
-          waits, WAL group commit, history merge lag);
-        * ``wal`` — :meth:`wal_statistics`: the write-ahead log's live
-          view plus robustness counters (lenient-recovery truncations,
-          unknown record types skipped, composer-checkpoint bookkeeping
-          and restore fallbacks);
-        * ``shards`` — :meth:`shard_stats` (topology plus per-shard
-          commit/event/storage counters; a single-kernel engine reports
-          itself as a one-shard topology);
-        * ``server`` — :meth:`server_stats`: the attached network front
-          end's connection/request counters (``{"enabled": False, ...}``
-          when no server is attached);
-        * ``observability`` — ``metrics().snapshot()``.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
+    def _kernel_statistics(self) -> dict[str, Any]:
+        """The :meth:`statistics` sections this kernel's own subsystems
+        keep."""
         composers = self.events.composers()
         primitive = self.events.primitive_managers()
         composite = self.events.composite_managers()
-        # Lock-free reads throughout: the counters are ints or
-        # AtomicCounters (both read atomically under the GIL), so a
-        # statistics() poller never blocks a committing session on
-        # self._lock.
-        sessions = {"created": self._sessions_created,
-                    "active": len(self._sessions)}
         scheduler = self.scheduler.stats.snapshot()
         scheduler["errors_depth"] = len(self.scheduler.errors)
         scheduler["errors_dropped"] = self.scheduler.errors.dropped
@@ -838,17 +914,10 @@ class ReachEngine(RuleDefinitions):
                 + sum(m.handled for m in composite),
             },
             "storage": self.storage.stats(),
-            "rules": len(self._rules),
             "queries": dict(self.query_processor.stats),
-            "sessions": sessions,
-            "faults": self.faults.stats(),
-            "flight": self.flight.snapshot(),
-            "telemetry": self.telemetry_pipeline.stats(),
             "concurrency": self.concurrency_stats(),
             "wal": self.wal_statistics(),
             "shards": self.shard_stats(),
-            "server": self.server_stats(),
-            "observability": self.metrics_registry.snapshot(),
         }
 
     def wal_statistics(self) -> dict[str, Any]:
@@ -949,10 +1018,6 @@ class ReachEngine(RuleDefinitions):
     def checkpoint(self) -> None:
         self.storage.checkpoint()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Shut the engine down: cancel timers, drain resolvable detached
         work, stop the worker pools, cancel sentry subscriptions, and
@@ -993,22 +1058,10 @@ class ReachEngine(RuleDefinitions):
         self.persistence.detach()
         self.locks.clear()
         # The telemetry pipeline drains before storage closes so a final
-        # flush can still observe a consistent engine.
-        self.telemetry_pipeline.close()
+        # flush can still observe a consistent engine.  A shared stack is
+        # closed by its owner, after every kernel.
+        if self._owns_stack:
+            self.telemetry_pipeline.close()
         # Pulls a final composer checkpoint: half-matched state present at
         # a clean shutdown survives to the next start.
         self.storage.close()
-
-    def __enter__(self) -> "ReachEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # An exception unwinding through the engine scope is an unhandled
-        # abort: preserve the flight ring before teardown loses it.
-        if exc_type is not None and not self._closed:
-            try:
-                self.flight.record("engine.abort", error=repr(exc))
-                self.flight.dump(reason="unhandled-abort")
-            except Exception:
-                pass
-        self.close()

@@ -103,7 +103,7 @@ class FiringRecord:
 
     def flight_fields(self) -> dict[str, Any]:
         fields = {"rule": self.rule_name, "mode": self.mode.value,
-                  "phase": self.phase, "seq": self.event_seq,
+                  "phase": self.phase, "event_seq": self.event_seq,
                   "outcome": self.outcome, "tx": self.tx_id,
                   "session": self.session_id}
         if self.trace_id is not None:

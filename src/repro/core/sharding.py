@@ -26,7 +26,13 @@ splits the global concerns explicitly:
   scope treats all members as one transaction.  Commit is per-member
   in shard order — explicitly *not* atomic across shards;
 * **durability** is per shard: each shard has its own group-commit WAL,
-  which its own recovery reads at open.
+  which its own recovery reads at open;
+* **observability** is the engine's, not the shards': the coordinator
+  builds one metrics registry, tracer, flight recorder, telemetry
+  pipeline and fault registry and hands them to every kernel, so a
+  counter reads the topology's total, a cascade that crosses shards is
+  one span tree, and one flight ring (dumped under the engine root)
+  holds every shard's records in one order.
 
 Build one with ``ShardedEngine(config=ExecutionConfig(
 sharding=ShardingConfig(shards=N)))`` and serve clients from
@@ -44,18 +50,16 @@ from typing import Any, Callable, Optional, Type, Union
 from repro.clock import Clock, VirtualClock
 from repro.config import ExecutionConfig
 from repro.core.algebra import CompositeEventSpec
-from repro.core.engine import ReachEngine
+from repro.core.engine import EngineBase, ReachEngine
 from repro.core.events import (
     EventOccurrence,
     SignalEventSpec,
     TemporalEventSpec,
 )
-from repro.core.rule_builder import RuleDefinitions
 from repro.core.rules import Rule
 from repro.core.session import ShardedSession
 from repro.errors import ObjectNotFoundError, RuleDefinitionError
 from repro.obs.admin import AdminServer
-from repro.obs.tracer import merge_traces
 from repro.oodb.address_space import ShardMap
 from repro.oodb.oid import OID
 from repro.oodb.sentry import SentryRegistry, StateNotification
@@ -146,15 +150,15 @@ def _merge_stats(values: list[Any]) -> Any:
     return first
 
 
-class ShardedEngine(RuleDefinitions):
+class ShardedEngine(EngineBase):
     """Coordinator over N OID-range-sharded :class:`ReachEngine` kernels.
 
     Exposes the engine surface the wire server and the admin endpoint
     expect.  The genuinely multi-shard surfaces (``statistics()``,
     ``shard_stats()``, sessions, rules, events) aggregate or route across
-    the topology; the few single-object services those callers read
-    (observability, catalog, the ``/locks`` and ``/wal`` views) are shard
-    0's.
+    the topology; the observability stack is the coordinator's own,
+    shared by every kernel; the catalog and the ``/locks`` and ``/wal``
+    views are shard 0's.
 
     Args:
         directory: root directory; shard *k* lives in
@@ -184,22 +188,24 @@ class ShardedEngine(RuleDefinitions):
         #: any of this engine's sessions, wherever the object lives.
         self.sentry_registry = SentryRegistry(
             scoped=True, name=f"sharded-{id(self):x}")
+        # One observability stack, handed to every kernel like the clock
+        # and the sentry registry; its flight ring dumps under
+        # ``directory``.
+        self._open_observability(directory)
+        self.metrics_registry.counter_fn(
+            "sentry.notifications",
+            lambda: self.sentry_registry.notifications_delivered)
 
-        # Shards must not each open an admin port or append to the same
-        # telemetry file; the coordinator owns both concerns.
-        shard_config = dataclasses.replace(
-            self.config, admin_port=None, telemetry_jsonl=None)
+        # Shards must not each open an admin port; the coordinator does.
+        shard_config = dataclasses.replace(self.config, admin_port=None)
         self.shards: list[ReachEngine] = [
             ReachEngine(directory=os.path.join(directory, f"shard-{sid}"),
                         config=shard_config, clock=self.clock,
                         buffer_capacity=buffer_capacity,
                         sentry_registry=self.sentry_registry,
-                        shard_id=sid, shard_map=self.shard_map)
+                        shard_id=sid, shard_map=self.shard_map,
+                        stack_owner=self)
             for sid in range(self.shard_count)]
-        # Counted once, by shard 0's registry (the one metrics() returns).
-        self.shards[0].metrics_registry.counter_fn(
-            "sentry.notifications",
-            lambda: self.sentry_registry.notifications_delivered)
 
         self.bus = CrossShardEventBus()
         #: member tx id -> frozenset of all member ids of its sharded tx
@@ -234,32 +240,11 @@ class ShardedEngine(RuleDefinitions):
         self._server: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    # Shard-0 services.  Observability and fault points are read by the
-    # wire server and the admin endpoint; locks and storage by the admin
+    # Shard-0 services.  Locks and storage are read by the admin
     # ``/locks`` and ``/wal`` views; the catalog triple (dictionary,
     # persistence, tx_manager) by the shared rule definitions, which keep
     # persisted DDL in shard 0's catalog.
     # ------------------------------------------------------------------
-
-    @property
-    def metrics_registry(self):
-        return self.shards[0].metrics_registry
-
-    @property
-    def faults(self):
-        return self.shards[0].faults
-
-    @property
-    def tracer(self):
-        return self.shards[0].tracer
-
-    @property
-    def flight(self):
-        return self.shards[0].flight
-
-    @property
-    def telemetry_pipeline(self):
-        return self.shards[0].telemetry_pipeline
 
     @property
     def locks(self):
@@ -316,39 +301,6 @@ class ShardedEngine(RuleDefinitions):
             session = ShardedSession(self, name=name, shards=shards)
             self._sessions.append(session)
         return session
-
-    def sessions(self) -> list[ShardedSession]:
-        with self._lock:
-            return list(self._sessions)
-
-    tenant_of_session = ReachEngine.tenant_of_session
-
-    def _forget_session(self, session: ShardedSession) -> None:
-        with self._lock:
-            if session in self._sessions:
-                self._sessions.remove(session)
-
-    # ------------------------------------------------------------------
-    # Network front end registration (duck-typed; see ReachEngine)
-    # ------------------------------------------------------------------
-
-    def attach_server(self, server: Any) -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("engine is closed")
-            self._server = server
-
-    def detach_server(self, server: Any) -> None:
-        with self._lock:
-            if self._server is server:
-                self._server = None
-
-    def server_stats(self) -> dict[str, Any]:
-        server = self._server
-        if server is None:
-            return {"enabled": False, "connections": {"active": 0},
-                    "requests": {"served": 0}}
-        return server.stats()
 
     # ------------------------------------------------------------------
     # Transaction groups (cross-shard composite scope)
@@ -522,24 +474,10 @@ class ShardedEngine(RuleDefinitions):
         return self._rules[name][1].shard_id
 
     def signal(self, name: str, **parameters: Any) -> None:
-        """Raise an explicit user signal on the signal's home shard.
-
-        Span stacks are per-shard-tracer thread locals, so a caller's
-        open span (an adopted wire request lives on the coordinator's
-        tracer, shard 0's) is invisible to another shard's tracer; a hop span
-        re-pins the caller's trace on the home shard so the detection
-        cascade lands in the same tree :meth:`trace` later merges.
-        """
+        """Raise an explicit user signal on the signal's home shard."""
         home = self.shards[self.shard_for_key(SignalEventSpec(name).key())]
-        current = self.tracer.current()
         with self.sentry_registry.bound():
-            if current is None or home.tracer is self.tracer:
-                home.events.emit_signal(name, parameters)
-            else:
-                with home.tracer.span(f"hop:signal {name!r}", "bus",
-                                      trace_id=current.trace_id,
-                                      parent_id=current.span_id):
-                    home.events.emit_signal(name, parameters)
+            home.events.emit_signal(name, parameters)
 
     def drain_detached(self) -> int:
         return sum(shard.scheduler.drain_detached()
@@ -570,85 +508,16 @@ class ShardedEngine(RuleDefinitions):
     # Introspection and lifecycle
     # ------------------------------------------------------------------
 
-    STATISTICS_KEYS = ReachEngine.STATISTICS_KEYS
-    CONCURRENCY_STATS_KEYS = ReachEngine.CONCURRENCY_STATS_KEYS
-
     def architecture_inventory(self) -> dict[str, list[str]]:
         return self.shards[0].architecture_inventory()
 
-    def metrics(self):
-        return self.shards[0].metrics()
-
-    def trace(self, trace_id: Optional[int] = None):
-        """One assembled trace across every shard's tracer retention.
-
-        A single trace id spans tracers: the request/detection spans
-        live on the leaf's home shard, cross-shard composition on the
-        composite's.  Span/trace ids are allocated from process-global
-        counters precisely so this merge is well-defined.
-        """
-        if trace_id is None:
-            latest = self.shards[0].trace(None)
-            if latest is None:
-                return None
-            trace_id = latest.trace_id
-        return merge_traces(
-            shard.trace(trace_id) for shard in self.shards)
-
-    def traces(self):
-        """Every retained trace, merged across shards, oldest first."""
-        order: list[int] = []
-        seen: set[int] = set()
-        for shard in self.shards:
-            for trace in shard.traces():
-                if trace.trace_id not in seen:
-                    seen.add(trace.trace_id)
-                    order.append(trace.trace_id)
-        merged = (self.trace(trace_id) for trace_id in order)
-        return [trace for trace in merged if trace is not None]
-
-    def flight_recorder(self):
-        return self.shards[0].flight_recorder()
-
-    def telemetry(self):
-        return self.shards[0].telemetry()
-
-    @property
-    def admin_address(self) -> Optional[tuple[str, int]]:
-        return self.admin.address if self.admin is not None else None
-
-    def dump_observability(self, json_format: bool = False) -> str:
-        if json_format:
-            import json as _json
-            return _json.dumps({
-                f"shard-{sid}": _json.loads(
-                    shard.dump_observability(json_format=True))
-                for sid, shard in enumerate(self.shards)}, indent=2)
-        return "\n\n".join(
-            f"== shard {sid} ==\n{shard.dump_observability()}"
-            for sid, shard in enumerate(self.shards))
-
-    def statistics(self) -> dict[str, Any]:
-        """The frozen-key snapshot, aggregated over every shard.
-
-        Numeric counters sum across shards, nested sections merge
-        recursively; ``rules`` and ``sessions`` report the coordinator's
-        own registries (a rule registers on one home shard, a session
-        spans all shards — summing would double-count), and ``shards``
-        carries the per-shard breakdown.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        merged = _merge_stats([shard.statistics()
+    def _kernel_statistics(self) -> dict[str, Any]:
+        """The kernels' :meth:`statistics` sections merged over every
+        shard (numbers sum, nested sections merge recursively), and
+        ``shards`` the per-shard breakdown."""
+        merged = _merge_stats([shard._kernel_statistics()
                                for shard in self.shards])
-        with self._lock:
-            merged["rules"] = len(self._rules)
-            merged["sessions"] = {"created": self._sessions_created,
-                                  "active": len(self._sessions)}
         merged["shards"] = self.shard_stats()
-        # The front end attaches to the coordinator, not to any shard;
-        # the merged per-shard inert stubs would misreport it.
-        merged["server"] = self.server_stats()
         return merged
 
     def concurrency_stats(self) -> dict[str, Any]:
@@ -701,10 +570,6 @@ class ShardedEngine(RuleDefinitions):
         for shard in self.shards:
             shard.checkpoint()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         # An attached front end drains first, against a still-open
         # topology, mirroring ReachEngine.close().
@@ -726,13 +591,7 @@ class ShardedEngine(RuleDefinitions):
             session.close()
         for shard in self.shards:
             shard.close()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    # Records ``engine.abort`` and dumps shard 0's flight ring (the
-    # coordinator's ``flight``) before closing, as on one kernel.
-    __exit__ = ReachEngine.__exit__
+        self.telemetry_pipeline.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

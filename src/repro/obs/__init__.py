@@ -51,7 +51,6 @@ from repro.obs.tracer import (
     Trace,
     TraceContext,
     Tracer,
-    merge_traces,
     mint_trace_id,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "Tracer",
     "latest_dump",
     "load_dump",
-    "merge_traces",
     "mint_trace_id",
     "render_prometheus",
     "slow_rules",

@@ -203,10 +203,9 @@ class AdminServer:
                            "traces": [trace.to_dict() for trace in traces]})
 
     def _trace(self, raw_id: str, query: dict[str, str]) -> tuple[str, str]:
-        # One assembled cross-component trace tree.  ``engine.trace`` on
-        # a sharded topology merges every shard's tracer retention, so a
-        # trace spanning wire request, detection, cross-shard composition
-        # and detached execution comes back as one tree.
+        # One cross-component trace tree.  A sharded topology's kernels
+        # share one tracer, so a trace spanning wire request, detection,
+        # cross-shard composition and detached execution is one tree.
         try:
             trace_id = int(raw_id)
         except ValueError:

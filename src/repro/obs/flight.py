@@ -44,9 +44,11 @@ class FlightRecorder:
     ``record`` is the hot path: one seq increment, one clock read, one
     ``deque.append`` (which evicts the oldest entry once ``capacity`` is
     reached — fixed memory, no explicit trimming).  Thread safety leans
-    on the GIL the same way the metrics registry does: appends are
-    atomic, readers copy, and the drop count is derived (``recorded`` -
-    retained) rather than kept as a mutable ledger.
+    on the GIL the same way the metrics registry does: the seq draw and
+    the append are each one C call, readers copy, ``recorded`` is read
+    off the seq counter itself (so it is exact under concurrent
+    writers), and the drop count is derived (``recorded`` - retained)
+    rather than kept as a mutable ledger.
     """
 
     enabled = True
@@ -60,7 +62,6 @@ class FlightRecorder:
         self._ring: deque = deque(maxlen=capacity)
         self._seq = itertools.count(1)
         self._next_seq = self._seq.__next__
-        self._last_seq = 0
         self._dump_lock = threading.Lock()
         self._dump_count = 0
 
@@ -68,29 +69,26 @@ class FlightRecorder:
 
     def record(self, category: str, **fields: Any) -> None:
         """Append one happening; never blocks, never raises on overflow."""
-        seq = self._next_seq()
-        self._ring.append((seq, time.time(), category, fields))
-        self._last_seq = seq
+        self._ring.append((self._next_seq(), time.time(), category, fields))
 
     def append(self, category: str, item: Any) -> None:
         """Append ``item``, a record also kept elsewhere (a firing-log
         entry); its ``flight_fields()`` are built only when the ring is
         read or dumped."""
-        seq = self._next_seq()
-        self._ring.append((seq, time.time(), category, item))
-        self._last_seq = seq
+        self._ring.append((self._next_seq(), time.time(), category, item))
 
     # -- introspection -------------------------------------------------------
 
     @property
     def recorded(self) -> int:
-        """Total records ever appended (retained + overwritten)."""
-        return self._last_seq
+        """Total records ever appended (retained + overwritten): the
+        seqs drawn so far, read from the counter's repr, ``count(N)``."""
+        return int(repr(self._seq)[6:-1]) - 1
 
     @property
     def dropped(self) -> int:
         """Records overwritten by ring wrap-around."""
-        return max(0, self._last_seq - len(self._ring))
+        return max(0, self.recorded - len(self._ring))
 
     def entries(self, category: Optional[str] = None) -> list[dict[str, Any]]:
         """Retained records oldest-first, as dicts (optionally filtered)."""

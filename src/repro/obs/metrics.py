@@ -20,7 +20,11 @@ Gauges for queue depths are *pull-based*: a callable registered with
 taken, so tracking the deferred/detached queue depths costs nothing on
 the detection path.  A count a subsystem keeps anyway is pulled the same
 way (:meth:`MetricsRegistry.counter_fn`), so each fact is counted once
-and the snapshot agrees with ``db.statistics()`` by construction.
+and the snapshot agrees with ``db.statistics()`` by construction.  The
+kernels of a sharded engine share one registry and each registers its
+own reads under the same names; a pulled instrument reads the
+topology's value: a counter the sum, a gauge the combination its
+registration names (a sum of depths, the oldest of ages).
 """
 
 from __future__ import annotations
@@ -53,18 +57,19 @@ class Counter:
 
 
 class PulledCounter(Counter):
-    """A count its owner keeps, read when looked at.  ``inc`` fails: the
-    owner's count is the only record."""
+    """A count its owners keep, read when looked at: the sum over every
+    owner registered under the name.  ``inc`` fails: the owners' counts
+    are the only record."""
 
-    __slots__ = ("_read",)
+    __slots__ = ("_reads",)
 
     def __init__(self, name: str, read: Callable[[], int]):
         self.name = name
-        self._read = read
+        self._reads = [read]
 
     @property
     def value(self) -> int:
-        return self._read()
+        return sum(read() for read in self._reads)
 
 
 class Gauge:
@@ -315,7 +320,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._gauge_fns: dict[str, Callable[[], float]] = {}
+        #: name -> (combine, reads) of each pulled gauge.
+        self._gauge_fns: dict[str, tuple[Callable, list[Callable]]] = {}
         # Guards instrument *creation* and snapshot's dict copies; never
         # taken on the increment/observe hot path.
         self._lock = threading.Lock()
@@ -357,18 +363,28 @@ class MetricsRegistry:
                         name, reservoir_size=reservoir_size)
         return histogram
 
-    def gauge_fn(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a pull-based gauge evaluated at snapshot time only."""
+    def gauge_fn(self, name: str, fn: Callable[[], float],
+                 combine: Callable[[Iterable[float]], float] = sum) -> None:
+        """Register a pull-based gauge evaluated at snapshot time only.
+
+        Every ``fn`` registered under ``name`` is read, and the gauge is
+        ``combine`` over the reads; the first registration's ``combine``
+        stands.
+        """
         if self.enabled:
             with self._lock:
-                self._gauge_fns[name] = fn
+                self._gauge_fns.setdefault(name, (combine, []))[1].append(fn)
 
     def counter_fn(self, name: str, fn: Callable[[], int]) -> None:
         """Register counter ``name`` as a read of a count its owner keeps;
-        ``counter(name).value`` and snapshots call ``fn``."""
+        ``counter(name).value`` and snapshots sum every registered ``fn``."""
         if self.enabled:
             with self._lock:
-                self._counters[name] = PulledCounter(name, fn)
+                counter = self._counters.get(name)
+                if isinstance(counter, PulledCounter):
+                    counter._reads.append(fn)
+                else:
+                    self._counters[name] = PulledCounter(name, fn)
 
     # -- export ---------------------------------------------------------------
 
@@ -390,9 +406,9 @@ class MetricsRegistry:
             histogram_items = sorted(self._histograms.items())
         counters = {name: c.value for name, c in counter_items}
         gauges = {name: g.value for name, g in gauge_items}
-        for name, fn in gauge_fn_items:
+        for name, (combine, reads) in gauge_fn_items:
             try:
-                gauges[name] = fn()
+                gauges[name] = combine(read() for read in reads)
             except Exception:
                 gauges[name] = None
         histograms = {name: h.snapshot() for name, h in histogram_items}

@@ -26,11 +26,13 @@ adopted by the server as the explicit context of the request span, so
 the whole server-side cascade — detection, cross-shard composition,
 detached execution, WAL commit wait — lands in the client's trace.
 
-Trace ids and span ids are drawn from process-global counters, so the
-per-shard tracers of a :class:`~repro.core.sharding.ShardedEngine` never
-collide and :func:`merge_traces` can assemble one tree from several
-tracers' retentions.  Clients mint ids via :func:`mint_trace_id` from a
-randomized high base so they cannot collide with server-born ids.
+One engine has one tracer: the kernels of a
+:class:`~repro.core.sharding.ShardedEngine` share their coordinator's,
+so a cascade that crosses shards stays on one thread-local span stack
+and lands in one tree.  Trace ids and span ids are drawn from
+process-global counters, so engines in one process never collide.
+Clients mint ids via :func:`mint_trace_id` from a randomized high base
+so they cannot collide with server-born ids.
 
 Like the metrics registry, a disabled tracer costs one method call
 returning a shared null context manager — no allocation, no clock read.
@@ -46,11 +48,10 @@ import itertools
 import os
 import threading
 from time import perf_counter
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
-# Process-global id streams shared by every tracer: uniqueness across
-# the shards of one engine (and across engines in one test process) is
-# what lets merge_traces() stitch shard-local retentions into one tree.
+# Process-global id streams shared by every tracer: ids stay unique
+# across the engines of one process.
 _TRACE_IDS = itertools.count(1)
 _SPAN_IDS = itertools.count(1)
 
@@ -516,36 +517,6 @@ class Tracer:
         self._evict_to(self.capacity)
         with self._lock:
             return len(self._traces)
-
-
-def merge_traces(parts: Iterable[Optional[Trace]]) -> Optional[Trace]:
-    """Assemble one trace from several tracers' retentions.
-
-    A sharded engine records one trace id across many tracers (the
-    coordinator's request span in shard 0, the detection on the home
-    shard, cross-shard composition on another).  Spans are merged in
-    start order so parents precede children — span starts come from one
-    process-wide ``perf_counter`` clock, and a child cannot start before
-    its parent opened.  Returns None when no part holds any spans.
-    """
-    spans: list[Span] = []
-    trace_id = None
-    for part in parts:
-        if part is None or not part.spans:
-            continue
-        if trace_id is None:
-            trace_id = part.trace_id
-        spans.extend(part.spans)
-    if trace_id is None:
-        return None
-    seen: set[int] = set()
-    unique = []
-    for span in sorted(spans, key=lambda s: s.start):
-        if span.span_id in seen:
-            continue
-        seen.add(span.span_id)
-        unique.append(span)
-    return Trace(trace_id, unique)
 
 
 #: Tracer used by components not wired to a database (always disabled).

@@ -275,10 +275,11 @@ def record_stream(directory: str, transactions: int = 12,
            for record in db.scheduler.firing_log]
     flight = []
     for entry in db.flight_recorder().entries("rule.fire"):
-        # A record's own "seq" (the occurrence's) shadows the ring's.
+        # "seq" is the ring's, "event_seq" the occurrence's.
         fields = {key: value for key, value in entry.items()
                   if key not in ("ts", "category")}
-        fields["seq"] = renumber("seq", fields["seq"])
+        fields["seq"] = renumber("ring", fields["seq"])
+        fields["event_seq"] = renumber("seq", fields["event_seq"])
         fields["tx"] = renumber("tx", fields["tx"])
         fields["session"] = renumber("session", fields["session"])
         flight.append(fields)

@@ -15,13 +15,16 @@ Covers the PR-5 acceptance criteria:
   JSONL round-trips through :func:`load_dump`/:func:`latest_dump`.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro import ExecutionConfig, MethodEventSpec, ReachEngine, sentried
 from repro.core.coupling import CouplingMode
 from repro.errors import DeadlockError
+from repro.obs import flight as flight_module
 from repro.obs.flight import (
     NULL_FLIGHT,
     DUMP_FORMAT,
@@ -92,6 +95,43 @@ class TestRing:
         seqs = [e["seq"] for e in recorder.entries()]
         assert seqs == [2]
         assert recorder.recorded == 2
+
+    def test_recorded_is_exact_under_concurrent_appends(self, monkeypatch):
+        """Two writers share one ring (a sharded engine's committers do):
+        each round counts every one of their records.  The ring's clock
+        read gives the GIL away, so the other writer runs between a
+        record's seq draw and its append in most rounds."""
+
+        class YieldingClock:
+            @staticmethod
+            def time():
+                time.sleep(0)
+                return 0.0
+
+        monkeypatch.setattr(flight_module, "time", YieldingClock)
+        per_thread = 50
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for __ in range(20):
+                recorder = FlightRecorder(capacity=16)
+                start = threading.Barrier(2, timeout=30.0)
+
+                def write():
+                    start.wait()
+                    for index in range(per_thread):
+                        recorder.record("t", i=index)
+
+                threads = [threading.Thread(target=write) for __ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                assert recorder.recorded == 2 * per_thread
+                assert recorder.dropped == 2 * per_thread - 16
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_null_recorder_is_inert(self):
         NULL_FLIGHT.record("anything", x=1)

@@ -539,6 +539,18 @@ class TestPulledCounters:
         finally:
             db.close()
 
+    def test_pulls_under_one_name_read_the_topology(self):
+        """Kernels sharing a registry each register their own reads: a
+        counter and a depth sum them, an age takes the oldest."""
+        registry = MetricsRegistry(enabled=True)
+        for count, depth, age in ((2, 1, 0.5), (3, 4, 1.5)):
+            registry.counter_fn("c", lambda count=count: count)
+            registry.gauge_fn("depth", lambda depth=depth: depth)
+            registry.gauge_fn("age", lambda age=age: age, combine=max)
+        snapshot = registry.snapshot()
+        assert registry.counter("c").value == snapshot["counters"]["c"] == 5
+        assert snapshot["gauges"] == {"depth": 5, "age": 1.5}
+
     def test_unobserved_engine_registers_no_counter(self, tmp_path):
         db = make_db(tmp_path, observability=False, fault_injection=True)
         try:

@@ -12,11 +12,16 @@ The ISSUE 7 acceptance criteria pinned here:
 * finished sharded transactions leave no semi-composed garbage behind
   (the tx-group sweep replaces the per-transaction EOT discard);
 * ``statistics()`` keeps the frozen key set, adds the ``shards``
-  topology section, and the admin endpoint serves it at ``/shards``.
+  topology section, and the admin endpoint serves it at ``/shards``;
+* the shards share the coordinator's one observability stack: metrics,
+  traces, the flight ring, telemetry and faults read the topology, not
+  shard 0.
 """
 
 import json
 import os
+import sys
+import threading
 import urllib.request
 
 import pytest
@@ -28,7 +33,8 @@ from repro.core.consumption import ConsumptionPolicy
 from repro.core.engine import ReachEngine
 from repro.core.sharding import ShardedEngine
 from repro.errors import ObjectNotFoundError
-from repro.obs.flight import latest_dump, load_dump
+from repro.obs.export import TelemetryPipeline
+from repro.obs.flight import FlightRecorder, latest_dump, load_dump
 from repro.oodb.address_space import ShardMap
 from repro.oodb.oid import DEFAULT_OID_RANGE_SIZE
 
@@ -299,7 +305,7 @@ class TestCoordinatorServices:
                     session.persist(Crate("x"), "x")
                 raise RuntimeError("operator error")
         assert engine.closed
-        path = latest_dump(os.path.join(directory, "shard-0"))
+        path = latest_dump(directory)
         assert path is not None
         header, records = load_dump(path)
         assert header["reason"] == "unhandled-abort"
@@ -492,3 +498,194 @@ class TestRuleDefinitionsAndConfig:
             ReachEngine(
                 directory=str(tmp_path / "one"),
                 config=ExecutionConfig(sharding=ShardingConfig(shards=2)))
+
+
+def _two_shards(tmp_path, name, **config):
+    return ShardedEngine(
+        directory=str(tmp_path / name),
+        config=ExecutionConfig(sharding=ShardingConfig(shards=2), **config))
+
+
+class TestOneObservabilityStack:
+    """The kernels of a sharded engine count, trace and record into the
+    coordinator's one stack, so every reader sees the whole topology."""
+
+    def _fire_on_both_shards(self, engine):
+        """One IMMEDIATE rule homed on each shard (``on-0``, ``on-1``),
+        each fired by its own shard-local transaction."""
+        names = _signal_names_homed_on(engine.shard_map, [0, 1])
+        for sid, name in enumerate(names):
+            engine.rule(f"on-{sid}", SignalEventSpec(name),
+                        action=lambda ctx: None,
+                        coupling=CouplingMode.IMMEDIATE)
+            session = engine.create_session(shards=[sid])
+            with session.transaction():
+                session.persist(Crate(f"c{sid}"), f"c{sid}", shard=sid)
+                session.signal(name)
+            session.close()
+
+    def test_telemetry_jsonl_writes_span_records(self, tmp_path):
+        path = str(tmp_path / "telemetry.jsonl")
+        engine = _two_shards(tmp_path, "tel", observability=True,
+                             telemetry_jsonl=path)
+        try:
+            self._fire_on_both_shards(engine)
+        finally:
+            engine.close()
+        with open(path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle if line.strip()]
+        fired = {record["rule"] for record in records
+                 if record["type"] == "span"}
+        assert {"on-0", "on-1"} <= fired
+
+    def test_pulled_tx_counters_equal_the_statistics(self, tmp_path):
+        engine = _two_shards(tmp_path, "tx", observability=True)
+        try:
+            self._fire_on_both_shards(engine)
+            session = engine.create_session()
+            for __ in range(3):
+                with session.transaction():
+                    pass
+            transactions = engine.statistics()["transactions"]
+            assert transactions["committed"] == 2 + 3 * 2
+            for fact, value in transactions.items():
+                assert engine.metrics().counter(f"tx.{fact}").value == value
+        finally:
+            engine.close()
+
+    def test_stack_sections_report_the_configured_values(self, tmp_path):
+        engine = _two_shards(tmp_path, "cfg", observability=True,
+                             fault_injection=True, fault_seed=7)
+        try:
+            for shard in engine.shards:
+                shard.metrics_registry.histogram("probe.latency").observe(1.0)
+            stats = engine.statistics()
+            assert stats["flight"]["capacity"] == FlightRecorder().capacity
+            assert stats["telemetry"]["capacity"] == \
+                TelemetryPipeline().capacity
+            assert stats["faults"]["seed"] == 7
+            registry = engine.metrics().histogram("probe.latency")
+            assert registry.count == 2
+            assert stats["observability"]["histograms"]["probe.latency"][
+                "p50"] == registry.snapshot()["p50"] == 1.0
+        finally:
+            engine.close()
+
+    def test_unhandled_abort_dump_holds_shard_one_records(self, tmp_path):
+        directory = str(tmp_path / "abort1")
+        with pytest.raises(RuntimeError):
+            with _two_shards(tmp_path, "abort1") as engine:
+                self._fire_on_both_shards(engine)
+                raise RuntimeError("operator error")
+        header, records = load_dump(latest_dump(directory))
+        assert header["reason"] == "unhandled-abort"
+        fired = {r["rule"] for r in records if r["category"] == "rule.fire"}
+        assert fired == {"on-0", "on-1"}
+        assert [r["category"] for r in records].count("wal.flush") >= 2
+
+    def test_admin_flight_and_traces_show_both_shards(self, tmp_path):
+        engine = _two_shards(tmp_path, "admin", observability=True,
+                             admin_port=0)
+        try:
+            self._fire_on_both_shards(engine)
+            host, port = engine.admin_address
+            base = f"http://{host}:{port}"
+            with urllib.request.urlopen(f"{base}/flight?tail=200",
+                                        timeout=5.0) as response:
+                flight = json.loads(response.read().decode("utf-8"))
+            assert {entry["rule"] for entry in flight["entries"]
+                    if entry["category"] == "rule.fire"} == {"on-0", "on-1"}
+            with urllib.request.urlopen(f"{base}/traces",
+                                        timeout=5.0) as response:
+                traces = json.loads(response.read().decode("utf-8"))
+            spans = {span["name"] for trace in traces["traces"]
+                     for span in trace["spans"]}
+            assert {"fire:on-0", "fire:on-1"} <= spans
+        finally:
+            engine.close()
+
+    def test_concurrent_commits_on_two_shards_count_exactly(self, tmp_path):
+        """Two threads commit on two shards into one registry and one
+        flight ring: the pulled ``tx.committed`` is exact and no two ring
+        records share a seq."""
+        engine = _two_shards(tmp_path, "race", observability=True)
+        per_thread = 150
+        try:
+            before = engine.statistics()["transactions"]["committed"]
+            sessions = [engine.create_session(shards=[sid])
+                        for sid in (0, 1)]
+            crates = [Crate(f"r{sid}") for sid in (0, 1)]
+            for sid, (session, crate) in enumerate(zip(sessions, crates)):
+                with session.transaction():
+                    session.persist(crate, crate.label, shard=sid)
+            start = threading.Barrier(2, timeout=30.0)
+
+            def commit(session, crate):
+                start.wait()
+                for __ in range(per_thread):
+                    with session.transaction():
+                        crate.stamp()
+                        session.persist(crate)
+
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=commit, args=pair)
+                           for pair in zip(sessions, crates)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(previous)
+            committed = engine.statistics()["transactions"]["committed"]
+            assert committed == before + 2 + 2 * per_thread
+            assert engine.metrics().counter("tx.committed").value == \
+                committed
+            entries = engine.flight.entries()
+            seqs = [entry["seq"] for entry in entries]
+            assert len(set(seqs)) == len(seqs)
+            assert engine.flight.recorded == len(entries) \
+                + engine.flight.dropped
+        finally:
+            engine.close()
+
+
+def test_single_engine_metrics_are_unchanged(tmp_path):
+    """A lone engine's pulled instruments read as they did before the
+    stack was shared: the snapshot of a fixed script matches a recorded
+    copy key for key."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "data", "single_engine_metrics.json")
+    with open(golden, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    engine = ReachEngine(directory=str(tmp_path / "one"),
+                         config=ExecutionConfig(observability=True))
+    try:
+        engine.register_class(Crate, monitor_state=False)
+        engine.rule("imm", MethodEventSpec("Crate", "stamp"),
+                    action=lambda ctx: None, coupling=CouplingMode.IMMEDIATE)
+        engine.rule("def", MethodEventSpec("Crate", "stamp"),
+                    action=lambda ctx: None, coupling=CouplingMode.DEFERRED)
+        engine.rule("det", SignalEventSpec("tick"), action=lambda ctx: None,
+                    coupling=CouplingMode.DETACHED)
+        engine.rule("pair", SignalEventSpec("left") >> SignalEventSpec("right"),
+                    action=lambda ctx: None, coupling=CouplingMode.DEFERRED)
+        session = engine.create_session("acme/c1")
+        crates = [Crate(f"c{index}") for index in range(3)]
+        with session.transaction():
+            for crate in crates:
+                session.persist(crate, crate.label)
+        for index in range(6):
+            with session.transaction():
+                crates[index % 3].stamp()
+                session.signal("tick")
+                if index % 2:
+                    session.signal("left")
+                    session.signal("right")
+        snapshot = engine.metrics().snapshot()
+        assert {"counters": snapshot["counters"],
+                "gauges": snapshot["gauges"]} == expected
+    finally:
+        engine.close()

@@ -161,12 +161,14 @@ class TestEndToEndTrace:
                 assert span.end >= span.start > 0.0
                 assert span.duration >= 0.0
 
-            # The completing leaf really crossed shards, and the tree
-            # above was merged from more than one shard tracer.
+            # The completing leaf really crossed shards, and the one tree
+            # holds both shards' work: b's detection on b's home shard
+            # and the composition on the composite's home shard.
             assert db.bus.forwarded >= 1
-            contributing = [shard for shard in db.shards
-                            if shard.trace(completing_tid) is not None]
-            assert len(contributing) == 2
+            assert db.shard_for_key(spec.key()) != \
+                db.shard_for_key(SignalEventSpec(b_name).key())
+            assert [s for s in trace.find(kind="sentry") if b_name in s.name]
+            assert trace.find(kind="composer")
 
             # The first request's trace exists too: its own root request
             # span plus the detection of leg a — no bleed into leg b.
