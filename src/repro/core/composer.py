@@ -40,7 +40,6 @@ from repro.core.algebra import (
 )
 from repro.core.consumption import OccurrenceBuffer
 from repro.core.events import (
-    EventCategory,
     EventOccurrence,
     EventSpec,
     PrimitiveEventSpec,
@@ -125,7 +124,7 @@ class _SnapshotCodec:
                 tx_ids=frozenset(data["x"]),
                 parameters=dict(data["p"]),
                 components=tuple(self.decode(c) for c in data["c"]),
-                seq=data["q"])
+                seq=data["q"], spec_key=data["k"])
         except ComposerStateError:
             raise
         except Exception as exc:
@@ -144,9 +143,9 @@ def _max_seq(occ: EventOccurrence) -> int:
     return max(c.seq for c in occ.all_primitive_components())
 
 
-def _combine(spec: EventSpec, category: EventCategory,
+def _combine(node: "_Node",
              components: list[EventOccurrence]) -> EventOccurrence:
-    """Build a composite occurrence from its components."""
+    """Build ``node``'s composite occurrence from its components."""
     parameters: dict = {}
     for component in components:
         parameters.update(component.parameters)
@@ -154,9 +153,8 @@ def _combine(spec: EventSpec, category: EventCategory,
         *[c.tx_ids for c in components])
     timestamp = max(c.timestamp for c in components)
     return EventOccurrence(
-        spec=spec, category=category, timestamp=timestamp,
-        tx_ids=tx_ids, parameters=parameters,
-        components=tuple(components))
+        node.spec, node.category, timestamp, tx_ids, parameters,
+        tuple(components), spec_key=node.key)
 
 
 class _Node:
@@ -206,6 +204,7 @@ class _PrimitiveNode(_Node):
 class _SequenceNode(_Node):
     def __init__(self, spec: Sequence, left: _Node, right: _Node):
         self.spec = spec
+        self.key = spec.key()
         self.category = spec.category()
         self.left = left
         self.right = right
@@ -221,8 +220,7 @@ class _SequenceNode(_Node):
                 eligible=lambda item, __start=start:
                     _max_seq(item) < __start)
             for group in groups:
-                emissions.append(_combine(
-                    self.spec, self.category, group + [right_emission]))
+                emissions.append(_combine(self, group + [right_emission]))
         return emissions
 
     def pending(self) -> int:
@@ -247,6 +245,7 @@ class _SequenceNode(_Node):
 class _ConjunctionNode(_Node):
     def __init__(self, spec: Conjunction, left: _Node, right: _Node):
         self.spec = spec
+        self.key = spec.key()
         self.category = spec.category()
         self.left = left
         self.right = right
@@ -270,8 +269,7 @@ class _ConjunctionNode(_Node):
                 eligible=self._disjoint_from(emission))
             if groups:
                 for group in groups:
-                    emissions.append(_combine(
-                        self.spec, self.category, group + [emission]))
+                    emissions.append(_combine(self, group + [emission]))
             else:
                 self.left_buffer.insert(emission)
         for emission in right_emissions:
@@ -279,8 +277,7 @@ class _ConjunctionNode(_Node):
                 eligible=self._disjoint_from(emission))
             if groups:
                 for group in groups:
-                    emissions.append(_combine(
-                        self.spec, self.category, group + [emission]))
+                    emissions.append(_combine(self, group + [emission]))
             else:
                 self.right_buffer.insert(emission)
         return emissions
@@ -312,6 +309,7 @@ class _ConjunctionNode(_Node):
 class _DisjunctionNode(_Node):
     def __init__(self, spec: Disjunction, left: _Node, right: _Node):
         self.spec = spec
+        self.key = spec.key()
         self.category = spec.category()
         self.left = left
         self.right = right
@@ -319,7 +317,7 @@ class _DisjunctionNode(_Node):
     def feed(self, occ: EventOccurrence) -> list[EventOccurrence]:
         emissions: list[EventOccurrence] = []
         for emission in self.left.feed(occ) + self.right.feed(occ):
-            emissions.append(_combine(self.spec, self.category, [emission]))
+            emissions.append(_combine(self, [emission]))
         return emissions
 
     def pending(self) -> int:
@@ -349,6 +347,7 @@ class _NegationNode(_Node):
     def __init__(self, spec: Negation, subject: _Node, start: _Node,
                  end: _Node):
         self.spec = spec
+        self.key = spec.key()
         self.category = spec.category()
         self.subject = subject
         self.start = start
@@ -362,9 +361,8 @@ class _NegationNode(_Node):
             self.subject_seen = True
         for end_emission in self.end.feed(occ):
             if self.window_start is not None and not self.subject_seen:
-                emissions.append(_combine(
-                    self.spec, self.category,
-                    [self.window_start, end_emission]))
+                emissions.append(
+                    _combine(self, [self.window_start, end_emission]))
             self.window_start = None
             self.subject_seen = False
         for start_emission in self.start.feed(occ):
@@ -411,6 +409,7 @@ class _ClosureNode(_Node):
 
     def __init__(self, spec: Closure, of: _Node, until: _Node):
         self.spec = spec
+        self.key = spec.key()
         self.category = spec.category()
         self.of = of
         self.until = until
@@ -421,9 +420,8 @@ class _ClosureNode(_Node):
         self.accumulated.extend(self.of.feed(occ))
         for until_emission in self.until.feed(occ):
             if self.accumulated:
-                emissions.append(_combine(
-                    self.spec, self.category,
-                    self.accumulated + [until_emission]))
+                emissions.append(
+                    _combine(self, self.accumulated + [until_emission]))
                 self.accumulated = []
         return emissions
 
@@ -455,6 +453,7 @@ class _HistoryNode(_Node):
 
     def __init__(self, spec: History, of: _Node):
         self.spec = spec
+        self.key = spec.key()
         self.category = spec.category()
         self.of = of
         self.recent: list[EventOccurrence] = []
@@ -467,7 +466,7 @@ class _HistoryNode(_Node):
             self.recent = [e for e in self.recent if e.timestamp >= cutoff]
             if len(self.recent) >= self.spec.count:
                 used = self.recent[-self.spec.count:]
-                emissions.append(_combine(self.spec, self.category, used))
+                emissions.append(_combine(self, used))
                 if not self.spec.consumption.reuses_initiator:
                     # Consume the participating occurrences; under the
                     # recent policy the window keeps sliding instead.
@@ -586,8 +585,9 @@ class Composer:
             return []
         self._m_fed.inc()
         tracer = self.tracer
-        if occ.trace_id is None and not tracer.active():
-            span_cm = _NULL_SPAN  # unsampled: skip attribute packing
+        if not tracer.enabled or \
+                (occ.trace_id is None and not tracer.active()):
+            span_cm = _NULL_SPAN  # untraced or unsampled: no attributes
         else:
             span_cm = tracer.span(self._span_name, "composer",
                                   trace_id=occ.trace_id,

@@ -36,6 +36,7 @@ from repro.core.composer import Composer
 from repro.core.events import (
     EventOccurrence,
     EventSpec,
+    EventType,
     FlowEventKind,
     FlowEventSpec,
     MethodEventSpec,
@@ -69,6 +70,9 @@ from repro.oodb.transactions import Transaction, TransactionManager
 
 #: flow event kind -> the key of its primitive ECA-manager.
 _FLOW_KEYS = {kind: FlowEventSpec(kind).key() for kind in FlowEventKind}
+
+#: the ``tx_ids`` of an occurrence raised outside any transaction.
+_NO_TX: frozenset[int] = frozenset()
 
 
 def _total(owners: Callable[[], list], count: str) -> int:
@@ -109,22 +113,26 @@ class _RuleSet:
 
 
 class PrimitiveECAManager(_RuleSet):
-    """ECA-manager dedicated to one primitive event type."""
+    """ECA-manager dedicated to one primitive event type.
+
+    ``spec``, ``key`` and ``category`` are its event type's (see
+    :class:`~repro.core.events.EventType`), taken once here: every
+    occurrence the event service creates for it copies them.
+    """
 
     def __init__(self, spec: EventSpec, scheduler: RuleScheduler,
-                 global_history: GlobalHistory,
                  tracer: Tracer = NULL_TRACER,
                  history_capacity: Optional[int] = None):
         super().__init__(scheduler)
         self.spec = spec
         self.key = spec.key()
+        self.category = spec.category()
         self.tracer = tracer
         #: composite managers (and other listeners) interested in this
         #: primitive event; populated by the event service.
         self.listeners: list[Callable[[EventOccurrence], None]] = []
         self.history = LocalHistory(name=str(self.key),
                                     capacity=history_capacity)
-        global_history.attach_source(self.history)
         self.handled = 0
         self._span_name = f"eca:{spec.describe()}"
 
@@ -147,8 +155,9 @@ class PrimitiveECAManager(_RuleSet):
         """
         self.handled += 1
         tracer = self.tracer
-        if occ.trace_id is None and not tracer.active():
-            span_cm = _NULL_SPAN  # unsampled: skip attribute packing
+        if not tracer.enabled or \
+                (occ.trace_id is None and not tracer.active()):
+            span_cm = _NULL_SPAN  # untraced or unsampled: no attributes
         else:
             span_cm = tracer.span(self._span_name, "eca",
                                   trace_id=occ.trace_id,
@@ -195,8 +204,9 @@ class CompositeECAManager(_RuleSet):
     def handle_composite(self, occ: EventOccurrence) -> None:
         self.handled += 1
         tracer = self.tracer
-        if occ.trace_id is None and not tracer.active():
-            span_cm = _NULL_SPAN  # unsampled: skip attribute packing
+        if not tracer.enabled or \
+                (occ.trace_id is None and not tracer.active()):
+            span_cm = _NULL_SPAN  # untraced or unsampled: no attributes
         else:
             span_cm = tracer.span(self._span_name, "eca",
                                   trace_id=occ.trace_id,
@@ -242,13 +252,6 @@ class EventService:
         self.metrics = metrics
         self.flight = flight
         self._fp_dispatch = faults.point(COMPOSER_DISPATCH)
-        #: sharded engines install a hook mapping a member transaction id
-        #: to the frozen set of ALL member ids of its sharded transaction,
-        #: so occurrences detected on any shard correlate under same-tx
-        #: composite scope regardless of which member did the detecting.
-        #: ``None`` (single-kernel default) leaves tx ids untouched.
-        self.tx_group_resolver: Optional[
-            Callable[[int], Optional[frozenset[int]]]] = None
         #: spec key -> chronological COMPOSER_CHECKPOINT payloads found
         #: in the log at recovery; taken (and applied newest first,
         #: falling back on mismatch) when the matching composite manager
@@ -316,13 +319,14 @@ class EventService:
         with self._lock:
             manager = self._primitive.get(key)
             if manager is None:
-                # Published only once its detector is installed: a class
-                # that cannot be resolved yet leaves no deaf manager behind.
-                self._install_detector(spec)
                 manager = PrimitiveECAManager(
-                    spec, self.scheduler, self.global_history,
-                    tracer=self.tracer,
+                    spec, self.scheduler, tracer=self.tracer,
                     history_capacity=self.config.history_capacity)
+                # Published, and its history attached, only once its
+                # detector is installed: a class that cannot be resolved
+                # yet leaves no deaf manager behind.
+                self._install_detector(manager)
+                self.global_history.attach_source(manager.history)
                 self._primitive[key] = manager
             return manager
 
@@ -490,50 +494,27 @@ class EventService:
     # Detection: building occurrences
     # ------------------------------------------------------------------
 
-    def _expand_tx_ids(self, tx_ids: frozenset[int]) -> frozenset[int]:
-        """Widen member transaction ids to their full sharded-tx group."""
-        resolver = self.tx_group_resolver
-        if resolver is None or not tx_ids:
-            return tx_ids
-        expanded = set(tx_ids)
-        for tx_id in tx_ids:
-            group = resolver(tx_id)
-            if group:
-                expanded |= group
-        return frozenset(expanded)
-
-    def _current_tx_ids(self) -> frozenset[int]:
-        tx = self.tx_manager.current()
-        if tx is None:
-            return frozenset()
-        return self._expand_tx_ids(frozenset({tx.top_level().id}))
-
-    def _current_session_id(self) -> Optional[int]:
-        """The detecting session, for trace-root and flight attribution:
-        the context's session when one is bound to the thread, else the
-        current transaction's (covers worker threads running detached
-        work whose transaction carries the originating session)."""
-        sid = self.tx_manager.current_session_id()
-        if sid is not None:
-            return sid
-        tx = self.tx_manager.current()
-        return tx.session_id if tx is not None else None
-
-    def emit(self, spec: EventSpec, parameters: dict[str, Any],
+    def emit(self, source: PrimitiveECAManager | EventType,
+             parameters: dict[str, Any],
              tx_ids: Optional[frozenset[int]] = None) -> EventOccurrence:
-        """Create an occurrence of a registered primitive and route it.
+        """Create an occurrence of ``source``'s event type and route it.
+
+        ``source`` is the type's :class:`PrimitiveECAManager`, or an
+        :class:`~repro.core.events.EventType` for a spec nobody
+        registered; either way the occurrence copies its spec, key and
+        category.  ``tx_ids`` defaults to the current transaction's
+        ``event_tx_ids``.
 
         With tracing enabled this is where a trace is born: the detection
         span roots the trace (or joins the calling thread's open span when
         a rule action raises a cascading event) and its ids travel on the
         occurrence through composition and firing.
         """
-        occ = EventOccurrence(
-            spec=spec,
-            category=spec.category(),
-            timestamp=self.clock.now(),
-            tx_ids=self._current_tx_ids() if tx_ids is None else tx_ids,
-            parameters=parameters)
+        tx = self.tx_manager.current()
+        if tx_ids is None:
+            tx_ids = tx.event_tx_ids if tx is not None else _NO_TX
+        occ = EventOccurrence(source.spec, source.category, self.clock.now(),
+                              tx_ids, parameters, spec_key=source.key)
         tracer = self.tracer
         flight = self.flight
         if not tracer.enabled and not flight.enabled:
@@ -542,11 +523,15 @@ class EventService:
             return occ
         # Span names are cached per spec: describe() walks the spec tree
         # and must not run on every detection.
-        span_name = self._detect_span_names.get(occ.spec_key)
+        span_name = self._detect_span_names.get(source.key)
         if span_name is None:
-            span_name = self._detect_span_names[occ.spec_key] = \
-                f"detect:{spec.describe()}"
-        sid = self._current_session_id()
+            span_name = self._detect_span_names[source.key] = \
+                f"detect:{source.spec.describe()}"
+        # The detecting session, for trace-root and flight attribution:
+        # the transaction's (which is its context's), else the bound
+        # context's.
+        sid = tx.session_id if tx is not None \
+            else self.tx_manager.current_session_id()
         if not tracer.enabled:
             if flight.enabled:
                 flight.record("event", event_seq=occ.seq,
@@ -591,14 +576,15 @@ class EventService:
             self.route(occ)
         return occ
 
-    def emit_signal(self, name: str,
-                    parameters: dict[str, Any]) -> EventOccurrence:
+    def emit_signal(self, name: str, parameters: dict[str, Any],
+                    tx_ids: Optional[frozenset[int]] = None
+                    ) -> EventOccurrence:
         """Raise user signal ``name``.  A registered signal's occurrences
         share its manager's spec rather than each keeping its own copy."""
         spec = SignalEventSpec(name)
         manager = self._primitive.get(spec.key())
-        return self.emit(manager.spec if manager is not None else spec,
-                         parameters)
+        return self.emit(manager if manager is not None else EventType(spec),
+                         parameters, tx_ids)
 
     def route(self, occ: EventOccurrence) -> None:
         self.events_detected += 1
@@ -654,25 +640,26 @@ class EventService:
     # Detector installation per primitive flavour
     # ------------------------------------------------------------------
 
-    def _install_detector(self, spec: EventSpec) -> None:
+    def _install_detector(self, manager: PrimitiveECAManager) -> None:
+        spec = manager.spec
         if isinstance(spec, MethodEventSpec):
             subscription = self.sentry_registry.watch_method(
                 self.resolve_class(spec.class_name), spec.method,
-                self._method_receiver(spec), moment=spec.moment)
+                self._method_receiver(manager), moment=spec.moment)
         elif isinstance(spec, StateChangeEventSpec):
             # Subscribed after the Change PM's receiver (installed when
             # the class was registered), so a write's lock, undo record
             # and bus event precede its REACH occurrence.
             subscription = self.sentry_registry.watch_state(
                 self.resolve_class(spec.class_name), spec.attribute,
-                self._state_receiver(spec))
+                self._state_receiver(manager))
         else:
             # Flow occurrences are driven by the rule PM, temporal ones
             # by the temporal event source.
             return
         self._subscriptions.append(subscription)
 
-    def _method_receiver(self, spec: MethodEventSpec):
+    def _method_receiver(self, manager: PrimitiveECAManager):
         def receive(note: MethodNotification) -> None:
             if note.exception is not None:
                 return  # events are raised for successful execution only
@@ -683,12 +670,12 @@ class EventService:
                 "kwargs": note.kwargs,
                 "result": note.result,
             }
-            self.emit(spec, parameters)
+            self.emit(manager, parameters)
         return receive
 
-    def _state_receiver(self, spec: StateChangeEventSpec):
+    def _state_receiver(self, manager: PrimitiveECAManager):
         def receive(note: StateNotification) -> None:
-            self.emit(spec, {
+            self.emit(manager, {
                 "instance": note.instance,
                 "attribute": note.attribute,
                 "old_value": note.old_value,
@@ -709,10 +696,8 @@ class EventService:
         if manager is None or not (manager.rules or manager.listeners):
             return
         tx = info.get("tx")
-        tx_ids: Optional[frozenset[int]] = None
-        if tx is not None:
-            tx_ids = self._expand_tx_ids(frozenset({tx.top_level().id}))
-        self.emit(manager.spec, dict(info), tx_ids=tx_ids)
+        self.emit(manager, dict(info),
+                  tx_ids=tx.event_tx_ids if tx is not None else None)
 
     def dispatch_temporal(self, spec: TemporalEventSpec,
                           parameters: dict[str, Any]) -> None:
@@ -720,7 +705,7 @@ class EventService:
         manager = self._primitive.get(spec.key())
         if manager is None:
             return
-        self.emit(manager.spec, parameters, tx_ids=frozenset())
+        self.emit(manager, parameters, tx_ids=_NO_TX)
 
     # ------------------------------------------------------------------
     # Lifespan maintenance

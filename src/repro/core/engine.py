@@ -111,14 +111,15 @@ _engine_ids = itertools.count(1)
 #: (Section 3.3 lifespan enforcement).
 GC_INTERVAL = 1.0
 
-#: Every engine constructed and not yet closed, weakly held.  Test
-#: harnesses (``tests/conftest.py``) walk this to dump flight rings and
-#: observability state as failure artifacts; nothing in the engine's own
-#: lifecycle reads it.
-_LIVE_ENGINES: "weakref.WeakSet[ReachEngine]" = weakref.WeakSet()
+#: Every engine constructed and not yet closed, weakly held: one entry
+#: per observability stack, so a sharded engine is listed and its kernels
+#: are not.  Test harnesses (``tests/conftest.py``) walk this to dump
+#: flight rings and observability state as failure artifacts; nothing in
+#: the engine's own lifecycle reads it.
+_LIVE_ENGINES: "weakref.WeakSet[EngineBase]" = weakref.WeakSet()
 
 
-def live_engines() -> list["ReachEngine"]:
+def live_engines() -> list["EngineBase"]:
     """Engines currently open in this process (snapshot, weakly held)."""
     return [eng for eng in list(_LIVE_ENGINES) if not eng.closed]
 
@@ -675,7 +676,8 @@ class ReachEngine(EngineBase):
         self.admin: Optional[AdminServer] = None
         if self.config.admin_port is not None:
             self.admin = AdminServer(self, port=self.config.admin_port)
-        _LIVE_ENGINES.add(self)
+        if self._owns_stack:
+            _LIVE_ENGINES.add(self)
 
     # ------------------------------------------------------------------
     # Sessions and scope
@@ -878,7 +880,8 @@ class ReachEngine(EngineBase):
 
     def _kernel_statistics(self) -> dict[str, Any]:
         """The :meth:`statistics` sections this kernel's own subsystems
-        keep."""
+        keep.  The WAL's live view is read once and shown in three."""
+        wal = self.storage.wal_stats()
         composers = self.events.composers()
         primitive = self.events.primitive_managers()
         composite = self.events.composite_managers()
@@ -915,17 +918,18 @@ class ReachEngine(EngineBase):
             },
             "storage": self.storage.stats(),
             "queries": dict(self.query_processor.stats),
-            "concurrency": self.concurrency_stats(),
-            "wal": self.wal_statistics(),
-            "shards": self.shard_stats(),
+            "concurrency": self.concurrency_stats(wal=dict(wal)),
+            "wal": self.wal_statistics(wal=dict(wal)),
+            "shards": self.shard_stats(wal=wal),
         }
 
-    def wal_statistics(self) -> dict[str, Any]:
-        """The WAL's live view plus durable-detection robustness
-        counters: lenient-recovery truncations, unknown-but-well-framed
-        record types scanned past, composer checkpoints written and
-        recovered, and restore/fallback outcomes."""
-        stats = self.storage.wal_stats()
+    def wal_statistics(self, wal: Optional[dict] = None) -> dict[str, Any]:
+        """The WAL's live view (``wal``, when the caller read it already)
+        plus durable-detection robustness counters: lenient-recovery
+        truncations, unknown-but-well-framed record types scanned past,
+        composer checkpoints written and recovered, and restore/fallback
+        outcomes."""
+        stats = self.storage.wal_stats() if wal is None else wal
         stats["composer_checkpoint_fallbacks"] = \
             self.events.composer_checkpoint_fallbacks
         stats["composer_restores"] = self.events.composer_restores
@@ -945,8 +949,10 @@ class ReachEngine(EngineBase):
             "composer_checkpoints_written", 0)
         return stats
 
-    def concurrency_stats(self) -> dict[str, Any]:
-        """The curated concurrency introspection surface.
+    def concurrency_stats(self,
+                          wal: Optional[dict] = None) -> dict[str, Any]:
+        """The curated concurrency introspection surface (``wal``: the
+        WAL's live view, when the caller read it already).
 
         The key set is exactly :attr:`CONCURRENCY_STATS_KEYS`; every value
         is well-defined from construction onward.  This promotes the
@@ -969,14 +975,15 @@ class ReachEngine(EngineBase):
             raise RuntimeError("engine is closed")
         return {
             "locks": self.locks.wait_stats(),
-            "wal": self.storage.wal_stats(),
+            "wal": self.storage.wal_stats() if wal is None else wal,
             "history": self.events.global_history.stats(),
         }
 
-    def shard_summary(self) -> dict[str, Any]:
+    def shard_summary(self, wal: Optional[dict] = None) -> dict[str, Any]:
         """This kernel's row in a shard topology listing: identity, OID
         allocation position, and the per-shard hot counters (transactions,
-        events, storage, WAL)."""
+        events, storage, and the WAL's live view ``wal``, read here when
+        the caller has not)."""
         tx_stats = self.tx_manager.stats.snapshot()
         return {
             "shard_id": self.shard_id,
@@ -986,10 +993,10 @@ class ReachEngine(EngineBase):
             "transactions": tx_stats,
             "events_detected": self.events.events_detected,
             "rules": len(self._rules),
-            "wal": self.storage.wal_stats(),
+            "wal": self.storage.wal_stats() if wal is None else wal,
         }
 
-    def shard_stats(self) -> dict[str, Any]:
+    def shard_stats(self, wal: Optional[dict] = None) -> dict[str, Any]:
         """The shard-topology introspection surface (also served at
         ``/shards`` on the admin endpoint).  A plain single-kernel engine
         reports itself as a one-shard topology so callers never need to
@@ -998,7 +1005,7 @@ class ReachEngine(EngineBase):
         return {
             "count": self.shard_map.shard_count,
             "oid_range_size": self.shard_map.range_size,
-            "per_shard": [self.shard_summary()],
+            "per_shard": [self.shard_summary(wal)],
         }
 
     # -- self-healing ----------------------------------------------------

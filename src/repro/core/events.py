@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
 from repro.errors import EventDefinitionError
@@ -36,7 +36,7 @@ __all__ = [
     "StateChangeEventSpec", "FlowEventKind", "FlowEventSpec",
     "TemporalEventSpec", "AbsoluteEventSpec", "RelativeEventSpec",
     "PeriodicEventSpec", "MilestoneEventSpec", "SignalEventSpec",
-    "EventOccurrence", "Moment", "advance_occurrence_seq",
+    "EventOccurrence", "EventType", "Moment", "advance_occurrence_seq",
 ]
 
 
@@ -310,7 +310,23 @@ def advance_occurrence_seq(floor: int) -> None:
     _occurrence_seq = itertools.count(max(nxt, floor + 1))
 
 
-@dataclass(eq=False)
+class EventType:
+    """What every occurrence of one event type shares, taken from its
+    spec once: the spec, its dispatch key and its Table 1 category.
+
+    A :class:`~repro.core.eca_manager.PrimitiveECAManager` carries the
+    same three attributes for its registered type; this stands in for a
+    spec no manager is registered for (an unregistered signal).
+    """
+
+    __slots__ = ("spec", "key", "category")
+
+    def __init__(self, spec: EventSpec):
+        self.spec = spec
+        self.key = spec.key()
+        self.category = spec.category()
+
+
 class EventOccurrence:
     """One detected event instance.
 
@@ -318,33 +334,48 @@ class EventOccurrence:
     originated in (empty for temporal events).  For composites it is the
     union over components — the set whose outcomes the causally dependent
     coupling modes must respect.
+
+    ``spec_key`` is the spec's dispatch key; a detector that knows it
+    already (an ECA-manager, a composer node) passes it, so detection
+    never walks the spec.  ``seq`` is drawn from the process-wide
+    occurrence counter unless given.
     """
 
-    spec: EventSpec
-    category: EventCategory
-    timestamp: float
-    tx_ids: frozenset[int] = frozenset()
-    parameters: dict[str, Any] = field(default_factory=dict)
-    components: tuple["EventOccurrence", ...] = ()
-    seq: int = field(default_factory=lambda: next(_occurrence_seq))
-    #: observability context (``repro.obs``): the id of the trace this
-    #: occurrence belongs to and the span that produced it.  Set by the
-    #: event service / composer when tracing is enabled; carried on the
-    #: occurrence so spans opened on other threads (composition workers,
-    #: deferred drains, detached rules) attach to the originating trace.
-    trace_id: Optional[int] = None
-    span_id: Optional[int] = None
-    #: ``perf_counter`` stamp taken at signal time when observability is
-    #: on (0.0 otherwise); the scheduler subtracts it at rule-action
-    #: completion for the end-to-end detection-latency SLO histograms.
-    detected_at: float = 0.0
-    #: set once, by ``GlobalHistory.drain``, when a merge request that
-    #: covers this occurrence is applied: it is then in the global history.
-    merged: bool = False
+    __slots__ = ("spec", "spec_key", "category", "timestamp", "tx_ids",
+                 "parameters", "components", "seq", "trace_id", "span_id",
+                 "detected_at", "merged")
 
-    @property
-    def spec_key(self) -> Hashable:
-        return self.spec.key()
+    def __init__(self, spec: EventSpec, category: EventCategory,
+                 timestamp: float, tx_ids: frozenset[int] = frozenset(),
+                 parameters: Optional[dict[str, Any]] = None,
+                 components: tuple["EventOccurrence", ...] = (),
+                 seq: Optional[int] = None,
+                 spec_key: Optional[Hashable] = None):
+        self.spec = spec
+        self.spec_key = spec.key() if spec_key is None else spec_key
+        self.category = category
+        self.timestamp = timestamp
+        self.tx_ids = tx_ids
+        self.parameters = {} if parameters is None else parameters
+        self.components = components
+        self.seq = next(_occurrence_seq) if seq is None else seq
+        #: observability context (``repro.obs``): the id of the trace this
+        #: occurrence belongs to and the span that produced it.  Set by the
+        #: event service / composer when tracing is enabled; carried on the
+        #: occurrence so spans opened on other threads (composition
+        #: workers, deferred drains, detached rules) attach to the
+        #: originating trace.
+        self.trace_id: Optional[int] = None
+        self.span_id: Optional[int] = None
+        #: ``perf_counter`` stamp taken at signal time when observability
+        #: is on (0.0 otherwise); the scheduler subtracts it at
+        #: rule-action completion for the end-to-end detection-latency SLO
+        #: histograms.
+        self.detected_at = 0.0
+        #: set once, by ``GlobalHistory.drain``, when a merge request that
+        #: covers this occurrence is applied: it is then in the global
+        #: history.
+        self.merged = False
 
     @property
     def is_composite(self) -> bool:

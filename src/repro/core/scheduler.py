@@ -61,7 +61,7 @@ from repro.faults.registry import NULL_FAULTS, SCHEDULER_WORKER, FaultRegistry
 from repro.obs.flight import NULL_FLIGHT, FlightRecorder
 from repro.obs.metrics import NULL_METRICS, AtomicCounters, MetricsRegistry
 from repro.obs.tracer import _NULL_SPAN, NULL_TRACER, Tracer
-from repro.oodb.sentry import Binding, is_sentried
+from repro.oodb.sentry import Binding, sentried_types
 from repro.oodb.transactions import (
     Transaction,
     TransactionContext,
@@ -299,7 +299,8 @@ class RuleScheduler:
             elif mode is CouplingMode.DEFERRED:
                 self._enqueue_deferred(rule, occ, PHASE_FULL)
             else:
-                self._schedule_detached(rule, occ, PHASE_FULL, mode, depth)
+                self._schedule_detached(rule, occ, PHASE_FULL, mode,
+                                        current)
         if immediate_batch:
             if (self.config.parallel_rules and len(immediate_batch) > 1
                     and current is not None):
@@ -476,9 +477,8 @@ class RuleScheduler:
             self._enqueue_deferred(rule, occ, PHASE_ACTION,
                                    bindings=dict(ctx.bindings))
         else:
-            current = self.tx_manager.current()
-            depth = current.rule_depth if current is not None else 0
-            self._schedule_detached(rule, occ, PHASE_ACTION, mode, depth,
+            self._schedule_detached(rule, occ, PHASE_ACTION, mode,
+                                    self.tx_manager.current(),
                                     bindings=dict(ctx.bindings))
 
     # ------------------------------------------------------------------
@@ -541,13 +541,20 @@ class RuleScheduler:
     # ------------------------------------------------------------------
 
     def _schedule_detached(self, rule: Rule, occ: EventOccurrence,
-                           phase: str, mode: CouplingMode, depth: int,
+                           phase: str, mode: CouplingMode,
+                           current: Optional[Transaction],
                            bindings: Optional[dict[str, Any]] = None) -> None:
+        """Admit ``rule`` as detached work; ``current`` is this thread's
+        transaction, whose depth and session the work inherits."""
+        if current is not None:
+            depth, session_id = current.rule_depth, current.session_id
+        else:
+            depth, session_id = 0, self._session_of(occ)
         work = DetachedWork(
             rule, occ, phase, mode, occ.tx_ids,
             self._detached_bindings(rule.bind(occ) if bindings is None
                                     else bindings),
-            depth + 1, self._session_of(occ))
+            depth + 1, session_id)
         if mode is CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT and \
                 rule.transfer_locks:
             # Reserve the triggers' locks: if a trigger aborts, its locks
@@ -560,9 +567,9 @@ class RuleScheduler:
         self._admit(work)
 
     def _session_of(self, occ: EventOccurrence) -> Optional[int]:
-        """Session attribution for detached work: the current context's
-        session if one is bound, else the session of a (still live)
-        triggering transaction."""
+        """Session attribution for detached work scheduled outside a
+        transaction: the current context's session if one is bound, else
+        the session of a (still live) triggering transaction."""
         session_id = self.tx_manager.current_session_id()
         if session_id is not None:
             return session_id
@@ -601,7 +608,7 @@ class RuleScheduler:
         if persistence is None:
             return raw
         for name, value in raw.items():
-            if is_sentried(type(value)) and \
+            if sentried_types[type(value)] and \
                     not persistence.is_persistent(value):
                 # Transient object: pass by value (shallow copy detaches
                 # it from the originating transaction's workspace).
@@ -625,16 +632,17 @@ class RuleScheduler:
         still on its way counts as undecided, to keep admission order."""
         waiting = self._waiting
         outcome_of = self.tx_manager.outcome_of
+        blockers = 0
         with self._pending_lock:
-            undecided = [dep for dep in deps if dep in waiting
-                         or outcome_of(dep) is None]
-            if not undecided:
+            for dep in deps:
+                if dep in waiting or outcome_of(dep) is None:
+                    waiting.setdefault(dep, []).append(work)
+                    blockers += 1
+            if not blockers:
                 return False
-            work.blockers = len(undecided)
+            work.blockers = blockers
             work.waiting_since = time.monotonic()
             work.parked = parked
-            for dep in undecided:
-                waiting.setdefault(dep, []).append(work)
         return True
 
     def on_transaction_outcome(self, tx: Transaction) -> None:

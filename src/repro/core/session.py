@@ -254,6 +254,8 @@ class ShardedTransaction:
         #: the group's id set is complete before any user work runs.
         self.members = members
         self.ids = frozenset(tx.id for tx in members.values())
+        for tx in members.values():
+            tx.event_tx_ids = self.ids
 
     def member(self, shard_id: int) -> Transaction:
         return self.members[shard_id]
@@ -359,7 +361,7 @@ class ShardedSession:
                 self.stats["aborts"] += 1
                 raise
             handle = ShardedTransaction(members)
-            self.engine.register_tx_group(handle.ids)
+            self.engine.register_tx_group()
             try:
                 yield handle
             except BaseException:

@@ -20,10 +20,11 @@ splits the global concerns explicitly:
   so occurrences from different shards already carry a total order;
 * **transactions** group, not span: a
   :class:`~repro.core.session.ShardedSession` transaction begins one
-  member per shard and registers the member-id set with the engine,
-  which every shard's event service consults
-  (``EventService.tx_group_resolver``) so same-transaction composite
-  scope treats all members as one transaction.  Commit is per-member
+  member per shard and stamps the member-id set on every member
+  (:class:`~repro.core.session.ShardedTransaction` sets
+  ``Transaction.event_tx_ids``), so an occurrence detected in any
+  member carries the whole group and same-transaction composite scope
+  treats all members as one transaction.  Commit is per-member
   in shard order — explicitly *not* atomic across shards;
 * **durability** is per shard: each shard has its own group-commit WAL,
   which its own recovery reads at open;
@@ -45,12 +46,12 @@ import dataclasses
 import itertools
 import os
 import threading
-from typing import Any, Callable, Optional, Type, Union
+from typing import Any, Optional, Type, Union
 
 from repro.clock import Clock, VirtualClock
 from repro.config import ExecutionConfig
 from repro.core.algebra import CompositeEventSpec
-from repro.core.engine import EngineBase, ReachEngine
+from repro.core.engine import _LIVE_ENGINES, EngineBase, ReachEngine
 from repro.core.events import (
     EventOccurrence,
     SignalEventSpec,
@@ -208,13 +209,9 @@ class ShardedEngine(EngineBase):
             for sid in range(self.shard_count)]
 
         self.bus = CrossShardEventBus()
-        #: member tx id -> frozenset of all member ids of its sharded tx
-        self._tx_groups: dict[int, frozenset[int]] = {}
+        #: sharded transactions in flight (``shard_stats()["tx_groups"]``)
+        self._open_groups = 0
         self._group_lock = threading.Lock()
-        resolver: Callable[[int], Optional[frozenset[int]]] = \
-            self._tx_groups.get
-        for shard in self.shards:
-            shard.events.tx_group_resolver = resolver
 
         #: rule name -> (rule, home shard engine)
         self._rules: dict[str, tuple[Rule, ReachEngine]] = {}
@@ -238,6 +235,7 @@ class ShardedEngine(EngineBase):
         # a ReachServer over a sharded topology attaches here, to the
         # coordinator, never to an individual shard.
         self._server: Optional[Any] = None
+        _LIVE_ENGINES.add(self)
 
     # ------------------------------------------------------------------
     # Shard-0 services.  Locks and storage are read by the admin
@@ -306,20 +304,19 @@ class ShardedEngine(EngineBase):
     # Transaction groups (cross-shard composite scope)
     # ------------------------------------------------------------------
 
-    def register_tx_group(self, ids: frozenset[int]) -> None:
+    def register_tx_group(self) -> None:
+        """Count a sharded transaction in flight."""
         with self._group_lock:
-            for tx_id in ids:
-                self._tx_groups[tx_id] = ids
+            self._open_groups += 1
 
     def unregister_tx_group(self, ids: frozenset[int]) -> None:
-        """Forget a finished sharded transaction's member group and sweep
-        its single-tx composition graphs on every shard (the sharded
+        """Count a finished sharded transaction out and sweep its member
+        group's single-tx composition graphs on every shard (the sharded
         analogue of the per-transaction-EOT discard, Section 3.3: member
         EOTs cannot do it — members end one at a time while later members
         may still raise events for the group)."""
         with self._group_lock:
-            for tx_id in ids:
-                self._tx_groups.pop(tx_id, None)
+            self._open_groups -= 1
         for shard in self.shards:
             for manager in shard.events.composite_managers():
                 manager.composer.on_group_end(ids)
@@ -515,9 +512,10 @@ class ShardedEngine(EngineBase):
         """The kernels' :meth:`statistics` sections merged over every
         shard (numbers sum, nested sections merge recursively), and
         ``shards`` the per-shard breakdown."""
-        merged = _merge_stats([shard._kernel_statistics()
-                               for shard in self.shards])
-        merged["shards"] = self.shard_stats()
+        kernels = [shard._kernel_statistics() for shard in self.shards]
+        rows = [stats.pop("shards")["per_shard"][0] for stats in kernels]
+        merged = _merge_stats(kernels)
+        merged["shards"] = self._topology(rows)
         return merged
 
     def concurrency_stats(self) -> dict[str, Any]:
@@ -557,12 +555,16 @@ class ShardedEngine(EngineBase):
     def shard_stats(self) -> dict[str, Any]:
         """The topology view served at ``/shards``: per-shard rows plus
         event-bus state."""
+        return self._topology([shard.shard_summary()
+                               for shard in self.shards])
+
+    def _topology(self, rows: list[dict[str, Any]]) -> dict[str, Any]:
         return {
             "count": self.shard_count,
             "oid_range_size": self.shard_map.range_size,
-            "per_shard": [shard.shard_summary() for shard in self.shards],
+            "per_shard": rows,
             "event_bus": self.bus.stats(),
-            "tx_groups": len(self._tx_groups),
+            "tx_groups": self._open_groups,
         }
 
     def checkpoint(self) -> None:
@@ -585,6 +587,7 @@ class ShardedEngine(EngineBase):
             self._closed = True
             self._server = None
             open_sessions = list(self._sessions)
+        _LIVE_ENGINES.discard(self)
         if self.admin is not None:
             self.admin.close()
         for session in open_sessions:

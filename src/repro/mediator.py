@@ -31,11 +31,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.events import (
-    EventOccurrence,
-    EventSpec,
-    SignalEventSpec,
-)
+from repro.core.events import EventOccurrence, EventSpec
 from repro.layered.layered_adbms import LayeredActiveDBMS, LayeredRule
 
 
@@ -67,8 +63,8 @@ class EventLink:
         with self._lock:
             self.forwarded += 1
         # External origin: explicitly no mediator transaction.
-        self.mediator.events.emit(SignalEventSpec(self.signal_name),
-                                  payload, tx_ids=frozenset())
+        self.mediator.events.emit_signal(self.signal_name, payload,
+                                         tx_ids=frozenset())
 
     def close(self) -> None:
         if self._detach is not None:

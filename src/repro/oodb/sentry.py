@@ -351,6 +351,27 @@ def is_sentried(cls: Type) -> bool:
     return False
 
 
+class _TypeFlags(dict):
+    """type -> :func:`is_sentried`, filled on the first ask of each type.
+
+    A hot path reads ``sentried_types[type(value)]`` and pays a dict
+    lookup, not an MRO walk.  Only :func:`sentried` can change an answer,
+    and it clears the map; so does reaching ``CAPACITY`` types, which
+    bounds what the map keeps alive.
+    """
+
+    CAPACITY = 4096
+
+    def __missing__(self, cls: Type) -> bool:
+        if len(self) >= self.CAPACITY:
+            self.clear()
+        flag = self[cls] = is_sentried(cls)
+        return flag
+
+
+sentried_types = _TypeFlags()
+
+
 def sentried(cls: Optional[Type] = None, *,
              track_state: bool = True,
              methods: Optional[list[str]] = None) -> Any:
@@ -372,6 +393,7 @@ def sentried(cls: Optional[Type] = None, *,
 
     method_receivers: dict[str, _Point] = {}
     cls.__sentry_method_receivers__ = method_receivers
+    sentried_types.clear()  # cls and its subclasses are sentried now
     cls.__sentry_state_receivers__ = _Point()
     cls.__sentry_create_receivers__ = _Point()
 

@@ -148,6 +148,11 @@ class Transaction:
         #: when completion happens on another thread.
         self.context: Optional["TransactionContext"] = None
         self.session_id: Optional[int] = None
+        #: the ``tx_ids`` of every occurrence detected in this
+        #: transaction: its top level's id, fixed at begin (a sharded
+        #: session widens its members' to the whole group).
+        self.event_tx_ids: frozenset[int] = \
+            parent.event_tx_ids if parent else frozenset((self.id,))
 
     @property
     def is_top_level(self) -> bool:

@@ -2,16 +2,18 @@
 
 Each test counts work the firing path and the session boundary must not
 do — generator context managers entered, transaction contexts pushed,
-detached drains re-entered, transactions begun — so a change that
-brings the overhead back fails here, on any machine, without a clock.
-The last test pins the firing log and the flight recorder's ``rule.fire``
-records of a seeded rule stream to a recorded copy: logging a firing
-once must keep both views exactly as they were.
+detached drains re-entered, transactions begun, Python calls from a
+sentried call to its immediate action, by-value type checks — so a
+change that brings the overhead back fails here, on any machine, without
+a clock.  The last test pins the firing log and the flight recorder's
+``rule.fire`` records of a seeded rule stream to a recorded copy:
+logging a firing once must keep both views exactly as they were.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import random
@@ -30,6 +32,7 @@ from repro import (
     sentried,
 )
 from repro.core.scheduler import RuleScheduler
+from repro.oodb import sentry
 from repro.oodb.transactions import TransactionManager
 from repro.server import ReachClient, ReachServer
 
@@ -208,6 +211,126 @@ def test_one_session_served_by_many_threads_keeps_its_binding(tmp_path):
     binding = session.use()
     assert binding._frames == [] and binding._owner is None
     session.close()
+    db.close()
+
+
+# -- the detection path, in Python calls ------------------------------------
+
+
+@sentried(track_state=False)
+class Sensor:
+    def __init__(self, name):
+        self.name = name
+        self.value = 0
+
+    def read(self, value, stamp):
+        self.value = value
+
+    def idle(self, value):
+        return value
+
+
+#: Python calls from a sentried ``Sensor.read`` to the entry of its
+#: IMMEDIATE action, both included (69 before the detection path took
+#: its per-type and per-transaction values once).
+DETECTION_PATH_CALLS = 48
+
+
+def _active_engine(directory):
+    """The pipeline's ``active_cpu`` rule set: immediate (with a
+    condition), deferred and detached rules on ``Sensor.read``, a
+    sequence and a multi-transaction conjunction over signals, and 128
+    bystanders on 32 quiet signals."""
+    db = ReachEngine(directory=directory)
+    db.register_class(Sensor)
+    read = MethodEventSpec("Sensor", "read")
+    a, b, c = (SignalEventSpec(name) for name in "abc")
+    entered = []
+
+    def on_imm(ctx):
+        entered.append(ctx)
+
+    def noop(ctx):
+        return None
+
+    db.rule("r_imm", read, action=on_imm,
+            condition=lambda ctx: ctx["args"][0] % 2 == 0,
+            coupling=CouplingMode.IMMEDIATE)
+    db.rule("r_def", read, action=noop, coupling=CouplingMode.DEFERRED)
+    db.rule("r_det", read, action=noop, coupling=CouplingMode.DETACHED)
+    db.rule("r_seq", a >> b, action=noop, coupling=CouplingMode.DEFERRED)
+    db.rule("r_conj",
+            (a & c).scoped(EventScope.MULTI_TX).within(3600.0)
+                   .consumed(ConsumptionPolicy.RECENT),
+            action=noop, coupling=CouplingMode.DETACHED)
+    for index in range(128):
+        db.rule(f"bystander-{index}", SignalEventSpec(f"quiet-{index % 32}"),
+                action=noop, coupling=CouplingMode.IMMEDIATE)
+    return db, on_imm
+
+
+def test_sentried_call_reaches_its_immediate_action_in_few_calls(tmp_path):
+    db, on_imm = _active_engine(str(tmp_path / "db"))
+    session = db.create_session("generator")
+    sensors = [Sensor(f"sensor-{index}") for index in range(4)]
+    with session.transaction():
+        for sensor in sensors:
+            session.persist(sensor, sensor.name)
+    for index in range(4):  # steady state: every lazy cache is built
+        with session.transaction():
+            sensors[index].read(2 * index, 0.0)
+            session.signal("a")
+            session.signal("b")
+    calls = []
+    action = on_imm.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+            if frame.f_code is action:
+                sys.setprofile(None)
+
+    gc.disable()  # a collection's callbacks would count as path calls
+    try:
+        with session.transaction():
+            sys.setprofile(profile)
+            try:
+                sensors[1].read(4, 0.0)
+            finally:
+                sys.setprofile(None)
+    finally:
+        gc.enable()
+    assert calls and calls[-1] is action
+    assert len(calls) <= DETECTION_PATH_CALLS, [
+        f"{code.co_filename.rsplit(os.sep, 1)[-1]}:{code.co_name}"
+        for code in calls]
+    session.close()
+    db.close()
+
+
+def test_by_value_check_walks_each_binding_type_once(tmp_path):
+    """A detached firing decides per binding whether to copy it by value;
+    the sentried-class test behind that runs once per binding type."""
+    walk = sentry.is_sentried.__code__
+    asked = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is walk:
+            asked.append(frame.f_locals["cls"])
+
+    sentried(type("Fresh", (), {}))   # a new sentried class: ask afresh
+    db = _engine(tmp_path, r_det=CouplingMode.DETACHED)
+    meter = Meter("m")   # transient: passed to the rule by value
+    sys.setprofile(profile)
+    try:
+        for value in range(20):
+            with db.transaction():
+                meter.read(value)
+    finally:
+        sys.setprofile(None)
+    assert db.get_rule("r_det").fired_count == 20
+    assert sorted(asked, key=repr) == sorted(
+        {Meter, str, tuple, dict, type(None)}, key=repr)
     db.close()
 
 

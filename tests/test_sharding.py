@@ -689,3 +689,123 @@ def test_single_engine_metrics_are_unchanged(tmp_path):
                 "gauges": snapshot["gauges"]} == expected
     finally:
         engine.close()
+
+
+class TestKernelsShareOneEntry:
+    """A sharded engine is one engine to whoever walks the live ones or
+    reads its statistics."""
+
+    def test_live_engines_lists_a_two_shard_engine_once(self, tmp_path):
+        from repro.core.engine import live_engines
+        engine = _two_shards(tmp_path, "live")
+        try:
+            mine = [live for live in live_engines()
+                    if live is engine or live in engine.shards]
+            assert mine == [engine]
+        finally:
+            engine.close()
+        assert engine not in live_engines()
+
+    def test_an_open_sharded_transaction_is_one_group(self, tmp_path):
+        engine = _two_shards(tmp_path, "groups")
+        try:
+            session = engine.create_session()
+            with session.transaction() as stx:
+                assert engine.shard_stats()["tx_groups"] == 1
+                assert all(tx.event_tx_ids == stx.ids
+                           for tx in stx.members.values())
+            assert engine.shard_stats()["tx_groups"] == 0
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_statistics_reads_each_wal_once(self, tmp_path, monkeypatch,
+                                            shards):
+        from repro.storage.storage_manager import StorageManager
+        engine = ShardedEngine(
+            directory=str(tmp_path / "wal"),
+            config=ExecutionConfig(sharding=ShardingConfig(shards=shards))) \
+            if shards > 1 else ReachEngine(directory=str(tmp_path / "wal"))
+        reads = []
+        original = StorageManager.wal_stats
+
+        def counting(self):
+            reads.append(self)
+            return original(self)
+        monkeypatch.setattr(StorageManager, "wal_stats", counting)
+        try:
+            stats = engine.statistics()
+            assert len(reads) == shards
+            assert len(stats["shards"]["per_shard"]) == shards
+            row = stats["shards"]["per_shard"][-1]["wal"]
+            assert "composer_restores" not in row
+            assert "composer_restores" in stats["wal"]
+        finally:
+            engine.close()
+
+
+class TestDetectionOnAnotherShard:
+    """ROADMAP 2c: a session bound to ``shards=[k]`` calls a method whose
+    event is homed on another shard.  The home shard's event service
+    finds no transaction of the caller's there, so the occurrence
+    carries no ``tx_ids`` and every coupling mode loses its trigger.
+    Strict xfails: each passes once the trigger reaches the home shard."""
+
+    def _engine(self, tmp_path, mode, action):
+        engine = _two_shards(tmp_path, "remote")
+        engine.register_class(Crate, monitor_state=False)
+        engine.rule("r", MethodEventSpec("Crate", "stamp"), action=action,
+                    coupling=mode)
+        other = 1 - engine.rule_home("r")
+        return engine, engine.create_session(shards=[other])
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 2c: the occurrence "
+                       "carries no tx_ids; the rule runs in a new "
+                       "top-level transaction")
+    def test_immediate_rule_runs_in_the_triggering_transaction(
+            self, tmp_path):
+        seen = []
+        engine, session = self._engine(
+            tmp_path, CouplingMode.IMMEDIATE,
+            lambda ctx: seen.append((ctx.event.tx_ids,
+                                     ctx.transaction.is_top_level)))
+        try:
+            with session.transaction() as stx:
+                Crate("c").stamp()
+            assert seen == [(stx.ids, False)]
+        finally:
+            engine.close()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 2c: with no trigger "
+                       "to defer to, the deferred rule runs at once")
+    def test_deferred_rule_waits_for_the_end_of_the_transaction(
+            self, tmp_path):
+        order = []
+        engine, session = self._engine(
+            tmp_path, CouplingMode.DEFERRED,
+            lambda ctx: order.append("deferred"))
+        try:
+            with session.transaction():
+                Crate("c").stamp()
+                order.append("body done")
+            assert order == ["body done", "deferred"]
+        finally:
+            engine.close()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 2c: with no trigger "
+                       "to depend on, the rule fires though it aborted")
+    def test_sequential_causally_dependent_rule_skips_an_aborted_trigger(
+            self, tmp_path):
+        fired = []
+        engine, session = self._engine(
+            tmp_path, CouplingMode.SEQUENTIAL_CAUSALLY_DEPENDENT,
+            lambda ctx: fired.append(ctx.event.seq))
+        try:
+            with pytest.raises(RuntimeError):
+                with session.transaction():
+                    Crate("c").stamp()
+                    raise RuntimeError("abort the trigger")
+            engine.drain_detached()
+            assert fired == []
+        finally:
+            engine.close()
