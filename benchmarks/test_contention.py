@@ -8,7 +8,7 @@ manager's wait machinery is the workload.  Each transaction takes the
 ledger's exclusive lock before its read-modify-write (two-phase locking),
 so the final balance is exact.
 
-The signal is the engine's always-on ``concurrency_stats()["locks"]``:
+The signal is the engine's always-on ``statistics()["concurrency"]["locks"]``:
 total waits, deadlocks and timeouts, and per-stripe wait reservoirs
 (count and p50/p99/max in ms).  The harness writes them to
 ``benchmarks/results/BENCH_contention.json``, alongside the
@@ -88,7 +88,7 @@ def _run_contended(tmp_path):
         assert errors == []
         assert ledger.balance == SESSIONS * TX_PER_SESSION
 
-        stats = engine.concurrency_stats()
+        stats = engine.statistics()["concurrency"]
         locks = stats["locks"]
         # The hot ledger hashes to one stripe: its reservoir is the
         # contended wait distribution.

@@ -127,11 +127,6 @@ class VirtualClock(Clock):
                 return
             handle._fire()
 
-    def pending_timer_count(self) -> int:
-        """Number of scheduled, not-yet-fired, not-cancelled timers."""
-        with self._lock:
-            return sum(1 for t in self._timers if not t.cancelled)
-
 
 class SystemClock(Clock):
     """Wall-clock time backed by :mod:`time` and :class:`threading.Timer`."""
@@ -152,14 +147,3 @@ class SystemClock(Clock):
 
     def sleep(self, duration: float) -> None:
         time.sleep(max(0.0, duration))
-
-
-def default_clock(virtual: bool = True, start: float = 0.0) -> Clock:
-    """Build the library's default clock.
-
-    Virtual by default: the reproduction favours determinism; real
-    deployments opt into :class:`SystemClock` explicitly.
-    """
-    if virtual:
-        return VirtualClock(start=start)
-    return SystemClock()

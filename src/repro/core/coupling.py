@@ -48,12 +48,6 @@ class CouplingMode(enum.Enum):
         return self not in (CouplingMode.IMMEDIATE, CouplingMode.DEFERRED)
 
     @property
-    def is_causally_dependent(self) -> bool:
-        return self in (CouplingMode.PARALLEL_CAUSALLY_DEPENDENT,
-                        CouplingMode.SEQUENTIAL_CAUSALLY_DEPENDENT,
-                        CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT)
-
-    @property
     def requires_trigger_commit(self) -> bool:
         """Modes whose rule may only commit/run if the trigger(s) commit."""
         return self in (CouplingMode.PARALLEL_CAUSALLY_DEPENDENT,

@@ -124,6 +124,37 @@ def live_engines() -> list["EngineBase"]:
     return [eng for eng in list(_LIVE_ENGINES) if not eng.closed]
 
 
+def _merge_stats(values: list[Any]) -> Any:
+    """Recursively merge per-kernel statistics: numbers sum, dicts merge
+    key-by-key, lists concatenate, everything else keeps the first
+    kernel's value (configs, paths, flags).  One kernel's value merges
+    to an equal copy of itself."""
+    first = values[0]
+    if isinstance(first, bool):
+        return first
+    if isinstance(first, (int, float)):
+        return sum(v for v in values if isinstance(v, (int, float)))
+    if isinstance(first, dict):
+        merged: dict[str, Any] = {}
+        for value in values:
+            if not isinstance(value, dict):
+                continue
+            for key in value:
+                if key in merged:
+                    continue
+                present = [v[key] for v in values
+                           if isinstance(v, dict) and key in v]
+                merged[key] = _merge_stats(present)
+        return merged
+    if isinstance(first, list):
+        out: list[Any] = []
+        for value in values:
+            if isinstance(value, list):
+                out.extend(value)
+        return out
+    return first
+
+
 class TransactionPolicyManager(PolicyManager):
     """Thin wrapper giving the transaction manager a Figure 1 presence."""
 
@@ -148,18 +179,28 @@ class _NamedSupportModule(SupportModule):
 
 class EngineBase(RuleDefinitions):
     """What both engines share: one observability stack, the session
-    registry, the network front end's hook, the introspection surface
-    over the stack and the lifecycle.
+    registry, the network front end's hook, the introspection surface,
+    every operation that fans out over the kernels, and the lifecycle.
 
     The stack is the metrics registry, tracer, flight recorder, telemetry
     pipeline and fault registry.  A :class:`ReachEngine` builds its own;
     a :class:`~repro.core.sharding.ShardedEngine` builds one and hands it
     to every kernel, so the kernels count, trace and record into the same
-    objects.  Written against the host's ``config``, ``_rules``,
+    objects.
+
+    ``kernels`` is the tuple of :class:`ReachEngine` kernels the engine
+    runs on: ``(self,)`` for a ReachEngine, the shards for a sharded
+    engine.  The fan-outs below reach each kernel's subsystems (its
+    scheduler, event service, storage, ...), never a same-named kernel
+    method, so one definition serves one kernel or N.  Written against
+    the host's ``config``, ``kernels``, ``shard_map``, ``_rules``,
     ``_sessions``, ``_sessions_created``, ``_lock``, ``_closed``,
-    ``_server``, ``admin``, ``close``, ``dead_letters`` and
-    ``_kernel_statistics``.
+    ``_server`` and ``admin``.
     """
+
+    #: Whether this engine built the observability stack it uses (a
+    #: sharded engine's kernels share their coordinator's).
+    _owns_stack = True
 
     def _open_observability(self, directory: str,
                             owner: Optional["EngineBase"] = None) -> None:
@@ -259,15 +300,6 @@ class EngineBase(RuleDefinitions):
             if self._server is server:
                 self._server = None
 
-    def server_stats(self) -> dict[str, Any]:
-        """The ``statistics()["server"]`` section: the attached front
-        end's counters, or an inert stub when none is attached."""
-        server = self._server
-        if server is None:
-            return {"enabled": False, "connections": {"active": 0},
-                    "requests": {"served": 0}}
-        return server.stats()
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -364,7 +396,7 @@ class EngineBase(RuleDefinitions):
         "shards", "wal", "server",
     })
 
-    #: The frozen top-level key set of :meth:`concurrency_stats` — the
+    #: The frozen key set of ``statistics()["concurrency"]`` — the
     #: curated, stable introspection surface over the striped lock
     #: manager, the WAL group-commit machinery, and the lazy history
     #: merge.  Same contract as :attr:`STATISTICS_KEYS`: tests assert
@@ -406,19 +438,29 @@ class EngineBase(RuleDefinitions):
           recorded/retained/dropped record counts, dumps written);
         * ``telemetry`` — export-pipeline counters (queued, enqueued,
           exported, dropped, export_errors);
-        * ``concurrency`` — :meth:`concurrency_stats` (striped lock
-          waits, WAL group commit, history merge lag);
-        * ``wal`` — :meth:`wal_statistics`: the write-ahead log's live
-          view plus robustness counters (lenient-recovery truncations,
-          unknown record types skipped, composer-checkpoint bookkeeping
-          and restore fallbacks);
-        * ``shards`` — :meth:`shard_stats` (topology plus per-shard
-          commit/event/storage counters; a single-kernel engine reports
-          itself as a one-shard topology);
-        * ``server`` — :meth:`server_stats`: the attached network front
-          end's connection/request counters (``{"enabled": False, ...}``
-          when no server is attached);
+        * ``concurrency`` — keys :attr:`CONCURRENCY_STATS_KEYS`:
+          ``locks`` (stripe count, total waits/deadlocks/timeouts,
+          per-stripe wait count and p50/p99/max in ms), ``wal`` (the
+          write-ahead log's live view: commit queue depth, force in
+          flight, LSNs) and ``history`` (global-history merges run,
+          deferred requests, merge lag, occurrences merged); served with
+          the lock table at ``/locks``;
+        * ``wal`` — the write-ahead log's live view plus robustness
+          counters (lenient-recovery truncations, unknown record types
+          skipped, composer-checkpoint bookkeeping and restore
+          fallbacks);
+        * ``shards`` — the topology (``count``, ``oid_range_size``) and
+          one row per kernel (identity, next OID, objects,
+          transactions, events, rules, its WAL's live view); a
+          single-kernel engine reports itself as a one-shard topology,
+          and a sharded engine adds ``event_bus`` and ``tx_groups``;
+        * ``server`` — the attached network front end's
+          connection/request counters (``{"enabled": False, ...}`` when
+          no server is attached);
         * ``observability`` — ``metrics().snapshot()``.
+
+        The admin endpoint's ``/locks``, ``/wal``, ``/shards`` and
+        ``/server`` views serve these sections.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
@@ -426,7 +468,16 @@ class EngineBase(RuleDefinitions):
         # AtomicCounters (both read atomically under the GIL), so a
         # statistics() poller never blocks a committing session on
         # self._lock.
-        stats = self._kernel_statistics()
+        sections = [kernel._kernel_sections() for kernel in self.kernels]
+        rows = [section.pop("shard") for section in sections]
+        stats = _merge_stats(sections)
+        stats["shards"] = {
+            "count": len(self.kernels),
+            "oid_range_size": self.shard_map.range_size,
+            "per_shard": rows,
+            **self._topology_state(),
+        }
+        server = self._server
         stats.update({
             "rules": len(self._rules),
             "sessions": {"created": self._sessions_created,
@@ -434,10 +485,111 @@ class EngineBase(RuleDefinitions):
             "faults": self.faults.stats(),
             "flight": self.flight.snapshot(),
             "telemetry": self.telemetry_pipeline.stats(),
-            "server": self.server_stats(),
+            "server": server.stats() if server is not None else {
+                "enabled": False, "connections": {"active": 0},
+                "requests": {"served": 0}},
             "observability": self.metrics_registry.snapshot(),
         })
         return stats
+
+    def _topology_state(self) -> dict[str, Any]:
+        """Topology-wide entries of the ``shards`` section beyond the
+        kernel rows (a sharded engine's event bus and groups)."""
+        return {}
+
+    def composer_stats(self) -> dict[str, Any]:
+        """Durable composite-event detection view (admin ``/composer``):
+        per-composer half-matched group counts plus checkpoint/restore
+        counters.  The per-composer rows concatenate (a composer lives on
+        exactly one kernel) and counters sum; ``last_checkpoint_lsn`` is
+        the largest kernel's, since LSNs are per-log positions, and
+        ``per_shard_checkpoint_lsn`` lists each kernel's."""
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        per_kernel = []
+        for kernel in self.kernels:
+            stats = kernel.events.composer_stats()
+            wal = kernel.storage.wal_stats()
+            stats["last_checkpoint_lsn"] = wal.get(
+                "last_composer_checkpoint_lsn", 0)
+            stats["checkpoints_written"] = wal.get(
+                "composer_checkpoints_written", 0)
+            per_kernel.append(stats)
+        merged = _merge_stats(per_kernel)
+        lsns = [stats["last_checkpoint_lsn"] for stats in per_kernel]
+        merged["last_checkpoint_lsn"] = max(lsns)
+        merged["per_shard_checkpoint_lsn"] = lsns
+        return merged
+
+    def architecture_inventory(self) -> dict[str, list[str]]:
+        """The Figure 1 view: plugged policy managers + support modules
+        (the first kernel's; every kernel plugs the same set)."""
+        return self.kernels[0].meta.inventory()
+
+    # ------------------------------------------------------------------
+    # Operations over every kernel
+    # ------------------------------------------------------------------
+
+    def query(self, text: str, **params: Any) -> list[Any]:
+        """Run an OQL-subset query, e.g.
+        ``engine.query("select x from River x where x.level < limit",
+        limit=37)``.  Each kernel answers for its residents; over several
+        kernels the rows come back concatenated in kernel order, with no
+        cross-kernel sort (and no cross-kernel aggregate)."""
+        results = [kernel.query_processor.execute(text, env=params)
+                   for kernel in self.kernels]
+        if len(results) == 1:
+            return results[0]
+        return [row for result in results for row in result]
+
+    def flush(self) -> None:
+        """Flush dirty persistent state outside a user transaction."""
+        for kernel in self.kernels:
+            kernel.persistence.flush_now()
+
+    def checkpoint(self) -> None:
+        for kernel in self.kernels:
+            kernel.storage.checkpoint()
+
+    def drain_detached(self) -> int:
+        """Synchronous mode: run detached work whose dependencies are
+        decided.  Each scheduler binds the engine's scope for its drain,
+        so detached rule actions deliver their events to it only."""
+        return sum(kernel.scheduler.drain_detached()
+                   for kernel in self.kernels)
+
+    def wait_for_composition(self, timeout: float = 10.0) -> None:
+        for kernel in self.kernels:
+            kernel.events.wait_for_composition(timeout)
+
+    def collect_garbage(self) -> int:
+        return sum(kernel.events.collect_garbage()
+                   for kernel in self.kernels)
+
+    def dead_letters(self) -> list[Any]:
+        """Detached work that failed permanently (retries exhausted or the
+        rule quarantined): each kernel's, newest last, in kernel order.
+        Each entry is a :class:`~repro.core.scheduler.DeadLetter`."""
+        return [letter for kernel in self.kernels
+                for letter in kernel.scheduler.dead_letter_list()]
+
+    def requeue(self, index: Optional[int] = None) -> int:
+        """Re-execute dead-lettered work (all of it, or entry ``index`` of
+        :meth:`dead_letters`) with a fresh retry budget; returns the
+        number requeued.  Runs under this engine's scope like
+        :meth:`drain_detached`."""
+        if index is None:
+            return sum(kernel.scheduler.requeue_dead_letters(None)
+                       for kernel in self.kernels)
+        counts = [kernel.scheduler.dead_letter_count()
+                  for kernel in self.kernels]
+        if index < 0:
+            index += sum(counts)
+        for kernel, count in zip(self.kernels, counts):
+            if 0 <= index < count:
+                return kernel.scheduler.requeue_dead_letters(index)
+            index -= count
+        raise IndexError("dead letter index out of range")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -446,6 +598,45 @@ class EngineBase(RuleDefinitions):
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def close(self) -> None:
+        """Shut the engine down: cancel timers, drain resolvable detached
+        work, stop the worker pools, cancel sentry subscriptions, and
+        close every kernel's storage manager (flushing the buffer pool).
+
+        Idempotent — a second call returns immediately.  An attached
+        network front end is drained and closed first — while the engine
+        is still open, so wire clients' in-flight transactions can
+        finish — then open sessions are closed.
+        """
+        server = self._server
+        if server is not None and not self._closed:
+            try:
+                server.close()          # detaches itself when done
+            except Exception:
+                pass
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._server = None
+            open_sessions = list(self._sessions)
+        _LIVE_ENGINES.discard(self)
+        if self.admin is not None:
+            self.admin.close()
+        for session in open_sessions:
+            session.close()
+        for kernel in self.kernels:
+            kernel._stop()
+        # The telemetry pipeline drains before storage closes so a final
+        # flush can still observe a consistent engine.  A shared stack is
+        # closed by its owner.
+        if self._owns_stack:
+            self.telemetry_pipeline.close()
+        # Pulls a final composer checkpoint: half-matched state present at
+        # a clean shutdown survives to the next start.
+        for kernel in self.kernels:
+            kernel.storage.close()
 
     def __enter__(self):
         return self
@@ -509,6 +700,7 @@ class ReachEngine(EngineBase):
         self.directory = directory
         self.shard_id = shard_id
         self.shard_map = shard_map or ShardMap(shard_count=1)
+        self.kernels = (self,)
         if self.config.sharding.shards != self.shard_map.shard_count:
             raise ValueError(
                 f"ExecutionConfig.sharding.shards is "
@@ -519,7 +711,8 @@ class ReachEngine(EngineBase):
         # -- observability (repro.obs, repro.faults) ----------------------
         # Built first so every subsystem can bind its instruments at
         # construction; a sharded topology's kernels share one stack.
-        self._owns_stack = stack_owner is None
+        if stack_owner is not None:
+            self._owns_stack = False
         self._open_observability(directory, owner=stack_owner)
 
         # -- network front end (repro.server) -----------------------------
@@ -754,16 +947,6 @@ class ReachEngine(EngineBase):
     def delete(self, target: Union[str, OID, Any]) -> None:
         self.persistence.delete(target)
 
-    def query(self, text: str, **params: Any) -> list[Any]:
-        """Run an OQL-subset query, e.g.
-        ``engine.query("select x from River x where x.level < limit",
-        limit=37)``."""
-        return self.query_processor.execute(text, env=params)
-
-    def flush(self) -> None:
-        """Flush dirty persistent state outside a user transaction."""
-        self.persistence.flush_now()
-
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
@@ -853,18 +1036,6 @@ class ReachEngine(EngineBase):
             labels.append(milestone_label)
         return labels
 
-    def drain_detached(self) -> int:
-        """Synchronous mode: run detached work whose dependencies are
-        decided.  The scheduler binds this engine's scope for the drain,
-        so detached rule actions deliver their events to it only."""
-        return self.scheduler.drain_detached()
-
-    def wait_for_composition(self, timeout: float = 10.0) -> None:
-        self.events.wait_for_composition(timeout)
-
-    def collect_garbage(self) -> int:
-        return self.events.collect_garbage()
-
     @property
     def history(self):
         """The merged global event history (Section 6.3)."""
@@ -874,13 +1045,11 @@ class ReachEngine(EngineBase):
     # Introspection and lifecycle
     # ------------------------------------------------------------------
 
-    def architecture_inventory(self) -> dict[str, list[str]]:
-        """The Figure 1 view: plugged policy managers + support modules."""
-        return self.meta.inventory()
-
-    def _kernel_statistics(self) -> dict[str, Any]:
+    def _kernel_sections(self) -> dict[str, Any]:
         """The :meth:`statistics` sections this kernel's own subsystems
-        keep.  The WAL's live view is read once and shown in three."""
+        keep, and under ``shard`` its row of the ``shards`` section.  The
+        WAL's live view is read once and shown in three; the merge in
+        :meth:`EngineBase.statistics` copies every shared dict."""
         wal = self.storage.wal_stats()
         composers = self.events.composers()
         primitive = self.events.primitive_managers()
@@ -894,8 +1063,9 @@ class ReachEngine(EngineBase):
         scheduler["quarantined_rules"] = sorted(
             rule.name for rule, __ in list(self._rules.values())
             if rule.quarantined)
+        tx_stats = self.tx_manager.stats.snapshot()
         return {
-            "transactions": self.tx_manager.stats.snapshot(),
+            "transactions": tx_stats,
             "scheduler": scheduler,
             "events": {
                 "detected": self.events.events_detected,
@@ -918,140 +1088,34 @@ class ReachEngine(EngineBase):
             },
             "storage": self.storage.stats(),
             "queries": dict(self.query_processor.stats),
-            "concurrency": self.concurrency_stats(wal=dict(wal)),
-            "wal": self.wal_statistics(wal=dict(wal)),
-            "shards": self.shard_stats(wal=wal),
+            "concurrency": {
+                "locks": self.locks.wait_stats(),
+                "wal": wal,
+                "history": self.events.global_history.stats(),
+            },
+            "wal": dict(
+                wal,
+                composer_checkpoint_fallbacks=(
+                    self.events.composer_checkpoint_fallbacks),
+                composer_restores=self.events.composer_restores,
+                composer_checkpoints_emitted=(
+                    self.events.composer_checkpoints_emitted)),
+            "shard": {
+                "shard_id": self.shard_id,
+                "directory": self.directory,
+                "next_oid": self.dictionary.allocator.next_value,
+                "objects": self.storage.object_count(),
+                "transactions": tx_stats,
+                "events_detected": self.events.events_detected,
+                "rules": len(self._rules),
+                "wal": wal,
+            },
         }
 
-    def wal_statistics(self, wal: Optional[dict] = None) -> dict[str, Any]:
-        """The WAL's live view (``wal``, when the caller read it already)
-        plus durable-detection robustness counters: lenient-recovery
-        truncations, unknown-but-well-framed record types scanned past,
-        composer checkpoints written and recovered, and restore/fallback
-        outcomes."""
-        stats = self.storage.wal_stats() if wal is None else wal
-        stats["composer_checkpoint_fallbacks"] = \
-            self.events.composer_checkpoint_fallbacks
-        stats["composer_restores"] = self.events.composer_restores
-        stats["composer_checkpoints_emitted"] = \
-            self.events.composer_checkpoints_emitted
-        return stats
-
-    def composer_stats(self) -> dict[str, Any]:
-        """Durable composite-event detection view (admin ``/composer``):
-        per-composer half-matched group counts plus checkpoint/restore
-        counters and the last durable checkpoint LSN."""
-        stats = self.events.composer_stats()
-        wal = self.storage.wal_stats()
-        stats["last_checkpoint_lsn"] = wal.get(
-            "last_composer_checkpoint_lsn", 0)
-        stats["checkpoints_written"] = wal.get(
-            "composer_checkpoints_written", 0)
-        return stats
-
-    def concurrency_stats(self,
-                          wal: Optional[dict] = None) -> dict[str, Any]:
-        """The curated concurrency introspection surface (``wal``: the
-        WAL's live view, when the caller read it already).
-
-        The key set is exactly :attr:`CONCURRENCY_STATS_KEYS`; every value
-        is well-defined from construction onward.  This promotes the
-        previously ad-hoc ``LockManager.snapshot()`` /
-        ``WriteAheadLog.stats()`` / history-merge counters into one stable
-        dict, also served under ``statistics()["concurrency"]`` and at
-        ``/locks`` on the admin endpoint.
-
-        Keys:
-
-        * ``locks`` — stripe count, total waits/deadlocks/timeouts, and
-          per-stripe wait-latency aggregates (count, p50/p99/max in ms);
-        * ``wal`` — the write-ahead log's stats (commit queue depth,
-          force in flight, LSNs);
-        * ``history`` — global-history merge machinery: merge
-          operations run, deferred requests, current merge lag (pending
-          un-applied merges), occurrences ever merged.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        return {
-            "locks": self.locks.wait_stats(),
-            "wal": self.storage.wal_stats() if wal is None else wal,
-            "history": self.events.global_history.stats(),
-        }
-
-    def shard_summary(self, wal: Optional[dict] = None) -> dict[str, Any]:
-        """This kernel's row in a shard topology listing: identity, OID
-        allocation position, and the per-shard hot counters (transactions,
-        events, storage, and the WAL's live view ``wal``, read here when
-        the caller has not)."""
-        tx_stats = self.tx_manager.stats.snapshot()
-        return {
-            "shard_id": self.shard_id,
-            "directory": self.directory,
-            "next_oid": self.dictionary.allocator.next_value,
-            "objects": self.storage.object_count(),
-            "transactions": tx_stats,
-            "events_detected": self.events.events_detected,
-            "rules": len(self._rules),
-            "wal": self.storage.wal_stats() if wal is None else wal,
-        }
-
-    def shard_stats(self, wal: Optional[dict] = None) -> dict[str, Any]:
-        """The shard-topology introspection surface (also served at
-        ``/shards`` on the admin endpoint).  A plain single-kernel engine
-        reports itself as a one-shard topology so callers never need to
-        special-case; :class:`~repro.core.sharding.ShardedEngine`
-        overrides this with the real N-shard view."""
-        return {
-            "count": self.shard_map.shard_count,
-            "oid_range_size": self.shard_map.range_size,
-            "per_shard": [self.shard_summary(wal)],
-        }
-
-    # -- self-healing ----------------------------------------------------
-
-    def dead_letters(self) -> list[Any]:
-        """Detached work that failed permanently (retries exhausted or the
-        rule quarantined), newest last.  Each entry is a
-        :class:`~repro.core.scheduler.DeadLetter`."""
-        return self.scheduler.dead_letter_list()
-
-    def requeue(self, index: Optional[int] = None) -> int:
-        """Re-execute dead-lettered work (all of it, or one entry by
-        index) with a fresh retry budget; returns the number requeued.
-        Runs under this engine's scope like :meth:`drain_detached`."""
-        return self.scheduler.requeue_dead_letters(index)
-
-    def checkpoint(self) -> None:
-        self.storage.checkpoint()
-
-    def close(self) -> None:
-        """Shut the engine down: cancel timers, drain resolvable detached
-        work, stop the worker pools, cancel sentry subscriptions, and
-        close the storage manager (flushing the buffer pool).
-
-        Idempotent — a second call returns immediately.  An attached
-        network front end is drained and closed first — while the engine
-        is still open, so wire clients' in-flight transactions can
-        finish — then open sessions are closed.
-        """
-        server = self._server
-        if server is not None and not self._closed:
-            try:
-                server.close()          # detaches itself when done
-            except Exception:
-                pass
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._server = None
-            open_sessions = list(self._sessions)
-        _LIVE_ENGINES.discard(self)
-        if self.admin is not None:
-            self.admin.close()
-        for session in open_sessions:
-            session.close()
+    def _stop(self) -> None:
+        """Stop this kernel's machinery, short of closing its storage
+        (:meth:`EngineBase.close` does that last)."""
+        self._closed = True
         self.temporal.cancel_all()
         try:
             # Give resolvable detached work a last chance to run rather
@@ -1064,11 +1128,3 @@ class ReachEngine(EngineBase):
         self.change.close()
         self.persistence.detach()
         self.locks.clear()
-        # The telemetry pipeline drains before storage closes so a final
-        # flush can still observe a consistent engine.  A shared stack is
-        # closed by its owner, after every kernel.
-        if self._owns_stack:
-            self.telemetry_pipeline.close()
-        # Pulls a final composer checkpoint: half-matched state present at
-        # a clean shutdown survives to the next start.
-        self.storage.close()

@@ -208,7 +208,8 @@ class GlobalHistory:
                 yield occ
 
     def stats(self) -> dict:
-        """Merge-machinery counters for ``db.concurrency_stats()``."""
+        """Merge-machinery counters for
+        ``db.statistics()["concurrency"]["history"]``."""
         return {
             "merge_operations": self.merge_operations,
             "deferred_requests": self.deferred_requests,

@@ -33,7 +33,13 @@ splits the global concerns explicitly:
   pipeline and fault registry and hands them to every kernel, so a
   counter reads the topology's total, a cascade that crosses shards is
   one span tree, and one flight ring (dumped under the engine root)
-  holds every shard's records in one order.
+  holds every shard's records in one order;
+* **the engine surface** is written once: the shards are the engine's
+  ``kernels``, so every fan-out on
+  :class:`~repro.core.engine.EngineBase` (``statistics()``, ``query``,
+  ``drain_detached``, ``dead_letters``/``requeue``, ``checkpoint``,
+  ``close``, ...) covers the topology, and this module adds only
+  routing, placement and the cross-shard event bus.
 
 Build one with ``ShardedEngine(config=ExecutionConfig(
 sharding=ShardingConfig(shards=N)))`` and serve clients from
@@ -121,45 +127,17 @@ class CrossShardEventBus:
         }
 
 
-def _merge_stats(values: list[Any]) -> Any:
-    """Recursively merge per-shard statistics: numbers sum, dicts merge
-    key-by-key, lists concatenate, everything else keeps the first
-    shard's value (configs, paths, flags)."""
-    first = values[0]
-    if isinstance(first, bool):
-        return first
-    if isinstance(first, (int, float)):
-        return sum(v for v in values if isinstance(v, (int, float)))
-    if isinstance(first, dict):
-        merged: dict[str, Any] = {}
-        for value in values:
-            if not isinstance(value, dict):
-                continue
-            for key in value:
-                if key in merged:
-                    continue
-                present = [v[key] for v in values
-                           if isinstance(v, dict) and key in v]
-                merged[key] = _merge_stats(present)
-        return merged
-    if isinstance(first, list):
-        out: list[Any] = []
-        for value in values:
-            if isinstance(value, list):
-                out.extend(value)
-        return out
-    return first
-
-
 class ShardedEngine(EngineBase):
     """Coordinator over N OID-range-sharded :class:`ReachEngine` kernels.
 
     Exposes the engine surface the wire server and the admin endpoint
-    expect.  The genuinely multi-shard surfaces (``statistics()``,
-    ``shard_stats()``, sessions, rules, events) aggregate or route across
-    the topology; the observability stack is the coordinator's own,
-    shared by every kernel; the catalog and the ``/locks`` and ``/wal``
-    views are shard 0's.
+    expect.  Its ``kernels`` are the shards, so every fan-out
+    :class:`~repro.core.engine.EngineBase` defines (``statistics()``,
+    ``query``, ``drain_detached``, ``dead_letters``, ``checkpoint``, ...)
+    covers the topology; sessions, rules, events and objects route
+    across it here.  The observability stack is the coordinator's own,
+    shared by every kernel; the ``/wal`` view lists every shard's log;
+    the catalog and the ``/locks`` lock table are shard 0's.
 
     Args:
         directory: root directory; shard *k* lives in
@@ -208,8 +186,11 @@ class ShardedEngine(EngineBase):
                         stack_owner=self)
             for sid in range(self.shard_count)]
 
+        self.kernels = tuple(self.shards)
+
         self.bus = CrossShardEventBus()
-        #: sharded transactions in flight (``shard_stats()["tx_groups"]``)
+        #: sharded transactions in flight
+        #: (``statistics()["shards"]["tx_groups"]``)
         self._open_groups = 0
         self._group_lock = threading.Lock()
 
@@ -238,19 +219,14 @@ class ShardedEngine(EngineBase):
         _LIVE_ENGINES.add(self)
 
     # ------------------------------------------------------------------
-    # Shard-0 services.  Locks and storage are read by the admin
-    # ``/locks`` and ``/wal`` views; the catalog triple (dictionary,
-    # persistence, tx_manager) by the shared rule definitions, which keep
-    # persisted DDL in shard 0's catalog.
+    # Shard-0 services.  Locks are read by the admin ``/locks`` view; the
+    # catalog triple (dictionary, persistence, tx_manager) by the shared
+    # rule definitions, which keep persisted DDL in shard 0's catalog.
     # ------------------------------------------------------------------
 
     @property
     def locks(self):
         return self.shards[0].locks
-
-    @property
-    def storage(self):
-        return self.shards[0].storage
 
     @property
     def dictionary(self):
@@ -404,18 +380,6 @@ class ShardedEngine(EngineBase):
                     f"{target!r} is not resident on any shard")
             self.shards[sid].delete(target)
 
-    def query(self, text: str, **params: Any) -> list[Any]:
-        """Scatter the query to every shard and concatenate (results come
-        back in shard order; no cross-shard sort is applied)."""
-        results: list[Any] = []
-        for shard in self.shards:
-            results.extend(shard.query(text, **params))
-        return results
-
-    def flush(self) -> None:
-        for shard in self.shards:
-            shard.flush()
-
     # ------------------------------------------------------------------
     # Rules and events
     # ------------------------------------------------------------------
@@ -476,125 +440,12 @@ class ShardedEngine(EngineBase):
         with self.sentry_registry.bound():
             home.events.emit_signal(name, parameters)
 
-    def drain_detached(self) -> int:
-        return sum(shard.scheduler.drain_detached()
-                   for shard in self.shards)
-
-    def dead_letters(self) -> list[Any]:
-        letters: list[Any] = []
-        for shard in self.shards:
-            letters.extend(shard.dead_letters())
-        return letters
-
-    def requeue(self, index: Optional[int] = None) -> int:
-        if index is not None:
-            raise ValueError(
-                "per-entry requeue is per-shard; call "
-                "engine.shards[k].requeue(index) instead")
-        return sum(shard.scheduler.requeue_dead_letters(None)
-                   for shard in self.shards)
-
-    def wait_for_composition(self, timeout: float = 10.0) -> None:
-        for shard in self.shards:
-            shard.wait_for_composition(timeout)
-
-    def collect_garbage(self) -> int:
-        return sum(shard.collect_garbage() for shard in self.shards)
-
     # ------------------------------------------------------------------
-    # Introspection and lifecycle
+    # Introspection
     # ------------------------------------------------------------------
 
-    def architecture_inventory(self) -> dict[str, list[str]]:
-        return self.shards[0].architecture_inventory()
-
-    def _kernel_statistics(self) -> dict[str, Any]:
-        """The kernels' :meth:`statistics` sections merged over every
-        shard (numbers sum, nested sections merge recursively), and
-        ``shards`` the per-shard breakdown."""
-        kernels = [shard._kernel_statistics() for shard in self.shards]
-        rows = [stats.pop("shards")["per_shard"][0] for stats in kernels]
-        merged = _merge_stats(kernels)
-        merged["shards"] = self._topology(rows)
-        return merged
-
-    def concurrency_stats(self) -> dict[str, Any]:
-        """The curated concurrency surface, aggregated over shards
-        (numeric totals; ``config`` is shared so the first shard's
-        values stand for all)."""
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        return _merge_stats([shard.concurrency_stats()
-                             for shard in self.shards])
-
-    def wal_statistics(self) -> dict[str, Any]:
-        """The ``statistics()["wal"]`` section aggregated over shards
-        (counter totals; per-shard detail lives in ``shard_stats``)."""
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        return _merge_stats([shard.wal_statistics()
-                             for shard in self.shards])
-
-    def composer_stats(self) -> dict[str, Any]:
-        """Durable-detection-state view over the whole topology: the
-        per-composer rows concatenate (a composer lives on exactly one
-        home shard), counters sum, and ``last_checkpoint_lsn`` reports
-        the per-shard maximum — LSNs are per-shard log positions, so a
-        sum would be meaningless."""
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        per_shard = [shard.composer_stats() for shard in self.shards]
-        merged = _merge_stats(per_shard)
-        merged["last_checkpoint_lsn"] = max(
-            (stats.get("last_checkpoint_lsn", 0) for stats in per_shard),
-            default=0)
-        merged["per_shard_checkpoint_lsn"] = [
-            stats.get("last_checkpoint_lsn", 0) for stats in per_shard]
-        return merged
-
-    def shard_stats(self) -> dict[str, Any]:
-        """The topology view served at ``/shards``: per-shard rows plus
-        event-bus state."""
-        return self._topology([shard.shard_summary()
-                               for shard in self.shards])
-
-    def _topology(self, rows: list[dict[str, Any]]) -> dict[str, Any]:
-        return {
-            "count": self.shard_count,
-            "oid_range_size": self.shard_map.range_size,
-            "per_shard": rows,
-            "event_bus": self.bus.stats(),
-            "tx_groups": self._open_groups,
-        }
-
-    def checkpoint(self) -> None:
-        """Checkpoint every shard."""
-        for shard in self.shards:
-            shard.checkpoint()
-
-    def close(self) -> None:
-        # An attached front end drains first, against a still-open
-        # topology, mirroring ReachEngine.close().
-        server = self._server
-        if server is not None and not self._closed:
-            try:
-                server.close()
-            except Exception:
-                pass
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._server = None
-            open_sessions = list(self._sessions)
-        _LIVE_ENGINES.discard(self)
-        if self.admin is not None:
-            self.admin.close()
-        for session in open_sessions:
-            session.close()
-        for shard in self.shards:
-            shard.close()
-        self.telemetry_pipeline.close()
+    def _topology_state(self) -> dict[str, Any]:
+        return {"event_bus": self.bus.stats(), "tx_groups": self._open_groups}
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

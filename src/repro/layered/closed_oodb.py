@@ -179,10 +179,6 @@ class ClosedOODB:
         self._require_tx()._snapshot(obj)
         self._roots[name] = obj
 
-    def unbind_root(self, name: str) -> None:
-        self._require_tx()
-        self._roots.pop(name, None)
-
     def root(self, name: str) -> Any:
         obj = self._roots.get(name)
         if obj is None:

@@ -12,12 +12,13 @@ the engine's existing introspection surfaces:
 ``/stats``                ``engine.statistics()`` (the frozen-key snapshot)
 ``/metrics``              Prometheus text exposition of the metric registry
 ``/traces``               retained span trees (``?limit=N`` for the tail)
-``/trace/<id>``           one assembled trace (merged across shard tracers)
+``/trace/<id>``           one assembled trace tree
 ``/slow-rules``           per-rule firing latency aggregated from traces
-``/locks``                lock table + ``concurrency_stats()`` (stripe waits)
-``/wal``                  WAL depth: LSNs, buffered records, group commit
+``/locks``                lock table + the ``concurrency`` section
+``/wal``                  the ``wal`` section + every kernel's WAL row
 ``/composer``             half-matched composites + checkpoint/restore LSNs
-``/shards``               shard topology: per-shard counters, event bus
+``/shards``               the ``shards`` section: topology, per-shard rows
+``/server``               the ``server`` section (network front end)
 ``/flight``               flight-recorder state (``?tail=N`` recent entries)
 ``/flight/dump``          trigger a dump; returns the file path
 ========================  ==================================================
@@ -224,16 +225,23 @@ class AdminServer:
         return self._json({"rules": slow_rules(self.engine, limit=limit)})
 
     def _locks(self, query: dict[str, str]) -> tuple[str, str]:
-        # The live lock-table view plus the curated concurrency surface
-        # (stripe wait percentiles, WAL, history merge lag).  The legacy
-        # top-level keys (resources/deadlocks_detected/timeouts) are part
-        # of the endpoint's contract and stay.
+        # The live lock-table view plus the statistics' concurrency
+        # section (stripe wait percentiles, WAL, history merge lag).  The
+        # legacy top-level keys (resources/deadlocks_detected/timeouts)
+        # are part of the endpoint's contract and stay.
         payload = self.engine.locks.snapshot()
-        payload["concurrency"] = self.engine.concurrency_stats()
+        payload["concurrency"] = self.engine.statistics()["concurrency"]
         return self._json(payload)
 
     def _wal(self, query: dict[str, str]) -> tuple[str, str]:
-        return self._json(self.engine.storage.wal_stats())
+        # The statistics' wal section (one kernel's log, or the sum over
+        # a sharded engine's) and, under ``per_shard``, every kernel's
+        # own log from the shards section.
+        stats = self.engine.statistics()
+        payload = stats["wal"]
+        payload["per_shard"] = [row["wal"]
+                                for row in stats["shards"]["per_shard"]]
+        return self._json(payload)
 
     def _composer(self, query: dict[str, str]) -> tuple[str, str]:
         # Durable composite-event detection: per-composer half-matched
@@ -246,14 +254,14 @@ class AdminServer:
         # Topology view: shard count, OID block size, per-shard hot
         # counters, event bus.  Duck-typed like everything else —
         # a single-kernel engine reports itself as a one-shard topology.
-        return self._json(self.engine.shard_stats())
+        return self._json(self.engine.statistics()["shards"])
 
     def _server(self, query: dict[str, str]) -> tuple[str, str]:
         # The network front end, when one is attached: listen address,
         # connection/request counters, per-tenant rate-limit state.  An
         # engine without a server answers the inert stub, not a 404 —
         # pollers can rely on the shape.
-        return self._json(self.engine.server_stats())
+        return self._json(self.engine.statistics()["server"])
 
     def _flight(self, query: dict[str, str]) -> tuple[str, str]:
         flight = self.engine.flight

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.oodb.meta import SupportModule
 from repro.oodb.oid import DEFAULT_OID_RANGE_SIZE, OID, route
@@ -55,11 +55,6 @@ class ActiveAddressSpace(SupportModule):
     def oid_of(self, obj: Any) -> Optional[OID]:
         with self._lock:
             return self._oids.get(id(obj))
-
-    def iter_residents(self) -> Iterator[tuple[OID, Any]]:
-        with self._lock:
-            items = list(self._residents.items())
-        yield from items
 
     def clear(self) -> None:
         with self._lock:

@@ -79,10 +79,6 @@ class ChangePolicyManager(PolicyManager):
                 cls, None, receiver or self.on_state)
             self._subscriptions.append(subscription)
 
-    def monitored_classes(self) -> set[Type]:
-        with self._lock:
-            return set(self._monitored)
-
     def close(self) -> None:
         with self._lock:
             for subscription in self._subscriptions:

@@ -86,10 +86,6 @@ class DataDictionary(SupportModule):
         with self._lock:
             return name in self._types
 
-    def registered_types(self) -> list[str]:
-        with self._lock:
-            return sorted(self._types)
-
     # -- OIDs and extents ---------------------------------------------------------
 
     def allocate_oid(self, cls: Type) -> OID:

@@ -66,7 +66,7 @@ class _Stripe:
         self.table: dict[Hashable, _LockState] = {}
         #: always-on wait-latency reservoir (lock-free writes, seqlock
         #: snapshot) feeding the per-stripe p50/p99 of
-        #: ``concurrency_stats()``.
+        #: ``statistics()["concurrency"]["locks"]``.
         self.wait_hist = Histogram(f"locks.stripe{index}.wait",
                                    reservoir_size=1024)
 
@@ -404,8 +404,9 @@ class LockManager:
 
     def wait_stats(self) -> dict[str, Any]:
         """Per-stripe wait-latency aggregate (ms) for
-        ``concurrency_stats()``: how long blocked acquires waited, by
-        stripe, from the always-on per-stripe reservoirs."""
+        ``statistics()["concurrency"]["locks"]``: how long blocked
+        acquires waited, by stripe, from the always-on per-stripe
+        reservoirs."""
         per_stripe = []
         for stripe in self._stripes:
             snap = stripe.wait_hist.snapshot()

@@ -10,7 +10,6 @@ not).
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 
@@ -163,15 +162,3 @@ class ObjectRef:
 
     def __repr__(self) -> str:
         return f"ObjectRef({self.class_name}#{self.oid.value})"
-
-
-_transient_counter = itertools.count(1)
-
-
-def transient_id() -> int:
-    """Identity for transient (non-persistent) objects.
-
-    Used by the event system to correlate events about the same in-memory
-    object that has no OID yet.
-    """
-    return next(_transient_counter)

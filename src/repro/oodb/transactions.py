@@ -158,10 +158,6 @@ class Transaction:
     def is_top_level(self) -> bool:
         return self.parent is None
 
-    @property
-    def is_active(self) -> bool:
-        return self.state is TransactionState.ACTIVE
-
     def record_undo(self, restore: Callable[[], None]) -> None:
         if self.state is not TransactionState.ACTIVE and \
                 self.state is not TransactionState.COMMITTING:

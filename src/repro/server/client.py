@@ -352,9 +352,6 @@ class ReachClient:
         """The engine's full frozen-key statistics snapshot."""
         return self.call_op("stats")
 
-    def server_statistics(self) -> dict[str, Any]:
-        return self.call_op("server_stats")
-
     # ------------------------------------------------------------------
     # Retry and lifecycle
     # ------------------------------------------------------------------

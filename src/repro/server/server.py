@@ -297,7 +297,6 @@ class ReachServer:
             "drop_rule": self._op_drop_rule,
             "firing_log": self._op_firing_log,
             "stats": self._op_stats,
-            "server_stats": self._op_server_stats,
         }
 
     # ------------------------------------------------------------------
@@ -917,10 +916,6 @@ class ReachServer:
     def _op_stats(self, conn: _Connection,
                   payload: dict[str, Any]) -> dict[str, Any]:
         return self.engine.statistics()
-
-    def _op_server_stats(self, conn: _Connection,
-                         payload: dict[str, Any]) -> dict[str, Any]:
-        return self.stats()
 
     # ------------------------------------------------------------------
     # Introspection

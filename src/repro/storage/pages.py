@@ -89,10 +89,6 @@ class Page:
     def num_slots(self) -> int:
         return self._read_header()[0]
 
-    @property
-    def live_record_count(self) -> int:
-        return sum(1 for _ in self.iter_records())
-
     def free_space(self) -> int:
         """Bytes available for a new record *including* its new slot.
 
@@ -101,17 +97,6 @@ class Page:
         num_slots, free_offset = self._read_header()
         directory_start = PAGE_SIZE - num_slots * SLOT_SIZE
         return max(0, directory_start - free_offset - SLOT_SIZE)
-
-    def reclaimable_space(self) -> int:
-        """Free space attainable after compaction (excluding the slot cost)."""
-        num_slots, __ = self._read_header()
-        used = HEADER_SIZE
-        for slot in range(num_slots):
-            offset, length = self._read_slot(slot)
-            if offset != _EMPTY_SLOT_OFFSET:
-                used += length
-        directory_start = PAGE_SIZE - num_slots * SLOT_SIZE
-        return max(0, directory_start - used - SLOT_SIZE)
 
     # -- record operations ----------------------------------------------------
 

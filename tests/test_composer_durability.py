@@ -210,7 +210,7 @@ class TestEngineReopen:
         db.close()
 
         db = self._open(tmp_path / "image", fired)
-        assert db.wal_statistics()["composer_restores"] == 1
+        assert db.statistics()["wal"]["composer_restores"] == 1
         with db.transaction():
             db.signal("dur-b")
         db.drain_detached()
@@ -321,7 +321,7 @@ class TestEngineReopen:
         _crash(db)
 
         db = self._open(tmp_path, fired, config=config)
-        assert db.wal_statistics()["composer_restores"] == 1
+        assert db.statistics()["wal"]["composer_restores"] == 1
         with db.transaction():
             db.signal("dur-b")
         db.drain_detached()
@@ -399,7 +399,7 @@ class TestEngineReopen:
         db = self._open(image, fired)
         stats = db.composer_stats()
         [entry] = stats["composers"]
-        assert db.wal_statistics()["composer_restores"] == 1
+        assert db.statistics()["wal"]["composer_restores"] == 1
         assert entry["restored_watermark"] == watermark
         assert stats["pending_semi_composed"] == sum(
             1 for seq in fed_seqs if seq <= watermark)
@@ -422,7 +422,7 @@ class TestEngineReopen:
         recovered = db.events.recovered_composer_state
         assert self.SPEC.key() not in recovered
         assert self.OTHER.key() in recovered
-        assert db.wal_statistics()["composer_checkpoints_recovered"] >= 2
+        assert db.statistics()["wal"]["composer_checkpoints_recovered"] >= 2
         db.checkpoint()
         _crash(db)
 
@@ -445,11 +445,11 @@ class TestEngineReopen:
         db.drain_detached()
         assert fired == []  # half-matched, nothing to fire yet
         db.storage.flush()
-        assert db.wal_statistics()["composer_checkpoints_written"] >= 1
+        assert db.statistics()["wal"]["composer_checkpoints_written"] >= 1
         _crash(db)
 
         db = self._open(tmp_path, fired)
-        assert db.wal_statistics()["composer_restores"] == 1
+        assert db.statistics()["wal"]["composer_restores"] == 1
         stats = db.composer_stats()
         assert stats["half_matched_groups"] >= 1
         assert stats["last_checkpoint_lsn"] > 0
@@ -496,7 +496,7 @@ class TestEngineReopen:
             handle.write(_FRAME.pack(len(bogus), zlib.crc32(bogus)) + bogus)
 
         db = self._open(tmp_path, fired)
-        wal = db.wal_statistics()
+        wal = db.statistics()["wal"]
         assert wal["composer_checkpoint_fallbacks"] >= 1
         assert wal["composer_restores"] == 1
         assert db.statistics()["wal"]["composer_checkpoint_fallbacks"] >= 1

@@ -3,8 +3,8 @@
 The concurrency mechanisms (striped lock table, per-manager local
 histories, seqlock counters, lazy global-history merge) are not
 configurable: the engine always builds them.  The read side is
-``db.concurrency_stats()`` — a frozen-key snapshot tested the same way
-as ``db.statistics()``.
+``db.statistics()["concurrency"]`` — a frozen-key section tested the
+same way as ``db.statistics()`` itself.
 """
 
 import pytest
@@ -81,18 +81,18 @@ class TestConcurrencyStats:
         database.close()
 
     def test_frozen_keys(self, db):
-        stats = db.concurrency_stats()
+        stats = db.statistics()["concurrency"]
         assert set(stats) == ReachEngine.CONCURRENCY_STATS_KEYS
 
     def test_lock_stats_shape(self, db):
-        locks = db.concurrency_stats()["locks"]
+        locks = db.statistics()["concurrency"]["locks"]
         assert locks["stripes"] == 16
         assert len(locks["per_stripe"]) == 16
         for entry in locks["per_stripe"]:
             assert {"waits", "p50_ms", "p99_ms", "max_ms"} <= set(entry)
 
     def test_history_stats_track_merge_lag(self, db):
-        history = db.concurrency_stats()["history"]
+        history = db.statistics()["concurrency"]["history"]
         assert history["merge_lag"] == 0
 
     def test_statistics_embeds_concurrency(self, db):
@@ -105,4 +105,4 @@ class TestConcurrencyStats:
         database = ReachEngine(directory=str(tmp_path / "db2"))
         database.close()
         with pytest.raises(RuntimeError):
-            database.concurrency_stats()
+            database.statistics()

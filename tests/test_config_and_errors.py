@@ -80,7 +80,7 @@ class TestComponentDefaults:
             assert db.scheduler.errors.capacity == 1000
             assert RuleScheduler.DEAD_LETTER_CAPACITY == 256
             assert db.shard_map.range_size == 1024
-            assert db.shard_stats()["oid_range_size"] == 1024
+            assert db.statistics()["shards"]["oid_range_size"] == 1024
             db.clock.advance(0.999)
             assert sweeps == []
             db.clock.advance(1.501)

@@ -711,10 +711,10 @@ class TestKernelsShareOneEntry:
         try:
             session = engine.create_session()
             with session.transaction() as stx:
-                assert engine.shard_stats()["tx_groups"] == 1
+                assert engine.statistics()["shards"]["tx_groups"] == 1
                 assert all(tx.event_tx_ids == stx.ids
                            for tx in stx.members.values())
-            assert engine.shard_stats()["tx_groups"] == 0
+            assert engine.statistics()["shards"]["tx_groups"] == 0
         finally:
             engine.close()
 
@@ -740,6 +740,77 @@ class TestKernelsShareOneEntry:
             row = stats["shards"]["per_shard"][-1]["wal"]
             assert "composer_restores" not in row
             assert "composer_restores" in stats["wal"]
+        finally:
+            engine.close()
+
+
+class TestOneSurfaceOverTheKernels:
+    """The engine surface fans out over ``kernels``: the shards' dead
+    letters form one list, and the admin ``/wal`` view lists every
+    shard's log."""
+
+    def test_requeue_runs_one_entry_of_the_concatenated_list(
+            self, tmp_path):
+        engine = _two_shards(tmp_path, "requeue")
+        try:
+            broken = [True]
+            ran = []
+
+            def action(rule_name):
+                def run(ctx):
+                    if broken[0]:
+                        raise ValueError(f"{rule_name} is broken")
+                    ran.append(rule_name)
+                return run
+
+            names = _signal_names_homed_on(engine.shard_map, [0, 1])
+            for sid, name in enumerate(names):
+                engine.rule(f"det-{sid}", SignalEventSpec(name),
+                            action=action(f"det-{sid}"),
+                            coupling=CouplingMode.DETACHED)
+            # Shard-local sessions: a detached firing in a spanning
+            # transaction never runs (ROADMAP 2b).
+            for sid in (1, 0):
+                session = engine.create_session(shards=[sid])
+                with session.transaction():
+                    session.signal(names[sid])
+                session.close()
+            engine.drain_detached()
+            assert [letter.rule_name for letter in engine.dead_letters()] \
+                == ["det-0", "det-1"]
+            broken[0] = False
+            assert engine.requeue(1) == 1
+            assert ran == ["det-1"]
+            assert [letter.rule_name for letter in engine.dead_letters()] \
+                == ["det-0"]
+            with pytest.raises(IndexError):
+                engine.requeue(1)
+            assert engine.requeue(-1) == 1
+            assert ran == ["det-1", "det-0"]
+            assert engine.dead_letters() == []
+        finally:
+            engine.close()
+
+    def test_admin_wal_lists_every_shard(self, tmp_path):
+        engine = _two_shards(tmp_path, "walview", admin_port=0)
+        try:
+            engine.register_class(Crate, monitor_state=False)
+            session = engine.create_session()
+            for sid in (0, 1):
+                with session.transaction():
+                    session.persist(Crate(f"w{sid}"), f"w{sid}", shard=sid)
+            host, port = engine.admin_address
+            with urllib.request.urlopen(f"http://{host}:{port}/wal",
+                                        timeout=5.0) as response:
+                wal = json.loads(response.read().decode("utf-8"))
+            rows = engine.statistics()["shards"]["per_shard"]
+            assert len(wal["per_shard"]) == 2
+            for served, row in zip(wal["per_shard"], rows):
+                assert served["flushed_lsn"] == row["wal"]["flushed_lsn"]
+                assert served["size_bytes"] == row["wal"]["size_bytes"]
+                assert served["flushed_lsn"] >= 1
+            assert wal["size_bytes"] == sum(
+                row["wal"]["size_bytes"] for row in rows)
         finally:
             engine.close()
 
