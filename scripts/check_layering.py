@@ -3,18 +3,20 @@
 
 The kernel refactor split the stack into explicit layers::
 
-    bench / layered / mediator / management     (top: harnesses, baselines)
-    core                                        (engine, sessions, rules)
-    oodb                                        (tx, locks, sentry, query)
-    storage                                     (pages, WAL, buffer pool)
-    obs / faults                                (metrics, tracing, fault points)
-    errors / config / clock / expr              (leaf utility modules)
+    bench / layered / mediator / server     (top: harnesses, baselines, wire)
+    core                                    (engine, sessions, rules)
+    oodb                                    (tx, locks, sentry, query)
+    storage                                 (pages, WAL, buffer pool)
+    obs / faults                            (metrics, tracing, fault points)
+    errors / config / clock / expr          (leaf utility modules)
 
 A layer may import from layers strictly below it (and from itself).
 This script walks every module under ``src/repro`` with the ast module —
 no imports are executed — and fails the build when an upward import
 appears, e.g. ``repro.oodb`` importing ``repro.core`` or ``repro.obs``
-importing anything above the leaves.
+importing anything above the leaves.  Every top-level ``repro.<x>``
+module or package must have a rank, and every rank must name one, so a
+new layer cannot slip past the check and a stale rank cannot linger.
 
 One audited exception: ``repro.storage`` may import ``repro.oodb.oid``
 (OID/ObjectRef are leaf value types the serializer must know; moving
@@ -45,7 +47,6 @@ LAYER_RANK = {
     "bench": 5,
     "layered": 5,
     "mediator": 5,
-    "management": 5,
     "server": 5,
 }
 
@@ -93,6 +94,7 @@ def module_name(root: str, path: str) -> str:
 
 def check(src_root: str) -> list[str]:
     violations = []
+    seen_layers = set()
     repro_root = os.path.join(src_root, "repro")
     for dirpath, __, filenames in os.walk(repro_root):
         for filename in sorted(filenames):
@@ -101,9 +103,14 @@ def check(src_root: str) -> list[str]:
             path = os.path.join(dirpath, filename)
             importer = module_name(src_root, path)
             importer_layer = layer_of(importer)
-            if importer_layer is None or \
-                    importer_layer not in LAYER_RANK:
+            if importer_layer is None:
                 continue
+            if importer_layer not in LAYER_RANK:
+                violations.append(
+                    f"{path}: {importer} is in 'repro.{importer_layer}', "
+                    "which has no layer rank — add it to LAYER_RANK")
+                continue
+            seen_layers.add(importer_layer)
             rank = LAYER_RANK[importer_layer]
             for lineno, imported in imported_modules(path):
                 imported_layer = layer_of(imported)
@@ -122,6 +129,10 @@ def check(src_root: str) -> list[str]:
                     f"'{importer_layer}') imports {imported} (layer "
                     f"'{imported_layer}') — upward import crosses the "
                     "layer boundary")
+    for layer in sorted(set(LAYER_RANK) - seen_layers):
+        violations.append(
+            f"{repro_root}: LAYER_RANK ranks 'repro.{layer}', which names "
+            "no module — drop the rank")
     return violations
 
 

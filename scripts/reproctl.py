@@ -18,6 +18,7 @@ then, from any shell (stdlib + the repro wire codec — the script adds
     python scripts/reproctl.py --port 8787 dump        # flight dump to disk
     python scripts/reproctl.py --port 8787 top         # slowest rules/tenants
     python scripts/reproctl.py --port 8787 trace 8123456789   # one trace tree
+    python scripts/reproctl.py --port 8787 why 42      # one event's firings
 
 Against a ``reproserve`` wire port (not the admin port), ``wire-ping``
 speaks the length-prefixed JSON protocol itself — handshake + ping —
@@ -62,9 +63,11 @@ COMMANDS = {
 WIRE_COMMANDS = {"wire-ping"}
 
 #: commands with their own fetch/render logic (not a 1:1 endpoint map):
-#: ``trace <id>`` fetches one assembled trace tree, ``top`` composes the
-#: live slowest-rules / slowest-tenants view from two endpoints.
-COMPOSED_COMMANDS = {"trace", "top"}
+#: ``trace <id>`` fetches one assembled trace tree, ``why <seq>`` one
+#: event occurrence with its components and rule firings (the seq is the
+#: ``event_seq`` of a ``flight`` entry), ``top`` composes the live
+#: slowest-rules / slowest-tenants view from two endpoints.
+COMPOSED_COMMANDS = {"trace", "why", "top"}
 
 
 def summarize_stats(stats: dict) -> str:
@@ -159,6 +162,37 @@ def summarize_trace(trace: dict) -> str:
     return "\n".join(lines)
 
 
+def summarize_why(answer: dict) -> str:
+    """Render one ``/why/<seq>`` answer: the occurrence, what it was
+    composed from, and every rule firing it caused with its outcome."""
+    lines = [f"event seq={answer.get('seq')}: {answer.get('event')} "
+             f"(shard {answer.get('shard')})",
+             f"  at {answer.get('timestamp', 0.0):.3f}, transactions "
+             f"{answer.get('transactions') or '(none)'}",
+             f"  category: {answer.get('category')}"]
+    components = answer.get("components") or []
+    if components:
+        lines.append("  composed from:")
+        lines.extend(f"    seq={part.get('seq')} {part.get('event')} "
+                     f"@{part.get('timestamp', 0.0):.3f}"
+                     for part in components)
+    if answer.get("parameters"):
+        lines.append(f"  parameters: {answer['parameters']}")
+    firings = answer.get("firings") or []
+    if not firings:
+        lines.append("  rule firings: none")
+        return "\n".join(lines)
+    lines.append("  rule firings:")
+    for record in firings:
+        tx = record.get("tx")
+        lines.append(f"    {record.get('rule')} "
+                     f"[{record.get('mode')}/{record.get('phase')}] "
+                     f"-> {record.get('outcome')}"
+                     + (f" (tx {tx})" if tx else "")
+                     + f" on shard {record.get('shard')}")
+    return "\n".join(lines)
+
+
 def summarize_top(rules: list, server: dict) -> str:
     """The ``reproctl top`` view: slowest rules, slowest tenants."""
     lines = ["slowest rules (mean firing latency)"]
@@ -192,6 +226,15 @@ def summarize_top(rules: list, server: dict) -> str:
     else:
         lines.append("  (no tenant traffic; is a reproserve attached?)")
     return "\n".join(lines)
+
+
+#: commands printed as a text summary unless ``--json`` is given.
+SUMMARIES = {
+    "stats": summarize_stats,
+    "server": summarize_server,
+    "trace": summarize_trace,
+    "why": summarize_why,
+}
 
 
 def wire_ping(host: str, port: int, token: str | None,
@@ -245,7 +288,8 @@ def main(argv: list[str] | None = None) -> int:
                         + sorted(COMPOSED_COMMANDS),
                         help="endpoint to query")
     parser.add_argument("argument", nargs="?", default=None,
-                        help="trace: the trace id to fetch")
+                        help="trace: the trace id to fetch; why: the "
+                             "event seq to explain")
     parser.add_argument("--limit", type=int, default=0,
                         help="traces/slow-rules/top: cap the returned rows")
     parser.add_argument("--tail", type=int, default=0,
@@ -262,6 +306,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("trace requires a trace id "
                          "(reproctl ... trace <id>)")
         path = f"/trace/{args.argument}"
+    elif args.command == "why":
+        if args.argument is None:
+            parser.error("why requires an event seq "
+                         "(reproctl ... why <seq>)")
+        path = f"/why/{args.argument}"
     else:
         path = COMMANDS[args.command]
     params = {"limit": args.limit or "", "tail": args.tail or ""}
@@ -291,14 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError:
         sys.stdout.write(body)
         return 0
-    if args.command == "stats" and not args.raw_json:
-        print(summarize_stats(payload))
-        return 0
-    if args.command == "server" and not args.raw_json:
-        print(summarize_server(payload))
-        return 0
-    if args.command == "trace" and not args.raw_json:
-        print(summarize_trace(payload))
+    summarize = SUMMARIES.get(args.command)
+    if summarize is not None and not args.raw_json:
+        print(summarize(payload))
         return 0
     print(json.dumps(payload, indent=2))
     return 0

@@ -79,7 +79,7 @@ from repro.faults.registry import FaultRegistry
 from repro.obs.admin import AdminServer
 from repro.obs.export import JsonlFileExporter, TelemetryPipeline
 from repro.obs.flight import NULL_FLIGHT, FlightRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_stats
 from repro.obs.tracer import Trace, Tracer
 from repro.oodb.address_space import (
     ActiveAddressSpace,
@@ -122,37 +122,6 @@ _LIVE_ENGINES: "weakref.WeakSet[EngineBase]" = weakref.WeakSet()
 def live_engines() -> list["EngineBase"]:
     """Engines currently open in this process (snapshot, weakly held)."""
     return [eng for eng in list(_LIVE_ENGINES) if not eng.closed]
-
-
-def _merge_stats(values: list[Any]) -> Any:
-    """Recursively merge per-kernel statistics: numbers sum, dicts merge
-    key-by-key, lists concatenate, everything else keeps the first
-    kernel's value (configs, paths, flags).  One kernel's value merges
-    to an equal copy of itself."""
-    first = values[0]
-    if isinstance(first, bool):
-        return first
-    if isinstance(first, (int, float)):
-        return sum(v for v in values if isinstance(v, (int, float)))
-    if isinstance(first, dict):
-        merged: dict[str, Any] = {}
-        for value in values:
-            if not isinstance(value, dict):
-                continue
-            for key in value:
-                if key in merged:
-                    continue
-                present = [v[key] for v in values
-                           if isinstance(v, dict) and key in v]
-                merged[key] = _merge_stats(present)
-        return merged
-    if isinstance(first, list):
-        out: list[Any] = []
-        for value in values:
-            if isinstance(value, list):
-                out.extend(value)
-        return out
-    return first
 
 
 class TransactionPolicyManager(PolicyManager):
@@ -470,7 +439,7 @@ class EngineBase(RuleDefinitions):
         # self._lock.
         sections = [kernel._kernel_sections() for kernel in self.kernels]
         rows = [section.pop("shard") for section in sections]
-        stats = _merge_stats(sections)
+        stats = merge_stats(sections)
         stats["shards"] = {
             "count": len(self.kernels),
             "oid_range_size": self.shard_map.range_size,
@@ -515,7 +484,7 @@ class EngineBase(RuleDefinitions):
             stats["checkpoints_written"] = wal.get(
                 "composer_checkpoints_written", 0)
             per_kernel.append(stats)
-        merged = _merge_stats(per_kernel)
+        merged = merge_stats(per_kernel)
         lsns = [stats["last_checkpoint_lsn"] for stats in per_kernel]
         merged["last_checkpoint_lsn"] = max(lsns)
         merged["per_shard_checkpoint_lsn"] = lsns

@@ -136,8 +136,8 @@ class ShardedEngine(EngineBase):
     ``query``, ``drain_detached``, ``dead_letters``, ``checkpoint``, ...)
     covers the topology; sessions, rules, events and objects route
     across it here.  The observability stack is the coordinator's own,
-    shared by every kernel; the ``/wal`` view lists every shard's log;
-    the catalog and the ``/locks`` lock table are shard 0's.
+    shared by every kernel; the ``/wal`` and ``/locks`` views cover every
+    shard's log and lock table; the catalog is shard 0's.
 
     Args:
         directory: root directory; shard *k* lives in
@@ -219,14 +219,10 @@ class ShardedEngine(EngineBase):
         _LIVE_ENGINES.add(self)
 
     # ------------------------------------------------------------------
-    # Shard-0 services.  Locks are read by the admin ``/locks`` view; the
-    # catalog triple (dictionary, persistence, tx_manager) by the shared
-    # rule definitions, which keep persisted DDL in shard 0's catalog.
+    # Shard-0 services: the catalog triple (dictionary, persistence,
+    # tx_manager), read by the shared rule definitions, which keep
+    # persisted DDL in shard 0's catalog.
     # ------------------------------------------------------------------
-
-    @property
-    def locks(self):
-        return self.shards[0].locks
 
     @property
     def dictionary(self):

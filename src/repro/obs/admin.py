@@ -13,8 +13,10 @@ the engine's existing introspection surfaces:
 ``/metrics``              Prometheus text exposition of the metric registry
 ``/traces``               retained span trees (``?limit=N`` for the tail)
 ``/trace/<id>``           one assembled trace tree
-``/slow-rules``           per-rule firing latency aggregated from traces
-``/locks``                lock table + the ``concurrency`` section
+``/slow-rules``           per-rule firing latency from traces, plus each
+                          rule's coupling, priority and counts
+``/why/<seq>``            one event occurrence, its components and firings
+``/locks``                every kernel's lock table + ``concurrency``
 ``/wal``                  the ``wal`` section + every kernel's WAL row
 ``/composer``             half-matched composites + checkpoint/restore LSNs
 ``/shards``               the ``shards`` section: topology, per-shard rows
@@ -23,9 +25,14 @@ the engine's existing introspection surfaces:
 ``/flight/dump``          trigger a dump; returns the file path
 ========================  ==================================================
 
+A non-integer numeric parameter (``?limit=``, ``?tail=``, a trace id
+or a seq) answers 400 naming it; an unknown trace or seq answers 404.
+
 This module sits in the ``obs`` layer and therefore must not import
 ``core``/``oodb``/``storage`` (see ``scripts/check_layering.py``); the
-engine is duck-typed.  ``scripts/reproctl.py`` is the matching CLI.
+engine is duck-typed over its ``kernels`` (the engine itself, or the
+shards of a sharded engine).  ``scripts/reproctl.py`` is the matching
+CLI.
 """
 
 from __future__ import annotations
@@ -33,18 +40,21 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.export import render_prometheus
+from repro.obs.metrics import merge_stats
 
 
 def slow_rules(engine: Any, limit: int = 20) -> list[dict[str, Any]]:
     """Per-rule firing-latency aggregate from the retained traces.
 
     Scheduler spans are named ``fire:<rule>``; with tracing disabled the
-    aggregate is empty but registered rules are still listed (with their
-    quarantine state) so the endpoint stays useful.
+    aggregate is empty but registered rules are still listed, each with
+    its event, condition/action coupling, priority, fired count,
+    condition rejections and quarantine state, so the endpoint stays
+    useful.
     """
     aggregate: dict[str, dict[str, Any]] = {}
     for trace in engine.tracer.traces():
@@ -58,10 +68,9 @@ def slow_rules(engine: Any, limit: int = 20) -> list[dict[str, Any]]:
             entry["total_s"] += span.duration
             if span.duration > entry["max_s"]:
                 entry["max_s"] = span.duration
+    rules = {rule.name: rule for rule in engine.rules()}
     rows = []
-    names = set(aggregate)
-    names.update(rule.name for rule in engine.rules())
-    for name in names:
+    for name in set(aggregate) | set(rules):
         entry = aggregate.get(name, {"firings": 0, "total_s": 0.0,
                                      "max_s": 0.0})
         firings = entry["firings"]
@@ -72,16 +81,77 @@ def slow_rules(engine: Any, limit: int = 20) -> list[dict[str, Any]]:
             "max_s": entry["max_s"],
             "total_s": entry["total_s"],
         }
-        try:
-            rule = engine.get_rule(name)
-            row["quarantined"] = bool(rule.quarantined)
-            row["enabled"] = bool(rule.enabled)
-        except KeyError:
-            row["quarantined"] = False
-            row["enabled"] = None
+        row.update(_rule_columns(rules.get(name)))
         rows.append(row)
     rows.sort(key=lambda r: (r["mean_s"], r["total_s"]), reverse=True)
     return rows[:limit]
+
+
+def _rule_columns(rule: Any) -> dict[str, Any]:
+    """A registered rule's own state for its ``/slow-rules`` row; a rule
+    seen in the traces but since dropped has none."""
+    if rule is None:
+        return {"quarantined": False, "enabled": None, "event": None,
+                "coupling": None, "priority": None, "fired": None,
+                "condition_rejections": None}
+    coupling = rule.cond_coupling.value
+    if rule.action_coupling is not rule.cond_coupling:
+        coupling += f" / {rule.action_coupling.value}"
+    return {"quarantined": bool(rule.quarantined),
+            "enabled": bool(rule.enabled),
+            "event": rule.event.describe(),
+            "coupling": coupling,
+            "priority": rule.priority,
+            "fired": rule.fired_count,
+            "condition_rejections": rule.condition_rejections}
+
+
+def why(engine: Any, seq: int) -> Optional[dict[str, Any]]:
+    """Explain one event occurrence: why did (or didn't) a rule fire?
+
+    ``seq`` is the occurrence's global sequence number, the
+    ``event_seq`` of the flight recorder's ``event`` and ``rule.fire``
+    records.  The answer holds the occurrence with its parameters, its
+    primitive components, and every firing record it caused with its
+    outcome (``executed``, ``condition_false``, ``skipped``, ``error``);
+    each carries the kernel (``shard``) whose history or scheduler holds
+    it.
+    ``None`` when no kernel's retained history holds ``seq``: ECA-manager
+    histories keep their newest ``history_capacity`` occurrences.
+    """
+    held = ((shard, occ) for shard, kernel in enumerate(engine.kernels)
+            for manager in (kernel.events.primitive_managers()
+                            + kernel.events.composite_managers())
+            for occ in manager.history.entries() if occ.seq == seq)
+    shard, occ = next(held, (None, None))
+    if occ is None:
+        return None
+    return {
+        "seq": seq,
+        "event": occ.spec.describe(),
+        "category": occ.category.value,
+        "timestamp": occ.timestamp,
+        "transactions": sorted(occ.tx_ids),
+        "shard": shard,
+        "parameters": dict(occ.parameters),
+        "components": [{"seq": part.seq, "event": part.spec.describe(),
+                        "timestamp": part.timestamp}
+                       for part in occ.all_primitive_components()]
+        if occ.components else [],
+        "firings": [dict(record.flight_fields(), shard=index)
+                    for index, kernel in enumerate(engine.kernels)
+                    for record in list(kernel.scheduler.firing_log)
+                    if record.event_seq == seq],
+    }
+
+
+def _integer(name: str, raw: Any) -> int:
+    """``raw`` as an int, or a 400 naming the parameter."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise _EndpointError(400, {
+            "error": f"{name} must be an integer, got {raw!r}"}) from None
 
 
 class _EndpointError(Exception):
@@ -173,8 +243,9 @@ class AdminServer:
     def _dispatch(self, path: str, query: dict[str, str]) \
             -> tuple[str, str]:
         normalized = path.rstrip("/") or "/"
-        if normalized.startswith("/trace/"):
-            return self._trace(normalized[len("/trace/"):], query)
+        for prefix, handler in _ID_ROUTES.items():
+            if normalized.startswith(prefix):
+                return handler(self, normalized[len(prefix):], query)
         handler = _ROUTES[normalized]
         return handler(self, query)
 
@@ -186,7 +257,7 @@ class AdminServer:
 
     def _index(self, query: dict[str, str]) -> tuple[str, str]:
         return self._json(
-            {"endpoints": sorted(_ROUTES) + ["/trace/<id>"]})
+            {"endpoints": sorted(_ROUTES) + ["/trace/<id>", "/why/<seq>"]})
 
     def _stats(self, query: dict[str, str]) -> tuple[str, str]:
         return self._json(self.engine.statistics())
@@ -197,7 +268,7 @@ class AdminServer:
 
     def _traces(self, query: dict[str, str]) -> tuple[str, str]:
         traces = self.engine.tracer.traces()
-        limit = int(query.get("limit", 0))
+        limit = _integer("limit", query.get("limit", 0))
         if limit > 0:
             traces = traces[-limit:]
         return self._json({"count": len(traces),
@@ -207,11 +278,7 @@ class AdminServer:
         # One cross-component trace tree.  A sharded topology's kernels
         # share one tracer, so a trace spanning wire request, detection,
         # cross-shard composition and detached execution is one tree.
-        try:
-            trace_id = int(raw_id)
-        except ValueError:
-            raise _EndpointError(400, {
-                "error": f"trace id must be an integer, got {raw_id!r}"})
+        trace_id = _integer("trace id", raw_id)
         trace = self.engine.trace(trace_id)
         if trace is None:
             raise _EndpointError(404, {
@@ -221,15 +288,29 @@ class AdminServer:
         return self._json(trace.to_dict())
 
     def _slow_rules(self, query: dict[str, str]) -> tuple[str, str]:
-        limit = int(query.get("limit", 20))
+        limit = _integer("limit", query.get("limit", 20))
         return self._json({"rules": slow_rules(self.engine, limit=limit)})
 
+    def _why(self, raw_seq: str, query: dict[str, str]) -> tuple[str, str]:
+        seq = _integer("seq", raw_seq)
+        answer = why(self.engine, seq)
+        if answer is None:
+            raise _EndpointError(404, {
+                "error": f"no recorded occurrence with seq={seq}",
+                "hint": "each ECA-manager keeps its newest "
+                        "history_capacity occurrences; see /flight for "
+                        "recent event_seq values"})
+        return self._json(answer)
+
     def _locks(self, query: dict[str, str]) -> tuple[str, str]:
-        # The live lock-table view plus the statistics' concurrency
-        # section (stripe wait percentiles, WAL, history merge lag).  The
-        # legacy top-level keys (resources/deadlocks_detected/timeouts)
-        # are part of the endpoint's contract and stay.
-        payload = self.engine.locks.snapshot()
+        # Every kernel's live lock table, merged (resources union,
+        # counts sum, stripe occupancy concatenates in kernel order),
+        # plus the statistics' concurrency section (stripe wait
+        # percentiles, WAL, history merge lag).  The top-level keys
+        # (resources/stripes/stripe_occupancy/deadlocks_detected/
+        # timeouts) are part of the endpoint's contract and stay.
+        payload = merge_stats([kernel.locks.snapshot()
+                               for kernel in self.engine.kernels])
         payload["concurrency"] = self.engine.statistics()["concurrency"]
         return self._json(payload)
 
@@ -266,7 +347,7 @@ class AdminServer:
     def _flight(self, query: dict[str, str]) -> tuple[str, str]:
         flight = self.engine.flight
         payload = flight.snapshot()
-        tail = int(query.get("tail", 0))
+        tail = _integer("tail", query.get("tail", 0))
         if tail > 0:
             payload["entries"] = flight.entries()[-tail:]
         return self._json(payload)
@@ -289,4 +370,10 @@ _ROUTES = {
     "/server": AdminServer._server,
     "/flight": AdminServer._flight,
     "/flight/dump": AdminServer._flight_dump,
+}
+
+#: Routes whose last path segment is an integer id.
+_ID_ROUTES = {
+    "/trace/": AdminServer._trace,
+    "/why/": AdminServer._why,
 }

@@ -440,3 +440,34 @@ class MetricsRegistry:
 
 #: Registry used by components not wired to a database (always disabled).
 NULL_METRICS = MetricsRegistry(enabled=False)
+
+
+def merge_stats(values: list[Any]) -> Any:
+    """Recursively merge per-kernel statistics: numbers sum, dicts merge
+    key-by-key, lists concatenate, everything else keeps the first
+    kernel's value (configs, paths, flags).  One kernel's value merges
+    to an equal copy of itself."""
+    first = values[0]
+    if isinstance(first, bool):
+        return first
+    if isinstance(first, (int, float)):
+        return sum(v for v in values if isinstance(v, (int, float)))
+    if isinstance(first, dict):
+        merged: dict[str, Any] = {}
+        for value in values:
+            if not isinstance(value, dict):
+                continue
+            for key in value:
+                if key in merged:
+                    continue
+                present = [v[key] for v in values
+                           if isinstance(v, dict) and key in v]
+                merged[key] = merge_stats(present)
+        return merged
+    if isinstance(first, list):
+        out: list[Any] = []
+        for value in values:
+            if isinstance(value, list):
+                out.extend(value)
+        return out
+    return first

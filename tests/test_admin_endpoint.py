@@ -81,7 +81,8 @@ class TestEndpoints:
         assert content_type.startswith("application/json")
         endpoints = json.loads(body)["endpoints"]
         for route in ("/stats", "/metrics", "/traces", "/slow-rules",
-                      "/locks", "/wal", "/flight", "/flight/dump"):
+                      "/locks", "/wal", "/flight", "/flight/dump",
+                      "/trace/<id>", "/why/<seq>"):
             assert route in endpoints
 
     def test_stats_serves_the_frozen_key_snapshot(self, db):
@@ -113,6 +114,11 @@ class TestEndpoints:
         assert row["firings"] >= 1
         assert row["mean_s"] > 0.0
         assert row["quarantined"] is False
+        assert row["event"] == "after Meter.advance()"
+        assert row["coupling"] == "immediate"
+        assert row["priority"] == 0
+        assert row["fired"] >= 1
+        assert row["condition_rejections"] == 0
 
     def test_locks_and_wal_report_their_snapshots(self, db):
         __, __, locks_body = get(db, "/locks")
@@ -161,6 +167,51 @@ class TestEndpoints:
         assert path is not None and Path(path).exists()
         header = json.loads(Path(path).read_text().splitlines()[0])
         assert header["reason"] == "test"
+
+    def test_why_explains_an_occurrence_found_in_the_flight_ring(self, db):
+        __, __, flight_body = get(db, "/flight?tail=50")
+        (seq,) = {entry["event_seq"]
+                  for entry in json.loads(flight_body)["entries"]
+                  if entry.get("rule") == "MeterWatch"}
+        __, content_type, body = get(db, f"/why/{seq}")
+        assert content_type.startswith("application/json")
+        answer = json.loads(body)
+        assert set(answer) == {
+            "seq", "event", "category", "timestamp", "transactions",
+            "shard", "parameters", "components", "firings"}
+        assert answer["seq"] == seq
+        assert answer["event"] == "after Meter.advance()"
+        assert answer["shard"] == 0
+        assert answer["components"] == []
+        assert [(f["rule"], f["outcome"], f["shard"])
+                for f in answer["firings"]] == \
+            [("MeterWatch", "executed", 0)]
+
+    def test_why_unknown_seq_is_a_404_with_a_retention_hint(self, db):
+        host, port = db.admin_address
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"http://{host}:{port}/why/987654321",
+                                   timeout=5.0)
+        assert excinfo.value.code == 404
+        payload = json.loads(excinfo.value.read().decode("utf-8"))
+        assert "seq=987654321" in payload["error"]
+        assert "history_capacity" in payload["hint"]
+
+    @pytest.mark.parametrize("path,name", [
+        ("/slow-rules?limit=x", "limit"),
+        ("/traces?limit=x", "limit"),
+        ("/flight?tail=x", "tail"),
+        ("/why/x", "seq"),
+    ])
+    def test_non_integer_parameter_is_a_400_naming_it(self, db, path,
+                                                      name):
+        host, port = db.admin_address
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(f"http://{host}:{port}{path}",
+                                   timeout=5.0)
+        assert excinfo.value.code == 400
+        payload = json.loads(excinfo.value.read().decode("utf-8"))
+        assert payload["error"] == f"{name} must be an integer, got 'x'"
 
     def test_unknown_route_is_a_404_with_the_catalogue(self, db):
         host, port = db.admin_address
@@ -367,6 +418,26 @@ class TestReproctlTraceAndTop:
         result = self._ctl(db, "trace")
         assert result.returncode == 2
         assert "trace id" in result.stderr
+
+    def test_why_renders_the_occurrence_and_its_firings(self, db):
+        seq = db.history.entries()[-1].seq
+        result = self._ctl(db, "why", str(seq))
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == (f"event seq={seq}: after Meter.advance() "
+                            "(shard 0)")
+        assert "  rule firings:" in lines
+        assert any(line.startswith("    MeterWatch [immediate/")
+                   and "-> executed" in line for line in lines)
+        raw = self._ctl(db, "--json", "why", str(seq))
+        assert raw.returncode == 0, raw.stderr
+        assert json.loads(raw.stdout)["seq"] == seq
+
+    def test_why_unknown_seq_exits_two(self, db):
+        result = self._ctl(db, "why", "987654321")
+        assert result.returncode == 2
+        assert "404" in result.stderr
+        assert "no recorded occurrence" in result.stderr
 
     def test_top_summarizes_rules_and_tenants(self, db):
         result = self._ctl(db, "top")

@@ -1,12 +1,12 @@
-"""The DDL 'across' clause and the explain_event debugger."""
+"""The DDL 'across' clause and the ``why`` event debugger."""
 
 import pytest
 
 from repro import CouplingMode, ReachEngine, sentried
-from repro import management
 from repro.core.algebra import EventScope
 from repro.core.rule_language import parse_rules
 from repro.errors import RuleParseError
+from repro.obs.admin import why
 
 
 @sentried
@@ -86,11 +86,11 @@ class TestExplainEvent:
         with cdb.transaction():
             Conveyor().move(3)
         seq = cdb.history.entries()[-1].seq
-        text = management.explain_event(cdb, seq)
-        assert f"event seq={seq}" in text
-        assert "after Conveyor.move()" in text
-        assert "log-move" in text
-        assert "-> executed" in text
+        answer = why(cdb, seq)
+        assert answer["seq"] == seq
+        assert answer["event"] == "after Conveyor.move()"
+        assert [(f["rule"], f["outcome"]) for f in answer["firings"]] == \
+            [("log-move", "executed")]
 
     def test_explains_composite_with_components(self, cdb):
         from repro import MethodEventSpec, Sequence, SignalEventSpec
@@ -103,11 +103,10 @@ class TestExplainEvent:
             cdb.signal("stop")
         composite_manager = cdb.events.composite_managers()[0]
         composite = composite_manager.history.entries()[0]
-        text = management.explain_event(cdb, composite.seq)
-        assert "composed from:" in text
-        assert "after Conveyor.move()" in text
-        assert "signal 'stop'" in text
-        assert "combo" in text
+        answer = why(cdb, composite.seq)
+        assert [part["event"] for part in answer["components"]] == \
+            ["after Conveyor.move()", "signal 'stop'"]
+        assert [f["rule"] for f in answer["firings"]] == ["combo"]
 
     def test_condition_false_outcome_visible(self, cdb):
         cdb.rule("never", __import__("repro").MethodEventSpec(
@@ -116,8 +115,8 @@ class TestExplainEvent:
         with cdb.transaction():
             Conveyor().move(1)
         seq = cdb.history.entries()[-1].seq
-        assert "-> condition_false" in management.explain_event(cdb, seq)
+        assert [f["outcome"] for f in why(cdb, seq)["firings"]] == \
+            ["condition_false"]
 
     def test_unknown_seq_reports_cleanly(self, cdb):
-        assert "no recorded occurrence" in \
-            management.explain_event(cdb, 10 ** 9)
+        assert why(cdb, 10 ** 9) is None

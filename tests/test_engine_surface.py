@@ -37,6 +37,11 @@ DELETED = {
     "server_stats",
 }
 
+#: Shard-0 pass-throughs a sharded engine no longer has: each reader
+#: goes over ``kernels`` (the admin ``/locks`` view merges every
+#: kernel's lock table).
+NOT_ON_SHARDED = {"locks", "storage"}
+
 
 def _methods(cls) -> set[str]:
     return {name for name, value in vars(cls).items()
@@ -60,3 +65,7 @@ def test_fan_outs_live_on_the_base_only():
 def test_restating_accessors_are_gone():
     for cls in (EngineBase, ReachEngine, ShardedEngine):
         assert not DELETED & set(dir(cls)), cls.__name__
+
+
+def test_shard_zero_pass_throughs_are_gone():
+    assert not NOT_ON_SHARDED & set(dir(ShardedEngine))

@@ -1,5 +1,5 @@
 """Extension features: OQL conditions, lock transfer, binding carry-over,
-automatic write locking, the management tooling."""
+automatic write locking, the operator's rule view."""
 
 import threading
 import time
@@ -15,7 +15,7 @@ from repro import (
     sentried,
 )
 from repro.errors import RuleDefinitionError
-from repro import management
+from repro.obs.admin import slow_rules
 
 
 @sentried
@@ -210,44 +210,11 @@ class TestLockTransfer:
 
 
 class TestManagementTooling:
-    def test_status_report_covers_everything(self, xdb):
-        xdb.rule("r1", FILL, action=lambda ctx: None, priority=3)
-        with xdb.transaction():
-            Tank("t").fill(1)
-        report = management.status_report(xdb)
-        assert "r1" in report
-        assert "Persistence PM" in report
-        assert "Table 1" in report
-        assert "after Tank.fill()" in report
+    """The rule columns of the admin ``/slow-rules`` rows."""
 
     def test_describe_rules_shows_split_coupling(self, xdb):
         xdb.rule("split", FILL, action=lambda ctx: None,
                  cond_coupling=CouplingMode.IMMEDIATE,
                  action_coupling=CouplingMode.DEFERRED)
-        text = management.describe_rules(xdb)
-        assert "immediate / deferred" in text
-
-    def test_describe_history_tail(self, xdb):
-        xdb.rule("r", FILL, action=lambda ctx: None)
-        with xdb.transaction():
-            Tank("t").fill(1)
-        text = management.describe_history(xdb)
-        assert "after Tank.fill()" in text
-
-    def test_offline_directory_inspection(self, xdb):
-        with xdb.transaction():
-            xdb.persist(Tank("t0"), "tank-zero")
-        directory = xdb.directory
-        xdb.close()
-        text = management.inspect_directory(directory)
-        assert "'tank-zero'" in text
-        assert "Tank: 1" in text
-
-    def test_cli_entry_point(self, xdb, capsys):
-        with xdb.transaction():
-            xdb.persist(Tank("t0"), "tank-zero")
-        directory = xdb.directory
-        xdb.close()
-        assert management.main([directory]) == 0
-        assert "tank-zero" in capsys.readouterr().out
-        assert management.main([]) == 2
+        (row,) = [row for row in slow_rules(xdb) if row["rule"] == "split"]
+        assert row["coupling"] == "immediate / deferred"

@@ -4,14 +4,7 @@ import pytest
 
 from repro import ReachEngine, sentried
 from repro.bench.workloads import Reactor, River
-from repro import management
-from repro.core.algebra import Conjunction, Sequence
-from repro.core.events import (
-    FlowEventKind,
-    FlowEventSpec,
-    MethodEventSpec,
-    SignalEventSpec,
-)
+from repro.core.events import MethodEventSpec
 from repro.core.scheduler import RuleScheduler
 
 DDL = """
@@ -140,31 +133,6 @@ class TestPersistentRules:
         again = opener(directory)
         assert [r.name for r in again.load_persistent_rules()] == \
             ["Pong", "Zed"]
-
-
-class TestEventTreeRendering:
-    def test_primitive_renders_flat(self):
-        spec = MethodEventSpec("River", "update_water_level")
-        assert management.format_event_tree(spec) == \
-            "after River.update_water_level()"
-
-    def test_nested_tree_structure(self):
-        spec = Sequence(
-            MethodEventSpec("River", "update_water_level"),
-            Conjunction(SignalEventSpec("ack"),
-                        FlowEventSpec(FlowEventKind.COMMIT)))
-        text = management.format_event_tree(spec)
-        lines = text.split("\n")
-        assert lines[0].startswith("Sequence [single transaction")
-        assert "├─ after River.update_water_level()" in text
-        assert "└─ Conjunction" in text
-        assert "├─ signal 'ack'" in text
-        assert "└─ on commit" in text
-
-    def test_validity_shown(self):
-        spec = Sequence(SignalEventSpec("a"),
-                        SignalEventSpec("b")).within(60)
-        assert "within 60" in management.format_event_tree(spec)
 
 
 class TestFiringLogCap:

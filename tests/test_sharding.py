@@ -815,6 +815,81 @@ class TestOneSurfaceOverTheKernels:
             engine.close()
 
 
+class TestAdminViewsOverTheKernels:
+    """The admin ``/locks`` and ``/why/<seq>`` views read every kernel."""
+
+    def _get(self, engine, path):
+        host, port = engine.admin_address
+        with urllib.request.urlopen(f"http://{host}:{port}{path}",
+                                    timeout=5.0) as response:
+            return json.loads(response.read().decode("utf-8"))
+
+    def test_locks_lists_every_shards_table(self, tmp_path):
+        @sentried
+        class Bin:
+            def __init__(self, label):
+                self.label = label
+
+        engine = _two_shards(tmp_path, "lockview", admin_port=0)
+        try:
+            engine.register_class(Bin)
+            session = engine.create_session()
+            bins = [Bin("l0"), Bin("l1")]
+            with session.transaction():
+                oids = [session.persist(bin_, bin_.label, shard=sid)
+                        for sid, bin_ in enumerate(bins)]
+            assert [engine.shard_of(oid) for oid in oids] == [0, 1]
+            with session.transaction():
+                for bin_ in bins:   # a write: an X lock on each shard
+                    bin_.label += "!"
+                locks = self._get(engine, "/locks")
+                held = [kernel.locks.snapshot() for kernel in engine.kernels]
+            assert set(locks["resources"]) == {repr(oid) for oid in oids}
+            for snapshot in held:
+                assert set(snapshot["resources"]) <= set(locks["resources"])
+            assert locks["stripes"] == sum(s["stripes"] for s in held)
+            assert locks["stripe_occupancy"] == \
+                held[0]["stripe_occupancy"] + held[1]["stripe_occupancy"]
+            assert {"deadlocks_detected", "timeouts", "concurrency"} <= \
+                set(locks)
+        finally:
+            engine.close()
+
+    def test_why_finds_a_composite_and_its_leaves_across_shards(
+            self, tmp_path):
+        engine = _two_shards(tmp_path, "whyview", admin_port=0)
+        try:
+            names = _signal_names_homed_on(engine.shard_map, [0, 1])
+            fired = []
+            engine.rule("pair", Sequence(*map(SignalEventSpec, names)),
+                        action=lambda ctx: fired.append(ctx.event),
+                        coupling=CouplingMode.DEFERRED)
+            home = engine.rule_home("pair")
+            session = engine.create_session()
+            with session.transaction():
+                for name in names:
+                    session.signal(name)
+            (composite,) = fired
+            answer = self._get(engine, f"/why/{composite.seq}")
+            assert answer["shard"] == home
+            assert [(f["rule"], f["outcome"], f["shard"])
+                    for f in answer["firings"]] == \
+                [("pair", "executed", home)]
+            leaves = [part["seq"] for part in answer["components"]]
+            assert [part["event"] for part in answer["components"]] == \
+                [f"signal {name!r}" for name in names]
+            # Each leaf was detected on its own home shard, one of them
+            # not the kernel that fired the rule.
+            assert [self._get(engine, f"/why/{seq}")["shard"]
+                    for seq in leaves] == [0, 1]
+            # The same fields as on one kernel (tests/test_admin_endpoint).
+            assert set(answer) == {
+                "seq", "event", "category", "timestamp", "transactions",
+                "shard", "parameters", "components", "firings"}
+        finally:
+            engine.close()
+
+
 class TestDetectionOnAnotherShard:
     """ROADMAP 2c: a session bound to ``shards=[k]`` calls a method whose
     event is homed on another shard.  The home shard's event service
