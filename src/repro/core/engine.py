@@ -2,10 +2,10 @@
 
 The paper's Figure 1 meta-architecture plugs policy managers into one
 kernel; this module is that kernel.  A :class:`ReachEngine` owns every
-process-wide service — storage manager and WAL, lock manager, data
-dictionary, the sentry registry, the event service with its ECA-managers
-and composers, the rule scheduler, the temporal event source, and the
-observability stack (the kernels of a sharded engine share their
+process-wide service — storage manager and WAL, data dictionary, the
+sentry registry, the event service with its ECA-managers and composers,
+the rule scheduler, the temporal event source, the lock table and the
+observability stack (a sharded engine's kernels share their
 coordinator's) — while per-client state (the current-transaction
 stack, the pin cache, the firing context) lives in
 :class:`~repro.core.session.Session` objects created from the engine.
@@ -147,15 +147,15 @@ class _NamedSupportModule(SupportModule):
 
 
 class EngineBase(RuleDefinitions):
-    """What both engines share: one observability stack, the session
-    registry, the network front end's hook, the introspection surface,
-    every operation that fans out over the kernels, and the lifecycle.
+    """What both engines share: one stack, the session registry, the
+    network front end's hook, the introspection surface, every operation
+    that fans out over the kernels, and the lifecycle.
 
     The stack is the metrics registry, tracer, flight recorder, telemetry
-    pipeline and fault registry.  A :class:`ReachEngine` builds its own;
-    a :class:`~repro.core.sharding.ShardedEngine` builds one and hands it
-    to every kernel, so the kernels count, trace and record into the same
-    objects.
+    pipeline, fault registry and lock table.  A :class:`ReachEngine`
+    builds its own; a :class:`~repro.core.sharding.ShardedEngine` builds
+    one and hands it to every kernel, so the kernels count, trace, record
+    and lock in the same objects.
 
     ``kernels`` is the tuple of :class:`ReachEngine` kernels the engine
     runs on: ``(self,)`` for a ReachEngine, the shards for a sharded
@@ -167,19 +167,20 @@ class EngineBase(RuleDefinitions):
     ``_server`` and ``admin``.
     """
 
-    #: Whether this engine built the observability stack it uses (a
-    #: sharded engine's kernels share their coordinator's).
+    #: Whether this engine built the stack it uses (a sharded engine's
+    #: kernels share their coordinator's).
     _owns_stack = True
 
-    def _open_observability(self, directory: str,
-                            owner: Optional["EngineBase"] = None) -> None:
-        """Build this engine's observability stack, or take ``owner``'s."""
+    def _open_stack(self, directory: str,
+                    owner: Optional["EngineBase"] = None) -> None:
+        """Build this engine's stack, or take ``owner``'s."""
         if owner is not None:
             self.metrics_registry = owner.metrics_registry
             self.tracer = owner.tracer
             self.flight = owner.flight
             self.telemetry_pipeline = owner.telemetry_pipeline
             self.faults = owner.faults
+            self.locks = owner.locks
             return
         config = self.config
         # Inert null-object pipelines unless ``config.observability`` is
@@ -215,6 +216,9 @@ class EngineBase(RuleDefinitions):
                                        lambda: tracer.evicted)
         self.metrics_registry.gauge_fn("telemetry.dropped",
                                        lambda: telemetry.dropped)
+        self.locks = LockManager(
+            metrics=self.metrics_registry, faults=self.faults,
+            flight=self.flight, tracer=self.tracer)
 
     # ------------------------------------------------------------------
     # Sessions
@@ -384,8 +388,9 @@ class EngineBase(RuleDefinitions):
         the ``observability`` section carries the metrics snapshot (null
         when disabled).  On a sharded engine the kernels' sections
         aggregate over the shards, and ``rules``, ``sessions``,
-        ``faults``, ``flight``, ``telemetry``, ``server`` and
-        ``observability`` come from the engine's one registry or stack.
+        ``faults``, ``flight``, ``telemetry``, ``server``,
+        ``observability`` and ``concurrency.locks`` come from the
+        engine's one registry or stack.
 
         Keys:
 
@@ -440,6 +445,7 @@ class EngineBase(RuleDefinitions):
         sections = [kernel._kernel_sections() for kernel in self.kernels]
         rows = [section.pop("shard") for section in sections]
         stats = merge_stats(sections)
+        stats["concurrency"]["locks"] = self.locks.wait_stats()
         stats["shards"] = {
             "count": len(self.kernels),
             "oid_range_size": self.shard_map.range_size,
@@ -599,9 +605,11 @@ class EngineBase(RuleDefinitions):
             kernel._stop()
         # The telemetry pipeline drains before storage closes so a final
         # flush can still observe a consistent engine.  A shared stack is
-        # closed by its owner.
+        # closed by its owner, and its lock table cleared once every
+        # kernel has stopped.
         if self._owns_stack:
             self.telemetry_pipeline.close()
+            self.locks.clear()
         # Pulls a final composer checkpoint: half-matched state present at
         # a clean shutdown survives to the next start.
         for kernel in self.kernels:
@@ -645,8 +653,8 @@ class ReachEngine(EngineBase):
             more than one shard, the engine's data dictionary allocates
             from a :class:`~repro.oodb.oid.ShardedOIDAllocator` so this
             kernel only ever issues OIDs it owns.
-        stack_owner: an engine whose observability stack this kernel
-            shares instead of building its own; a
+        stack_owner: an engine whose stack (observability and lock
+            table) this kernel shares instead of building its own; a
             :class:`~repro.core.sharding.ShardedEngine` passes itself to
             every kernel.
     """
@@ -677,12 +685,12 @@ class ReachEngine(EngineBase):
                 f"kernel of a {self.shard_map.shard_count}-shard topology; "
                 f"build a ShardedEngine to shard the engine")
 
-        # -- observability (repro.obs, repro.faults) ----------------------
+        # -- observability (repro.obs, repro.faults) and the lock table ---
         # Built first so every subsystem can bind its instruments at
         # construction; a sharded topology's kernels share one stack.
         if stack_owner is not None:
             self._owns_stack = False
-        self._open_observability(directory, owner=stack_owner)
+        self._open_stack(directory, owner=stack_owner)
 
         # -- network front end (repro.server) -----------------------------
         # The engine never imports the server package (it sits above core
@@ -707,9 +715,6 @@ class ReachEngine(EngineBase):
 
         # -- meta-architecture and support modules (Figure 1) ------------
         self.meta = MetaArchitecture()
-        self.locks = LockManager(
-            metrics=self.metrics_registry, faults=self.faults,
-            flight=self.flight, tracer=self.tracer)
         self.tx_manager = TransactionManager(
             self.meta, self.locks, clock=self.clock, tracer=self.tracer,
             metrics=self.metrics_registry)
@@ -1058,7 +1063,6 @@ class ReachEngine(EngineBase):
             "storage": self.storage.stats(),
             "queries": dict(self.query_processor.stats),
             "concurrency": {
-                "locks": self.locks.wait_stats(),
                 "wal": wal,
                 "history": self.events.global_history.stats(),
             },
@@ -1096,4 +1100,3 @@ class ReachEngine(EngineBase):
         self.events.close()
         self.change.close()
         self.persistence.detach()
-        self.locks.clear()

@@ -41,11 +41,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.config import ExecutionConfig, TieBreakPolicy
 from repro.core.coupling import CouplingMode
@@ -699,6 +699,18 @@ class RuleScheduler:
                     executed += 1
         finally:
             draining.active = False
+
+    @contextmanager
+    def drain_after(self) -> Iterator[None]:
+        """Hold this thread's drains for the ``with`` body, then drain
+        what it released (a sharded group decides its members in one)."""
+        draining = self._draining
+        held, draining.active = draining.active, True
+        try:
+            yield
+        finally:
+            draining.active = held
+            self.drain_detached()
 
     def _run_pooled(self, work: DetachedWork) -> None:
         """Pool-worker body: :meth:`_run_ready` behind a catch-all, in

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from typing import Any, Iterator, Optional, Union
 
-from repro.errors import NestedTransactionError
+from repro.errors import NestedTransactionError, TransactionStateError
 from repro.oodb.oid import OID
 from repro.oodb.sentry import Binding
 from repro.oodb.transactions import (
@@ -242,23 +242,21 @@ class ShardedTransaction:
     """One logical unit of work spanning member transactions on shards.
 
     Not an atomic distributed transaction: members commit independently
-    in shard order (there is no two-phase commit — see
+    in shard order (there is no two-phase commit, ROADMAP item 3 — see
     ``docs/architecture.md``).  What the handle does guarantee is that
     every member carries the full group's transaction-id set on the
     occurrences it detects, so same-transaction composite-event scope
-    treats work on different shards as one transaction.
+    treats work on different shards as one transaction; and that a group
+    over two or more shards is one lock family, ``family_id`` (else
+    ``None``), holding every lock until its last member is decided.
     """
 
-    def __init__(self, members: dict[int, Transaction]):
+    def __init__(self, family_id: Optional[int]):
+        self.family_id = family_id
         #: shard id -> that shard's member transaction, begun eagerly so
         #: the group's id set is complete before any user work runs.
-        self.members = members
-        self.ids = frozenset(tx.id for tx in members.values())
-        for tx in members.values():
-            tx.event_tx_ids = self.ids
-
-    def member(self, shard_id: int) -> Transaction:
-        return self.members[shard_id]
+        self.members: dict[int, Transaction] = {}
+        self.ids: frozenset[int] = frozenset()
 
     def __repr__(self) -> str:
         ids = ", ".join(f"{sid}:{tx.id}" for sid, tx in
@@ -302,6 +300,8 @@ class ShardedSession:
             engine.sentry_registry, self._serving)
         self.stats = {"transactions": 0, "commits": 0, "aborts": 0,
                       "fetches": 0, "pin_hits": 0}
+        #: groups begun and not yet ended, innermost last
+        self._groups: list[ShardedTransaction] = []
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -334,12 +334,14 @@ class ShardedSession:
         pays in-memory bookkeeping, its storage transaction starts at
         first dirty flush — and it makes the group's id set complete
         before user work runs, which cross-shard composite scope needs.
+        Members on two or more shards lock as one family, so every lock
+        is held until the last member is decided.
 
         On success members commit in ascending shard order; a member
         commit failure aborts the not-yet-committed members and
         re-raises, so a failure can leave earlier shards committed
-        (documented non-atomicity).  On exception all active members
-        abort in reverse order.
+        (documented non-atomicity, ROADMAP item 3).  On exception all
+        active members abort in reverse order.
         """
         if nested:
             raise NestedTransactionError(
@@ -351,51 +353,57 @@ class ShardedSession:
                 raise ValueError(f"shard {sid} is not part of {self.name}")
         with self.use():
             self.stats["transactions"] += 1
-            members: dict[int, Transaction] = {}
+            # A fresh transaction id: nothing else locks under it.
+            group = ShardedTransaction(next(Transaction._ids)
+                                       if len(participating) > 1 else None)
+            self._groups.append(group)
+            outcome = "aborts"
             try:
                 for sid in participating:
-                    members[sid] = self.engine.shards[sid].tx_manager.begin(
-                        deadline=deadline)
-            except BaseException:
-                self._abort_members(members)
-                self.stats["aborts"] += 1
-                raise
-            handle = ShardedTransaction(members)
-            self.engine.register_tx_group()
-            try:
-                yield handle
-            except BaseException:
-                self._abort_members(members)
-                self.stats["aborts"] += 1
-                raise
-            else:
-                committed: list[int] = []
-                try:
-                    for sid in participating:
-                        self.engine.shards[sid].tx_manager.commit(
-                            members[sid])
-                        committed.append(sid)
-                except BaseException:
-                    self._abort_members({
-                        sid: tx for sid, tx in members.items()
-                        if sid not in committed})
-                    self.stats["aborts"] += 1
-                    raise
-                self.stats["commits"] += 1
+                    group.members[sid] = self.engine.shards[
+                        sid].tx_manager.begin(deadline=deadline,
+                                              family_id=group.family_id)
+                group.ids = frozenset(tx.id for tx in group.members.values())
+                for tx in group.members.values():
+                    tx.event_tx_ids = group.ids
+                yield group
+                self._end_group(group, commit=True)
+                outcome = "commits"
             finally:
-                self.engine.unregister_tx_group(handle.ids)
-                if all(ctx.current() is None
-                       for ctx in self.contexts.values()):
+                if outcome == "aborts":     # a failed commit ended it
+                    self._end_group(group, commit=False)
+                self.stats[outcome] += 1
+                if not self._groups:
                     self._pins.clear()
 
-    def _abort_members(self, members: dict[int, Transaction]) -> None:
-        for sid in sorted(members, reverse=True):
-            tx = members[sid]
+    def _end_group(self, group: ShardedTransaction, commit: bool) -> None:
+        """Decide the group's active members — commit them in shard
+        order, or abort them in reverse — then end it once
+        (:meth:`~repro.core.sharding.ShardedEngine.end_tx_group`).  Until
+        then a multi-shard group holds this thread's detached drains on
+        its shards: no work they release may wait on the group's locks."""
+        try:
+            self._groups.remove(group)
+        except ValueError:              # close() ended it already
+            if commit:
+                raise TransactionStateError(
+                    f"{group} was aborted when {self.name} closed") from None
+            return
+        shards = self.engine.shards
+        with ExitStack() as drains:
+            if group.family_id is not None:
+                for sid in group.members:
+                    drains.enter_context(shards[sid].scheduler.drain_after())
             try:
-                if tx.state is TransactionState.ACTIVE:
-                    self.engine.shards[sid].tx_manager.abort(tx)
-            except Exception:
-                pass
+                if commit:
+                    for sid, tx in group.members.items():
+                        shards[sid].tx_manager.commit(tx)
+            finally:
+                for sid, tx in reversed(group.members.items()):
+                    if tx.state is TransactionState.ACTIVE:
+                        with suppress(Exception):
+                            shards[sid].tx_manager.abort(tx)
+                self.engine.end_tx_group(group)
 
     def current_transaction(self, shard_id: int = 0) -> Optional[Transaction]:
         context = self.contexts.get(shard_id)
@@ -413,9 +421,7 @@ class ShardedSession:
     def fetch(self, target: Union[str, OID]) -> Any:
         self.stats["fetches"] += 1
         with self.use():
-            in_tx = any(ctx.current() is not None
-                        for ctx in self.contexts.values())
-            if in_tx:
+            if self._groups:
                 if target in self._pins:
                     self.stats["pin_hits"] += 1
                     return self._pins[target]
@@ -457,20 +463,14 @@ class ShardedSession:
         return self._closed
 
     def close(self) -> None:
+        """Release the session: abort every open group (so its locks go),
+        drop the pins, and detach from the engine.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        for sid in self.shard_ids:
-            context = self.contexts[sid]
-            manager = self.engine.shards[sid].tx_manager
-            while context.stack:
-                tx = context.stack[-1]
-                try:
-                    with manager.activate(context):
-                        manager.abort(tx)
-                except Exception:
-                    if tx in context.stack:
-                        context.stack.remove(tx)
+        with Binding(self._binding.pairs):
+            for group in reversed(list(self._groups)):
+                self._end_group(group, commit=False)
         self._pins.clear()
         self.engine._forget_session(self)
 

@@ -2,9 +2,9 @@
 
 This is the first change where "the engine" stops being one object.  A
 :class:`ShardedEngine` owns N :class:`~repro.core.engine.ReachEngine`
-kernels, each with its own storage manager and WAL, lock table,
-transaction manager, histories, scheduler and temporal source — and
-splits the global concerns explicitly:
+kernels, each with its own storage manager and WAL, transaction
+manager, histories, scheduler and temporal source — and splits the
+global concerns explicitly:
 
 * **objects** partition by OID block: every shard's data dictionary
   allocates from a :class:`~repro.oodb.oid.ShardedOIDAllocator`, so the
@@ -24,8 +24,10 @@ splits the global concerns explicitly:
   (:class:`~repro.core.session.ShardedTransaction` sets
   ``Transaction.event_tx_ids``), so an occurrence detected in any
   member carries the whole group and same-transaction composite scope
-  treats all members as one transaction.  Commit is per-member
-  in shard order — explicitly *not* atomic across shards;
+  treats all members as one transaction, and a group over two or more
+  shards is one lock family in the engine's one lock table, so a
+  cross-shard deadlock is a cycle there.  Commit is per-member in shard
+  order — explicitly *not* atomic across shards (ROADMAP item 3);
 * **durability** is per shard: each shard has its own group-commit WAL,
   which its own recovery reads at open;
 * **observability** is the engine's, not the shards': the coordinator
@@ -64,7 +66,7 @@ from repro.core.events import (
     TemporalEventSpec,
 )
 from repro.core.rules import Rule
-from repro.core.session import ShardedSession
+from repro.core.session import ShardedSession, ShardedTransaction
 from repro.errors import ObjectNotFoundError, RuleDefinitionError
 from repro.obs.admin import AdminServer
 from repro.oodb.address_space import ShardMap
@@ -135,9 +137,10 @@ class ShardedEngine(EngineBase):
     :class:`~repro.core.engine.EngineBase` defines (``statistics()``,
     ``query``, ``drain_detached``, ``dead_letters``, ``checkpoint``, ...)
     covers the topology; sessions, rules, events and objects route
-    across it here.  The observability stack is the coordinator's own,
-    shared by every kernel; the ``/wal`` and ``/locks`` views cover every
-    shard's log and lock table; the catalog is shard 0's.
+    across it here.  The observability stack and the lock table are the
+    coordinator's own, shared by every kernel (``kernel.locks is
+    engine.locks``); the ``/wal`` view covers every shard's log; the
+    catalog is shard 0's.
 
     Args:
         directory: root directory; shard *k* lives in
@@ -167,10 +170,10 @@ class ShardedEngine(EngineBase):
         #: any of this engine's sessions, wherever the object lives.
         self.sentry_registry = SentryRegistry(
             scoped=True, name=f"sharded-{id(self):x}")
-        # One observability stack, handed to every kernel like the clock
-        # and the sentry registry; its flight ring dumps under
-        # ``directory``.
-        self._open_observability(directory)
+        # One stack — observability and the lock table — handed to every
+        # kernel like the clock and the sentry registry; its flight ring
+        # dumps under ``directory``.
+        self._open_stack(directory)
         self.metrics_registry.counter_fn(
             "sentry.notifications",
             lambda: self.sentry_registry.notifications_delivered)
@@ -189,10 +192,6 @@ class ShardedEngine(EngineBase):
         self.kernels = tuple(self.shards)
 
         self.bus = CrossShardEventBus()
-        #: sharded transactions in flight
-        #: (``statistics()["shards"]["tx_groups"]``)
-        self._open_groups = 0
-        self._group_lock = threading.Lock()
 
         #: rule name -> (rule, home shard engine)
         self._rules: dict[str, tuple[Rule, ReachEngine]] = {}
@@ -276,22 +275,26 @@ class ShardedEngine(EngineBase):
     # Transaction groups (cross-shard composite scope)
     # ------------------------------------------------------------------
 
-    def register_tx_group(self) -> None:
-        """Count a sharded transaction in flight."""
-        with self._group_lock:
-            self._open_groups += 1
-
-    def unregister_tx_group(self, ids: frozenset[int]) -> None:
-        """Count a finished sharded transaction out and sweep its member
-        group's single-tx composition graphs on every shard (the sharded
-        analogue of the per-transaction-EOT discard, Section 3.3: member
-        EOTs cannot do it — members end one at a time while later members
-        may still raise events for the group)."""
-        with self._group_lock:
-            self._open_groups -= 1
+    def end_tx_group(self, group: ShardedTransaction) -> None:
+        """End a sharded transaction once its last member is decided:
+        sweep its single-tx composition graphs on every shard (the
+        sharded analogue of the per-transaction-EOT discard, Section 3.3,
+        which a member's EOT cannot do: later members may still raise
+        events for the group), release its lock family, and record each
+        member's outcome on the other members' shards, where work
+        triggered in the group waits for it."""
         for shard in self.shards:
             for manager in shard.events.composite_managers():
-                manager.composer.on_group_end(ids)
+                manager.composer.on_group_end(group.ids)
+        if group.family_id is None:
+            return                      # one member, which had its own
+        self.locks.release_all(group.family_id)
+        for sid, tx in group.members.items():
+            if self.shards[sid].tx_manager.outcome_of(tx.id) is None:
+                continue                # undecided, or nested
+            for other in group.members.keys() - {sid}:
+                self.shards[other].tx_manager.record_outcome(tx)
+                self.shards[other].scheduler.on_transaction_outcome(tx)
 
     # ------------------------------------------------------------------
     # Schema
@@ -441,7 +444,9 @@ class ShardedEngine(EngineBase):
     # ------------------------------------------------------------------
 
     def _topology_state(self) -> dict[str, Any]:
-        return {"event_bus": self.bus.stats(), "tx_groups": self._open_groups}
+        return {"event_bus": self.bus.stats(),
+                "tx_groups": sum(len(session._groups)
+                                 for session in list(self._sessions))}
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

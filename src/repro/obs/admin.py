@@ -16,7 +16,7 @@ the engine's existing introspection surfaces:
 ``/slow-rules``           per-rule firing latency from traces, plus each
                           rule's coupling, priority and counts
 ``/why/<seq>``            one event occurrence, its components and firings
-``/locks``                every kernel's lock table + ``concurrency``
+``/locks``                the engine's lock table + ``concurrency``
 ``/wal``                  the ``wal`` section + every kernel's WAL row
 ``/composer``             half-matched composites + checkpoint/restore LSNs
 ``/shards``               the ``shards`` section: topology, per-shard rows
@@ -44,7 +44,6 @@ from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.export import render_prometheus
-from repro.obs.metrics import merge_stats
 
 
 def slow_rules(engine: Any, limit: int = 20) -> list[dict[str, Any]]:
@@ -303,14 +302,12 @@ class AdminServer:
         return self._json(answer)
 
     def _locks(self, query: dict[str, str]) -> tuple[str, str]:
-        # Every kernel's live lock table, merged (resources union,
-        # counts sum, stripe occupancy concatenates in kernel order),
-        # plus the statistics' concurrency section (stripe wait
-        # percentiles, WAL, history merge lag).  The top-level keys
-        # (resources/stripes/stripe_occupancy/deadlocks_detected/
-        # timeouts) are part of the endpoint's contract and stay.
-        payload = merge_stats([kernel.locks.snapshot()
-                               for kernel in self.engine.kernels])
+        # The engine's one live lock table (its kernels share it), plus
+        # the statistics' concurrency section (stripe wait percentiles,
+        # WAL, history merge lag).  The top-level keys (resources/
+        # stripes/stripe_occupancy/deadlocks_detected/timeouts) are part
+        # of the endpoint's contract and stay.
+        payload = self.engine.locks.snapshot()
         payload["concurrency"] = self.engine.statistics()["concurrency"]
         return self._json(payload)
 

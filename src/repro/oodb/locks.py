@@ -231,16 +231,8 @@ class LockManager:
 
     def _is_next_compatible_waiter(self, state: _LockState,
                                    entry: tuple[int, LockMode]) -> bool:
-        """FIFO fairness: only the earliest waiter whose grant is possible
-        proceeds, except that compatible S requests may overtake nothing."""
-        for waiting in state.waiters:
-            if waiting is entry:
-                return True
-            # An earlier waiter exists; only let us pass if granting us
-            # cannot starve it (we are S and it is also currently blocked
-            # by an X holder that blocks us too — simplest: don't overtake).
-            return False
-        return True
+        """FIFO fairness: only the earliest waiter is granted."""
+        return not state.waiters or state.waiters[0] is entry
 
     def _grantable(self, state: _LockState, family: int,
                    mode: LockMode) -> bool:
@@ -316,23 +308,6 @@ class LockManager:
                     if not state.holders and not state.waiters:
                         del stripe.table[resource]
                 stripe.condition.notify_all()
-
-    def release(self, family: int, resource: Hashable) -> None:
-        stripe = self._stripe_of(resource)
-        with stripe.condition:
-            state = stripe.table.get(resource)
-            if state is not None:
-                state.holders.pop(family, None)
-                if not state.holders and not state.waiters:
-                    del stripe.table[resource]
-                stripe.condition.notify_all()
-        mutex, bucket = self._family_slot(family)
-        with mutex:
-            held = bucket.get(family)
-            if held is not None:
-                held.discard(resource)
-                if not held:
-                    del bucket[family]
 
     def transfer(self, from_family: int, to_family: int) -> None:
         """Move every lock from one family to another.

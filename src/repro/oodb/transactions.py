@@ -36,7 +36,8 @@ object and no bus dispatch.
 
 Locking follows the closed-nested convention: all locks are held by the
 transaction *family* (top-level transaction and descendants) and released
-when the top level finishes.
+when the top level finishes (a sharded group's members share one, which
+the group releases once its last member is decided).
 
 Transaction scope is an explicit, first-class context: every client
 session owns a :class:`TransactionContext` (its current-transaction
@@ -130,10 +131,12 @@ class Transaction:
     _ids = itertools.count(1)
 
     def __init__(self, parent: Optional["Transaction"] = None,
-                 deadline: Optional[float] = None):
+                 deadline: Optional[float] = None,
+                 family_id: Optional[int] = None):
         self.id = next(Transaction._ids)
         self.parent = parent
-        self.family_id = parent.family_id if parent else self.id
+        self.family_id = parent.family_id if parent \
+            else family_id or self.id
         self.state = TransactionState.ACTIVE
         self.undo_log: list[Callable[[], None]] = []
         self.deferred_rules: list[Any] = []
@@ -352,13 +355,15 @@ class TransactionManager:
 
     def begin(self, nested: Optional[bool] = None,
               deadline: Optional[float] = None,
-              rule_depth: Optional[int] = None) -> Transaction:
+              rule_depth: Optional[int] = None,
+              family_id: Optional[int] = None) -> Transaction:
         """Begin a transaction.
 
         ``nested=None`` (default) nests under the current transaction when
         one exists, otherwise begins top-level.  ``nested=False`` forces a
         new top-level transaction (used to spawn detached rules) even if a
-        transaction is current on this thread.
+        transaction is current on this thread.  ``family_id`` gives a
+        top-level transaction its sharded group's lock family.
         """
         context = self.current_context()
         parent = context.current() if nested is not False else None
@@ -371,7 +376,8 @@ class TransactionManager:
                 TransactionState.ACTIVE, TransactionState.COMMITTING):
             raise TransactionStateError(
                 f"cannot nest under {parent}: not active")
-        tx = Transaction(parent=parent, deadline=deadline)
+        tx = Transaction(parent=parent, deadline=deadline,
+                         family_id=family_id)
         if rule_depth is not None:
             # Set before the begin hooks run so flow-event suppression for
             # rule-spawned transactions sees the true depth.
@@ -454,8 +460,9 @@ class TransactionManager:
 
         Top-level commit: run the EOT hooks (deferred rules) and the
         pre-commit hooks (persistence flush), mark committed, release the
-        family's locks, record the outcome for dependency tracking, then
-        run the commit and post-commit hooks.
+        family's locks if the transaction owns its family, record the
+        outcome for dependency tracking, then run the commit and
+        post-commit hooks.
 
         Nested commit: merge effects into the parent; the work becomes
         permanent only if every ancestor commits.
@@ -492,8 +499,8 @@ class TransactionManager:
             raise
         if top_level:
             tx.state = TransactionState.COMMITTED
-            self.locks.release_all(tx.family_id)
-            self._record_outcome(tx)
+            self.locks.release_all(tx.id)  # a group member's: none
+            self.record_outcome(tx)
         else:
             parent = tx.parent
             parent.undo_log.extend(tx.undo_log)
@@ -534,8 +541,8 @@ class TransactionManager:
         if top_level:
             for hook in self._on_abort:
                 hook(tx)
-            self.locks.release_all(tx.family_id)
-            self._record_outcome(tx)
+            self.locks.release_all(tx.id)
+            self.record_outcome(tx)
         else:
             tx.parent.active_children -= 1
         self._pop(tx)
@@ -591,7 +598,8 @@ class TransactionManager:
 
     # -- outcome tracking (for causal dependencies) ---------------------------------
 
-    def _record_outcome(self, tx: Transaction) -> None:
+    def record_outcome(self, tx: Transaction) -> None:
+        """Record a decided top-level transaction (or group member)."""
         self._outcomes[tx.id] = tx.state
 
     def outcome_of(self, tx_id: int) -> Optional[TransactionState]:

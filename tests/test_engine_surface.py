@@ -5,9 +5,13 @@
 ``ShardedEngine``), the statistics merge and the lifecycle.  A method
 that both engine classes define themselves is either on the allow-list
 below or a duplicate that belongs on ``EngineBase``.  The guard reads the
-class dicts only; it builds no engine.
+class dicts; only the check that the kernels share their engine's stack
+builds engines.
 """
 
+import pytest
+
+from repro.config import ExecutionConfig, ShardingConfig
 from repro.core.engine import EngineBase, ReachEngine
 from repro.core.sharding import ShardedEngine
 
@@ -38,9 +42,9 @@ DELETED = {
 }
 
 #: Shard-0 pass-throughs a sharded engine no longer has: each reader
-#: goes over ``kernels`` (the admin ``/locks`` view merges every
-#: kernel's lock table).
-NOT_ON_SHARDED = {"locks", "storage"}
+#: goes over ``kernels``.  (``locks`` is not one: it is the engine's own
+#: lock table, which every kernel shares.)
+NOT_ON_SHARDED = {"storage"}
 
 
 def _methods(cls) -> set[str]:
@@ -69,3 +73,18 @@ def test_restating_accessors_are_gone():
 
 def test_shard_zero_pass_throughs_are_gone():
     assert not NOT_ON_SHARDED & set(dir(ShardedEngine))
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_every_kernel_locks_in_the_engines_table(tmp_path, shards):
+    engine = ShardedEngine(
+        directory=str(tmp_path / "db"),
+        config=ExecutionConfig(sharding=ShardingConfig(shards=shards))) \
+        if shards > 1 else ReachEngine(directory=str(tmp_path / "db"))
+    try:
+        assert len(engine.kernels) == shards
+        for kernel in engine.kernels:
+            assert kernel.locks is engine.locks
+            assert kernel.tx_manager.locks is engine.locks
+    finally:
+        engine.close()

@@ -20,22 +20,36 @@ The ISSUE 7 acceptance criteria pinned here:
 
 import json
 import os
+import random
 import sys
 import threading
+import time
 import urllib.request
 
 import pytest
 
-from repro import CouplingMode, MethodEventSpec, SignalEventSpec, sentried
+from repro import (
+    AbsoluteEventSpec,
+    CouplingMode,
+    MethodEventSpec,
+    SignalEventSpec,
+    sentried,
+)
 from repro.config import ExecutionConfig, ShardingConfig
 from repro.core.algebra import Sequence
 from repro.core.consumption import ConsumptionPolicy
 from repro.core.engine import ReachEngine
 from repro.core.sharding import ShardedEngine
-from repro.errors import ObjectNotFoundError
+from repro.errors import (
+    DeadlockError,
+    LockError,
+    ObjectNotFoundError,
+    TransactionStateError,
+)
 from repro.obs.export import TelemetryPipeline
 from repro.obs.flight import FlightRecorder, latest_dump, load_dump
 from repro.oodb.address_space import ShardMap
+from repro.oodb.locks import DEFAULT_LOCK_STRIPES, LockMode
 from repro.oodb.oid import DEFAULT_OID_RANGE_SIZE
 
 from tests.test_algebra_properties import RefEvaluator, RefSeq, _seqs
@@ -768,8 +782,7 @@ class TestOneSurfaceOverTheKernels:
                 engine.rule(f"det-{sid}", SignalEventSpec(name),
                             action=action(f"det-{sid}"),
                             coupling=CouplingMode.DETACHED)
-            # Shard-local sessions: a detached firing in a spanning
-            # transaction never runs (ROADMAP 2b).
+            # Shard-local sessions: each shard's work is its own entry.
             for sid in (1, 0):
                 session = engine.create_session(shards=[sid])
                 with session.transaction():
@@ -816,7 +829,8 @@ class TestOneSurfaceOverTheKernels:
 
 
 class TestAdminViewsOverTheKernels:
-    """The admin ``/locks`` and ``/why/<seq>`` views read every kernel."""
+    """The admin ``/locks`` view reads the engine's one lock table, and
+    ``/why/<seq>`` reads every kernel."""
 
     def _get(self, engine, path):
         host, port = engine.admin_address
@@ -839,17 +853,17 @@ class TestAdminViewsOverTheKernels:
                 oids = [session.persist(bin_, bin_.label, shard=sid)
                         for sid, bin_ in enumerate(bins)]
             assert [engine.shard_of(oid) for oid in oids] == [0, 1]
-            with session.transaction():
+            with session.transaction() as stx:
                 for bin_ in bins:   # a write: an X lock on each shard
                     bin_.label += "!"
                 locks = self._get(engine, "/locks")
-                held = [kernel.locks.snapshot() for kernel in engine.kernels]
             assert set(locks["resources"]) == {repr(oid) for oid in oids}
-            for snapshot in held:
-                assert set(snapshot["resources"]) <= set(locks["resources"])
-            assert locks["stripes"] == sum(s["stripes"] for s in held)
-            assert locks["stripe_occupancy"] == \
-                held[0]["stripe_occupancy"] + held[1]["stripe_occupancy"]
+            # The group is one family, holding both shards' objects in
+            # the engine's one table.
+            assert [row["holders"] for row in locks["resources"].values()] \
+                == [{str(stx.family_id): "X"}] * 2
+            assert locks["stripes"] == DEFAULT_LOCK_STRIPES == 16
+            assert len(locks["stripe_occupancy"]) == 16
             assert {"deadlocks_detected", "timeouts", "concurrency"} <= \
                 set(locks)
         finally:
@@ -889,6 +903,285 @@ class TestAdminViewsOverTheKernels:
         finally:
             engine.close()
 
+
+@sentried
+class Bin:
+    def __init__(self, label):
+        self.label = label
+        self.count = 0
+
+
+class TestOneLockTable:
+    """ROADMAP 18a: a sharded engine has one lock table, and a spanning
+    transaction is one lock family in it, so two shards lock as one
+    kernel does."""
+
+    #: lock timeout for these tests: a wait the old per-kernel tables
+    #: could not see through ends here instead of after ten seconds.
+    TIMEOUT = 2.0
+
+    def _engine(self, tmp_path, **config):
+        """A two-shard engine holding bin ``a`` on shard 0 and ``b`` on
+        shard 1; returns the engine, the bins and their OIDs."""
+        engine = _two_shards(tmp_path, "locks", **config)
+        for kernel in engine.kernels:
+            kernel.locks.timeout = self.TIMEOUT
+        engine.register_class(Bin)
+        bins = [Bin("a"), Bin("b")]
+        session = engine.create_session()
+        with session.transaction():
+            oids = [session.persist(bin_, bin_.label, shard=sid)
+                    for sid, bin_ in enumerate(bins)]
+        session.close()
+        assert [engine.shard_of(oid) for oid in oids] == [0, 1]
+        return engine, bins, oids
+
+    @staticmethod
+    def _waiting_on(engine, oid):
+        return any(kernel.locks.snapshot()["resources"]
+                   .get(repr(oid), {}).get("waiters")
+                   for kernel in engine.kernels)
+
+    def _cross(self, engine, bins, oids):
+        """Session ``one`` writes ``a`` then ``b``; once it waits for
+        ``b``, session ``two`` (which wrote ``b``) writes ``a``.  Returns
+        each session's outcome and how long its second write took."""
+        first_writes = threading.Barrier(2, timeout=10.0)
+        results = {}
+
+        def run(name, order):
+            session = engine.create_session(name)
+            try:
+                with session.transaction():
+                    bins[order[0]].label += name
+                    first_writes.wait()
+                    if name == "two":
+                        deadline = time.monotonic() + 10.0
+                        while not self._waiting_on(engine, oids[1]):
+                            assert time.monotonic() < deadline
+                            time.sleep(0.001)
+                    started = time.monotonic()
+                    try:
+                        bins[order[1]].label += name
+                    finally:
+                        results[name] = [time.monotonic() - started]
+                results[name].append("committed")
+            except LockError as exc:
+                results[name].append(type(exc).__name__)
+            finally:
+                session.close()
+
+        threads = [threading.Thread(target=run, args=("one", (0, 1))),
+                   threading.Thread(target=run, args=("two", (1, 0)))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        return results
+
+    def test_crossed_locks_across_shards_deadlock_at_once(self, tmp_path):
+        engine, bins, oids = self._engine(tmp_path)
+        try:
+            results = self._cross(engine, bins, oids)
+            waited, outcome = results["two"]
+            assert outcome == "DeadlockError"
+            assert waited < 0.1
+            assert results["one"][1] == "committed"
+            assert engine.locks.snapshot()["resources"] == {}
+        finally:
+            engine.close()
+
+    def test_a_cross_shard_deadlock_is_counted_once(self, tmp_path):
+        engine, bins, oids = self._engine(tmp_path, observability=True)
+        try:
+            self._cross(engine, bins, oids)
+            assert engine.metrics().counter("locks.deadlocks").value == 1
+            locks = engine.statistics()["concurrency"]["locks"]
+            assert locks["deadlocks_detected"] == 1
+            assert locks["timeouts"] == 0
+        finally:
+            engine.close()
+
+    def test_shard_one_commits_while_the_group_holds_shard_zero(
+            self, tmp_path):
+        engine, bins, oids = self._engine(tmp_path)
+        try:
+            seen = []
+            engine.shards[1].tx_manager.set_hooks(object(), commit=(
+                lambda tx: seen.append(
+                    engine.kernels[0].locks.holders_of(oids[0])),))
+            session = engine.create_session()
+            with session.transaction() as stx:
+                for bin_ in bins:
+                    bin_.label += "!"
+            assert seen == [{stx.family_id: LockMode.EXCLUSIVE}]
+            assert engine.locks.snapshot()["resources"] == {}
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("ending", [
+        "commit", "member_commit_failure", "body_exception",
+        "session_close"])
+    def test_no_lock_outlives_the_group(self, tmp_path, ending):
+        engine, bins, oids = self._engine(tmp_path)
+        try:
+            def veto(tx):
+                raise RuntimeError("shard 1 vetoes its member")
+
+            if ending == "member_commit_failure":
+                engine.shards[1].tx_manager.set_hooks(object(), eot=(veto,))
+            session = engine.create_session()
+            expected = {"commit": None, "member_commit_failure": RuntimeError,
+                        "body_exception": ValueError,
+                        "session_close": TransactionStateError}[ending]
+            try:
+                with session.transaction():
+                    for bin_ in bins:
+                        bin_.label += "!"
+                    if ending == "body_exception":
+                        raise ValueError("the body fails")
+                    if ending == "session_close":
+                        session.close()
+                        assert engine.locks.snapshot()["resources"] == {}
+            except Exception as exc:
+                assert type(exc) is expected
+            else:
+                assert expected is None
+            assert engine.locks.snapshot()["resources"] == {}
+            assert engine.statistics()["shards"]["tx_groups"] == 0
+            # Shard 0 committed before shard 1 failed (item 3).
+            assert [bin_.label for bin_ in bins] == {
+                "commit": ["a!", "b!"], "member_commit_failure": ["a!", "b"],
+                "body_exception": ["a", "b"],
+                "session_close": ["a", "b"]}[ending]
+        finally:
+            engine.close()
+
+    def test_detached_work_released_between_member_commits(self, tmp_path):
+        """Detached work ready while the group runs is drained by shard
+        0's member commit; it writes ``a``, which the group holds until
+        shard 1 has committed too, so it must wait for the group's end
+        rather than for its own thread."""
+        engine, bins, oids = self._engine(tmp_path)
+        try:
+            at = next(at for at in range(1, 1000)
+                      if engine.shard_for_key(
+                          AbsoluteEventSpec(float(at)).key()) == 0)
+            engine.rule("touch", AbsoluteEventSpec(float(at)),
+                        action=lambda ctx: setattr(bins[0], "label",
+                                                   "detached"),
+                        coupling=CouplingMode.DETACHED)
+            session = engine.create_session()
+            started = time.monotonic()
+            with session.transaction():
+                for bin_ in bins:
+                    bin_.label += "!"
+                engine.clock.advance(at)   # the temporal event: no trigger
+            assert time.monotonic() - started < self.TIMEOUT / 4
+            assert bins[0].label == "detached"
+            stats = engine.statistics()
+            assert stats["scheduler"]["detached_run"] == 1
+            assert stats["scheduler"]["dead_lettered"] == 0
+            assert stats["concurrency"]["locks"]["timeouts"] == 0
+            assert engine.locks.snapshot()["resources"] == {}
+        finally:
+            engine.close()
+
+    def test_a_contingency_takes_the_spanning_triggers_locks(self, tmp_path):
+        engine, bins, oids = self._engine(tmp_path)
+        try:
+            (name,) = _signal_names_homed_on(engine.shard_map, [0])
+            observed = {}
+
+            def contingency(ctx):
+                observed["family"] = ctx.transaction.family_id
+                observed["holders"] = [engine.locks.holders_of(oid)
+                                       for oid in oids]
+
+            engine.rule("contingency", SignalEventSpec(name),
+                        action=contingency,
+                        coupling=CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT,
+                        transfer_locks=True)
+            session = engine.create_session()
+            with pytest.raises(ValueError):
+                with session.transaction():
+                    for bin_ in bins:
+                        bin_.label += "!"
+                    session.signal(name)
+                    raise ValueError("the trigger aborts")
+            engine.drain_detached()
+            family = observed["family"]
+            assert observed["holders"] == [{family: LockMode.EXCLUSIVE}] * 2
+            assert engine.locks.snapshot()["resources"] == {}
+            assert engine.statistics()["scheduler"]["detached_run"] == 1
+        finally:
+            engine.close()
+
+
+    def test_spanning_writers_under_contention_leave_the_table_clean(
+            self, tmp_path):
+        """Four threads on two cores each commit spanning transactions
+        that increment two of four bins (two per shard) in random order,
+        retrying a deadlock victim.  Each increment reads under the X
+        lock its first write took, so no committed increment is lost; no
+        wait times out, and no lock outlives its group."""
+        engine, bins, oids = self._engine(tmp_path)
+        try:
+            session = engine.create_session()
+            with session.transaction():
+                for sid, label in enumerate("cd"):
+                    bins.append(Bin(label))
+                    session.persist(bins[-1], label, shard=sid)
+            session.close()
+            per_thread, committed, errors = 25, [], []
+            start = threading.Barrier(4, timeout=10.0)
+
+            def write(seed):
+                rng = random.Random(seed)
+                session = engine.create_session(f"w{seed}")
+                start.wait()
+                try:
+                    for __ in range(per_thread):
+                        pair = rng.sample(bins, 2)
+                        while True:
+                            try:
+                                with session.transaction():
+                                    for bin_ in pair:
+                                        bin_.owner = seed   # the X lock
+                                        bin_.count += 1
+                            except DeadlockError:
+                                # A victim retried at once meets the same
+                                # cycle again: back off first.
+                                time.sleep(rng.random() / 1000)
+                                continue
+                            committed.append(pair)
+                            break
+                except BaseException as exc:
+                    errors.append(exc)
+                finally:
+                    session.close()
+
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=write, args=(seed,))
+                           for seed in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(previous)
+            assert errors == []
+            assert len(committed) == 4 * per_thread
+            assert sum(bin_.count for bin_ in bins) == 2 * len(committed)
+            assert engine.statistics()["concurrency"]["locks"][
+                "timeouts"] == 0
+            assert engine.locks.snapshot()["resources"] == {}
+        finally:
+            engine.close()
 
 class TestDetectionOnAnotherShard:
     """ROADMAP 2c: a session bound to ``shards=[k]`` calls a method whose
