@@ -17,9 +17,9 @@ harness therefore models the device deterministically — fault injection
 arms an unlimited ``wal.fsync`` delay of ``FSYNC_DELAY_US`` on every
 shard (the injected sleep releases the GIL, exactly like a real flush)
 — and measures fixed total work: ``TOTAL_TX`` single-object insert
-transactions split across one committer thread per shard, each bound to
-its shard via a :class:`~repro.core.session.ShardedSession` restricted
-with ``shards=[k]``.
+transactions split across one committer thread per shard, each placing
+its objects on its shard through a
+:class:`~repro.core.session.ShardedSession` created with ``shards=[k]``.
 
 Levels are measured in interleaved rounds and the scaling assertion
 compares per-round paired ratios (4-shard vs single-shard throughput),
@@ -72,7 +72,7 @@ def _run_level(tmp_path, shard_count):
             try:
                 barrier.wait()
                 for i in range(tx_per_shard):
-                    with session.transaction(shards=[k]):
+                    with session.transaction():
                         session.persist(Ledger(f"s{k}-{i}"), shard=k)
             except Exception as exc:
                 errors.append(exc)

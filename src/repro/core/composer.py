@@ -556,21 +556,12 @@ class Composer:
     def _group_of(self, occ: EventOccurrence) -> Optional[Hashable]:
         if self.scope is EventScope.MULTI_TX:
             return _GLOBAL_GROUP
-        if not occ.tx_ids:
+        if len(occ.tx_ids) != 1:
             # An occurrence raised outside any transaction cannot belong
             # to a single-transaction composition (there is no EOT to
             # scope its lifespan to): ignore it.
             self.ignored_no_transaction += 1
             return None
-        if len(occ.tx_ids) > 1:
-            # A sharded transaction: the event service expanded the
-            # detecting member's id to the full member group, so every
-            # occurrence of one sharded transaction carries the same
-            # frozenset — which therefore serves as the group key.  The
-            # coordinator sweeps it via on_group_end when the sharded
-            # transaction finishes (per-member EOT cannot: members end
-            # one at a time while later members may still raise events).
-            return occ.tx_ids
         return next(iter(occ.tx_ids))
 
     def feed(self, occ: EventOccurrence) -> list[EventOccurrence]:
@@ -629,10 +620,9 @@ class Composer:
         """Discard the graph instance of a finished transaction."""
         return self._discard_group(tx_id)
 
-    def on_group_end(self, tx_ids: frozenset) -> int:
-        """Discard the graph instance of a finished *sharded* transaction
-        (grouped by its full member-id set, see :meth:`_group_of`)."""
-        return self._discard_group(tx_ids)
+    # Bound only because benchmarks/pipeline/spans.py wraps it by name;
+    # ROADMAP item 19 (the benchmark stops patching src/ by name) deletes it.
+    on_group_end = on_transaction_end
 
     def _discard_group(self, group: Hashable) -> int:
         # Most transactions leave no graph; skip the lock for them.  A feed

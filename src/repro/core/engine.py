@@ -4,10 +4,10 @@ The paper's Figure 1 meta-architecture plugs policy managers into one
 kernel; this module is that kernel.  A :class:`ReachEngine` owns every
 process-wide service — storage manager and WAL, data dictionary, the
 sentry registry, the event service with its ECA-managers and composers,
-the rule scheduler, the temporal event source, the lock table and the
-observability stack (a sharded engine's kernels share their
-coordinator's) — while per-client state (the current-transaction
-stack, the pin cache, the firing context) lives in
+the rule scheduler, the temporal event source, the transaction manager,
+the lock table and the observability stack (a sharded engine's kernels
+share their coordinator's last three) — while per-client state (the
+current-transaction stack, the pin cache, the firing context) lives in
 :class:`~repro.core.session.Session` objects created from the engine.
 
 The split is the structural prerequisite for serving many concurrent
@@ -148,14 +148,15 @@ class _NamedSupportModule(SupportModule):
 
 class EngineBase(RuleDefinitions):
     """What both engines share: one stack, the session registry, the
-    network front end's hook, the introspection surface, every operation
-    that fans out over the kernels, and the lifecycle.
+    network front end's hook, the introspection surface, transactions,
+    every operation that fans out over the kernels, and the lifecycle.
 
     The stack is the metrics registry, tracer, flight recorder, telemetry
-    pipeline, fault registry and lock table.  A :class:`ReachEngine`
-    builds its own; a :class:`~repro.core.sharding.ShardedEngine` builds
-    one and hands it to every kernel, so the kernels count, trace, record
-    and lock in the same objects.
+    pipeline, fault registry, lock table and transaction manager.  A
+    :class:`ReachEngine` builds its own; a
+    :class:`~repro.core.sharding.ShardedEngine` builds one and hands it to
+    every kernel, so the kernels count, trace, record, lock and run
+    transactions in the same objects.
 
     ``kernels`` is the tuple of :class:`ReachEngine` kernels the engine
     runs on: ``(self,)`` for a ReachEngine, the shards for a sharded
@@ -173,7 +174,10 @@ class EngineBase(RuleDefinitions):
 
     def _open_stack(self, directory: str,
                     owner: Optional["EngineBase"] = None) -> None:
-        """Build this engine's stack, or take ``owner``'s."""
+        """Build this engine's meta-architecture bus, and its stack or
+        take ``owner``'s.  The transaction manager raises its bus events
+        on its builder's bus."""
+        self.meta = MetaArchitecture()
         if owner is not None:
             self.metrics_registry = owner.metrics_registry
             self.tracer = owner.tracer
@@ -181,6 +185,7 @@ class EngineBase(RuleDefinitions):
             self.telemetry_pipeline = owner.telemetry_pipeline
             self.faults = owner.faults
             self.locks = owner.locks
+            self.tx_manager = owner.tx_manager
             return
         config = self.config
         # Inert null-object pipelines unless ``config.observability`` is
@@ -219,6 +224,12 @@ class EngineBase(RuleDefinitions):
         self.locks = LockManager(
             metrics=self.metrics_registry, faults=self.faults,
             flight=self.flight, tracer=self.tracer)
+        self.tx_manager = TransactionManager(
+            self.meta, self.locks, clock=self.clock, tracer=self.tracer,
+            metrics=self.metrics_registry)
+        self.metrics_registry.gauge_fn(
+            "scheduler.deferred.depth",
+            self.tx_manager.pending_deferred_count)
 
     # ------------------------------------------------------------------
     # Sessions
@@ -249,6 +260,22 @@ class EngineBase(RuleDefinitions):
         with self._lock:
             if session in self._sessions:
                 self._sessions.remove(session)
+
+    # ------------------------------------------------------------------
+    # Transactions (engine-level: current ambient context)
+    # ------------------------------------------------------------------
+
+    def transaction(self, nested: Optional[bool] = None,
+                    deadline: Optional[float] = None) -> TransactionScope:
+        """``with engine.transaction() as tx:`` on the calling thread's
+        transaction stack — commits on success, aborts on exception, and
+        binds this engine's event scope for the body."""
+        return TransactionScope(self.tx_manager,
+                                self.sentry_registry.bound(),
+                                nested=nested, deadline=deadline)
+
+    def current_transaction(self) -> Optional[Transaction]:
+        return self.tx_manager.current()
 
     # ------------------------------------------------------------------
     # Network front end registration (duck-typed; see repro.server)
@@ -387,8 +414,8 @@ class EngineBase(RuleDefinitions):
         are correct whether or not ``config.observability`` is enabled;
         the ``observability`` section carries the metrics snapshot (null
         when disabled).  On a sharded engine the kernels' sections
-        aggregate over the shards, and ``rules``, ``sessions``,
-        ``faults``, ``flight``, ``telemetry``, ``server``,
+        aggregate over the shards, and ``transactions``, ``rules``,
+        ``sessions``, ``faults``, ``flight``, ``telemetry``, ``server``,
         ``observability`` and ``concurrency.locks`` come from the
         engine's one registry or stack.
 
@@ -424,10 +451,10 @@ class EngineBase(RuleDefinitions):
           skipped, composer-checkpoint bookkeeping and restore
           fallbacks);
         * ``shards`` — the topology (``count``, ``oid_range_size``) and
-          one row per kernel (identity, next OID, objects,
-          transactions, events, rules, its WAL's live view); a
-          single-kernel engine reports itself as a one-shard topology,
-          and a sharded engine adds ``event_bus`` and ``tx_groups``;
+          one row per kernel (identity, next OID, objects, events,
+          rules, its WAL's live view); a single-kernel engine reports
+          itself as a one-shard topology, and a sharded engine adds
+          ``event_bus``;
         * ``server`` — the attached network front end's
           connection/request counters (``{"enabled": False, ...}`` when
           no server is attached);
@@ -445,6 +472,7 @@ class EngineBase(RuleDefinitions):
         sections = [kernel._kernel_sections() for kernel in self.kernels]
         rows = [section.pop("shard") for section in sections]
         stats = merge_stats(sections)
+        stats["transactions"] = self.tx_manager.stats.snapshot()
         stats["concurrency"]["locks"] = self.locks.wait_stats()
         stats["shards"] = {
             "count": len(self.kernels),
@@ -469,7 +497,7 @@ class EngineBase(RuleDefinitions):
 
     def _topology_state(self) -> dict[str, Any]:
         """Topology-wide entries of the ``shards`` section beyond the
-        kernel rows (a sharded engine's event bus and groups)."""
+        kernel rows (a sharded engine's event bus)."""
         return {}
 
     def composer_stats(self) -> dict[str, Any]:
@@ -518,9 +546,12 @@ class EngineBase(RuleDefinitions):
         return [row for result in results for row in result]
 
     def flush(self) -> None:
-        """Flush dirty persistent state outside a user transaction."""
-        for kernel in self.kernels:
-            kernel.persistence.flush_now()
+        """Flush dirty persistent state in a top-level transaction of its
+        own, with no object work, so every kernel's dirty catalog is
+        written (even inside a user transaction, whose work it leaves
+        alone)."""
+        with self.tx_manager.transaction(nested=False):
+            pass  # the pre-commit step flushes every kernel
 
     def checkpoint(self) -> None:
         for kernel in self.kernels:
@@ -603,6 +634,10 @@ class EngineBase(RuleDefinitions):
             session.close()
         for kernel in self.kernels:
             kernel._stop()
+        # Commits stop flushing only once every kernel's rule work has
+        # stopped: one kernel's step flushes all of a sharded engine's.
+        for kernel in self.kernels:
+            kernel.persistence.detach()
         # The telemetry pipeline drains before storage closes so a final
         # flush can still observe a consistent engine.  A shared stack is
         # closed by its owner, and its lock table cleared once every
@@ -653,8 +688,9 @@ class ReachEngine(EngineBase):
             more than one shard, the engine's data dictionary allocates
             from a :class:`~repro.oodb.oid.ShardedOIDAllocator` so this
             kernel only ever issues OIDs it owns.
-        stack_owner: an engine whose stack (observability and lock
-            table) this kernel shares instead of building its own; a
+        stack_owner: an engine whose stack (observability, lock table
+            and transaction manager) this kernel shares instead of
+            building its own; a
             :class:`~repro.core.sharding.ShardedEngine` passes itself to
             every kernel.
     """
@@ -685,7 +721,7 @@ class ReachEngine(EngineBase):
                 f"kernel of a {self.shard_map.shard_count}-shard topology; "
                 f"build a ShardedEngine to shard the engine")
 
-        # -- observability (repro.obs, repro.faults) and the lock table ---
+        # -- observability (repro.obs, repro.faults), locks, transactions --
         # Built first so every subsystem can bind its instruments at
         # construction; a sharded topology's kernels share one stack.
         if stack_owner is not None:
@@ -713,11 +749,7 @@ class ReachEngine(EngineBase):
                 lambda: sentry_registry.notifications_delivered)
         self.sentry_registry = sentry_registry
 
-        # -- meta-architecture and support modules (Figure 1) ------------
-        self.meta = MetaArchitecture()
-        self.tx_manager = TransactionManager(
-            self.meta, self.locks, clock=self.clock, tracer=self.tracer,
-            metrics=self.metrics_registry)
+        # -- support modules (Figure 1) -------------------------------------
         self.storage = StorageManager(directory,
                                       buffer_capacity=buffer_capacity,
                                       metrics=self.metrics_registry,
@@ -822,9 +854,6 @@ class ReachEngine(EngineBase):
             "scheduler.pending_age", self.scheduler.pending_age,
             combine=max)
         self.metrics_registry.gauge_fn(
-            "scheduler.deferred.depth",
-            self.tx_manager.pending_deferred_count)
-        self.metrics_registry.gauge_fn(
             "composer.semi_composed.pending",
             self.events.pending_semi_composed)
         self.metrics_registry.gauge_fn(
@@ -889,22 +918,6 @@ class ReachEngine(EngineBase):
         name = cls_or_name if isinstance(cls_or_name, str) \
             else cls_or_name.__name__
         return self.indexes.create_index(name, attribute)
-
-    # ------------------------------------------------------------------
-    # Transactions (engine-level: current ambient context)
-    # ------------------------------------------------------------------
-
-    def transaction(self, nested: Optional[bool] = None,
-                    deadline: Optional[float] = None) -> TransactionScope:
-        """``with engine.transaction() as tx:`` on the calling thread's
-        transaction stack — commits on success, aborts on exception, and
-        binds this engine's event scope for the body."""
-        return TransactionScope(self.tx_manager,
-                                self.sentry_registry.bound(),
-                                nested=nested, deadline=deadline)
-
-    def current_transaction(self) -> Optional[Transaction]:
-        return self.tx_manager.current()
 
     # ------------------------------------------------------------------
     # Objects and queries
@@ -1037,9 +1050,7 @@ class ReachEngine(EngineBase):
         scheduler["quarantined_rules"] = sorted(
             rule.name for rule, __ in list(self._rules.values())
             if rule.quarantined)
-        tx_stats = self.tx_manager.stats.snapshot()
         return {
-            "transactions": tx_stats,
             "scheduler": scheduler,
             "events": {
                 "detected": self.events.events_detected,
@@ -1078,7 +1089,6 @@ class ReachEngine(EngineBase):
                 "directory": self.directory,
                 "next_oid": self.dictionary.allocator.next_value,
                 "objects": self.storage.object_count(),
-                "transactions": tx_stats,
                 "events_detected": self.events.events_detected,
                 "rules": len(self._rules),
                 "wal": wal,
@@ -1086,8 +1096,8 @@ class ReachEngine(EngineBase):
         }
 
     def _stop(self) -> None:
-        """Stop this kernel's machinery, short of closing its storage
-        (:meth:`EngineBase.close` does that last)."""
+        """Stop this kernel's machinery, short of unhooking its flush
+        and closing its storage (:meth:`EngineBase.close` does both)."""
         self._closed = True
         self.temporal.cancel_all()
         try:
@@ -1099,4 +1109,3 @@ class ReachEngine(EngineBase):
         self.scheduler.close()
         self.events.close()
         self.change.close()
-        self.persistence.detach()

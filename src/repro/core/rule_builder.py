@@ -40,10 +40,10 @@ class RuleDefinitions:
     """Rule definition shared by both engines.
 
     Written against the host's ``register_rule``, ``unregister_rule``,
-    ``_rules``, ``_lock``, ``dictionary``, ``persistence`` and
-    ``tx_manager``.  On a sharded engine the last three are shard 0's:
-    persisted rule DDL lives in shard 0's catalog, like the other
-    engine-wide services, whichever shard homes the rule.
+    ``_rules``, ``_lock``, ``dictionary``, ``tx_manager`` and ``flush``.
+    On a sharded engine ``dictionary`` is shard 0's: persisted rule DDL
+    lives in shard 0's catalog, whichever shard homes the rule; the
+    transaction manager is the engine's own, which every shard shares.
     """
 
     def rule(self, name: str, event: EventSpec,
@@ -110,9 +110,9 @@ class RuleDefinitions:
             self._flush_catalog()
 
     def _flush_catalog(self) -> None:
-        # Inside a transaction the catalog rides on its commit instead.
-        if self.tx_manager.current() is None:
-            self.persistence.flush_now()
+        # Rule registration is not transactional, so neither is its DDL:
+        # ``flush`` writes it in a top-level transaction of its own.
+        self.flush()
 
     def load_persistent_rules(self) -> list[Rule]:
         """Recompile and register every rule-DDL block stored in the

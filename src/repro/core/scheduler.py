@@ -41,11 +41,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.config import ExecutionConfig, TieBreakPolicy
 from repro.core.coupling import CouplingMode
@@ -358,7 +358,7 @@ class RuleScheduler:
         def run_one(rule: Rule) -> None:
             # The sibling thread has no session bound: lend it the trigger's.
             context = TransactionContext(session_id=trigger.session_id)
-            with Binding(((self.tx_manager, context),),
+            with Binding(self.tx_manager, context,
                          self.sentry_registry):
                 tx = self.tx_manager.begin_child_of(
                     trigger, rule_depth=trigger.rule_depth + 1)
@@ -504,7 +504,7 @@ class RuleScheduler:
             # right away in a fresh transaction (documented relaxation).
             self._fire_immediate(rule, occ, phase, None)
             return
-        tx.deferred_rules.append((rule, occ, phase, bindings))
+        tx.deferred_rules.append((rule, occ, phase, bindings, self))
         self.stats.inc("deferred_enqueued")
 
     def drain_deferred(self, tx: Transaction) -> int:
@@ -514,7 +514,9 @@ class RuleScheduler:
         6.4): rules run at savepoints of the committing transaction, on
         the thread committing it, ordered by priority, tie-break, and
         optionally simple-events-first.  Rules enqueued *by* deferred
-        rules are drained too, bounded by the recursion limit.
+        rules are drained too, bounded by the recursion limit.  The queue
+        holds what every kernel sharing the transaction deferred; each
+        rule runs on the scheduler that deferred it, its home kernel's.
         """
         executed = 0
         rounds = 0
@@ -528,9 +530,9 @@ class RuleScheduler:
             entries = sorted(tx.deferred_rules,
                              key=lambda entry: key(entry[0]))
             tx.deferred_rules.clear()
-            for rule, occ, phase, bindings in entries:
-                self.stats.inc("deferred_run")
-                self._fire_at_savepoint(rule, occ, phase, tx,
+            for rule, occ, phase, bindings, home in entries:
+                home.stats.inc("deferred_run")
+                home._fire_at_savepoint(rule, occ, phase, tx,
                                         CouplingMode.DEFERRED,
                                         bindings=bindings)
                 executed += 1
@@ -699,18 +701,6 @@ class RuleScheduler:
                     executed += 1
         finally:
             draining.active = False
-
-    @contextmanager
-    def drain_after(self) -> Iterator[None]:
-        """Hold this thread's drains for the ``with`` body, then drain
-        what it released (a sharded group decides its members in one)."""
-        draining = self._draining
-        held, draining.active = draining.active, True
-        try:
-            yield
-        finally:
-            draining.active = held
-            self.drain_detached()
 
     def _run_pooled(self, work: DetachedWork) -> None:
         """Pool-worker body: :meth:`_run_ready` behind a catch-all, in

@@ -2,9 +2,9 @@
 
 This is the first change where "the engine" stops being one object.  A
 :class:`ShardedEngine` owns N :class:`~repro.core.engine.ReachEngine`
-kernels, each with its own storage manager and WAL, transaction
-manager, histories, scheduler and temporal source — and splits the
-global concerns explicitly:
+kernels, each with its own storage manager and WAL, histories,
+scheduler and temporal source — and splits the global concerns
+explicitly:
 
 * **objects** partition by OID block: every shard's data dictionary
   allocates from a :class:`~repro.oodb.oid.ShardedOIDAllocator`, so the
@@ -18,18 +18,19 @@ global concerns explicitly:
   needs no protocol: ``EventOccurrence.seq`` is stamped at detection
   from one process-global counter — the PR 6 lazy-merge invariant —
   so occurrences from different shards already carry a total order;
-* **transactions** group, not span: a
-  :class:`~repro.core.session.ShardedSession` transaction begins one
-  member per shard and stamps the member-id set on every member
-  (:class:`~repro.core.session.ShardedTransaction` sets
-  ``Transaction.event_tx_ids``), so an occurrence detected in any
-  member carries the whole group and same-transaction composite scope
-  treats all members as one transaction, and a group over two or more
-  shards is one lock family in the engine's one lock table, so a
-  cross-shard deadlock is a cycle there.  Commit is per-member in shard
-  order — explicitly *not* atomic across shards (ROADMAP item 3);
+* **transactions** span: the engine has one transaction manager, which
+  every kernel shares, so a transaction that touches several shards is
+  one :class:`~repro.oodb.transactions.Transaction`.  Every kernel's
+  hooks run on it (deferred rules, composer sweeps, the flush, detached
+  release), an occurrence detected on any shard carries its id, it
+  nests like a one-kernel transaction, and it is one lock family in the
+  engine's one lock table, so a cross-shard deadlock is a cycle there;
 * **durability** is per shard: each shard has its own group-commit WAL,
-  which its own recovery reads at open;
+  which its own recovery reads at open.  The commit stages every
+  shard's images before any shard's storage commits, so a failure
+  while staging leaves nothing durable; a storage commit that fails on
+  a later shard after an earlier shard's is durable is the window
+  ROADMAP item 3 closes with one COMMIT frame;
 * **observability** is the engine's, not the shards': the coordinator
   builds one metrics registry, tracer, flight recorder, telemetry
   pipeline and fault registry and hands them to every kernel, so a
@@ -66,7 +67,7 @@ from repro.core.events import (
     TemporalEventSpec,
 )
 from repro.core.rules import Rule
-from repro.core.session import ShardedSession, ShardedTransaction
+from repro.core.session import ShardedSession
 from repro.errors import ObjectNotFoundError, RuleDefinitionError
 from repro.obs.admin import AdminServer
 from repro.oodb.address_space import ShardMap
@@ -137,10 +138,15 @@ class ShardedEngine(EngineBase):
     :class:`~repro.core.engine.EngineBase` defines (``statistics()``,
     ``query``, ``drain_detached``, ``dead_letters``, ``checkpoint``, ...)
     covers the topology; sessions, rules, events and objects route
-    across it here.  The observability stack and the lock table are the
-    coordinator's own, shared by every kernel (``kernel.locks is
-    engine.locks``); the ``/wal`` view covers every shard's log; the
-    catalog is shard 0's.
+    across it here.  The observability stack, the lock table and the
+    transaction manager are the coordinator's own, shared by every kernel
+    (``kernel.tx_manager is engine.tx_manager``); the ``/wal`` view covers
+    every shard's log; the catalog is shard 0's.
+
+    The transaction manager raises its ``TX_*`` bus events on the
+    coordinator's own ``meta``, which no policy manager is plugged onto;
+    a kernel's ``meta`` carries that kernel's policy managers and sees
+    none of them.
 
     Args:
         directory: root directory; shard *k* lives in
@@ -170,9 +176,9 @@ class ShardedEngine(EngineBase):
         #: any of this engine's sessions, wherever the object lives.
         self.sentry_registry = SentryRegistry(
             scoped=True, name=f"sharded-{id(self):x}")
-        # One stack — observability and the lock table — handed to every
-        # kernel like the clock and the sentry registry; its flight ring
-        # dumps under ``directory``.
+        # One stack — observability, the lock table and the transaction
+        # manager — handed to every kernel like the clock and the sentry
+        # registry; its flight ring dumps under ``directory``.
         self._open_stack(directory)
         self.metrics_registry.counter_fn(
             "sentry.notifications",
@@ -190,6 +196,8 @@ class ShardedEngine(EngineBase):
             for sid in range(self.shard_count)]
 
         self.kernels = tuple(self.shards)
+        self.shards[0].persistence.flush_with(
+            [shard.persistence for shard in self.shards[1:]])
 
         self.bus = CrossShardEventBus()
 
@@ -218,22 +226,13 @@ class ShardedEngine(EngineBase):
         _LIVE_ENGINES.add(self)
 
     # ------------------------------------------------------------------
-    # Shard-0 services: the catalog triple (dictionary, persistence,
-    # tx_manager), read by the shared rule definitions, which keep
-    # persisted DDL in shard 0's catalog.
+    # Shard 0's catalog, read by the shared rule definitions, which keep
+    # persisted DDL there.
     # ------------------------------------------------------------------
 
     @property
     def dictionary(self):
         return self.shards[0].dictionary
-
-    @property
-    def persistence(self):
-        return self.shards[0].persistence
-
-    @property
-    def tx_manager(self):
-        return self.shards[0].tx_manager
 
     # ------------------------------------------------------------------
     # Routing
@@ -262,7 +261,8 @@ class ShardedEngine(EngineBase):
     def create_session(self, name: Optional[str] = None,
                        shards: Optional[list[int]] = None) -> ShardedSession:
         """Open a :class:`~repro.core.session.ShardedSession`;
-        ``shards=[...]`` restricts it to a subset of shards."""
+        ``shards=[...]`` names the shards its ``persist`` places new
+        objects on."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
@@ -270,31 +270,6 @@ class ShardedEngine(EngineBase):
             session = ShardedSession(self, name=name, shards=shards)
             self._sessions.append(session)
         return session
-
-    # ------------------------------------------------------------------
-    # Transaction groups (cross-shard composite scope)
-    # ------------------------------------------------------------------
-
-    def end_tx_group(self, group: ShardedTransaction) -> None:
-        """End a sharded transaction once its last member is decided:
-        sweep its single-tx composition graphs on every shard (the
-        sharded analogue of the per-transaction-EOT discard, Section 3.3,
-        which a member's EOT cannot do: later members may still raise
-        events for the group), release its lock family, and record each
-        member's outcome on the other members' shards, where work
-        triggered in the group waits for it."""
-        for shard in self.shards:
-            for manager in shard.events.composite_managers():
-                manager.composer.on_group_end(group.ids)
-        if group.family_id is None:
-            return                      # one member, which had its own
-        self.locks.release_all(group.family_id)
-        for sid, tx in group.members.items():
-            if self.shards[sid].tx_manager.outcome_of(tx.id) is None:
-                continue                # undecided, or nested
-            for other in group.members.keys() - {sid}:
-                self.shards[other].tx_manager.record_outcome(tx)
-                self.shards[other].scheduler.on_transaction_outcome(tx)
 
     # ------------------------------------------------------------------
     # Schema
@@ -316,14 +291,10 @@ class ShardedEngine(EngineBase):
 
     def _on_state(self, note: StateNotification) -> None:
         """Hand an attribute write to one shard's Change PM: the shard
-        the object lives on, or for a transient object the first shard
-        with a transaction open on this thread (shard 0 if none is).  So
-        a write takes one lock, one undo record and one bus event."""
+        the object lives on, or shard 0 for a transient object.  So a
+        write takes one lock, one undo record and one bus event."""
         sid = self.owning_shard(note.instance)
-        if sid is None:
-            sid = next((sid for sid, shard in enumerate(self.shards)
-                        if shard.tx_manager.current() is not None), 0)
-        self.shards[sid].change.on_state(note)
+        self.shards[0 if sid is None else sid].change.on_state(note)
 
     def create_index(self, cls_or_name: Union[Type, str],
                      attribute: str) -> list[Any]:
@@ -444,9 +415,7 @@ class ShardedEngine(EngineBase):
     # ------------------------------------------------------------------
 
     def _topology_state(self) -> dict[str, Any]:
-        return {"event_bus": self.bus.stats(),
-                "tx_groups": sum(len(session._groups)
-                                 for session in list(self._sessions))}
+        return {"event_bus": self.bus.stats()}
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

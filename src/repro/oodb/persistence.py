@@ -8,10 +8,18 @@ and objects referenced from persistent state are swept in automatically
 (reachability) at flush time so stored images never dangle.
 
 The PM plugs onto the meta-architecture bus and listens for state changes
-to mark objects dirty.  It registers transaction hooks so that at top-level
-commit all dirty images are written through the passive address space under
-one storage transaction (the WAL makes the batch atomic), and the catalog
-record (name bindings, extents, OID map) is rewritten when it changed.
+to mark objects dirty.  It registers a pre-commit step so that at
+top-level commit all dirty images are written through the passive address
+space under one storage transaction (the WAL makes the batch atomic), and
+the catalog record (name bindings, extents, OID map) is rewritten when it
+changed.
+
+A sharded engine's kernels share one transaction manager, and one PM's
+step flushes them all (:meth:`PersistencePolicyManager.flush_with`): it
+stages every kernel's images before any kernel's storage commits, so a
+serialization failure anywhere leaves nothing durable.  What stays open
+is a storage commit failing on a later kernel after an earlier kernel's
+is durable — the window ROADMAP item 3 closes with one COMMIT frame.
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ class PersistencePolicyManager(PolicyManager):
         #: held from taking a catalog image until the storage transaction
         #: carrying it has committed (see :meth:`_commit_storage`).
         self._catalog_mutex = threading.Lock()
+        #: the PMs whose storage this one's pre-commit step flushes,
+        #: itself first (see :meth:`flush_with`).
+        self._flushed: tuple["PersistencePolicyManager", ...] = (self,)
         tx_manager.set_hooks(self, pre_commit=(self._flush,))
         self._detached = False
         self._load_catalog()
@@ -72,6 +83,14 @@ class PersistencePolicyManager(PolicyManager):
             return
         self._detached = True
         self.tx_manager.set_hooks(self)
+
+    def flush_with(self, others: list["PersistencePolicyManager"]) -> None:
+        """Flush ``others`` — the other kernels of an engine whose
+        transaction manager they share with this PM — in this PM's
+        pre-commit step, and unhook their own."""
+        for other in others:
+            other.detach()
+        self._flushed = (self, *others)
 
     # ------------------------------------------------------------------
     # Bus integration
@@ -110,6 +129,8 @@ class PersistencePolicyManager(PolicyManager):
             self.dictionary.bind_name(name, oid)
             tx = self.tx_manager.current()
             if tx is not None:
+                # Its kernel's flush carries the binding (see _stage).
+                tx.dirty_objects[obj] = None
                 tx.record_undo(
                     lambda n=name: self.dictionary.unbind_name(n))
         if newly_persistent and self.meta is not None:
@@ -219,9 +240,33 @@ class PersistencePolicyManager(PolicyManager):
     # ------------------------------------------------------------------
 
     def _flush(self, tx: Transaction) -> None:
-        if not (tx.dirty_objects or tx.deleted_objects
-                or self._untracked_dirty or self.dictionary.dirty):
-            return
+        """The pre-commit step: stage every flushed PM's images, then
+        commit their storage transactions in order.  A failure aborts
+        every storage transaction not yet committed; only a commit that
+        fails after an earlier PM's succeeded leaves part of ``tx``
+        durable (ROADMAP item 3)."""
+        staged = []
+        try:
+            for pm in self._flushed:
+                if pm._stage(tx):
+                    staged.append(pm)
+            while staged:
+                staged[0]._commit_storage(tx.id)
+                del staged[0]
+        except BaseException:
+            for pm in staged:
+                pm.passive.storage.abort(tx.id)
+            raise
+
+    def _stage(self, tx: Transaction) -> bool:
+        """Write ``tx``'s dirty images and deletions into a storage
+        transaction of ``tx``'s id, left open for the commit; False when
+        there is nothing to write.  A dirty catalog is written with work
+        on this kernel, or by a transaction with no object work at all
+        (``flush()``): a commit on another kernel does not write it."""
+        idle = not (tx.dirty_objects or tx.deleted_objects)
+        if idle and not (self._untracked_dirty or self.dictionary.dirty):
+            return False
         with self._lock:
             dirty = set(tx.dirty_objects) | self._untracked_dirty
             self._untracked_dirty.clear()
@@ -229,9 +274,12 @@ class PersistencePolicyManager(PolicyManager):
         dirty = {obj for obj in dirty
                  if self.active.oid_of(obj) is not None
                  and self.active.oid_of(obj) not in deleted}
-        if not dirty and not deleted and not self.dictionary.dirty:
-            return
         storage = self.passive.storage
+        # A transaction's deletions span every kernel it touched; this
+        # kernel's storage deletes those it holds.
+        stored = [oid for oid in deleted if storage.exists(None, oid)]
+        if not dirty and not stored and not (idle and self.dictionary.dirty):
+            return False
         storage.begin(tx.id)
         try:
             # Serialization may discover reachable transients and persist
@@ -251,18 +299,12 @@ class PersistencePolicyManager(PolicyManager):
                 written.add(oid)
                 if len(marks) != before:
                     pending.extend(itertools.islice(marks, before, None))
-            for oid in deleted:
-                if storage.exists(tx.id, oid):
-                    self.passive.delete(tx.id, oid)
-            self._commit_storage(tx.id)
+            for oid in stored:
+                self.passive.delete(tx.id, oid)
         except BaseException:
             storage.abort(tx.id)
             raise
-
-    def flush_now(self) -> None:
-        """Flush outside any user transaction (maintenance helper)."""
-        with self.tx_manager.transaction():
-            pass  # the pre-commit hook performs the flush
+        return True
 
     def _commit_storage(self, storage_tx_id: int) -> None:
         """Commit a storage transaction, adding the catalog image first

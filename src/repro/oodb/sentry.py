@@ -63,9 +63,9 @@ _scope = _ScopeStack()
 class Binding:
     """One client's scope on the calling thread, for a ``with`` body.
 
-    Entering makes each ``(manager, context)`` pair's context the
-    innermost transaction context of its manager on this thread, and a
-    scoped ``registry`` the innermost sentry scope; exit unbinds them.
+    Entering makes ``context`` the innermost transaction context of
+    ``manager`` on this thread, and a scoped ``registry`` the innermost
+    sentry scope; exit unbinds them.
     ``lock``, when given, is held from entry to exit: a session serves
     one thread at a time.  Re-entrant: when every part is innermost on
     this thread already (and this thread holds the lock), entering does
@@ -75,11 +75,13 @@ class Binding:
     built per ``with``.
     """
 
-    __slots__ = ("pairs", "registry", "lock", "_owner", "_frames")
+    __slots__ = ("manager", "context", "registry", "lock", "_owner",
+                 "_frames")
 
-    def __init__(self, pairs: tuple = (), registry: Any = None,
-                 lock: Any = None) -> None:
-        self.pairs = pairs
+    def __init__(self, manager: Any = None, context: Any = None,
+                 registry: Any = None, lock: Any = None) -> None:
+        self.manager = manager
+        self.context = context
         self.registry = registry \
             if registry is not None and registry.scoped else None
         self.lock = lock
@@ -97,10 +99,9 @@ class Binding:
             stack = _scope.stack
             if not stack or stack[-1] is not registry:
                 return False
-        for manager, context in self.pairs:
-            if manager.current_context() is not context:
-                return False
-        return True
+        manager = self.manager
+        return manager is None or \
+            manager.current_context() is self.context
 
     def __enter__(self) -> "Binding":
         if self.bound_here():
@@ -109,8 +110,8 @@ class Binding:
         if self.lock is not None:
             self.lock.acquire()
             self._owner = threading.get_ident()
-        for manager, context in self.pairs:
-            manager.push_context(context)
+        if self.manager is not None:
+            self.manager.push_context(self.context)
         if self.registry is not None:
             _scope.stack.append(self.registry)
         self._frames.append(True)
@@ -123,8 +124,8 @@ class Binding:
         try:
             if self.registry is not None:
                 _scope.stack.pop()
-            for manager, context in reversed(self.pairs):
-                manager.pop_context(context)
+            if self.manager is not None:
+                self.manager.pop_context(self.context)
         finally:
             if self.lock is not None:
                 if True not in frames:

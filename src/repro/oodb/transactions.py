@@ -36,8 +36,9 @@ object and no bus dispatch.
 
 Locking follows the closed-nested convention: all locks are held by the
 transaction *family* (top-level transaction and descendants) and released
-when the top level finishes (a sharded group's members share one, which
-the group releases once its last member is decided).
+when the top level finishes.  An engine has one manager, shared by its
+kernels, so a transaction that touches several shards is still one
+transaction and one family.
 
 Transaction scope is an explicit, first-class context: every client
 session owns a :class:`TransactionContext` (its current-transaction
@@ -115,8 +116,8 @@ class Transaction:
 
     * ``undo_log`` — callbacks restoring in-memory object state, run in
       reverse order on abort; merged into the parent on nested commit.
-    * ``deferred_rules`` — (rule, context) pairs queued for execution at EOT
-      by the rule scheduler; merged into the parent on nested commit so that
+    * ``deferred_rules`` — rule firings queued for execution at EOT by the
+      rule schedulers; merged into the parent on nested commit so that
       deferral is always relative to the *top-level* user transaction.
     * ``dirty_objects`` — persistent objects whose state must be flushed at
       top-level commit (maintained by the persistence PM).  A dict used as
@@ -131,12 +132,10 @@ class Transaction:
     _ids = itertools.count(1)
 
     def __init__(self, parent: Optional["Transaction"] = None,
-                 deadline: Optional[float] = None,
-                 family_id: Optional[int] = None):
+                 deadline: Optional[float] = None):
         self.id = next(Transaction._ids)
         self.parent = parent
-        self.family_id = parent.family_id if parent \
-            else family_id or self.id
+        self.family_id = parent.family_id if parent else self.id
         self.state = TransactionState.ACTIVE
         self.undo_log: list[Callable[[], None]] = []
         self.deferred_rules: list[Any] = []
@@ -152,8 +151,7 @@ class Transaction:
         self.context: Optional["TransactionContext"] = None
         self.session_id: Optional[int] = None
         #: the ``tx_ids`` of every occurrence detected in this
-        #: transaction: its top level's id, fixed at begin (a sharded
-        #: session widens its members' to the whole group).
+        #: transaction, on any kernel: its top level's id, fixed at begin.
         self.event_tx_ids: frozenset[int] = \
             parent.event_tx_ids if parent else frozenset((self.id,))
 
@@ -336,7 +334,7 @@ class TransactionManager:
 
     def activate(self, context: TransactionContext) -> Binding:
         """Bind ``context`` to the calling thread for a ``with`` body."""
-        return Binding(((self, context),))
+        return Binding(self, context)
 
     def current_session_id(self) -> Optional[int]:
         return self._local.contexts[-1].session_id
@@ -355,15 +353,13 @@ class TransactionManager:
 
     def begin(self, nested: Optional[bool] = None,
               deadline: Optional[float] = None,
-              rule_depth: Optional[int] = None,
-              family_id: Optional[int] = None) -> Transaction:
+              rule_depth: Optional[int] = None) -> Transaction:
         """Begin a transaction.
 
         ``nested=None`` (default) nests under the current transaction when
         one exists, otherwise begins top-level.  ``nested=False`` forces a
         new top-level transaction (used to spawn detached rules) even if a
-        transaction is current on this thread.  ``family_id`` gives a
-        top-level transaction its sharded group's lock family.
+        transaction is current on this thread.
         """
         context = self.current_context()
         parent = context.current() if nested is not False else None
@@ -376,8 +372,7 @@ class TransactionManager:
                 TransactionState.ACTIVE, TransactionState.COMMITTING):
             raise TransactionStateError(
                 f"cannot nest under {parent}: not active")
-        tx = Transaction(parent=parent, deadline=deadline,
-                         family_id=family_id)
+        tx = Transaction(parent=parent, deadline=deadline)
         if rule_depth is not None:
             # Set before the begin hooks run so flow-event suppression for
             # rule-spawned transactions sees the true depth.
@@ -460,9 +455,8 @@ class TransactionManager:
 
         Top-level commit: run the EOT hooks (deferred rules) and the
         pre-commit hooks (persistence flush), mark committed, release the
-        family's locks if the transaction owns its family, record the
-        outcome for dependency tracking, then run the commit and
-        post-commit hooks.
+        family's locks, record the outcome for dependency tracking, then
+        run the commit and post-commit hooks.
 
         Nested commit: merge effects into the parent; the work becomes
         permanent only if every ancestor commits.
@@ -499,8 +493,8 @@ class TransactionManager:
             raise
         if top_level:
             tx.state = TransactionState.COMMITTED
-            self.locks.release_all(tx.id)  # a group member's: none
-            self.record_outcome(tx)
+            self.locks.release_all(tx.id)
+            self._record_outcome(tx)
         else:
             parent = tx.parent
             parent.undo_log.extend(tx.undo_log)
@@ -542,7 +536,7 @@ class TransactionManager:
             for hook in self._on_abort:
                 hook(tx)
             self.locks.release_all(tx.id)
-            self.record_outcome(tx)
+            self._record_outcome(tx)
         else:
             tx.parent.active_children -= 1
         self._pop(tx)
@@ -598,8 +592,7 @@ class TransactionManager:
 
     # -- outcome tracking (for causal dependencies) ---------------------------------
 
-    def record_outcome(self, tx: Transaction) -> None:
-        """Record a decided top-level transaction (or group member)."""
+    def _record_outcome(self, tx: Transaction) -> None:
         self._outcomes[tx.id] = tx.state
 
     def outcome_of(self, tx_id: int) -> Optional[TransactionState]:

@@ -188,9 +188,10 @@ class _WireAbort(BaseException):
 class _TxHandle:
     """An imperatively driven ``session.transaction()``.
 
-    The wire protocol needs explicit begin/commit/abort, but sessions
-    (sharded ones especially) only expose the contextmanager — so the
-    handle enters it on ``begin`` and exits it on ``commit``/``abort``.
+    The wire protocol needs explicit begin/commit/abort; the handle
+    enters the session's transaction scope on ``begin`` and exits it on
+    ``commit``/``abort``, so the session stays bound, counted and pinned
+    for the whole transaction as a local ``with`` body would keep it.
     Both ends MUST run on the same thread (the session's serving lock is
     an RLock), which the thread-per-connection design guarantees.
     """

@@ -32,7 +32,8 @@ ALLOWED_ON_BOTH = {
 ON_THE_BASE = {
     "drain_detached", "dead_letters", "requeue", "wait_for_composition",
     "collect_garbage", "checkpoint", "flush", "query", "composer_stats",
-    "architecture_inventory", "statistics", "close",
+    "architecture_inventory", "statistics", "close", "transaction",
+    "current_transaction",
 }
 
 #: Accessors that only restated a ``statistics()`` section.
@@ -42,9 +43,10 @@ DELETED = {
 }
 
 #: Shard-0 pass-throughs a sharded engine no longer has: each reader
-#: goes over ``kernels``.  (``locks`` is not one: it is the engine's own
-#: lock table, which every kernel shares.)
-NOT_ON_SHARDED = {"storage"}
+#: goes over ``kernels`` or the engine's own flush.  (``locks`` and
+#: ``tx_manager`` are not ones: they are the engine's own, which every
+#: kernel shares.)
+NOT_ON_SHARDED = {"storage", "persistence"}
 
 
 def _methods(cls) -> set[str]:
@@ -86,5 +88,6 @@ def test_every_kernel_locks_in_the_engines_table(tmp_path, shards):
         for kernel in engine.kernels:
             assert kernel.locks is engine.locks
             assert kernel.tx_manager.locks is engine.locks
+            assert kernel.tx_manager is engine.tx_manager
     finally:
         engine.close()

@@ -10,12 +10,16 @@ The ISSUE 7 acceptance criteria pinned here:
   bit-identical to PR 4's naive reference evaluator
   (``tests/test_algebra_properties.py``) fed the same detected stream;
 * finished sharded transactions leave no semi-composed garbage behind
-  (the tx-group sweep replaces the per-transaction EOT discard);
+  (every kernel's EOT discard runs on the one transaction);
 * ``statistics()`` keeps the frozen key set, adds the ``shards``
   topology section, and the admin endpoint serves it at ``/shards``;
 * the shards share the coordinator's one observability stack: metrics,
   traces, the flight ring, telemetry and faults read the topology, not
-  shard 0.
+  shard 0;
+* a transaction over several shards is one transaction of the engine's
+  one transaction manager: it nests, a veto or a failed flush on any
+  shard undoes it on every shard, and a detection on any shard carries
+  its id.
 """
 
 import json
@@ -44,7 +48,7 @@ from repro.errors import (
     DeadlockError,
     LockError,
     ObjectNotFoundError,
-    TransactionStateError,
+    TransactionAborted,
 )
 from repro.obs.export import TelemetryPipeline
 from repro.obs.flight import FlightRecorder, latest_dump, load_dump
@@ -141,11 +145,11 @@ class TestFacadeAndPlacement:
 
     def test_session_restricted_to_one_shard(self, sdb):
         session = sdb.create_session("local", shards=[1])
-        with session.transaction(shards=[1]):
-            oid = session.persist(Crate("near"), shard=1)
-        assert sdb.shard_of(oid) == 1
+        with session.transaction():
+            oids = [session.persist(Crate(f"near{i}")) for i in range(3)]
+        assert [sdb.shard_of(oid) for oid in oids] == [1, 1, 1]
         with pytest.raises(ValueError):
-            session.transaction(shards=[3]).__enter__()
+            sdb.create_session("nowhere", shards=[4])
         session.close()
 
 
@@ -197,13 +201,12 @@ class TestStateChangeOwnership:
             session = engine.create_session()
             gauge = Gauge(1)
             with pytest.raises(RuntimeError):
-                with session.transaction() as stx:
+                with session.transaction() as tx:
                     before = self._observed(engine)
                     gauge.level = 5
                     assert [a - b for a, b in zip(self._observed(engine),
                                                   before)] == [1, 0, 0, 0]
-                    assert [len(tx.undo_log) for __, tx in
-                            sorted(stx.members.items())] == [1, 0, 0, 0]
+                    assert len(tx.undo_log) == 1
                     raise RuntimeError("abort")
             assert gauge.level == 1
         finally:
@@ -561,7 +564,8 @@ class TestOneObservabilityStack:
                 with session.transaction():
                     pass
             transactions = engine.statistics()["transactions"]
-            assert transactions["committed"] == 2 + 3 * 2
+            # A spanning commit is one transaction of the one manager.
+            assert transactions["committed"] == 2 + 3
             for fact, value in transactions.items():
                 assert engine.metrics().counter(f"tx.{fact}").value == value
         finally:
@@ -724,11 +728,13 @@ class TestKernelsShareOneEntry:
         engine = _two_shards(tmp_path, "groups")
         try:
             session = engine.create_session()
-            with session.transaction() as stx:
-                assert engine.statistics()["shards"]["tx_groups"] == 1
-                assert all(tx.event_tx_ids == stx.ids
-                           for tx in stx.members.values())
-            assert engine.statistics()["shards"]["tx_groups"] == 0
+            with session.transaction() as tx:
+                assert all(kernel.tx_manager is engine.tx_manager
+                           for kernel in engine.kernels)
+                assert engine.current_transaction() is tx
+                assert tx.event_tx_ids == frozenset({tx.id})
+                assert engine.statistics()["transactions"]["begun"] == 1
+            assert "tx_groups" not in engine.statistics()["shards"]
         finally:
             engine.close()
 
@@ -853,15 +859,15 @@ class TestAdminViewsOverTheKernels:
                 oids = [session.persist(bin_, bin_.label, shard=sid)
                         for sid, bin_ in enumerate(bins)]
             assert [engine.shard_of(oid) for oid in oids] == [0, 1]
-            with session.transaction() as stx:
+            with session.transaction() as tx:
                 for bin_ in bins:   # a write: an X lock on each shard
                     bin_.label += "!"
                 locks = self._get(engine, "/locks")
             assert set(locks["resources"]) == {repr(oid) for oid in oids}
-            # The group is one family, holding both shards' objects in
-            # the engine's one table.
+            # The transaction is one family, holding both shards' objects
+            # in the engine's one table.
             assert [row["holders"] for row in locks["resources"].values()] \
-                == [{str(stx.family_id): "X"}] * 2
+                == [{str(tx.family_id): "X"}] * 2
             assert locks["stripes"] == DEFAULT_LOCK_STRIPES == 16
             assert len(locks["stripe_occupancy"]) == 16
             assert {"deadlocks_detected", "timeouts", "concurrency"} <= \
@@ -1005,17 +1011,19 @@ class TestOneLockTable:
 
     def test_shard_one_commits_while_the_group_holds_shard_zero(
             self, tmp_path):
+        """Every shard's storage commits inside the pre-commit step,
+        while the transaction still holds every shard's locks."""
         engine, bins, oids = self._engine(tmp_path)
         try:
             seen = []
-            engine.shards[1].tx_manager.set_hooks(object(), commit=(
+            engine.tx_manager.set_hooks(object(), pre_commit=(
                 lambda tx: seen.append(
-                    engine.kernels[0].locks.holders_of(oids[0])),))
+                    [engine.locks.holders_of(oid) for oid in oids]),))
             session = engine.create_session()
-            with session.transaction() as stx:
+            with session.transaction() as tx:
                 for bin_ in bins:
                     bin_.label += "!"
-            assert seen == [{stx.family_id: LockMode.EXCLUSIVE}]
+            assert seen == [[{tx.family_id: LockMode.EXCLUSIVE}] * 2]
             assert engine.locks.snapshot()["resources"] == {}
         finally:
             engine.close()
@@ -1027,14 +1035,16 @@ class TestOneLockTable:
         engine, bins, oids = self._engine(tmp_path)
         try:
             def veto(tx):
-                raise RuntimeError("shard 1 vetoes its member")
+                raise RuntimeError("the commit is vetoed")
 
             if ending == "member_commit_failure":
-                engine.shards[1].tx_manager.set_hooks(object(), eot=(veto,))
+                engine.tx_manager.set_hooks(object(), eot=(veto,))
             session = engine.create_session()
+            # A session closed inside its transaction aborts it, and the
+            # scope's exit finds it finished, as on one kernel.
             expected = {"commit": None, "member_commit_failure": RuntimeError,
                         "body_exception": ValueError,
-                        "session_close": TransactionStateError}[ending]
+                        "session_close": None}[ending]
             try:
                 with session.transaction():
                     for bin_ in bins:
@@ -1049,20 +1059,19 @@ class TestOneLockTable:
             else:
                 assert expected is None
             assert engine.locks.snapshot()["resources"] == {}
-            assert engine.statistics()["shards"]["tx_groups"] == 0
-            # Shard 0 committed before shard 1 failed (item 3).
+            # A failed commit undoes the writes on every shard.
             assert [bin_.label for bin_ in bins] == {
-                "commit": ["a!", "b!"], "member_commit_failure": ["a!", "b"],
+                "commit": ["a!", "b!"], "member_commit_failure": ["a", "b"],
                 "body_exception": ["a", "b"],
                 "session_close": ["a", "b"]}[ending]
         finally:
             engine.close()
 
     def test_detached_work_released_between_member_commits(self, tmp_path):
-        """Detached work ready while the group runs is drained by shard
-        0's member commit; it writes ``a``, which the group holds until
-        shard 1 has committed too, so it must wait for the group's end
-        rather than for its own thread."""
+        """Detached work that becomes ready while a spanning transaction
+        runs is drained by its commit, once the commit has released the
+        transaction's locks: it writes ``a`` at once rather than waiting
+        for its own thread."""
         engine, bins, oids = self._engine(tmp_path)
         try:
             at = next(at for at in range(1, 1000)
@@ -1186,9 +1195,8 @@ class TestOneLockTable:
 class TestDetectionOnAnotherShard:
     """ROADMAP 2c: a session bound to ``shards=[k]`` calls a method whose
     event is homed on another shard.  The home shard's event service
-    finds no transaction of the caller's there, so the occurrence
-    carries no ``tx_ids`` and every coupling mode loses its trigger.
-    Strict xfails: each passes once the trigger reaches the home shard."""
+    finds the caller's transaction in the engine's one transaction
+    manager, so every coupling mode keeps its trigger."""
 
     def _engine(self, tmp_path, mode, action):
         engine = _two_shards(tmp_path, "remote")
@@ -1198,41 +1206,36 @@ class TestDetectionOnAnotherShard:
         other = 1 - engine.rule_home("r")
         return engine, engine.create_session(shards=[other])
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 2c: the occurrence "
-                       "carries no tx_ids; the rule runs in a new "
-                       "top-level transaction")
     def test_immediate_rule_runs_in_the_triggering_transaction(
             self, tmp_path):
+        """The rule runs at a savepoint of the caller's transaction."""
         seen = []
         engine, session = self._engine(
             tmp_path, CouplingMode.IMMEDIATE,
-            lambda ctx: seen.append((ctx.event.tx_ids,
-                                     ctx.transaction.is_top_level)))
+            lambda ctx: seen.append((ctx.event.tx_ids, ctx.transaction)))
         try:
-            with session.transaction() as stx:
+            with session.transaction() as tx:
                 Crate("c").stamp()
-            assert seen == [(stx.ids, False)]
+            assert seen == [(frozenset({tx.id}), tx)]
         finally:
             engine.close()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 2c: with no trigger "
-                       "to defer to, the deferred rule runs at once")
     def test_deferred_rule_waits_for_the_end_of_the_transaction(
             self, tmp_path):
         order = []
         engine, session = self._engine(
             tmp_path, CouplingMode.DEFERRED,
-            lambda ctx: order.append("deferred"))
+            lambda ctx: order.append(ctx.db))
         try:
             with session.transaction():
                 Crate("c").stamp()
                 order.append("body done")
-            assert order == ["body done", "deferred"]
+            # It runs on its home kernel, whichever kernel drains the EOT.
+            home = engine.shards[engine.rule_home("r")]
+            assert order == ["body done", home]
         finally:
             engine.close()
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 2c: with no trigger "
-                       "to depend on, the rule fires though it aborted")
     def test_sequential_causally_dependent_rule_skips_an_aborted_trigger(
             self, tmp_path):
         fired = []
@@ -1246,5 +1249,118 @@ class TestDetectionOnAnotherShard:
                     raise RuntimeError("abort the trigger")
             engine.drain_detached()
             assert fired == []
+        finally:
+            engine.close()
+
+
+class TestOneTransaction:
+    """A transaction over two shards is one transaction of the engine's
+    one manager: a veto or a failed flush on one shard undoes it on both,
+    in memory and on disk; it nests; and each shard's detached work runs
+    once, after its commit."""
+
+    def _engine(self, tmp_path):
+        """A two-shard engine holding bin ``a`` on shard 0 and ``b`` on
+        shard 1; returns the engine, its directory and the bins."""
+        directory = str(tmp_path / "one-tx")
+        engine = _two_shards(tmp_path, "one-tx")
+        engine.register_class(Bin)
+        bins = [Bin("a"), Bin("b")]
+        session = engine.create_session()
+        with session.transaction():
+            for sid, bin_ in enumerate(bins):
+                session.persist(bin_, bin_.label, shard=sid)
+        session.close()
+        return engine, directory, bins
+
+    @staticmethod
+    def _reopened_labels(directory):
+        engine = ShardedEngine(directory=directory, config=ExecutionConfig(
+            sharding=ShardingConfig(shards=2)))
+        try:
+            engine.register_class(Bin)
+            return [engine.fetch(name).label for name in ("a", "b")]
+        finally:
+            engine.close()
+
+    def test_a_deferred_veto_on_shard_one_undoes_both_writes(
+            self, tmp_path):
+        engine, directory, bins = self._engine(tmp_path)
+        try:
+            (name,) = _signal_names_homed_on(engine.shard_map, [1])
+
+            def veto(ctx):
+                raise ValueError("shard 1's rule vetoes the commit")
+
+            engine.rule("veto", SignalEventSpec(name), action=veto,
+                        coupling=CouplingMode.DEFERRED, critical=True)
+            assert engine.rule_home("veto") == 1
+            session = engine.create_session()
+            with pytest.raises(TransactionAborted):
+                with session.transaction():
+                    for bin_ in bins:
+                        bin_.label += "!"
+                    session.signal(name)
+            assert [bin_.label for bin_ in bins] == ["a", "b"]
+        finally:
+            engine.close()
+        assert self._reopened_labels(directory) == ["a", "b"]
+
+    def test_a_serialization_failure_on_shard_one_leaves_nothing_durable(
+            self, tmp_path):
+        from repro.errors import SerializationError
+        engine, directory, bins = self._engine(tmp_path)
+        try:
+            session = engine.create_session()
+            with pytest.raises(SerializationError):
+                with session.transaction():
+                    bins[0].label += "!"
+                    bins[1].label += "!"
+                    bins[1].tags = {"a set cannot be stored"}
+            assert [bin_.label for bin_ in bins] == ["a", "b"]
+        finally:
+            engine.close()
+        assert self._reopened_labels(directory) == ["a", "b"]
+
+    def test_a_nested_transaction_aborts_only_its_own_work(self, tmp_path):
+        engine, directory, bins = self._engine(tmp_path)
+        try:
+            session = engine.create_session()
+            with session.transaction() as tx:
+                bins[0].label += "!"
+                with pytest.raises(ValueError):
+                    with session.transaction(nested=True) as sub:
+                        assert sub.parent is tx
+                        bins[1].label += "?"
+                        raise ValueError("the subtransaction fails")
+                assert [bin_.label for bin_ in bins] == ["a!", "b"]
+            assert [bin_.label for bin_ in bins] == ["a!", "b"]
+        finally:
+            engine.close()
+        assert self._reopened_labels(directory) == ["a!", "b"]
+
+    def test_detached_work_on_both_shards_runs_once_after_the_commit(
+            self, tmp_path):
+        from repro.oodb.transactions import TransactionState
+        engine, directory, bins = self._engine(tmp_path)
+        try:
+            names = _signal_names_homed_on(engine.shard_map, [0, 1])
+            ran = []
+            for sid, name in enumerate(names):
+                engine.rule(
+                    f"det-{sid}", SignalEventSpec(name),
+                    action=lambda ctx, sid=sid: ran.append((sid, [
+                        engine.tx_manager.outcome_of(tx_id)
+                        for tx_id in ctx.event.tx_ids])),
+                    coupling=CouplingMode.DETACHED)
+            session = engine.create_session()
+            with session.transaction():
+                for name in names:
+                    session.signal(name)
+                assert ran == []
+            engine.drain_detached()
+            assert sorted(ran) == [
+                (sid, [TransactionState.COMMITTED]) for sid in (0, 1)]
+            assert engine.statistics()["scheduler"]["detached_run"] == 2
         finally:
             engine.close()

@@ -15,7 +15,7 @@ coupling mode) cell,
 The causal gates that give the cells their annotations are also pinned:
 "all commit" rules skip when an origin aborts and "all abort" rules skip
 when the trigger commits.  The cell and annotation suites run in both
-execution modes.
+execution modes, on one kernel and on a two-shard engine.
 """
 
 import pytest
@@ -33,7 +33,9 @@ from repro import (
     SignalEventSpec,
     sentried,
 )
+from repro.config import ShardingConfig
 from repro.core.coupling import SUPPORT_MATRIX, is_supported
+from repro.core.sharding import ShardedEngine
 from repro.errors import UnsupportedCouplingError
 
 from tests.conftest import wait_until
@@ -106,18 +108,29 @@ def _drive(db, category, abort=False):
     db.drain_detached()
     if db.config.threaded:
         db.wait_for_composition()
-        scheduler = db.scheduler
-        wait_until(lambda: scheduler.firing_log
-                   and scheduler.pending_detached_count() == 0)
+        schedulers = [kernel.scheduler for kernel in db.kernels]
+        wait_until(lambda: any(s.firing_log for s in schedulers)
+                   and sum(s.pending_detached_count()
+                           for s in schedulers) == 0)
+
+
+def _detached_skipped(db):
+    return sum(kernel.scheduler.stats["detached_skipped"]
+               for kernel in db.kernels)
 
 
 @pytest.fixture
 def db(tmp_path, request):
     """An engine in the requesting class's ``mode`` (default
-    synchronous); the ``...Threaded`` subclasses rerun a suite threaded."""
+    synchronous) over its ``shards`` (default one kernel); the
+    ``...Threaded`` subclasses rerun a suite threaded, the ``...TwoShards``
+    ones on a two-shard engine."""
     mode = getattr(request.cls, "mode", ExecutionMode.SYNCHRONOUS)
-    database = ReachEngine(directory=str(tmp_path / "t1"),
-                           config=ExecutionConfig(mode=mode))
+    shards = getattr(request.cls, "shards", 1)
+    config = ExecutionConfig(mode=mode,
+                             sharding=ShardingConfig(shards=shards))
+    engine_class = ShardedEngine if shards > 1 else ReachEngine
+    database = engine_class(directory=str(tmp_path / "t1"), config=config)
     database.register_class(Widget)
     yield database
     database.close()
@@ -168,7 +181,7 @@ class TestCausalAnnotations:
                 action=lambda ctx: fired.append(1), coupling=mode)
         _drive(db, EventCategory.COMPOSITE_MULTI_TX, abort=True)
         assert fired == []
-        assert db.scheduler.stats["detached_skipped"] >= 1
+        assert _detached_skipped(db) >= 1
 
     def test_all_abort_cell_skips_on_commit(self, db):
         fired = []
@@ -177,7 +190,7 @@ class TestCausalAnnotations:
                 coupling=CouplingMode.EXCLUSIVE_CAUSALLY_DEPENDENT)
         _drive(db, EventCategory.COMPOSITE_MULTI_TX, abort=False)
         assert fired == []
-        assert db.scheduler.stats["detached_skipped"] >= 1
+        assert _detached_skipped(db) >= 1
 
 
 class TestAllowedCellsExecuteThreaded(TestAllowedCellsExecute):
@@ -189,6 +202,34 @@ class TestDisallowedCellsRejectedThreaded(TestDisallowedCellsRejected):
 
 
 class TestCausalAnnotationsThreaded(TestCausalAnnotations):
+    mode = ExecutionMode.THREADED
+
+
+class TestAllowedCellsExecuteTwoShards(TestAllowedCellsExecute):
+    shards = 2
+
+
+class TestDisallowedCellsRejectedTwoShards(TestDisallowedCellsRejected):
+    shards = 2
+
+
+class TestCausalAnnotationsTwoShards(TestCausalAnnotations):
+    shards = 2
+
+
+class TestAllowedCellsExecuteTwoShardsThreaded(TestAllowedCellsExecute):
+    shards = 2
+    mode = ExecutionMode.THREADED
+
+
+class TestDisallowedCellsRejectedTwoShardsThreaded(
+        TestDisallowedCellsRejected):
+    shards = 2
+    mode = ExecutionMode.THREADED
+
+
+class TestCausalAnnotationsTwoShardsThreaded(TestCausalAnnotations):
+    shards = 2
     mode = ExecutionMode.THREADED
 
 
